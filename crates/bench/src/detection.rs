@@ -27,8 +27,16 @@
 //! pass does triple duty. All four path combinations compute the same
 //! arming schedule and the same verdicts, so their reports match byte
 //! for byte (`detection_equiv` tests enforce this).
+//!
+//! **Schedule.** On every path the injection jobs are one
+//! [`Campaign::run_observed`] fan-out. Each job takes its group from a
+//! per-group cell, filled by a parallel setup pass when the campaign has
+//! several workers and by the group's first job when it has one; the
+//! group's last job to finish frees its snapshot chain. Observation —
+//! timings, metrics, progress — never changes the schedule.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use blackjack::envcfg::DEFAULT_STALL_CYCLES;
@@ -214,8 +222,11 @@ pub struct DetectionGroup {
     pub arms: Vec<u64>,
     /// Snapshots of the fault-free prefix, when the fork path is
     /// enabled: exact per-arm pauses normally, periodic
-    /// ([`SNAPSHOT_INTERVAL`]) with early exit on.
-    pub chain: Option<SnapshotChain>,
+    /// ([`SNAPSHOT_INTERVAL`]) with early exit on. Behind a lock only so
+    /// the group's last job can drop it
+    /// ([`DetectionGroup::release_fork_state`]); every other job only
+    /// reads it.
+    pub chain: RwLock<Option<SnapshotChain>>,
     /// Per-site last-exercise cycles from the instrumented reference
     /// pass — the early-exit activation schedule (`None` with early
     /// exit off).
@@ -223,13 +234,12 @@ pub struct DetectionGroup {
 }
 
 impl DetectionGroup {
-    /// Drops the fork machinery — snapshot chain and usage schedule —
-    /// once every job in the group has run. The report only reads the
-    /// light fields (analysis, arms, cycle count), and freeing the
-    /// chain lets the next group's snapshots reuse the warm memory.
-    pub fn release_fork_state(&mut self) {
-        self.chain = None;
-        self.site_usage = None;
+    /// Drops the snapshot chain once every job in the group has run. The
+    /// report only reads the light fields (analysis, arms, cycle count),
+    /// and freeing the chain lets the next group's snapshots reuse the
+    /// warm memory.
+    pub fn release_fork_state(&self) {
+        *self.chain.write().expect("chain lock poisoned") = None;
     }
 
     /// Builds the group: program + analysis, then the fault-free pass
@@ -240,20 +250,11 @@ impl DetectionGroup {
     /// instrumented for site usage and (fork path) doubles as the
     /// periodic snapshot builder; otherwise the fork path builds its
     /// exact chain in a second pass over the non-pruned sites' arms.
+    ///
+    /// Setup/snapshot wall time, the chain's build accounting and the
+    /// snapshot-reuse tally go to `metrics` and `meter` (either may be
+    /// off/absent).
     pub fn build(
-        mode: Mode,
-        bench: Benchmark,
-        cfg: DetectionConfig,
-        golden: Arc<Interp>,
-    ) -> DetectionGroup {
-        DetectionGroup::build_observed(mode, bench, cfg, golden, &mut Metrics::Off, None)
-    }
-
-    /// [`DetectionGroup::build`] recording setup/snapshot wall time, the
-    /// chain's build accounting, and the snapshot-reuse tally into
-    /// `metrics` and `meter` (either may be off/absent; with
-    /// [`Metrics::Off`] and no meter this is exactly `build`).
-    pub fn build_observed(
         mode: Mode,
         bench: Benchmark,
         cfg: DetectionConfig,
@@ -337,7 +338,7 @@ impl DetectionGroup {
             analysis,
             fault_free_cycles,
             arms,
-            chain,
+            chain: RwLock::new(chain),
             site_usage,
         }
     }
@@ -349,18 +350,11 @@ impl DetectionGroup {
     /// likewise (mechanism 1); otherwise the core forks from the group's
     /// chain (or replays from cycle 0) with mechanisms 2 and 3 armed when
     /// early exit is on.
+    ///
+    /// Run accounting — prune attribution, fork count/latency/catch-up
+    /// distance, simulate and oracle wall time, exit reason — goes to
+    /// `metrics` and the live `meter` (either may be off/absent).
     pub fn injection_tally(
-        &self,
-        site_idx: usize,
-    ) -> (DetectionTally, TaxonomyTally, Option<EarlyExitKind>) {
-        self.injection_tally_observed(site_idx, &mut Metrics::Off, None)
-    }
-
-    /// [`DetectionGroup::injection_tally`] recording run accounting —
-    /// prune attribution, fork count/latency/catch-up distance, simulate
-    /// and oracle wall time, exit reason — into `metrics` and the live
-    /// `meter` (either may be off/absent).
-    pub fn injection_tally_observed(
         &self,
         site_idx: usize,
         metrics: &mut Metrics,
@@ -397,9 +391,10 @@ impl DetectionGroup {
             }
         }
         let plan = armed_plan_kind(site, arm, self.cfg.kind);
-        let forked = self.chain.is_some();
+        let chain = self.chain.read().expect("chain lock poisoned");
+        let forked = chain.is_some();
         let tf = Instant::now();
-        let mut core = match &self.chain {
+        let mut core = match chain.as_ref() {
             // The periodic chain rarely paused exactly at arm - 1; catch
             // up the few fault-free cycles in between.
             Some(chain) if self.cfg.early_exit => {
@@ -411,6 +406,7 @@ impl DetectionGroup {
             Some(chain) => chain.fork(arm, plan),
             None => Core::new(self.cfg.core_config(self.mode), &self.prog, plan),
         };
+        drop(chain);
         if forked {
             metrics.inc(Counter::SnapshotForks);
             metrics.add(Counter::SnapshotForkNanos, tf.elapsed().as_nanos() as u64);
@@ -424,7 +420,7 @@ impl DetectionGroup {
                 core.set_quiesce_cycle(Some(l + 1));
             }
         }
-        let (outcome, kind) = outcome_of_observed(&mut core, &self.golden, metrics);
+        let (outcome, kind) = outcome_of(&mut core, &self.golden, metrics);
         if let Some(m) = meter {
             m.note_run(forked);
             match kind {
@@ -455,14 +451,10 @@ pub fn golden_run(prog: &Program) -> Interp {
 }
 
 /// Drives `core` to its end and classifies the run against the golden
-/// memory image, attributing any early exit to its mechanism.
-pub fn outcome_of(core: &mut Core, golden: &Interp) -> (DetectionOutcome, Option<EarlyExitKind>) {
-    outcome_of_observed(core, golden, &mut Metrics::Off)
-}
-
-/// [`outcome_of`] recording the run's simulate-phase wall stamp, its
-/// exit reason, and the oracle (golden memory compare) wall time.
-pub fn outcome_of_observed(
+/// memory image, attributing any early exit to its mechanism. The run's
+/// simulate-phase wall stamp, its exit reason, and the oracle (golden
+/// memory compare) wall time go to `metrics`.
+pub fn outcome_of(
     core: &mut Core,
     golden: &Interp,
     metrics: &mut Metrics,
@@ -588,9 +580,10 @@ pub fn run_detection(
 
 /// [`run_detection`] with the full observability surface: scheduling
 /// telemetry, the metrics registry, and live progress streaming, each
-/// opt-in through `ctl`. With everything off this takes exactly the
-/// unobserved paths (including the single-worker depth-first one), so
-/// the default campaign pays nothing.
+/// opt-in through `ctl`. Observation never changes the schedule: the
+/// injection jobs are one [`Campaign::run_observed`] fan-out on every
+/// path, and group setups are never engine jobs (the registry counts
+/// them as `setups`, not `jobs`).
 pub fn run_detection_observed(
     campaign: &Campaign,
     cfg: DetectionConfig,
@@ -600,112 +593,95 @@ pub fn run_detection_observed(
     let all_sites = sites();
     let nb = benchmarks.len();
     let ns = all_sites.len();
-    let progress_every = ctl.progress_every.filter(|_| ctl.meter.is_some());
-    let observing = ctl.traced || ctl.metrics || progress_every.is_some();
+    let meter = ctl.meter;
 
     // One golden run per benchmark, shared by both modes' groups (the
     // functional interpreter knows nothing of pipeline mode).
     let goldens: Vec<Arc<Interp>> =
         benchmarks.iter().map(|&b| Arc::new(golden_run(&build(b, 1)))).collect();
 
-    // Group setups, one per (mode, benchmark) — group index
-    // g = mode_idx * nb + bench_idx, matching job order.
-    let goldens_ref = &goldens;
-    let meter = ctl.meter;
-    let setups: Vec<_> = MODES
-        .iter()
-        .flat_map(|&mode| {
-            benchmarks.iter().enumerate().map(move |(bi, &bench)| {
-                let golden = Arc::clone(&goldens_ref[bi]);
-                move |m: &mut Metrics| {
-                    DetectionGroup::build_observed(mode, bench, cfg, golden, m, meter)
-                }
-            })
+    // One cell per (mode, benchmark) group — group index
+    // g = mode_idx * nb + bench_idx, matching job order — holding the
+    // group once built and a countdown of its unfinished jobs.
+    let cells: Vec<(OnceLock<DetectionGroup>, AtomicUsize)> =
+        (0..MODES.len() * nb).map(|_| (OnceLock::new(), AtomicUsize::new(ns))).collect();
+    let cells_ref = &cells;
+    let group = |g: usize, m: &mut Metrics| {
+        cells_ref[g].0.get_or_init(|| {
+            let golden = Arc::clone(&goldens[g % nb]);
+            DetectionGroup::build(MODES[g / nb], benchmarks[g % nb], cfg, golden, m, meter)
         })
-        .collect();
-
-    let jobs: Vec<(usize, _)> = (0..MODES.len() * nb * ns)
-        .map(|i| {
-            let g = i / ns;
-            let site_idx = i % ns;
-            (g, move |group: &DetectionGroup, m: &mut Metrics| {
-                let (tally, tax, early) = group.injection_tally_observed(site_idx, m, meter);
-                (group.mode, tally, tax, early)
-            })
-        })
-        .collect();
-
-    // The observed path stages manually so both fan-outs go through
-    // `run_observed` — the engine counts jobs and stamps job latency the
-    // same way at any worker count, which is what makes the merged
-    // registry's deterministic prefix worker-count-invariant. The
-    // unobserved paths are exactly the previous `run_staged` /
-    // depth-first code.
-    let (groups, results, trace, registry) = if observing {
-        let setup_obs = campaign
-            .run_observed(setups, ObserveOpts { timings: false, metrics: ctl.metrics, progress: None });
-        let groups = setup_obs.results;
-        let groups_ref = &groups;
-        let bound: Vec<_> = jobs
-            .into_iter()
-            .map(|(g, f)| move |m: &mut Metrics| f(&groups_ref[g], m))
-            .collect();
-        let emit = move |t: &ProgressTick| {
-            if let Some(m) = meter {
-                m.emit_tick(t);
-            }
-        };
-        let hook = progress_every.map(|every| ProgressHook::new(every, &emit));
-        let job_obs = campaign.run_observed(
-            bound,
-            ObserveOpts { timings: ctl.traced, metrics: ctl.metrics, progress: hook.as_ref() },
-        );
-        let registry = ctl.metrics.then(|| {
-            let mut merged = MetricsRegistry::new();
-            for shard in setup_obs.shards.iter().chain(job_obs.shards.iter()) {
-                merged.merge(shard);
-            }
-            // Config facts enter after the merge: the shards themselves
-            // stay byte-identical for any worker count.
-            merged.gauge_max(Gauge::Workers, campaign.workers() as u64);
-            merged
-        });
-        (groups, job_obs.results, job_obs.trace, registry)
-    } else if campaign.workers() == 1 {
-        // Depth-first: with a single worker, breadth-first staging (all
-        // setups, then all jobs) buys no parallelism but keeps every
-        // group's snapshot chain — tens of MB each — live at once,
-        // wrecking cache locality for the later groups. Run each
-        // group's jobs right after its setup and drop the fork
-        // machinery before the next group starts, so exactly one chain
-        // is hot at a time. Results are index-ordered either way, so
-        // the report is unchanged (covered by the worker-count
-        // equivalence test).
-        let mut groups = Vec::with_capacity(setups.len());
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut jobs = jobs.into_iter();
-        for (g, setup) in setups.into_iter().enumerate() {
-            let mut group = setup(&mut Metrics::Off);
-            for _ in 0..ns {
-                let (jg, f) = jobs.next().expect("one job per (group, site)");
-                debug_assert_eq!(jg, g, "jobs must be grouped contiguously");
-                results.push(f(&group, &mut Metrics::Off));
-            }
-            group.release_fork_state();
-            groups.push(group);
-        }
-        (groups, results, None, None)
-    } else {
-        let setups: Vec<_> =
-            setups.into_iter().map(|s| move || s(&mut Metrics::Off)).collect();
-        let jobs: Vec<(usize, _)> = jobs
-            .into_iter()
-            .map(|(g, f)| (g, move |grp: &DetectionGroup| f(grp, &mut Metrics::Off)))
-            .collect();
-        let (groups, results) = campaign.run_staged(setups, jobs);
-        (groups, results, None, None)
     };
+
+    // The one schedule choice. Several workers first fill every cell in
+    // a parallel setup pass, so no worker waits on another's reference
+    // pass — at the price of every group's snapshot chain being live at
+    // once (1,789 MiB peak for 850 jobs over 34 groups on two workers;
+    // `benchmark/README.md`). One worker gains nothing from that, so
+    // each group's first job fills its cell and its last job frees the
+    // chain: one chain live at a time (447 MiB for the same jobs).
+    let setup_shards: Vec<Option<Box<MetricsRegistry>>> = if campaign.workers() > 1 {
+        campaign.run(
+            (0..cells.len())
+                .map(|g| {
+                    move || {
+                        let mut m = Metrics::when(ctl.metrics);
+                        group(g, &mut m);
+                        m.into_registry()
+                    }
+                })
+                .collect(),
+        )
+    } else {
+        Vec::new()
+    };
+
+    let jobs: Vec<_> = (0..cells.len() * ns)
+        .map(|i| {
+            move |m: &mut Metrics| {
+                let g = i / ns;
+                let grp = group(g, m);
+                let (tally, tax, early) = grp.injection_tally(i % ns, m, meter);
+                // Release: this job is done with the chain. Acquire: the
+                // job that counts the group down to zero sees every other
+                // job done with it before dropping it.
+                if cells_ref[g].1.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    grp.release_fork_state();
+                }
+                (grp.mode, tally, tax, early)
+            }
+        })
+        .collect();
+    let emit = move |t: &ProgressTick| {
+        if let Some(m) = meter {
+            m.emit_tick(t);
+        }
+    };
+    let hook = ctl
+        .progress_every
+        .filter(|_| meter.is_some())
+        .map(|every| ProgressHook::new(every, &emit));
+    let obs = campaign.run_observed(
+        jobs,
+        ObserveOpts { timings: ctl.traced, metrics: ctl.metrics, progress: hook.as_ref() },
+    );
+    let registry = ctl.metrics.then(|| {
+        let mut merged = MetricsRegistry::new();
+        for shard in setup_shards.iter().flatten().map(|r| &**r).chain(&obs.shards) {
+            merged.merge(shard);
+        }
+        // Config facts enter after the merge: the shards themselves
+        // stay byte-identical for any worker count.
+        merged.gauge_max(Gauge::Workers, campaign.workers() as u64);
+        merged
+    });
+    let groups: Vec<DetectionGroup> = cells
+        .into_iter()
+        .map(|(cell, _)| cell.into_inner().expect("every group ran its jobs"))
+        .collect();
+
     let t_reassembly = Instant::now();
+    let results = &obs.results;
     let tallies: Vec<(Mode, DetectionTally)> =
         results.iter().map(|&(m, t, _, _)| (m, t)).collect();
     let taxonomies: Vec<(Mode, TaxonomyTally)> =
@@ -739,6 +715,7 @@ pub fn run_detection_observed(
         r.add(Counter::ReassemblyNanos, t_reassembly.elapsed().as_nanos() as u64);
         r
     });
+    let trace = obs.trace;
     DetectionReport { tallies, taxonomies, early_exits, labels, meta, text, trace, metrics }
 }
 

@@ -14,7 +14,9 @@ use blackjack::workloads::Benchmark;
 use blackjack::{
     Campaign, Counter, Metrics, MetricsRegistry, ObserveOpts, ProgressHook, ProgressTick,
 };
-use blackjack_bench::detection::{run_detection, run_detection_observed, DetectionConfig, ObserveCtl};
+use blackjack_bench::detection::{
+    run_detection, run_detection_observed, sites, DetectionConfig, ObserveCtl, MODES,
+};
 
 fn merged(shards: &[MetricsRegistry]) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
@@ -66,7 +68,14 @@ fn detection_metrics_deterministic_prefix_is_worker_count_invariant() {
             &benches,
             ObserveCtl { metrics: true, ..Default::default() },
         );
-        r.metrics.expect("metrics were requested").deterministic_json()
+        let registry = r.metrics.expect("metrics were requested");
+        // Only injection jobs are engine jobs; group setups count apart,
+        // whichever schedule the worker count picked.
+        let groups = MODES.len() * benches.len();
+        let which = format!("{workers} workers");
+        assert_eq!(registry.get(Counter::Jobs), (groups * sites().len()) as u64, "{which}");
+        assert_eq!(registry.get(Counter::Setups), groups as u64, "{which}");
+        registry.deterministic_json()
     };
     // The one config fact that legitimately differs — the workers gauge,
     // recorded post-merge — is normalized away; everything else must
@@ -81,45 +90,59 @@ fn detection_metrics_deterministic_prefix_is_worker_count_invariant() {
 fn metrics_and_progress_do_not_change_the_report() {
     let benches = [Benchmark::Gzip];
     let cfg = DetectionConfig::default();
-    let c = Campaign::with_workers(8);
-    let plain = run_detection(&c, cfg, &benches, false);
-    let observed =
-        run_detection_observed(&c, cfg, &benches, ObserveCtl { metrics: true, ..Default::default() });
-    assert_eq!(plain.text, observed.text, "metrics must be report-invisible");
-    assert_eq!(plain.tallies, observed.tallies);
-    assert_eq!(plain.early_exits, observed.early_exits);
-    assert!(plain.metrics.is_none());
-    assert!(observed.metrics.is_some());
+    for workers in [8, 1] {
+        let c = Campaign::with_workers(workers);
+        let plain = run_detection(&c, cfg, &benches, false);
+        let observed = run_detection_observed(
+            &c,
+            cfg,
+            &benches,
+            ObserveCtl { traced: true, metrics: true, ..Default::default() },
+        );
+        let which = format!("{workers} workers");
+        assert_eq!(plain.text, observed.text, "{which}: observation must be report-invisible");
+        assert_eq!(plain.tallies, observed.tallies, "{which}");
+        assert_eq!(plain.early_exits, observed.early_exits, "{which}");
+        assert!(plain.metrics.is_none());
+        assert!(observed.metrics.is_some());
+        let trace = observed.trace.expect("trace was requested");
+        assert_eq!(trace.timings.len(), observed.tallies.len(), "{which}: one timing per job");
+    }
 }
 
 #[test]
 fn progress_hook_ticks_and_finishes_with_done() {
-    let ticks: Mutex<Vec<ProgressTick>> = Mutex::new(Vec::new());
-    let emit = |t: &ProgressTick| ticks.lock().unwrap().push(t.clone());
-    // Zero cadence: every job completion is past the deadline, so the
-    // engine must tick at least once before the guaranteed final tick.
-    let hook = ProgressHook::new(Duration::ZERO, &emit);
-    let spun = AtomicUsize::new(0);
-    let jobs: Vec<_> = (0..16)
-        .map(|_| {
-            |_: &mut Metrics| {
-                spun.fetch_add(1, Ordering::Relaxed);
-            }
-        })
-        .collect();
-    Campaign::with_workers(4).run_observed(
-        jobs,
-        ObserveOpts { timings: false, metrics: false, progress: Some(&hook) },
-    );
-    let ticks = ticks.into_inner().unwrap();
-    assert_eq!(spun.load(Ordering::Relaxed), 16);
-    assert!(!ticks.is_empty());
-    let last = ticks.last().unwrap();
-    assert!(last.done, "the final tick must carry done=true");
-    assert_eq!((last.jobs_done, last.jobs_total), (16, 16));
-    assert_eq!(last.busy.len(), 4, "one busy slot per configured worker");
-    // Monotone progress: jobs_done never decreases across ticks.
-    assert!(ticks.windows(2).all(|w| w[0].jobs_done <= w[1].jobs_done));
-    // Exactly one done-tick, and it is the last.
-    assert_eq!(ticks.iter().filter(|t| t.done).count(), 1);
+    // More jobs than workers, fewer jobs than workers, and no jobs: the
+    // final tick always carries one busy slot per configured worker.
+    for n in [16, 2, 0] {
+        let ticks: Mutex<Vec<ProgressTick>> = Mutex::new(Vec::new());
+        let emit = |t: &ProgressTick| ticks.lock().unwrap().push(t.clone());
+        // Zero cadence: every job completion is past the deadline, so any
+        // job makes the engine tick before the guaranteed final tick.
+        let hook = ProgressHook::new(Duration::ZERO, &emit);
+        let spun = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..n)
+            .map(|_| {
+                |_: &mut Metrics| {
+                    spun.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .collect();
+        Campaign::with_workers(4).run_observed(
+            jobs,
+            ObserveOpts { timings: false, metrics: false, progress: Some(&hook) },
+        );
+        let ticks = ticks.into_inner().unwrap();
+        assert_eq!(spun.load(Ordering::Relaxed), n);
+        assert!(ticks.len() >= if n > 0 { 2 } else { 1 }, "{n} jobs: {ticks:?}");
+        let last = ticks.last().unwrap();
+        assert!(last.done, "the final tick must carry done=true");
+        assert_eq!((last.jobs_done, last.jobs_total), (n, n));
+        assert_eq!(last.workers, 4);
+        assert_eq!(last.busy.len(), 4, "{n} jobs: one busy slot per configured worker");
+        // Monotone progress: jobs_done never decreases across ticks.
+        assert!(ticks.windows(2).all(|w| w[0].jobs_done <= w[1].jobs_done));
+        // Exactly one done-tick, and it is the last.
+        assert_eq!(ticks.iter().filter(|t| t.done).count(), 1);
+    }
 }

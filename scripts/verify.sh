@@ -81,13 +81,15 @@ echo "== tier-1: observability smoke (BJ_METRICS + BJ_PROGRESS_SECS) =="
 # A metrics-and-progress run must stream at least one well-formed
 # progress record (the guaranteed done:true tick), the phase and metrics
 # record families, render through bj-trace top — and leave stdout
-# byte-identical to the unobserved run.
+# byte-identical to the unobserved run. The worker counts are pinned and
+# differ, so the one diff checks both that observation is invisible and
+# that the report does not depend on the worker count, on any host.
 obs_file="$(mktemp /tmp/bj_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$obs_file"' EXIT
-obs_out="$(BJ_SCALE=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1 BJ_TRACE="$obs_file" \
+obs_out="$(BJ_SCALE=1 BJ_THREADS=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1 BJ_TRACE="$obs_file" \
   cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
-plain_out="$(BJ_SCALE=1 cargo run --release -q --offline -p blackjack-bench \
+plain_out="$(BJ_SCALE=1 BJ_THREADS=8 cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
 [ -n "$obs_out" ]
 diff <(printf '%s' "$plain_out") <(printf '%s' "$obs_out")

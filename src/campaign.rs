@@ -36,7 +36,8 @@ use crate::metrics::{Counter, Metrics, MetricsRegistry};
 /// A worker pool executing a flat list of independent jobs.
 ///
 /// Construct with [`Campaign::from_env`] (honours `BJ_THREADS`) or
-/// [`Campaign::with_workers`]; run job lists with [`Campaign::run`].
+/// [`Campaign::with_workers`]; run job lists with [`Campaign::run`], or
+/// with [`Campaign::run_observed`] for timings, metrics and progress.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     workers: usize,
@@ -84,7 +85,7 @@ impl Campaign {
 
     /// Executes every job and returns the results **in job order**,
     /// regardless of which worker ran which job or in what order they
-    /// finished.
+    /// finished: [`Campaign::run_observed`] with every observation off.
     ///
     /// # Panics
     ///
@@ -94,147 +95,35 @@ impl Campaign {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Single worker: run inline, no thread overhead (and exact
-        // sequential semantics for debugging).
-        if self.workers == 1 || n == 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-
-        let slots: Vec<Mutex<Option<F>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.workers.min(n);
-
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    // The shared index is the work-stealing heart: a
-                    // worker that finishes early immediately claims the
-                    // next unstarted job.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = slots[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("each job claimed exactly once");
-                    let out = job();
-                    *results[i].lock().expect("result slot poisoned") = Some(out);
-                });
-            }
-        });
-
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every job index below n was executed")
-            })
-            .collect()
+        let jobs = jobs.into_iter().map(|j| move |_: &mut Metrics| j()).collect();
+        self.run_observed(jobs, ObserveOpts::default()).results
     }
 
-    /// Two-phase campaign: build shared per-group state in parallel, then
-    /// fan out jobs that borrow it read-only.
+    /// The campaign engine: [`Campaign::run`]'s determinism contract
+    /// plus, each opt-in:
     ///
-    /// `setups[g]` produces group `g`'s shared state (a program + golden
-    /// run, a snapshot chain, …); each `(g, job)` in `jobs` then runs with
-    /// `&` access to that state. Both phases go through [`Campaign::run`],
-    /// so results come back in job order and are bit-identical for any
-    /// worker count. The setup phase is a barrier — no job starts until
-    /// every group's state exists — which is what lets jobs index any
-    /// group, not just their own.
-    ///
-    /// Returns the group states alongside the job results — reports often
-    /// need facts computed during setup (schedules, analyses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job names a group index with no setup.
-    pub fn run_staged<G, S, T, F>(&self, setups: Vec<S>, jobs: Vec<(usize, F)>) -> (Vec<G>, Vec<T>)
-    where
-        G: Send + Sync,
-        S: FnOnce() -> G + Send,
-        T: Send,
-        F: FnOnce(&G) -> T + Send,
-    {
-        let groups = self.run(setups);
-        let groups_ref = &groups;
-        let results = self.run(
-            jobs.into_iter()
-                .map(|(g, f)| {
-                    move || {
-                        f(groups_ref.get(g).unwrap_or_else(|| {
-                            panic!(
-                                "job references group {g} but only {} setups ran",
-                                groups_ref.len()
-                            )
-                        }))
-                    }
-                })
-                .collect(),
-        );
-        (groups, results)
-    }
-
-    /// [`Campaign::run`] plus wall-clock timing, for throughput
-    /// accounting.
-    pub fn run_timed<T, F>(&self, jobs: Vec<F>) -> (Vec<T>, Duration)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let t0 = Instant::now();
-        let out = self.run(jobs);
-        (out, t0.elapsed())
-    }
-
-    /// [`Campaign::run`] plus per-job telemetry: which worker ran each
-    /// job, how long the job waited in the queue, and how long it ran.
-    ///
-    /// Queue-wait is measured from campaign start to the moment a worker
-    /// *claims* the job — with work-stealing there is no per-job enqueue
-    /// time, so this is exactly the latency the shared-index discipline
-    /// imposes on that job. Results (and timings) come back in job order,
-    /// same determinism contract as [`Campaign::run`]; only the timing
-    /// values themselves vary run to run.
-    pub fn run_traced<T, F>(&self, jobs: Vec<F>) -> (Vec<T>, CampaignTrace)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let obs = self.run_observed(
-            jobs.into_iter().map(|j| move |_: &mut Metrics| j()).collect(),
-            ObserveOpts { timings: true, metrics: false, progress: None },
-        );
-        (obs.results, obs.trace.expect("timings were requested"))
-    }
-
-    /// The fully-observed fan-out: [`Campaign::run`]'s determinism
-    /// contract plus, each opt-in:
-    ///
-    /// * **timings** — per-job scheduling records ([`CampaignTrace`]),
+    /// * **timings** — per-job scheduling records ([`CampaignTrace`]):
+    ///   which worker ran each job, how long it waited in the queue (from
+    ///   campaign start to the moment a worker *claims* it — with
+    ///   work-stealing there is no per-job enqueue time), and how long it
+    ///   ran. Only the timing values vary run to run.
     /// * **metrics** — one [`MetricsRegistry`] shard per worker; each job
     ///   receives `&mut Metrics` (the worker's shard, or [`Metrics::Off`]
-    ///   when metrics are off — the off path shares `run`'s zero
-    ///   overhead). The engine itself records [`Counter::Jobs`] and the
-    ///   job-latency histogram into each shard; jobs add their domain
-    ///   counters — never config facts like the worker count, so shard
-    ///   merges stay byte-identical across worker counts. Shards
-    ///   come back in worker-index order; merging them (any order — the
-    ///   algebra commutes) yields totals that are byte-identical for any
-    ///   worker count.
+    ///   when metrics are off). The engine itself records
+    ///   [`Counter::Jobs`] and the job-latency histogram into each shard;
+    ///   jobs add their domain counters — never config facts like the
+    ///   worker count, so shard merges stay byte-identical across worker
+    ///   counts. Shards come back in worker-index order; merging them
+    ///   (any order — the algebra commutes) yields totals that are
+    ///   byte-identical for any worker count.
     /// * **progress** — a wall-clock-cadence [`ProgressHook`] called from
     ///   whichever worker crosses the deadline at a job boundary, plus
     ///   one final call (with [`ProgressTick::done`]) when the last job
     ///   retires. Only timing fields of a tick vary run to run.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the first job panic after all workers have drained.
     pub fn run_observed<T, F>(&self, jobs: Vec<F>, opts: ObserveOpts) -> Observed<T>
     where
         T: Send,
@@ -242,128 +131,90 @@ impl Campaign {
     {
         let n = jobs.len();
         let t0 = Instant::now();
-        let workers = self.workers.min(n).max(1);
         let done = AtomicUsize::new(0);
-        let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        let busy: Vec<AtomicU64> = (0..self.workers).map(|_| AtomicU64::new(0)).collect();
         // Next progress deadline, nanos since t0. Workers race on it with
         // CAS so each cadence interval emits exactly one tick.
         let deadline = AtomicU64::new(opts.progress.map_or(u64::MAX, |h| h.every_nanos()));
+        let slots: Vec<Mutex<Option<F>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        let results: Vec<Mutex<Option<(T, JobTiming)>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
 
-        let finish = |results: Vec<(T, JobTiming)>, shards: Vec<MetricsRegistry>| {
-            let wall = t0.elapsed();
-            if let Some(hook) = opts.progress {
-                hook.emit(&ProgressTick {
-                    jobs_done: done.load(Ordering::Relaxed),
-                    jobs_total: n,
-                    workers: self.workers,
-                    done: true,
-                    elapsed: wall,
-                    eta: Some(Duration::ZERO),
-                    busy: busy.iter().map(|b| Duration::from_nanos(b.load(Ordering::Relaxed))).collect(),
-                });
-            }
-            let mut out = Vec::with_capacity(n);
-            let mut timings = Vec::with_capacity(n);
-            for (v, t) in results {
-                out.push(v);
-                timings.push(t);
-            }
-            Observed {
-                results: out,
-                trace: opts.timings.then_some(CampaignTrace {
-                    workers: self.workers,
-                    wall,
-                    timings,
-                }),
-                shards,
-            }
-        };
-
-        if n == 0 {
-            return finish(Vec::new(), Vec::new());
-        }
-        if self.workers == 1 || n == 1 {
-            // Inline path: everything runs on "worker 0" sequentially.
+        // One worker's claim–run–record loop. The shared index is the
+        // work-stealing heart: a worker that finishes early immediately
+        // claims the next unstarted job.
+        let work = |worker: usize| {
             let mut metrics = Metrics::when(opts.metrics);
-            let mut results = Vec::with_capacity(n);
-            for (i, job) in jobs.into_iter().enumerate() {
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
                 let queue_wait = t0.elapsed();
+                let job = slots[i]
+                    .lock()
+                    .expect("job slot poisoned")
+                    .take()
+                    .expect("each job claimed exactly once");
                 let jt0 = Instant::now();
                 let out = job(&mut metrics);
                 let run = jt0.elapsed();
                 metrics.inc(Counter::Jobs);
                 metrics.record_job_nanos(run.as_nanos() as u64);
-                busy[0].fetch_add(run.as_nanos() as u64, Ordering::Relaxed);
+                busy[worker].fetch_add(run.as_nanos() as u64, Ordering::Relaxed);
                 done.fetch_add(1, Ordering::Relaxed);
-                results.push((out, JobTiming { job: i, worker: 0, queue_wait, run }));
+                let timing = JobTiming { job: i, worker, queue_wait, run };
+                *results[i].lock().expect("result slot poisoned") = Some((out, timing));
                 if let Some(hook) = opts.progress {
                     hook.maybe_tick(t0, &deadline, &done, n, self.workers, &busy);
                 }
             }
-            let shards = metrics.into_registry().map(|r| vec![*r]).unwrap_or_default();
-            return finish(results, shards);
+            metrics.into_registry()
+        };
+        let workers = self.workers.min(n);
+        let shards: Vec<MetricsRegistry> = if workers <= 1 {
+            // Inline on "worker 0": no thread overhead, and exact
+            // sequential semantics for debugging.
+            work(0).into_iter().map(|r| *r).collect()
+        } else {
+            let work = &work;
+            thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+                handles
+                    .into_iter()
+                    .filter_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .map(|r| *r)
+                    .collect()
+            })
+        };
+
+        let wall = t0.elapsed();
+        if let Some(hook) = opts.progress {
+            hook.emit(&ProgressTick {
+                jobs_done: done.load(Ordering::Relaxed),
+                jobs_total: n,
+                workers: self.workers,
+                done: true,
+                elapsed: wall,
+                eta: Some(Duration::ZERO),
+                busy: busy.iter().map(|b| Duration::from_nanos(b.load(Ordering::Relaxed))).collect(),
+            });
         }
-
-        let slots: Vec<Mutex<Option<F>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<(T, JobTiming)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let shards: Vec<Mutex<Option<MetricsRegistry>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        let (slots_ref, results_ref, next_ref) = (&slots, &results, &next);
-        let (shards_ref, done_ref, busy_ref, deadline_ref) = (&shards, &done, &busy, &deadline);
-        let opts_ref = &opts;
-        thread::scope(|s| {
-            for worker in 0..workers {
-                s.spawn(move || {
-                    let mut metrics = Metrics::when(opts_ref.metrics);
-                    loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let queue_wait = t0.elapsed();
-                        let job = slots_ref[i]
-                            .lock()
-                            .expect("job slot poisoned")
-                            .take()
-                            .expect("each job claimed exactly once");
-                        let jt0 = Instant::now();
-                        let out = job(&mut metrics);
-                        let run = jt0.elapsed();
-                        metrics.inc(Counter::Jobs);
-                        metrics.record_job_nanos(run.as_nanos() as u64);
-                        busy_ref[worker].fetch_add(run.as_nanos() as u64, Ordering::Relaxed);
-                        done_ref.fetch_add(1, Ordering::Relaxed);
-                        let timing = JobTiming { job: i, worker, queue_wait, run };
-                        *results_ref[i].lock().expect("result slot poisoned") =
-                            Some((out, timing));
-                        if let Some(hook) = opts_ref.progress {
-                            hook.maybe_tick(t0, deadline_ref, done_ref, n, self.workers, busy_ref);
-                        }
-                    }
-                    if let Some(r) = metrics.into_registry() {
-                        *shards_ref[worker].lock().expect("shard slot poisoned") = Some(*r);
-                    }
-                });
-            }
-        });
-
-        let results: Vec<(T, JobTiming)> = results
+        let (results, timings): (Vec<T>, Vec<JobTiming>) = results
             .into_iter()
             .map(|m| {
                 m.into_inner()
                     .expect("result slot poisoned")
                     .expect("every job index below n was executed")
             })
-            .collect();
-        let shards: Vec<MetricsRegistry> = shards
-            .into_iter()
-            .filter_map(|m| m.into_inner().expect("shard slot poisoned"))
-            .collect();
-        finish(results, shards)
+            .unzip();
+        Observed {
+            results,
+            trace: opts.timings.then_some(CampaignTrace { workers: self.workers, wall, timings }),
+            shards,
+        }
     }
 }
 
@@ -476,11 +327,13 @@ pub struct ProgressTick {
     /// Naive remaining-time estimate — `elapsed × remaining / done` —
     /// `None` before the first job retires.
     pub eta: Option<Duration>,
-    /// Cumulative per-worker job-execution time.
+    /// Cumulative job-execution time, one slot per configured worker
+    /// (like [`CampaignTrace::worker_busy`]).
     pub busy: Vec<Duration>,
 }
 
-/// One job's scheduling record from [`Campaign::run_traced`].
+/// One job's scheduling record from [`Campaign::run_observed`] (with
+/// [`ObserveOpts::timings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobTiming {
     /// Job index in the submitted list.
@@ -618,19 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn run_staged_shares_group_state_in_job_order() {
-        for workers in [1, 4] {
-            let setups: Vec<_> = (0..3u64).map(|g| move || g * 100).collect();
-            let jobs: Vec<(usize, _)> =
-                (0..12u64).map(|i| ((i % 3) as usize, move |base: &u64| base + i)).collect();
-            let (groups, got) = Campaign::with_workers(workers).run_staged(setups, jobs);
-            assert_eq!(groups, vec![0, 100, 200], "{workers} workers: setups in group order");
-            let expect: Vec<u64> = (0..12).map(|i| (i % 3) * 100 + i).collect();
-            assert_eq!(got, expect, "{workers} workers");
-        }
-    }
-
-    #[test]
     fn workers_from_env_shape() {
         let c = Campaign::with_workers(3);
         assert_eq!(c.workers(), 3);
@@ -639,11 +479,21 @@ mod tests {
         assert!(Campaign::from_env().expect("valid BJ_THREADS").workers() >= 1);
     }
 
+    /// `run_observed` with only per-job timings on.
+    fn timed<T: Send>(
+        workers: usize,
+        jobs: Vec<impl FnOnce() -> T + Send>,
+    ) -> (Vec<T>, CampaignTrace) {
+        let jobs = jobs.into_iter().map(|j| move |_: &mut Metrics| j()).collect();
+        let obs = Campaign::with_workers(workers)
+            .run_observed(jobs, ObserveOpts { timings: true, ..ObserveOpts::default() });
+        (obs.results, obs.trace.expect("timings were requested"))
+    }
+
     #[test]
-    fn run_traced_matches_run_and_accounts_every_job() {
+    fn run_observed_timings_match_run_and_account_every_job() {
         for workers in [1, 4] {
-            let jobs: Vec<_> = (0..23u64).map(|i| move || i * i).collect();
-            let (got, trace) = Campaign::with_workers(workers).run_traced(jobs);
+            let (got, trace) = timed(workers, (0..23u64).map(|i| move || i * i).collect());
             let expect: Vec<u64> = (0..23).map(|i| i * i).collect();
             assert_eq!(got, expect, "{workers} workers");
             assert_eq!(trace.workers, workers);
@@ -662,8 +512,8 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_empty_job_list() {
-        let (out, trace) = Campaign::with_workers(2).run_traced(Vec::<fn() -> u8>::new());
+    fn run_observed_timings_on_an_empty_job_list() {
+        let (out, trace) = timed(2, Vec::<fn() -> u8>::new());
         assert!(out.is_empty());
         assert!(trace.timings.is_empty());
         assert!(trace.busy_fractions().iter().all(|f| *f == 0.0));

@@ -5,7 +5,8 @@ use blackjack_faults::{AreaModel, FaultPlan};
 use blackjack_sim::{Core, CoreConfig, Mode, RunOutcome, SimStats, TraceState};
 use blackjack_workloads::{build, Benchmark};
 
-use crate::campaign::{Campaign, CampaignTrace};
+use crate::campaign::{Campaign, CampaignTrace, ObserveOpts};
+use crate::metrics::Metrics;
 
 /// Default cycle budget per run — far above anything the kernels need.
 const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
@@ -149,8 +150,10 @@ impl Experiment {
     /// tables are identical to [`Experiment::run_all_on`]'s — only the
     /// timing side-channel is added.
     pub fn run_all_traced_on(&self, campaign: &Campaign) -> (ExperimentResult, CampaignTrace) {
-        let (runs, trace) = campaign.run_traced(self.jobs());
-        (self.assemble(runs), trace)
+        let jobs = self.jobs().into_iter().map(|j| move |_: &mut Metrics| j()).collect();
+        let obs =
+            campaign.run_observed(jobs, ObserveOpts { timings: true, ..ObserveOpts::default() });
+        (self.assemble(obs.results), obs.trace.expect("timings were requested"))
     }
 
     /// `"bench/mode"` labels for the flat job list, in job order —

@@ -50,7 +50,8 @@ pub const JOB_NANOS_BUCKET: u64 = 2_000_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Campaign jobs executed (injection jobs, bench runs, …).
+    /// Campaign engine jobs executed (injection jobs, bench runs, …).
+    /// Group setups are not jobs: they count under [`Counter::Setups`].
     Jobs,
     /// Group setups executed (fault-free reference passes).
     Setups,

@@ -771,7 +771,7 @@ pub fn summarize_campaign(lines: &[&str]) -> Option<CampaignSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Campaign;
+    use crate::{Campaign, Metrics, ObserveOpts};
 
     #[test]
     fn json_string_escapes() {
@@ -932,8 +932,10 @@ mod tests {
         let path = std::env::temp_dir().join("bj_telemetry_writer_test.jsonl");
         {
             let mut w = TraceWriter::create(&path, "unit-test").unwrap();
-            let (_, trace) =
-                Campaign::with_workers(1).run_traced((0..3u64).map(|i| move || i).collect());
+            let jobs = (0..3u64).map(|i| move |_: &mut Metrics| i).collect();
+            let obs = Campaign::with_workers(1)
+                .run_observed(jobs, ObserveOpts { timings: true, ..ObserveOpts::default() });
+            let trace = obs.trace.expect("timings were requested");
             w.emit_campaign(&trace, &["a".into(), "b".into(), "c".into()]);
             let stats = blackjack_sim::SimStats {
                 cycles: 10,
