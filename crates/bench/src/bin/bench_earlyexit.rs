@@ -22,11 +22,9 @@
 use std::path::Path;
 use std::time::Instant;
 
-use blackjack::{envcfg, Campaign};
+use blackjack::{envcfg, Campaign, EarlyExitKind};
 use blackjack_bench::benchfmt::{self, field, str_field, RunRecord};
-use blackjack_bench::detection::{
-    default_benchmarks, run_detection, DetectionConfig, EarlyExitKind,
-};
+use blackjack_bench::detection::{default_benchmarks, run_detection, DetectionConfig};
 
 const REPS: usize = 5;
 

@@ -21,9 +21,9 @@
 //! simulates the fault-free prefix once and every injection job forks
 //! from a snapshot ([`blackjack::SnapshotChain`]). Independently,
 //! `early_exit` (default on) stops each run the moment its verdict is
-//! decided, by three mechanisms (see [`EarlyExitKind`]); with it on, the
-//! group's fault-free pass is *instrumented* ([`SiteUsage`]) and — fork
-//! path — doubles as the periodic snapshot builder, so one reference
+//! decided, by three mechanisms ([`blackjack::EarlyExit`]); with it on,
+//! the group's fault-free pass records site usage ([`SiteUsage`]) and —
+//! fork path — doubles as the periodic snapshot builder, so one reference
 //! pass does triple duty. All four path combinations compute the same
 //! arming schedule and the same verdicts, so their reports match byte
 //! for byte (`detection_equiv` tests enforce this).
@@ -42,17 +42,15 @@ use std::time::{Duration, Instant};
 use blackjack::envcfg::DEFAULT_STALL_CYCLES;
 use blackjack::faults::{
     Corruption, DetectionOutcome, DetectionTally, FaultKind, FaultPlan, FaultSite, HardFault,
-    Taxonomy, TaxonomyTally, Trigger,
+    SiteUsage, Taxonomy, TaxonomyTally, Trigger,
 };
 use blackjack::isa::{Interp, Program};
-use blackjack::sim::{
-    Core, CoreConfig, EarlyExitReason, FuCounts, Mode, RunOutcome, SiteUsage,
-};
+use blackjack::sim::{Core, CoreConfig, FuCounts, Mode, RunOutcome};
 use blackjack::telemetry::ProgressMeter;
 use blackjack::workloads::{build, Benchmark};
 use blackjack::{
-    arming_schedule, Campaign, CampaignTrace, Counter, Gauge, Metrics, MetricsRegistry,
-    ObserveOpts, ProgressHook, ProgressTick, SnapshotChain,
+    arming_schedule, Campaign, CampaignTrace, Counter, EarlyExit, EarlyExitKind, Exit, Gauge,
+    Metrics, MetricsRegistry, ObserveOpts, ProgressHook, ProgressTick, SnapshotChain,
 };
 use blackjack_analysis::SiteAnalysis;
 
@@ -183,23 +181,6 @@ impl DetectionConfig {
     }
 }
 
-/// Which early-exit mechanism decided a run before its natural end — the
-/// benchmark attribution. Deliberately *outside* [`DetectionTally`] and
-/// the report text, which must stay byte-identical with early exit off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EarlyExitKind {
-    /// The reference pass never exercises the site at or after the
-    /// arming cycle, so the fault can never activate: benign with zero
-    /// simulation (the run is never even forked).
-    Activation,
-    /// The run reconverged — fault site quiescent, zero activations —
-    /// and the benign verdict was sealed mid-run.
-    Convergence,
-    /// No commit progress for the stall window: declared stuck without
-    /// burning the remaining cycle budget.
-    Watchdog,
-}
-
 /// One (mode, benchmark) group's shared read-only state, built once per
 /// campaign and borrowed by every one of the group's injection jobs.
 pub struct DetectionGroup {
@@ -227,9 +208,8 @@ pub struct DetectionGroup {
     /// ([`DetectionGroup::release_fork_state`]); every other job only
     /// reads it.
     pub chain: RwLock<Option<SnapshotChain>>,
-    /// Per-site last-exercise cycles from the instrumented reference
-    /// pass — the early-exit activation schedule (`None` with early
-    /// exit off).
+    /// Per-site last-exercise cycles from the recording reference pass —
+    /// the early-exit activation schedule (`None` with early exit off).
     pub site_usage: Option<SiteUsage>,
 }
 
@@ -246,10 +226,10 @@ impl DetectionGroup {
     /// that fixes the arming schedule. `golden` is the benchmark's
     /// completed functional run ([`golden_run`]) — mode-independent, so
     /// the caller builds it once per benchmark and shares it between the
-    /// modes' groups. With early exit on, the fault-free pass is
-    /// instrumented for site usage and (fork path) doubles as the
-    /// periodic snapshot builder; otherwise the fork path builds its
-    /// exact chain in a second pass over the non-pruned sites' arms.
+    /// modes' groups. With early exit on, the fault-free pass records
+    /// site usage and (fork path) doubles as the periodic snapshot
+    /// builder; otherwise the fork path builds its exact chain in a
+    /// second pass over the non-pruned sites' arms.
     ///
     /// Setup/snapshot wall time, the chain's build accounting and the
     /// snapshot-reuse tally go to `metrics` and `meter` (either may be
@@ -270,27 +250,30 @@ impl DetectionGroup {
         // Every path runs the fault-free pass: the arming schedule is
         // derived from its cycle count, and identical arms are what make
         // all the paths' reports byte-identical.
-        let mut ff = Core::new(cfg.core_config(mode), &prog, FaultPlan::new());
-        if cfg.early_exit {
-            ff.enable_site_usage();
-        }
+        let core_cfg = cfg.core_config(mode);
+        let plan = if cfg.early_exit {
+            FaultPlan::new().record_usage(core_cfg.site_family_sizes())
+        } else {
+            FaultPlan::new()
+        };
+        let mut ff = Core::new(core_cfg, &prog, plan);
         // Wall time attribution: a reference pass that builds snapshots
         // counts as snapshot time; one that only fixes the arming
         // schedule counts as setup.
         let mut snap_nanos = 0u64;
         let (fault_free_cycles, site_usage, periodic) = if cfg.early_exit && cfg.snapshot {
             let ts = Instant::now();
-            let (chain, mut done) = SnapshotChain::build_periodic(
+            let (chain, done) = SnapshotChain::build_periodic(
                 ff,
                 SNAPSHOT_INTERVAL,
                 MAX_CYCLES,
                 Some(golden.icount()),
             );
             snap_nanos += ts.elapsed().as_nanos() as u64;
-            (done.cycle(), done.take_site_usage(), Some(chain))
+            (done.cycle(), done.plan().site_usage().cloned(), Some(chain))
         } else {
             assert!(ff.run(MAX_CYCLES).completed(), "fault-free runs must complete");
-            (ff.cycle(), ff.take_site_usage(), None)
+            (ff.cycle(), ff.plan().site_usage().cloned(), None)
         };
 
         let all = sites();
@@ -347,9 +330,9 @@ impl DetectionGroup {
     /// the legacy detect/escape table and the CE/DUE/SDC taxonomy, with
     /// the early-exit mechanism that decided it (if any). A pruned site
     /// is tallied benign without simulating; an activation-pruned site
-    /// likewise (mechanism 1); otherwise the core forks from the group's
-    /// chain (or replays from cycle 0) with mechanisms 2 and 3 armed when
-    /// early exit is on.
+    /// likewise (M1); otherwise the core forks from the group's chain (or
+    /// replays from cycle 0) and runs under M2 and M3 when early exit is
+    /// on.
     ///
     /// Run accounting — prune attribution, fork count/latency/catch-up
     /// distance, simulate and oracle wall time, exit reason — goes to
@@ -370,26 +353,23 @@ impl DetectionGroup {
             );
         }
         let arm = self.arms[site_idx];
-        let last = self.site_usage.as_ref().map(|u| u.last_use(site));
-        // Mechanism 1 — activation pruning. While a fault has zero
-        // activations its run is bit-identical to the fault-free run, so
-        // it follows the reference pass's exercise schedule; if that
-        // schedule never touches the site at or after the arming cycle,
-        // the fault can never activate and the verdict is benign with no
-        // simulation at all.
-        if let Some(last) = last {
-            if last.is_none_or(|l| l < arm) {
-                metrics.inc(Counter::PrunedActivation);
-                if let Some(m) = meter {
-                    m.note_early_activation();
+        let early = match &self.site_usage {
+            Some(usage) => match EarlyExit::for_site(usage, site, arm, self.cfg.stall_cycles) {
+                Ok(early) => early,
+                Err(kind) => {
+                    metrics.inc(Counter::PrunedActivation);
+                    if let Some(m) = meter {
+                        m.note_early_activation();
+                    }
+                    return (
+                        DetectionTally::of(DetectionOutcome::Benign),
+                        TaxonomyTally::of(Taxonomy::Benign),
+                        Some(kind),
+                    );
                 }
-                return (
-                    DetectionTally::of(DetectionOutcome::Benign),
-                    TaxonomyTally::of(Taxonomy::Benign),
-                    Some(EarlyExitKind::Activation),
-                );
-            }
-        }
+            },
+            None => EarlyExit::default(),
+        };
         let plan = armed_plan_kind(site, arm, self.cfg.kind);
         let chain = self.chain.read().expect("chain lock poisoned");
         let forked = chain.is_some();
@@ -411,16 +391,7 @@ impl DetectionGroup {
             metrics.inc(Counter::SnapshotForks);
             metrics.add(Counter::SnapshotForkNanos, tf.elapsed().as_nanos() as u64);
         }
-        if self.cfg.early_exit {
-            // Mechanism 3 — stall watchdog.
-            core.set_stall_window(Some(self.cfg.stall_cycles));
-            // Mechanism 2 — convergence seal one cycle past the site's
-            // last exercise in the reference run.
-            if let Some(Some(l)) = last {
-                core.set_quiesce_cycle(Some(l + 1));
-            }
-        }
-        let (outcome, kind) = outcome_of(&mut core, &self.golden, metrics);
+        let (outcome, kind) = outcome_of(&mut core, &early, &self.golden, metrics);
         if let Some(m) = meter {
             m.note_run(forked);
             match kind {
@@ -450,12 +421,13 @@ pub fn golden_run(prog: &Program) -> Interp {
     golden
 }
 
-/// Drives `core` to its end and classifies the run against the golden
-/// memory image, attributing any early exit to its mechanism. The run's
-/// simulate-phase wall stamp, its exit reason, and the oracle (golden
+/// Drives `core` to its end under `early` and classifies the run against
+/// the golden memory image, attributing any early exit to its mechanism.
+/// The run's simulate-phase wall stamp, its exit, and the oracle (golden
 /// memory compare) wall time go to `metrics`.
 pub fn outcome_of(
     core: &mut Core,
+    early: &EarlyExit,
     golden: &Interp,
     metrics: &mut Metrics,
 ) -> (DetectionOutcome, Option<EarlyExitKind>) {
@@ -464,13 +436,12 @@ pub fn outcome_of(
     // simulate time (the prefix is already attributed to the snapshot
     // phase).
     let wall_before = core.stats().wall_nanos;
-    let out = core.run(MAX_CYCLES);
+    let out = early.run(core, MAX_CYCLES, metrics);
     metrics.inc(Counter::RunsSimulated);
     metrics.add(Counter::SimulateNanos, core.stats().wall_nanos - wall_before);
-    metrics.record_exit(core.stats().exit_reason);
     match out {
-        RunOutcome::Detected(_) => (DetectionOutcome::Detected, None),
-        RunOutcome::Completed => {
+        Exit::Ran(RunOutcome::Detected(_)) => (DetectionOutcome::Detected, None),
+        Exit::Ran(RunOutcome::Completed) => {
             let to = Instant::now();
             let corrupted = core.mem().first_difference(golden.mem()).is_some();
             metrics.add(Counter::OracleNanos, to.elapsed().as_nanos() as u64);
@@ -480,15 +451,11 @@ pub fn outcome_of(
                 (DetectionOutcome::Benign, None)
             }
         }
-        RunOutcome::CycleLimit => (DetectionOutcome::Stuck, None),
+        Exit::Ran(RunOutcome::CycleLimit) => (DetectionOutcome::Stuck, None),
         // Benign by construction — the run stopped mid-flight, so no
         // memory compare is possible (or needed).
-        RunOutcome::EarlyExit(EarlyExitReason::Converged) => {
-            (DetectionOutcome::Benign, Some(EarlyExitKind::Convergence))
-        }
-        RunOutcome::EarlyExit(EarlyExitReason::Stalled) => {
-            (DetectionOutcome::Stuck, Some(EarlyExitKind::Watchdog))
-        }
+        Exit::Early(kind @ EarlyExitKind::Convergence) => (DetectionOutcome::Benign, Some(kind)),
+        Exit::Early(kind) => (DetectionOutcome::Stuck, Some(kind)),
     }
 }
 
@@ -549,20 +516,11 @@ pub struct ObserveCtl<'a> {
     pub progress_every: Option<Duration>,
 }
 
-/// Compact job label for the telemetry stream: `mode/bench/site`, in
-/// the same site spellings the corpus format and `bjsim --fault` use.
+/// Compact job label for the telemetry stream: `mode/bench/site`, with
+/// the site in its [`FaultSite::label`] spelling — the one the corpus
+/// format and `bjsim --fault` parse.
 pub fn site_label(mode: Mode, bench: &str, site: FaultSite) -> String {
-    let s = match site {
-        FaultSite::Backend { way } => format!("backend:{way}"),
-        FaultSite::Frontend { way } => format!("frontend:{way}"),
-        FaultSite::PayloadRam { entry } => format!("payload:{entry}"),
-        FaultSite::CacheData { index } => format!("cachedata:{index}"),
-        FaultSite::CacheTag { index } => format!("cachetag:{index}"),
-        FaultSite::StoreBuffer { entry } => format!("sbuf:{entry}"),
-        FaultSite::DtqPayload { entry } => format!("dtq:{entry}"),
-        FaultSite::LvqPayload { entry } => format!("lvq:{entry}"),
-    };
-    format!("{mode}/{bench}/{s}")
+    format!("{mode}/{bench}/{}", site.label())
 }
 
 /// Runs the whole detection campaign: one setup per (mode, benchmark)

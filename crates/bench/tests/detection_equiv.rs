@@ -7,8 +7,8 @@
 
 use blackjack::faults::FaultKind;
 use blackjack::workloads::Benchmark;
-use blackjack::Campaign;
-use blackjack_bench::detection::{run_detection, DetectionConfig, EarlyExitKind};
+use blackjack::{Campaign, EarlyExitKind};
+use blackjack_bench::detection::{run_detection, DetectionConfig};
 
 fn cfg(snapshot: bool, early_exit: bool) -> DetectionConfig {
     DetectionConfig { prune: true, snapshot, early_exit, ..DetectionConfig::default() }

@@ -2,7 +2,7 @@
 //! simulator's decode and execute stages.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::str::FromStr;
 
 /// A structure in the core that can harbor a permanent fault.
 ///
@@ -92,6 +92,63 @@ impl fmt::Display for FaultSite {
     }
 }
 
+/// A site family's spelling and its constructor from an index.
+type Family = (&'static str, fn(usize) -> FaultSite);
+
+/// The site families, in [`FaultSite`] declaration order: the one table
+/// behind [`FaultSite::label`] and its parser (`bjsim --fault`, the
+/// corpus `fault` header, campaign job labels).
+const FAMILIES: [Family; 8] = [
+    ("frontend", |way| FaultSite::Frontend { way }),
+    ("backend", |way| FaultSite::Backend { way }),
+    ("payload", |entry| FaultSite::PayloadRam { entry }),
+    ("cachedata", |index| FaultSite::CacheData { index }),
+    ("cachetag", |index| FaultSite::CacheTag { index }),
+    ("sbuf", |entry| FaultSite::StoreBuffer { entry }),
+    ("dtq", |entry| FaultSite::DtqPayload { entry }),
+    ("lvq", |entry| FaultSite::LvqPayload { entry }),
+];
+
+impl FaultSite {
+    /// `(position in FAMILIES, index within the family)`.
+    #[inline]
+    fn family_index(self) -> (usize, usize) {
+        match self {
+            FaultSite::Frontend { way } => (0, way),
+            FaultSite::Backend { way } => (1, way),
+            FaultSite::PayloadRam { entry } => (2, entry),
+            FaultSite::CacheData { index } => (3, index),
+            FaultSite::CacheTag { index } => (4, index),
+            FaultSite::StoreBuffer { entry } => (5, entry),
+            FaultSite::DtqPayload { entry } => (6, entry),
+            FaultSite::LvqPayload { entry } => (7, entry),
+        }
+    }
+
+    /// The compact `SITE:INDEX` spelling (`backend:4`, `sbuf:0`), which
+    /// `str::parse` reads back.
+    pub fn label(self) -> String {
+        let (family, i) = self.family_index();
+        format!("{}:{i}", FAMILIES[family].0)
+    }
+}
+
+impl FromStr for FaultSite {
+    type Err = String;
+
+    /// Parses the [`FaultSite::label`] spelling `SITE:INDEX`.
+    fn from_str(s: &str) -> Result<FaultSite, String> {
+        let (family, index) =
+            s.split_once(':').ok_or_else(|| format!("bad fault site `{s}` (want SITE:INDEX)"))?;
+        let (_, make) = FAMILIES.iter().find(|(name, _)| *name == family).ok_or_else(|| {
+            let names: Vec<&str> = FAMILIES.iter().map(|(name, _)| *name).collect();
+            format!("unknown fault site `{family}` (one of {})", names.join(", "))
+        })?;
+        let i = index.parse().map_err(|_| format!("bad fault site index `{index}`"))?;
+        Ok(make(i))
+    }
+}
+
 /// The temporal model of a fault plan: when, relative to the arming
 /// cycle, the plan's faults are physically present.
 ///
@@ -120,6 +177,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// True if a fault of this kind is physically present at `cycle`,
     /// given the plan armed at `arm`.
+    #[inline]
     pub fn active(self, cycle: u64, arm: u64) -> bool {
         if cycle < arm {
             return false;
@@ -240,6 +298,24 @@ impl HardFault {
         HardFault { site, corruption: Corruption::StuckAt { bit, value: true }, trigger: Trigger::Always }
     }
 
+    /// Parses `SITE:INDEX[:BIT]` — a [`HardFault::stuck_bit`] on bit
+    /// `BIT` (default 0) of the site — the spelling of `bjsim --fault`
+    /// and the corpus `fault` header.
+    ///
+    /// # Errors
+    ///
+    /// Describes the malformed part: an unknown site family, a bad index,
+    /// or a bit outside `0..64`.
+    pub fn parse_stuck_bit(spec: &str) -> Result<HardFault, String> {
+        let (site, bit) = match spec.match_indices(':').nth(1) {
+            Some((at, _)) => (&spec[..at], &spec[at + 1..]),
+            None => (spec, "0"),
+        };
+        let bit = bit.parse::<u8>().ok().filter(|&b| b < 64);
+        let bit = bit.ok_or_else(|| format!("bad fault bit in `{spec}` (want 0..64)"))?;
+        Ok(HardFault::stuck_bit(site.parse()?, bit))
+    }
+
     /// Applies the fault to `v` if the trigger matches.
     pub fn apply(&self, v: u64) -> u64 {
         if self.trigger.matches(v) {
@@ -256,50 +332,75 @@ impl fmt::Display for HardFault {
     }
 }
 
-/// The set of faults active in one simulation, with per-site lookups used
-/// by the pipeline's decode and execute hooks.
+/// Per-site last-exercise cycles, recorded by a plan built with
+/// [`FaultPlan::record_usage`] — the *reference pass* of an early-exit
+/// campaign.
+///
+/// "Exercise" means a fault hook consulted the site: frontend ways on
+/// every fetched word, backend ways on every computed value, payload
+/// entries only for occupants a (possibly split) payload RAM would
+/// expose. The plan records exactly the consultations a fault there would
+/// see, so a fault armed after its site's last exercise in the fault-free
+/// run can never activate: its run is bit-identical to the fault-free
+/// run and provably benign with zero simulation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SiteUsage {
+    /// Last exercise cycle + 1 per site index (0 = never), one vector per
+    /// site family in declaration order, sized by
+    /// [`FaultPlan::record_usage`].
+    last: [Vec<u64>; 8],
+}
+
+impl SiteUsage {
+    #[inline]
+    fn note(&mut self, site: FaultSite, cycle: u64) {
+        let (family, i) = site.family_index();
+        // Cycles only move forward, so a plain store stays monotone.
+        self.last[family][i] = cycle + 1;
+    }
+
+    /// The cycle `site` was last exercised, or `None` if never.
+    pub fn last_use(&self, site: FaultSite) -> Option<u64> {
+        let (family, i) = site.family_index();
+        match self.last[family].get(i).copied().unwrap_or(0) {
+            0 => None,
+            stamped => Some(stamped - 1),
+        }
+    }
+}
+
+/// The set of faults active in one simulation, and the one decision every
+/// fault hook in the pipeline makes: [`FaultPlan::apply`] (and the tag
+/// predicate [`FaultPlan::cache_tag_miss`]).
 ///
 /// A plan can be *armed* at a cycle: before `arm_cycle` the hardware is
-/// healthy and every corruption hook is inert. This models wear-out
-/// defects that develop mid-run, and it is what makes the fault-free
-/// prefix of an injection run shareable — every plan for the same
-/// workload is identical (empty, effectively) until its arming point.
+/// healthy and every hook is inert. This models wear-out defects that
+/// develop mid-run, and it is what makes the fault-free prefix of an
+/// injection run shareable — every plan for the same workload is
+/// identical (empty, effectively) until its arming point.
 ///
 /// The plan also counts its own use: every hook application where a fault
 /// matched the site bumps [`FaultPlan::exercised`], and every application
-/// that actually *changed* the value bumps [`FaultPlan::activations`].
-/// While `activations() == 0` the faulted run is bit-identical to the
-/// fault-free run — the invariant the campaign's early-exit layer builds
-/// on. The counters are atomics only so a plan stays `Sync` inside
-/// campaign-shared snapshots; each simulation mutates its own plan from
-/// one thread.
-#[derive(Debug, Default)]
+/// that actually *changed* the value bumps [`FaultPlan::activations`] and
+/// stamps [`FaultPlan::last_activation`]. While `activations() == 0` the
+/// faulted run is bit-identical to the fault-free run — the invariant the
+/// campaign's early-exit layer builds on. Each simulation owns its plan,
+/// so the counters are plain integers and a clone (a snapshot) carries
+/// them along.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: Vec<HardFault>,
     kind: FaultKind,
     arm_cycle: u64,
-    /// The simulator's current cycle, published by [`FaultPlan::
-    /// observe_cycle`] once per step so the temporal model can decide
-    /// whether the faults are present when a hook fires. An atomic only
-    /// for the same `Sync` reason as the counters.
-    now: AtomicU64,
-    exercised: AtomicU64,
-    activations: AtomicU64,
-}
-
-impl Clone for FaultPlan {
-    /// Clones the plan *including* the current counter values, so a
-    /// snapshot/restore boundary is invisible to the early-exit layer.
-    fn clone(&self) -> FaultPlan {
-        FaultPlan {
-            faults: self.faults.clone(),
-            kind: self.kind,
-            arm_cycle: self.arm_cycle,
-            now: AtomicU64::new(self.now.load(Ordering::Relaxed)),
-            exercised: AtomicU64::new(self.exercised()),
-            activations: AtomicU64::new(self.activations()),
-        }
-    }
+    /// The simulator's current cycle, published by
+    /// [`FaultPlan::observe_cycle`] once per step so the temporal model
+    /// can decide whether the faults are present when a hook fires.
+    now: u64,
+    exercised: u64,
+    activations: u64,
+    last_activation: u64,
+    /// The reference-pass recorder ([`FaultPlan::record_usage`]).
+    usage: Option<Box<SiteUsage>>,
 }
 
 impl FaultPlan {
@@ -339,12 +440,31 @@ impl FaultPlan {
         self.kind
     }
 
+    /// Turns on per-site usage recording ([`SiteUsage`]): every hook
+    /// consultation stamps its site with the current cycle. The record
+    /// is allocated once at `family_sizes`, the entries per site family
+    /// in [`FaultSite`] declaration order (the simulator's
+    /// `CoreConfig::site_family_sizes`); a hook consulting a site past
+    /// them panics. So recording never reallocates, and every copy of
+    /// the plan (one per snapshot of the reference pass) has the same
+    /// shape: copies of varying sizes would fragment the heap, and a
+    /// staged campaign's peak memory, differently from run to run.
+    pub fn record_usage(mut self, family_sizes: [usize; 8]) -> FaultPlan {
+        self.usage = Some(Box::new(SiteUsage { last: family_sizes.map(|n| vec![0; n]) }));
+        self
+    }
+
+    /// The recorded site usage, if [`FaultPlan::record_usage`] is on.
+    pub fn site_usage(&self) -> Option<&SiteUsage> {
+        self.usage.as_deref()
+    }
+
     /// Publishes the simulator's current cycle. The core calls this once
     /// at the top of every step; hooks firing later in the same cycle
     /// consult it to decide whether the faults are physically present
     /// under the plan's temporal model.
-    pub fn observe_cycle(&self, cycle: u64) {
-        self.now.store(cycle, Ordering::Relaxed);
+    pub fn observe_cycle(&mut self, cycle: u64) {
+        self.now = cycle;
     }
 
     /// Adds a fault.
@@ -366,7 +486,7 @@ impl FaultPlan {
     /// Hook applications (post-arming) where a fault matched the site —
     /// how often the defective structure was read while defective.
     pub fn exercised(&self) -> u64 {
-        self.exercised.load(Ordering::Relaxed)
+        self.exercised
     }
 
     /// Hook applications that changed the value passing through. While
@@ -374,118 +494,83 @@ impl FaultPlan {
     /// hooks are the only nondeterminism a plan introduces, and an
     /// application that returns its input leaves no trace.
     pub fn activations(&self) -> u64 {
-        self.activations.load(Ordering::Relaxed)
+        self.activations
     }
 
-    /// Zeroes both counters (a fork installing this plan starts fresh).
-    pub fn reset_counters(&self) {
-        self.exercised.store(0, Ordering::Relaxed);
-        self.activations.store(0, Ordering::Relaxed);
+    /// The cycle of the most recent activation (0 before the first:
+    /// hooks only fire inside a step, and the first step is cycle 1).
+    pub fn last_activation(&self) -> u64 {
+        self.last_activation
     }
 
-    /// Applies every fault at `site` to `v`, counting matches and
-    /// value changes.
+    /// The fault hook: passes `v` through `site` on the current cycle.
     ///
-    /// Under a non-hard temporal model the faults are only present on
-    /// the cycles [`FaultKind::active`] admits: a dormant structure is
-    /// momentarily healthy, so the read neither exercises nor activates
-    /// anything.
-    fn apply_site(&self, site: FaultSite, v: u64) -> u64 {
-        if !self.kind.active(self.now.load(Ordering::Relaxed), self.arm_cycle) {
+    /// Records the consultation when usage recording is on, then — if a
+    /// fault is physically present under the temporal model — applies
+    /// every fault at `site`, counting matches and value changes. Before
+    /// arming, and on the cycles a transient or intermittent fault is
+    /// dormant, the structure is healthy: the read neither exercises nor
+    /// activates anything. A plan with no faults and no recorder returns
+    /// `v` after one inlined test.
+    #[inline]
+    pub fn apply(&mut self, site: FaultSite, v: u64) -> u64 {
+        if self.is_inert() || !self.consult(site) {
             return v;
         }
         let mut out = v;
         for f in &self.faults {
             if f.site == site {
-                self.exercised.fetch_add(1, Ordering::Relaxed);
+                self.exercised += 1;
                 out = f.apply(out);
             }
         }
         if out != v {
-            self.activations.fetch_add(1, Ordering::Relaxed);
+            self.activate();
         }
         out
     }
 
-    /// Applies every fault on frontend way `way` to an instruction word.
-    pub fn corrupt_frontend(&self, way: usize, word: u32) -> u32 {
-        self.apply_site(FaultSite::Frontend { way }, word as u64) as u32
-    }
-
-    /// Applies every fault on backend way `way` to a computed value.
-    pub fn corrupt_backend(&self, way: usize, value: u64) -> u64 {
-        self.apply_site(FaultSite::Backend { way }, value)
-    }
-
-    /// Applies every fault on payload-RAM entry `entry` to a 64-bit value
-    /// (the simulator models payload corruption as corrupting the computed
-    /// result of whichever instruction occupies the defective entry).
-    pub fn corrupt_payload_value(&self, entry: usize, value: u64) -> u64 {
-        self.apply_site(FaultSite::PayloadRam { entry }, value)
-    }
-
-    /// Applies every fault on payload-RAM entry `entry` to an instruction
-    /// word.
-    pub fn corrupt_payload(&self, entry: usize, word: u32) -> u32 {
-        self.apply_site(FaultSite::PayloadRam { entry }, word as u64) as u32
-    }
-
-    /// Applies every fault on L1D data-array set `index` to a load value
-    /// read from the cache (before LVQ capture).
-    pub fn corrupt_cache_data(&self, index: usize, value: u64) -> u64 {
-        self.apply_site(FaultSite::CacheData { index }, value)
-    }
-
-    /// Applies every fault on store-buffer entry `entry` to buffered
-    /// store data.
-    pub fn corrupt_store_buffer(&self, entry: usize, value: u64) -> u64 {
-        self.apply_site(FaultSite::StoreBuffer { entry }, value)
-    }
-
-    /// Applies every fault on DTQ payload entry `entry` to the carried
-    /// instruction word.
-    pub fn corrupt_dtq_payload(&self, entry: usize, word: u32) -> u32 {
-        self.apply_site(FaultSite::DtqPayload { entry }, word as u64) as u32
-    }
-
-    /// Applies every fault on LVQ payload entry `entry` to the captured
-    /// load value read by the trailing thread.
-    pub fn corrupt_lvq_payload(&self, entry: usize, value: u64) -> u64 {
-        self.apply_site(FaultSite::LvqPayload { entry }, value)
-    }
-
-    /// True if a fault on L1D *tag* set `index` is physically present
-    /// right now (tag faults only perturb latency, so the hook is a
-    /// predicate rather than a value transform). Counts as exercised —
-    /// the defective set was consulted.
-    pub fn cache_tag_miss(&self, index: usize) -> bool {
-        if !self.kind.active(self.now.load(Ordering::Relaxed), self.arm_cycle) {
+    /// The L1D *tag* hook for set `index`: true if a tag fault there is
+    /// present right now (tag faults only perturb latency, so the hook is
+    /// a predicate rather than a value transform). A forced miss changes
+    /// timing, so the run is no longer bit-identical to its fault-free
+    /// twin: it counts as exercised *and* activated, keeping the
+    /// convergence seal conservative.
+    #[inline]
+    pub fn cache_tag_miss(&mut self, index: usize) -> bool {
+        let site = FaultSite::CacheTag { index };
+        if self.is_inert() || !self.consult(site) {
             return false;
         }
-        let hit = self.faults.iter().any(|f| f.site == FaultSite::CacheTag { index });
+        let hit = self.faults.iter().any(|f| f.site == site);
         if hit {
-            // A forced miss perturbs timing, so the run is no longer
-            // bit-identical to its fault-free twin: count it as an
-            // activation so the convergence seal stays conservative.
-            self.exercised.fetch_add(1, Ordering::Relaxed);
-            self.activations.fetch_add(1, Ordering::Relaxed);
+            self.exercised += 1;
+            self.activate();
         }
         hit
     }
 
-    /// True if any fault targets the given frontend way.
-    pub fn has_frontend(&self, way: usize) -> bool {
-        self.faults.iter().any(|f| f.site == FaultSite::Frontend { way })
+    /// No faults and no recorder: every hook passes its value through.
+    #[inline]
+    fn is_inert(&self) -> bool {
+        self.faults.is_empty() && self.usage.is_none()
     }
 
-    /// True if any fault targets the given backend way.
-    pub fn has_backend(&self, way: usize) -> bool {
-        self.faults.iter().any(|f| f.site == FaultSite::Backend { way })
+    /// Records the consultation of `site` and reports whether the plan's
+    /// faults are physically present this cycle. Inlined, like the rest of
+    /// the hook, into the pipeline's call sites in the simulator crate.
+    #[inline]
+    fn consult(&mut self, site: FaultSite) -> bool {
+        if let Some(u) = &mut self.usage {
+            u.note(site, self.now);
+        }
+        !self.faults.is_empty() && self.kind.active(self.now, self.arm_cycle)
     }
 
-    /// True if any fault targets the given site.
-    pub fn has_site(&self, site: FaultSite) -> bool {
-        self.faults.iter().any(|f| f.site == site)
+    #[inline]
+    fn activate(&mut self) {
+        self.activations += 1;
+        self.last_activation = self.now;
     }
 }
 
@@ -526,12 +611,10 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.add(HardFault::stuck_bit(FaultSite::Backend { way: 2 }, 0));
         plan.add(HardFault::stuck_bit(FaultSite::Frontend { way: 1 }, 4));
-        assert_eq!(plan.corrupt_backend(2, 0), 1);
-        assert_eq!(plan.corrupt_backend(3, 0), 0, "other ways unaffected");
-        assert_eq!(plan.corrupt_frontend(1, 0), 16);
-        assert_eq!(plan.corrupt_frontend(0, 0), 0);
-        assert!(plan.has_backend(2) && !plan.has_backend(0));
-        assert!(plan.has_frontend(1) && !plan.has_frontend(3));
+        assert_eq!(plan.apply(FaultSite::Backend { way: 2 }, 0), 1);
+        assert_eq!(plan.apply(FaultSite::Backend { way: 3 }, 0), 0, "other ways unaffected");
+        assert_eq!(plan.apply(FaultSite::Frontend { way: 1 }, 0), 16);
+        assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 0), 0);
     }
 
     #[test]
@@ -539,22 +622,26 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.add(HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 0));
         plan.add(HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 1));
-        assert_eq!(plan.corrupt_backend(0, 0), 3);
+        assert_eq!(plan.apply(FaultSite::Backend { way: 0 }, 0), 3);
     }
 
     #[test]
     fn payload_site() {
-        let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::PayloadRam { entry: 7 }, 2));
-        assert_eq!(plan.corrupt_payload(7, 0), 4);
-        assert_eq!(plan.corrupt_payload(6, 0), 0);
+        let mut plan =
+            FaultPlan::single(HardFault::stuck_bit(FaultSite::PayloadRam { entry: 7 }, 2));
+        assert_eq!(plan.apply(FaultSite::PayloadRam { entry: 7 }, 0), 4);
+        assert_eq!(plan.apply(FaultSite::PayloadRam { entry: 6 }, 0), 0);
     }
 
     #[test]
     fn empty_plan_is_transparent() {
-        let plan = FaultPlan::new();
+        let mut plan = FaultPlan::new();
         assert!(plan.is_empty());
-        assert_eq!(plan.corrupt_backend(0, 42), 42);
-        assert_eq!(plan.corrupt_frontend(0, 42), 42);
+        assert_eq!(plan.apply(FaultSite::Backend { way: 0 }, 42), 42);
+        assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 42), 42);
+        assert!(!plan.cache_tag_miss(0));
+        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert!(plan.site_usage().is_none(), "no recorder unless asked for");
     }
 
     #[test]
@@ -568,22 +655,37 @@ mod tests {
     }
 
     #[test]
+    fn pre_arm_hooks_are_inert() {
+        let site = FaultSite::Backend { way: 0 };
+        let mut plan = FaultPlan::single(HardFault::stuck_bit(site, 0)).arm_at(10);
+        plan.observe_cycle(9);
+        assert_eq!(plan.apply(site, 0), 0, "healthy before arming");
+        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        plan.observe_cycle(10);
+        assert_eq!(plan.apply(site, 0), 1, "hard fault present from the arming cycle");
+        assert_eq!(plan.last_activation(), 10);
+    }
+
+    #[test]
     fn counters_distinguish_exercise_from_activation() {
         // Stuck-at-1 on bit 3: reading a value whose bit 3 is already 1
         // exercises the fault without activating it.
-        let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::Backend { way: 1 }, 3));
+        let mut plan =
+            FaultPlan::single(HardFault::stuck_bit(FaultSite::Backend { way: 1 }, 3));
         assert_eq!((plan.exercised(), plan.activations()), (0, 0));
-        assert_eq!(plan.corrupt_backend(0, 0), 0, "other way: no exercise");
+        assert_eq!(plan.apply(FaultSite::Backend { way: 0 }, 0), 0, "other way: no exercise");
         assert_eq!((plan.exercised(), plan.activations()), (0, 0));
-        assert_eq!(plan.corrupt_backend(1, 8), 8, "bit already stuck level");
+        assert_eq!(plan.apply(FaultSite::Backend { way: 1 }, 8), 8, "bit already stuck level");
         assert_eq!((plan.exercised(), plan.activations()), (1, 0));
-        assert_eq!(plan.corrupt_backend(1, 0), 8, "value changed");
+        plan.observe_cycle(7);
+        assert_eq!(plan.apply(FaultSite::Backend { way: 1 }, 0), 8, "value changed");
         assert_eq!((plan.exercised(), plan.activations()), (2, 1));
+        assert_eq!(plan.last_activation(), 7, "the activation is stamped with its cycle");
 
         let copy = plan.clone();
         assert_eq!((copy.exercised(), copy.activations()), (2, 1), "clone keeps counts");
-        plan.reset_counters();
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        plan.apply(FaultSite::Backend { way: 1 }, 0);
+        assert_eq!((plan.exercised(), plan.activations()), (3, 2));
         assert_eq!((copy.exercised(), copy.activations()), (2, 1), "copies are independent");
     }
 
@@ -598,12 +700,12 @@ mod tests {
         plan.add(HardFault::stuck_bit(FaultSite::PayloadRam { entry: 2 }, 0));
         // Trigger miss: exercised (the defective structure was read) but
         // the value passed through unchanged.
-        assert_eq!(plan.corrupt_frontend(0, 0xb), 0xb);
+        assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 0xb), 0xb);
         assert_eq!((plan.exercised(), plan.activations()), (1, 0));
-        assert_eq!(plan.corrupt_frontend(0, 0xa), 0x8);
+        assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 0xa), 0x8);
         assert_eq!((plan.exercised(), plan.activations()), (2, 1));
-        assert_eq!(plan.corrupt_payload_value(2, 0), 1);
-        assert_eq!(plan.corrupt_payload(2, 1), 1);
+        assert_eq!(plan.apply(FaultSite::PayloadRam { entry: 2 }, 0), 1);
+        assert_eq!(plan.apply(FaultSite::PayloadRam { entry: 2 }, 1), 1);
         assert_eq!((plan.exercised(), plan.activations()), (4, 2));
     }
 
@@ -619,6 +721,32 @@ mod tests {
             FaultKind::Intermittent { period: 64, on: 8 }.to_string(),
             "intermittent(8/64)"
         );
+    }
+
+    #[test]
+    fn site_labels_round_trip_over_every_family() {
+        let sites = [
+            (FaultSite::Frontend { way: 3 }, "frontend:3"),
+            (FaultSite::Backend { way: 11 }, "backend:11"),
+            (FaultSite::PayloadRam { entry: 7 }, "payload:7"),
+            (FaultSite::CacheData { index: 0 }, "cachedata:0"),
+            (FaultSite::CacheTag { index: 5 }, "cachetag:5"),
+            (FaultSite::StoreBuffer { entry: 2 }, "sbuf:2"),
+            (FaultSite::DtqPayload { entry: 9 }, "dtq:9"),
+            (FaultSite::LvqPayload { entry: 4 }, "lvq:4"),
+        ];
+        for (site, label) in sites {
+            assert_eq!(site.label(), label);
+            assert_eq!(label.parse::<FaultSite>(), Ok(site), "{label}");
+            let spec = format!("{label}:17");
+            assert_eq!(HardFault::parse_stuck_bit(&spec), Ok(HardFault::stuck_bit(site, 17)));
+            assert_eq!(HardFault::parse_stuck_bit(label), Ok(HardFault::stuck_bit(site, 0)));
+        }
+        for bad in ["tlb:0", "lvq", "lvq:x", "backend:-1", "backend:4:64", "backend:4:2:1", ""] {
+            assert!(HardFault::parse_stuck_bit(bad).is_err(), "`{bad}` should be rejected");
+        }
+        let err = "tlb:0".parse::<FaultSite>().unwrap_err();
+        assert!(err.contains("unknown fault site `tlb`") && err.contains("sbuf"), "{err}");
     }
 
     #[test]
@@ -642,29 +770,31 @@ mod tests {
 
     #[test]
     fn transient_plan_fires_only_on_the_arming_cycle() {
-        let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 0))
+        let site = FaultSite::Backend { way: 0 };
+        let mut plan = FaultPlan::single(HardFault::stuck_bit(site, 0))
             .arm_at(100)
             .with_kind(FaultKind::Transient);
         plan.observe_cycle(99);
-        assert_eq!(plan.corrupt_backend(0, 0), 0, "pre-arm: healthy");
+        assert_eq!(plan.apply(site, 0), 0, "pre-arm: healthy");
         assert_eq!((plan.exercised(), plan.activations()), (0, 0));
         plan.observe_cycle(100);
-        assert_eq!(plan.corrupt_backend(0, 0), 1, "arming cycle: upset");
+        assert_eq!(plan.apply(site, 0), 1, "arming cycle: upset");
         assert_eq!((plan.exercised(), plan.activations()), (1, 1));
         plan.observe_cycle(101);
-        assert_eq!(plan.corrupt_backend(0, 0), 0, "one cycle later: healthy again");
+        assert_eq!(plan.apply(site, 0), 0, "one cycle later: healthy again");
         assert_eq!((plan.exercised(), plan.activations()), (1, 1), "dormant reads count nothing");
     }
 
     #[test]
     fn intermittent_plan_follows_the_duty_cycle() {
-        let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::LvqPayload { entry: 3 }, 2))
+        let site = FaultSite::LvqPayload { entry: 3 };
+        let mut plan = FaultPlan::single(HardFault::stuck_bit(site, 2))
             .arm_at(50)
             .with_kind(FaultKind::Intermittent { period: 4, on: 1 });
         for cycle in 48..58 {
             plan.observe_cycle(cycle);
             let expect = cycle >= 50 && (cycle - 50) % 4 == 0;
-            let out = plan.corrupt_lvq_payload(3, 0);
+            let out = plan.apply(site, 0);
             assert_eq!(out != 0, expect, "cycle {cycle}");
         }
     }
@@ -676,21 +806,20 @@ mod tests {
         plan.add(HardFault::stuck_bit(FaultSite::StoreBuffer { entry: 2 }, 1));
         plan.add(HardFault::stuck_bit(FaultSite::DtqPayload { entry: 7 }, 2));
         plan.add(HardFault::stuck_bit(FaultSite::LvqPayload { entry: 9 }, 3));
-        assert_eq!(plan.corrupt_cache_data(5, 0), 1);
-        assert_eq!(plan.corrupt_cache_data(4, 0), 0);
-        assert_eq!(plan.corrupt_store_buffer(2, 0), 2);
-        assert_eq!(plan.corrupt_store_buffer(3, 0), 0);
-        assert_eq!(plan.corrupt_dtq_payload(7, 0), 4);
-        assert_eq!(plan.corrupt_dtq_payload(6, 0), 0);
-        assert_eq!(plan.corrupt_lvq_payload(9, 0), 8);
-        assert_eq!(plan.corrupt_lvq_payload(8, 0), 0);
-        assert!(plan.has_site(FaultSite::CacheData { index: 5 }));
-        assert!(!plan.has_site(FaultSite::CacheData { index: 4 }));
+        assert_eq!(plan.apply(FaultSite::CacheData { index: 5 }, 0), 1);
+        assert_eq!(plan.apply(FaultSite::CacheData { index: 4 }, 0), 0);
+        assert_eq!(plan.apply(FaultSite::StoreBuffer { entry: 2 }, 0), 2);
+        assert_eq!(plan.apply(FaultSite::StoreBuffer { entry: 3 }, 0), 0);
+        assert_eq!(plan.apply(FaultSite::DtqPayload { entry: 7 }, 0), 4);
+        assert_eq!(plan.apply(FaultSite::DtqPayload { entry: 6 }, 0), 0);
+        assert_eq!(plan.apply(FaultSite::LvqPayload { entry: 9 }, 0), 8);
+        assert_eq!(plan.apply(FaultSite::LvqPayload { entry: 8 }, 0), 0);
     }
 
     #[test]
     fn cache_tag_predicate_counts_as_activation() {
-        let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::CacheTag { index: 1 }, 0));
+        let mut plan =
+            FaultPlan::single(HardFault::stuck_bit(FaultSite::CacheTag { index: 1 }, 0));
         assert!(!plan.cache_tag_miss(0), "other sets healthy");
         assert_eq!((plan.exercised(), plan.activations()), (0, 0));
         assert!(plan.cache_tag_miss(1));
@@ -699,12 +828,50 @@ mod tests {
 
     #[test]
     fn clone_preserves_kind_and_observed_cycle() {
-        let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 0))
+        let site = FaultSite::Backend { way: 0 };
+        let mut plan = FaultPlan::single(HardFault::stuck_bit(site, 0))
             .arm_at(10)
             .with_kind(FaultKind::Transient);
         plan.observe_cycle(10);
-        let copy = plan.clone();
+        let mut copy = plan.clone();
         assert_eq!(copy.kind(), FaultKind::Transient);
-        assert_eq!(copy.corrupt_backend(0, 0), 1, "copy still sees the arming cycle");
+        assert_eq!(copy.apply(site, 0), 1, "copy still sees the arming cycle");
+    }
+
+    #[test]
+    fn usage_records_every_consultation_armed_or_not() {
+        // The recorder stamps a site whenever its hook is consulted —
+        // before arming, while dormant, and on an empty plan — because
+        // that is when a fault there *would* have been read.
+        let mut plan = FaultPlan::new().record_usage([4, 2, 0, 0, 4, 0, 0, 64]);
+        plan.observe_cycle(3);
+        assert_eq!(plan.apply(FaultSite::Frontend { way: 1 }, 5), 5);
+        plan.observe_cycle(8);
+        plan.apply(FaultSite::Frontend { way: 1 }, 5);
+        plan.apply(FaultSite::LvqPayload { entry: 40 }, 5);
+        assert!(!plan.cache_tag_miss(2));
+        let usage = plan.site_usage().expect("recording");
+        assert_eq!(usage.last_use(FaultSite::Frontend { way: 1 }), Some(8));
+        assert_eq!(usage.last_use(FaultSite::LvqPayload { entry: 40 }), Some(8));
+        assert_eq!(usage.last_use(FaultSite::CacheTag { index: 2 }), Some(8));
+        assert_eq!(usage.last_use(FaultSite::Frontend { way: 0 }), None, "never consulted");
+        assert_eq!(usage.last_use(FaultSite::Backend { way: 1 }), None, "other family");
+        assert_eq!(usage.last_use(FaultSite::Backend { way: 9 }), None, "past the sizes");
+        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+
+        let site = FaultSite::Backend { way: 0 };
+        let fault = HardFault::stuck_bit(site, 0);
+        let mut armed = FaultPlan::single(fault).arm_at(10).record_usage([0, 1, 0, 0, 0, 0, 0, 0]);
+        armed.observe_cycle(4);
+        assert_eq!(armed.apply(site, 0), 0, "recording does not arm the fault");
+        assert_eq!(armed.site_usage().and_then(|u| u.last_use(site)), Some(4));
+        assert_eq!(armed.clone().site_usage(), armed.site_usage(), "clone keeps the record");
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn usage_record_rejects_a_site_past_its_sizes() {
+        let mut plan = FaultPlan::new().record_usage([4, 0, 0, 0, 0, 0, 0, 0]);
+        plan.apply(FaultSite::Frontend { way: 4 }, 0);
     }
 }

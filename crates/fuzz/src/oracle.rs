@@ -160,9 +160,6 @@ pub fn check_fault_universe(
                 FaultVerdict::Escaped
             }
         }
-        // The oracle never arms the early-exit checks (no quiesce cycle
-        // or stall window is configured above).
-        RunOutcome::EarlyExit(r) => unreachable!("early exit ({r}) without early-exit config"),
     };
 
     // Forced same-way shuffle placements void the frontend guarantee for
@@ -233,7 +230,6 @@ pub fn run_taxonomy(
                 Taxonomy::Benign
             }
         }
-        RunOutcome::EarlyExit(r) => unreachable!("early exit ({r}) without early-exit config"),
     }
 }
 

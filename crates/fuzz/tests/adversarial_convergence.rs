@@ -20,13 +20,12 @@
 
 use std::path::PathBuf;
 
+use blackjack::{EarlyExit, EarlyExitKind, Exit, Metrics};
 use blackjack_faults::{FaultPlan, FaultSite, HardFault};
 use blackjack_fuzz::{Case, CaseKind};
 use blackjack_isa::asm::assemble_named;
 use blackjack_isa::FuType;
-use blackjack_sim::{
-    Core, CoreConfig, EarlyExitReason, FuCounts, Mode, RunOutcome,
-};
+use blackjack_sim::{Core, CoreConfig, FuCounts, Mode, RunOutcome};
 
 const MAX_CYCLES: u64 = 1_000_000;
 
@@ -34,6 +33,11 @@ const MAX_CYCLES: u64 = 1_000_000;
 /// activation and well before the phase-3 verdict (both margins are
 /// asserted, not assumed).
 const QUIESCE: u64 = 1_200;
+
+/// The early-exit driver with only the convergence seal (M2) armed.
+fn seal() -> EarlyExit {
+    EarlyExit { quiesce: Some(QUIESCE), ..EarlyExit::default() }
+}
 
 /// Scratch memory above the data segment (same convention as the
 /// workload kernels).
@@ -135,10 +139,10 @@ fn activation_blocks_the_convergence_seal() {
     // M2 armed mid-quiet: the nonzero activation count blocks the seal,
     // and the run is indistinguishable from the full one.
     let mut armed = Core::new(cfg, &case.program, FaultPlan::single(fault));
-    armed.set_quiesce_cycle(Some(QUIESCE));
-    let armed_out = armed.run(MAX_CYCLES);
+    let armed_out = seal().run(&mut armed, MAX_CYCLES, &mut Metrics::Off);
     assert_eq!(
-        armed_out, full_out,
+        armed_out,
+        Exit::Ran(full_out),
         "an armed quiesce check must not change the verdict of an activated run"
     );
     assert_eq!(armed.cycle(), full.cycle());
@@ -167,9 +171,11 @@ fn quiesce_seals_only_inactive_sites() {
     );
 
     let mut armed = Core::new(cfg, &case.program, FaultPlan::single(idle));
-    armed.set_quiesce_cycle(Some(QUIESCE));
-    assert_eq!(armed.run(MAX_CYCLES), RunOutcome::EarlyExit(EarlyExitReason::Converged));
-    assert!(armed.cycle() >= QUIESCE, "the seal cannot fire before the quiesce point");
+    assert_eq!(
+        seal().run(&mut armed, MAX_CYCLES, &mut Metrics::Off),
+        Exit::Early(EarlyExitKind::Convergence)
+    );
+    assert_eq!(armed.cycle(), QUIESCE, "the seal fires exactly at the quiesce point");
     assert!(
         armed.cycle() < full.cycle(),
         "the seal must actually save cycles over the full run"

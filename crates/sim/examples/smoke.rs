@@ -1,10 +1,11 @@
-//! Full-matrix smoke run: every benchmark through every mode, with
-//! interpreter memory equivalence checked — a quick health sweep of the
-//! whole simulator (`cargo run --release -p blackjack-sim --example smoke`).
+//! Full-matrix smoke run: every benchmark through every mode, with the
+//! commit log replayed against the interpreter and memory equivalence
+//! checked — a quick health sweep of the whole simulator
+//! (`cargo run --release -p blackjack-sim --example smoke`).
 
 use blackjack_faults::{AreaModel, FaultPlan};
 use blackjack_isa::Interp;
-use blackjack_sim::{Core, CoreConfig, Mode};
+use blackjack_sim::{replay_commit_log, Core, CoreConfig, Mode};
 use blackjack_workloads::{build, Benchmark};
 
 fn main() {
@@ -17,9 +18,13 @@ fn main() {
         let mut single_cycles = 0.0;
         for mode in Mode::ALL {
             let mut core = Core::new(CoreConfig::with_mode(mode), &prog, FaultPlan::new());
-            if mode == Mode::Single { core.enable_oracle(&prog); }
+            core.enable_commit_log();
             let out = core.run(50_000_000);
             assert!(out.completed(), "{b} {mode}: {out:?}");
+            let log = core.take_commit_log().expect("commit log enabled");
+            if let Err(d) = replay_commit_log(&prog, &log) {
+                panic!("{b} {mode}: commit log diverges: {d}");
+            }
             assert_eq!(core.mem().first_difference(it.mem()), None, "{b} {mode} memory mismatch");
             let s = core.stats();
             if mode == Mode::Single { single_cycles = s.cycles as f64; }

@@ -296,6 +296,14 @@ impl CoreConfig {
         CoreConfig { mode, ..CoreConfig::default() }
     }
 
+    /// Entries per fault-site family, in `FaultSite` declaration order:
+    /// the sizes of a usage record (`FaultPlan::record_usage`) covering
+    /// every site this machine's hooks consult.
+    pub fn site_family_sizes(&self) -> [usize; 8] {
+        let (fus, sets) = (self.fu_counts.total(), self.mem.l1d.num_sets());
+        [self.width, fus, self.issue_queue, sets, sets, self.store_buffer, self.dtq, self.lvq]
+    }
+
     /// Validates structural invariants.
     ///
     /// # Panics

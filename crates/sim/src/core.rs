@@ -13,15 +13,14 @@
 //! thread in the redundant modes. See the crate documentation for how the
 //! SRT and BlackJack machinery hangs off this pipeline.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use blackjack_faults::{FaultPlan, FaultSite};
 use blackjack_isa::exec::{effective_addr, exec_nonmem, finish_load, store_data};
-use blackjack_isa::{decode, initial_int_regs, FuType, Inst, Interp, LogReg, PagedMem, Program};
+use blackjack_isa::{decode, initial_int_regs, FuType, Inst, PagedMem, Program};
 use blackjack_mem::{MemSystem, StoreBuffer, StoreCheck, StoreRecord};
 
+use crate::commit::{CommitRecord, MemEffect};
 use crate::config::{CoreConfig, Mode, ShuffleAlgo};
-use crate::detect::{DetectionEvent, DetectionKind, EarlyExitReason, RunOutcome};
+use crate::detect::{DetectionEvent, DetectionKind, RunOutcome};
 use crate::stats::ExitReason;
 use crate::dtq::{Dtq, DtqPayload};
 use crate::fu::FuPool;
@@ -49,172 +48,6 @@ const WATCHDOG_CYCLES: u64 = 200_000;
 /// most ~60 uops live), so a dump reaches back past the fetch of
 /// everything in flight at the incident.
 pub const FLIGHT_CAPACITY: usize = 256;
-
-/// An architectural memory effect observed at leading commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemEffect {
-    /// A committed load.
-    Load {
-        /// Effective address.
-        addr: u64,
-        /// Loaded (extended) value.
-        value: u64,
-    },
-    /// A committed store.
-    Store {
-        /// Effective address.
-        addr: u64,
-        /// Access size in bytes.
-        bytes: u64,
-        /// Stored value (width-truncated).
-        data: u64,
-    },
-}
-
-/// One committed leading-context instruction, as recorded by
-/// [`Core::enable_commit_log`].
-///
-/// This is the core's externally visible architectural trace — the
-/// differential-fuzzing harness compares it 1:1 against the golden
-/// interpreter's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitRecord {
-    /// Program-order sequence number.
-    pub seq: u64,
-    /// Fetch PC.
-    pub pc: u64,
-    /// Committed next PC.
-    pub next_pc: u64,
-    /// Conditional-branch outcome.
-    pub taken: bool,
-    /// Destination logical register and the value written, if any
-    /// (writes to `x0` are architectural no-ops and appear as `None`).
-    pub dst: Option<(LogReg, u64)>,
-    /// Memory effect, for loads and stores.
-    pub mem: Option<MemEffect>,
-}
-
-/// Per-site last-exercise tracker, filled in by the fault hooks of a core
-/// with [`Core::enable_site_usage`] on (the *reference pass* of an
-/// early-exit campaign; off by default and costing one branch per hook).
-///
-/// "Exercise" means the hook for the site was applied under exactly the
-/// conditions a fault there would be consulted — frontend ways on every
-/// fetched word, backend ways on every computed value, payload entries
-/// only for occupants a (possibly split) payload RAM would expose. A
-/// fault armed after its site's last exercise in the fault-free run can
-/// never activate, so its run is bit-identical to the fault-free run and
-/// provably benign with zero simulation.
-///
-/// Cells are atomics only so the tracker (inside a `Core`) stays `Sync`
-/// for campaign-shared snapshots; recording is single-threaded.
-#[derive(Debug, Default)]
-pub struct SiteUsage {
-    /// Last exercise cycle + 1 per frontend way (0 = never exercised).
-    frontend: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per backend way.
-    backend: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per payload-RAM entry.
-    payload: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per L1D data-array set (leading load
-    /// value composition).
-    cache_data: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per L1D tag-array set (actual cache
-    /// lookups on the load latency path — forwarded loads skip the tags).
-    cache_tag: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per store-buffer entry.
-    store_buffer: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per DTQ payload-RAM entry.
-    dtq: Vec<AtomicU64>,
-    /// Last exercise cycle + 1 per LVQ payload-RAM entry.
-    lvq: Vec<AtomicU64>,
-}
-
-impl Clone for SiteUsage {
-    fn clone(&self) -> SiteUsage {
-        let copy = |v: &[AtomicU64]| {
-            v.iter().map(|c| AtomicU64::new(c.load(Ordering::Relaxed))).collect()
-        };
-        SiteUsage {
-            frontend: copy(&self.frontend),
-            backend: copy(&self.backend),
-            payload: copy(&self.payload),
-            cache_data: copy(&self.cache_data),
-            cache_tag: copy(&self.cache_tag),
-            store_buffer: copy(&self.store_buffer),
-            dtq: copy(&self.dtq),
-            lvq: copy(&self.lvq),
-        }
-    }
-
-    fn clone_from(&mut self, source: &SiteUsage) {
-        let refill = |dst: &mut Vec<AtomicU64>, src: &[AtomicU64]| {
-            dst.clear();
-            dst.extend(src.iter().map(|c| AtomicU64::new(c.load(Ordering::Relaxed))));
-        };
-        refill(&mut self.frontend, &source.frontend);
-        refill(&mut self.backend, &source.backend);
-        refill(&mut self.payload, &source.payload);
-        refill(&mut self.cache_data, &source.cache_data);
-        refill(&mut self.cache_tag, &source.cache_tag);
-        refill(&mut self.store_buffer, &source.store_buffer);
-        refill(&mut self.dtq, &source.dtq);
-        refill(&mut self.lvq, &source.lvq);
-    }
-}
-
-/// Structure sizes for [`SiteUsage::with_sizes`], one per fault-site
-/// family.
-struct SiteSizes {
-    frontend: usize,
-    backend: usize,
-    payload: usize,
-    cache_sets: usize,
-    store_buffer: usize,
-    dtq: usize,
-    lvq: usize,
-}
-
-impl SiteUsage {
-    fn with_sizes(s: SiteSizes) -> SiteUsage {
-        let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
-        SiteUsage {
-            frontend: cells(s.frontend),
-            backend: cells(s.backend),
-            payload: cells(s.payload),
-            cache_data: cells(s.cache_sets),
-            cache_tag: cells(s.cache_sets),
-            store_buffer: cells(s.store_buffer),
-            dtq: cells(s.dtq),
-            lvq: cells(s.lvq),
-        }
-    }
-
-    fn note(cells: &[AtomicU64], i: usize, cycle: u64) {
-        if let Some(c) = cells.get(i) {
-            // Cycles only move forward, so a plain store stays monotone.
-            c.store(cycle + 1, Ordering::Relaxed);
-        }
-    }
-
-    /// The cycle `site` was last exercised, or `None` if never.
-    pub fn last_use(&self, site: FaultSite) -> Option<u64> {
-        let cell = match site {
-            FaultSite::Frontend { way } => self.frontend.get(way),
-            FaultSite::Backend { way } => self.backend.get(way),
-            FaultSite::PayloadRam { entry } => self.payload.get(entry),
-            FaultSite::CacheData { index } => self.cache_data.get(index),
-            FaultSite::CacheTag { index } => self.cache_tag.get(index),
-            FaultSite::StoreBuffer { entry } => self.store_buffer.get(entry),
-            FaultSite::DtqPayload { entry } => self.dtq.get(entry),
-            FaultSite::LvqPayload { entry } => self.lvq.get(entry),
-        };
-        match cell.map(|c| c.load(Ordering::Relaxed)).unwrap_or(0) {
-            0 => None,
-            stamped => Some(stamped - 1),
-        }
-    }
-}
 
 impl ShuffleItem for DtqPayload {
     fn fu_type(&self) -> FuType {
@@ -414,21 +247,6 @@ pub struct Core {
     commit_rat: CommitRat,
     tmap: LeadIndexedRat,
     last_commit_cycle: u64,
-    /// Early-exit watchdog: declare the run stuck after this many cycles
-    /// with no commit and no fault-hook activity (`None` = only the
-    /// built-in [`WATCHDOG_CYCLES`] applies).
-    stall_window: Option<u64>,
-    /// Early-exit convergence point: once past this cycle with zero plan
-    /// activations the run is sealed benign (`None` = never seal).
-    quiesce_cycle: Option<u64>,
-    /// Plan activation count at the last early-exit check, to timestamp
-    /// fault-hook activity for the stall watchdog.
-    seen_activations: u64,
-    /// Cycle of the last observed fault-hook activation.
-    last_activity_cycle: u64,
-    /// Reference-pass site-usage tracker ([`Core::enable_site_usage`]).
-    site_usage: Option<SiteUsage>,
-    oracle: Option<Interp>,
     /// Architectural commit trace ([`Core::enable_commit_log`]); `None`
     /// (the default) keeps the commit path a single branch.
     commit_log: Option<Vec<CommitRecord>>,
@@ -476,12 +294,6 @@ impl Clone for Core {
             commit_rat: self.commit_rat.clone(),
             tmap: self.tmap.clone(),
             last_commit_cycle: self.last_commit_cycle,
-            stall_window: self.stall_window,
-            quiesce_cycle: self.quiesce_cycle,
-            seen_activations: self.seen_activations,
-            last_activity_cycle: self.last_activity_cycle,
-            site_usage: self.site_usage.clone(),
-            oracle: self.oracle.clone(),
             commit_log: self.commit_log.clone(),
             tracer: self.tracer.clone(),
         }
@@ -521,12 +333,6 @@ impl Clone for Core {
             commit_rat,
             tmap,
             last_commit_cycle,
-            stall_window,
-            quiesce_cycle,
-            seen_activations,
-            last_activity_cycle,
-            site_usage,
-            oracle,
             commit_log,
             tracer,
         } = source;
@@ -562,12 +368,6 @@ impl Clone for Core {
         self.commit_rat.clone_from(commit_rat);
         self.tmap.clone_from(tmap);
         self.last_commit_cycle = *last_commit_cycle;
-        self.stall_window = *stall_window;
-        self.quiesce_cycle = *quiesce_cycle;
-        self.seen_activations = *seen_activations;
-        self.last_activity_cycle = *last_activity_cycle;
-        self.site_usage.clone_from(site_usage);
-        self.oracle.clone_from(oracle);
         self.commit_log.clone_from(commit_log);
         self.tracer.clone_from(tracer);
     }
@@ -616,12 +416,6 @@ impl Core {
             commit_rat: CommitRat::new(),
             tmap: LeadIndexedRat::new(cfg.phys_regs),
             last_commit_cycle: 0,
-            stall_window: None,
-            quiesce_cycle: None,
-            seen_activations: 0,
-            last_activity_cycle: 0,
-            site_usage: None,
-            oracle: None,
             commit_log: None,
             tracer: Tracer::Off,
             cfg,
@@ -673,72 +467,10 @@ impl Core {
         self.commit_log.take()
     }
 
-    /// The active fault plan (its activation counters drive the
-    /// early-exit mechanisms and their tests).
+    /// The active fault plan: its activation counters and site-usage
+    /// record are what a campaign's early-exit driver reads.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Replaces the fault plan and clears every piece of early-exit
-    /// bookkeeping — the new plan's counters, the quiescence point, the
-    /// stall window, and any reference-pass site-usage tracker — so a
-    /// fork never inherits stale state from its donor.
-    pub fn set_plan(&mut self, plan: FaultPlan) {
-        plan.reset_counters();
-        self.plan = plan;
-        self.seen_activations = 0;
-        self.last_activity_cycle = self.cycle;
-        self.quiesce_cycle = None;
-        self.stall_window = None;
-        self.site_usage = None;
-    }
-
-    /// Arms the early-exit stall watchdog: after `window` cycles with no
-    /// commit and no fault-hook activity the run returns
-    /// [`RunOutcome::EarlyExit`]`(`[`EarlyExitReason::Stalled`]`)`.
-    /// `None` (the default) leaves only the built-in watchdog.
-    pub fn set_stall_window(&mut self, window: Option<u64>) {
-        self.stall_window = window;
-    }
-
-    /// Arms the early-exit convergence seal: once `cycle` is reached with
-    /// zero plan activations the run returns
-    /// [`RunOutcome::EarlyExit`]`(`[`EarlyExitReason::Converged`]`)`.
-    /// Sound only when `cycle` is at or past the fault site's last
-    /// exercise in the fault-free run (see [`SiteUsage`]).
-    pub fn set_quiesce_cycle(&mut self, cycle: Option<u64>) {
-        self.quiesce_cycle = cycle;
-    }
-
-    /// Turns on per-site last-exercise tracking (the reference pass of an
-    /// early-exit campaign). Off by default: one branch per fault hook.
-    pub fn enable_site_usage(&mut self) {
-        self.site_usage = Some(SiteUsage::with_sizes(SiteSizes {
-            frontend: self.cfg.width,
-            backend: self.cfg.fu_counts.total(),
-            payload: self.cfg.issue_queue,
-            cache_sets: self.cfg.mem.l1d.num_sets(),
-            store_buffer: self.cfg.store_buffer,
-            dtq: self.cfg.dtq,
-            lvq: self.cfg.lvq,
-        }));
-    }
-
-    /// The site-usage tracker, if enabled.
-    pub fn site_usage(&self) -> Option<&SiteUsage> {
-        self.site_usage.as_ref()
-    }
-
-    /// Detaches the site-usage tracker, turning tracking off.
-    pub fn take_site_usage(&mut self) -> Option<SiteUsage> {
-        self.site_usage.take()
-    }
-
-    /// Attaches a lock-step golden-interpreter oracle that cross-checks
-    /// every leading commit (fault-free runs only; used by tests).
-    pub fn enable_oracle(&mut self, prog: &Program) {
-        assert!(self.plan.is_empty(), "the oracle is only meaningful without faults");
-        self.oracle = Some(Interp::new(prog));
     }
 
     /// The configuration.
@@ -839,12 +571,16 @@ impl Core {
         self.done
     }
 
-    /// Runs until completion, detection, or `max_cycles`. Wall-clock time
-    /// spent here accumulates into [`SimStats::wall_nanos`] for
-    /// throughput accounting ([`SimStats::cycles_per_sec`]).
     /// Cycles simulated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// The last cycle on which either context committed an instruction
+    /// (0 before the first commit) — the progress mark of the built-in
+    /// no-commit watchdog and of a campaign's stall watchdog.
+    pub fn last_commit_cycle(&self) -> u64 {
+        self.last_commit_cycle
     }
 
     /// Freezes the complete simulation state — contexts, queues,
@@ -855,19 +591,29 @@ impl Core {
         CoreSnapshot { core: self.clone() }
     }
 
+    /// Runs until completion, detection, or cycle `max_cycles` (an
+    /// absolute cycle number, so a resumed or forked core stops where a
+    /// cold one would). Returns
+    ///
+    /// - [`RunOutcome::Completed`] once both contexts halted with every
+    ///   store checked,
+    /// - [`RunOutcome::Detected`] when a redundancy check fired, or
+    /// - [`RunOutcome::CycleLimit`] when `max_cycles` was reached, or the
+    ///   built-in watchdog found no commit for 200,000 cycles (which also
+    ///   sets [`SimStats::deadlocked`]).
+    ///
+    /// A core that already finished returns its outcome again without
+    /// stepping, so a caller can drive a run in slices. Wall-clock time
+    /// spent here accumulates into [`SimStats::wall_nanos`] for
+    /// throughput accounting ([`SimStats::cycles_per_sec`]).
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let t0 = std::time::Instant::now();
         let mut watchdog_fired = false;
-        let mut early: Option<EarlyExitReason> = None;
         while !self.done && self.detection.is_none() && self.cycle < max_cycles {
             self.step();
             if self.cycle - self.last_commit_cycle > WATCHDOG_CYCLES {
                 self.stats.deadlocked = true;
                 watchdog_fired = true;
-                break;
-            }
-            if let Some(r) = self.early_exit_check() {
-                early = Some(r);
                 break;
             }
         }
@@ -880,11 +626,6 @@ impl Core {
             RunOutcome::Detected(e)
         } else if self.done {
             RunOutcome::Completed
-        } else if let Some(r) = early {
-            if r == EarlyExitReason::Stalled {
-                self.stats.deadlocked = true;
-            }
-            RunOutcome::EarlyExit(r)
         } else {
             RunOutcome::CycleLimit
         };
@@ -892,47 +633,8 @@ impl Core {
             RunOutcome::Completed => ExitReason::Completed,
             RunOutcome::Detected(_) => ExitReason::Detected,
             RunOutcome::CycleLimit => ExitReason::CycleLimit,
-            RunOutcome::EarlyExit(EarlyExitReason::Converged) => ExitReason::Converged,
-            RunOutcome::EarlyExit(EarlyExitReason::Stalled) => ExitReason::Stalled,
         });
         outcome
-    }
-
-    /// The per-cycle early-exit probe; free (two `None` tests) unless a
-    /// mechanism was enabled with [`Core::set_quiesce_cycle`] or
-    /// [`Core::set_stall_window`].
-    #[inline]
-    fn early_exit_check(&mut self) -> Option<EarlyExitReason> {
-        if self.stall_window.is_none() && self.quiesce_cycle.is_none() {
-            return None;
-        }
-        let acts = self.plan.activations();
-        if acts != self.seen_activations {
-            self.seen_activations = acts;
-            self.last_activity_cycle = self.cycle;
-        }
-        if let Some(q) = self.quiesce_cycle {
-            // Past the site's last fault-free exercise with zero
-            // activations: the run has been bit-identical to the
-            // fault-free run so far, so its future is the fault-free
-            // future — in which the site is never exercised again. The
-            // verdict (clean completion, golden memory) is sealed.
-            if self.cycle >= q && acts == 0 {
-                return Some(EarlyExitReason::Converged);
-            }
-        }
-        if let Some(w) = self.stall_window {
-            // Fold the fault plan's hook state in: an activation counts
-            // as progress, so a periodically re-activating fault cannot
-            // false-positive the watchdog, and the window never starts
-            // before the plan has even armed.
-            let base =
-                self.last_commit_cycle.max(self.last_activity_cycle).max(self.plan.arm_cycle());
-            if self.cycle.saturating_sub(base) > w {
-                return Some(EarlyExitReason::Stalled);
-            }
-        }
-        None
     }
 
     /// Simulates one cycle.
@@ -1118,11 +820,6 @@ impl Core {
             }
         }
 
-        // Oracle cross-check (fault-free differential testing).
-        if self.oracle.is_some() {
-            self.check_oracle(id);
-        }
-
         let u = self.slab.at(id);
         let (seq, pc, next_pc, taken) = (u.seq, u.pc, u.next_pc, u.taken);
         let inst = u.inst;
@@ -1158,9 +855,12 @@ impl Core {
             };
             if redundant {
                 // A defective store-buffer entry corrupts the buffered
-                // leading copy; the trailing comparison at release then
-                // disagrees and the store never reaches memory.
-                rec.data = self.corrupt_sb_data(rec.seq, rec.data);
+                // leading copy as it is written into its circular-RAM
+                // slot (store ordinal mod capacity); the trailing
+                // comparison at release then disagrees and the store never
+                // reaches memory.
+                let entry = (rec.seq % self.cfg.store_buffer as u64) as usize;
+                rec.data = self.plan.apply(FaultSite::StoreBuffer { entry }, rec.data);
                 self.sb.push(rec);
             } else {
                 self.mem.write_sized(rec.addr, rec.bytes, rec.data);
@@ -1404,29 +1104,6 @@ impl Core {
         self.slab.remove(id);
         self.stats.committed[TRAILING] += 1;
         true
-    }
-
-    fn check_oracle(&mut self, id: UopId) {
-        let u = self.slab.at(id);
-        let (pc, seq, dst, log_dst) = (u.pc, u.seq, u.dst, u.log_dst);
-        let oracle = self.oracle.as_mut().expect("oracle enabled");
-        assert_eq!(
-            pc,
-            oracle.pc(),
-            "pipeline committed pc {pc:#x} but the oracle is at {:#x} (seq {seq})",
-            oracle.pc()
-        );
-        oracle.step().expect("oracle executes committed instruction");
-        if let (Some(d), Some(log)) = (dst, log_dst) {
-            let got = self.ctxs[LEADING].regs.read(d);
-            let idx = log.index() as usize;
-            let want =
-                if log.is_fp() { oracle.freg_bits(idx - 32) } else { oracle.reg(idx) };
-            assert_eq!(
-                got, want,
-                "pipeline wrote {got:#x} to {log} at pc {pc:#x} (seq {seq}); oracle has {want:#x}"
-            );
-        }
     }
 
     // --------------------------------------------------------------- complete
@@ -1749,108 +1426,13 @@ impl Core {
     /// split payload RAMs (the paper's fix, §4.5) only the leading thread's
     /// RAM is modeled as defective, so the two copies can never be corrupted
     /// identically.
-    /// Frontend corruption hook; inert before the plan's arming cycle
-    /// (wear-out faults develop mid-run).
-    fn corrupt_fetch(&self, way: usize, word: u32) -> u32 {
-        if let Some(u) = &self.site_usage {
-            SiteUsage::note(&u.frontend, way, self.cycle);
-        }
-        if self.cycle < self.plan.arm_cycle() {
-            word
-        } else {
-            self.plan.corrupt_frontend(way, word)
-        }
-    }
-
-    fn fault_value(&self, ctx: usize, way: usize, payload_slot: usize, v: u64) -> u64 {
-        if let Some(u) = &self.site_usage {
-            // Mirror the exact application conditions below, so "last
-            // exercised" means "a fault here would have been consulted".
-            SiteUsage::note(&u.backend, way, self.cycle);
-            if ctx == LEADING || !self.cfg.split_payload_ram {
-                SiteUsage::note(&u.payload, payload_slot, self.cycle);
-            }
-        }
-        if self.plan.is_empty() || self.cycle < self.plan.arm_cycle() {
-            return v;
-        }
-        let v = self.plan.corrupt_backend(way, v);
+    fn fault_value(&mut self, ctx: usize, way: usize, payload_slot: usize, v: u64) -> u64 {
+        let v = self.plan.apply(FaultSite::Backend { way }, v);
         if ctx == LEADING || !self.cfg.split_payload_ram {
-            self.plan.corrupt_payload_value(payload_slot, v)
+            self.plan.apply(FaultSite::PayloadRam { entry: payload_slot }, v)
         } else {
             v
         }
-    }
-
-    /// Store-buffer entry corruption hook, applied to the leading store's
-    /// data as it is written into its circular-RAM slot at commit
-    /// (`slot = store ordinal mod capacity`).
-    fn corrupt_sb_data(&self, store_seq: u64, data: u64) -> u64 {
-        let slot = (store_seq % self.cfg.store_buffer as u64) as usize;
-        if let Some(u) = &self.site_usage {
-            SiteUsage::note(&u.store_buffer, slot, self.cycle);
-        }
-        if self.plan.is_empty() || self.cycle < self.plan.arm_cycle() {
-            return data;
-        }
-        self.plan.corrupt_store_buffer(slot, data)
-    }
-
-    /// L1D data-array corruption hook, applied to the composed leading
-    /// load value as it leaves the set `addr` maps to — *after* the ECC
-    /// check bits were generated, so the LVQ decoder sees the upset.
-    fn corrupt_cache_value(&self, addr: u64, value: u64) -> u64 {
-        let set = self.mem_sys.l1d_set(addr);
-        if let Some(u) = &self.site_usage {
-            SiteUsage::note(&u.cache_data, set, self.cycle);
-        }
-        if self.plan.is_empty() || self.cycle < self.plan.arm_cycle() {
-            return value;
-        }
-        self.plan.corrupt_cache_data(set, value)
-    }
-
-    /// L1D tag-array fault predicate for the set `addr` maps to: a
-    /// corrupted tag makes the lookup miss, so the load pays the L2 path
-    /// — purely a timing perturbation (the refill rewrites the tag).
-    /// Consulted only on the real-cache-access latency path; fully
-    /// forwarded loads never read the tags.
-    fn cache_tag_fault(&self, addr: u64) -> bool {
-        let set = self.mem_sys.l1d_set(addr);
-        if let Some(u) = &self.site_usage {
-            SiteUsage::note(&u.cache_tag, set, self.cycle);
-        }
-        if self.plan.is_empty() || self.cycle < self.plan.arm_cycle() {
-            return false;
-        }
-        self.plan.cache_tag_miss(set)
-    }
-
-    /// DTQ payload-RAM corruption hook, applied to the carried pristine
-    /// instruction word as the trailing thread reads its circular-RAM
-    /// slot (`slot = program-order sequence mod capacity` — entries are
-    /// allocated in program order).
-    fn corrupt_dtq_word(&self, seq: u64, word: u32) -> u32 {
-        let slot = (seq % self.cfg.dtq as u64) as usize;
-        if let Some(u) = &self.site_usage {
-            SiteUsage::note(&u.dtq, slot, self.cycle);
-        }
-        if self.plan.is_empty() || self.cycle < self.plan.arm_cycle() {
-            return word;
-        }
-        self.plan.corrupt_dtq_payload(slot, word)
-    }
-
-    /// LVQ payload-RAM corruption hook, applied to the captured load
-    /// value as the trailing load reads its circular-RAM slot.
-    fn corrupt_lvq_value(&self, slot: usize, value: u64) -> u64 {
-        if let Some(u) = &self.site_usage {
-            SiteUsage::note(&u.lvq, slot, self.cycle);
-        }
-        if self.plan.is_empty() || self.cycle < self.plan.arm_cycle() {
-            return value;
-        }
-        self.plan.corrupt_lvq_payload(slot, value)
     }
 
     /// Computes the uop's result on backend way `way`, applying backend and
@@ -1904,7 +1486,11 @@ impl Core {
                     Some(f) if f.iter().all(|b| b.is_some()) => self.cfg.mem.l1d.hit_latency,
                     None => self.cfg.mem.l1d.hit_latency,
                     _ => {
-                        if self.cache_tag_fault(addr) {
+                        // A corrupted L1D tag makes the lookup miss, so the
+                        // load pays the L2 path — purely a timing
+                        // perturbation (the refill rewrites the tag).
+                        // Fully forwarded loads never read the tags.
+                        if self.plan.cache_tag_miss(self.mem_sys.l1d_set(addr)) {
                             self.mem_sys.access_data_forced_miss(addr, false)
                         } else {
                             self.mem_sys.access_data(addr, false)
@@ -1934,7 +1520,8 @@ impl Core {
                 // The payload RAM read: a defective slot corrupts what
                 // the trailing thread sees (never what the leading
                 // thread committed).
-                let value = self.corrupt_lvq_value(self.lvq.slot_of(load_seq), entry.value);
+                let site = FaultSite::LvqPayload { entry: self.lvq.slot_of(load_seq) };
+                let value = self.plan.apply(site, entry.value);
                 // SEC-DED decode at the read port. The check bits were
                 // generated over the *clean* composed value, before the
                 // backend/payload/cache-data hooks on the leading side
@@ -2030,7 +1617,11 @@ impl Core {
             // decoder can then repair for the trailing thread.
             let clean = finish_load(&inst, raw);
             let ecc = if self.cfg.lvq_ecc { blackjack_faults::ecc::encode(clean) } else { 0 };
-            let value = self.corrupt_cache_value(addr, clean);
+            // The L1D data array corrupts the value as it leaves the set
+            // `addr` maps to — after the check bits were generated, so the
+            // LVQ decoder sees the upset.
+            let site = FaultSite::CacheData { index: self.mem_sys.l1d_set(addr) };
+            let value = self.plan.apply(site, clean);
             let value = self.fault_value(ctx, way, payload_slot, value);
             let u = self.slab.at_mut(id);
             u.result = Some(value);
@@ -2421,7 +2012,7 @@ impl Core {
             }
             let front_way = ((pc >> 2) % width) as usize;
             let word = self.mem.read_u32(pc);
-            let raw = self.corrupt_fetch(front_way, word);
+            let raw = self.plan.apply(FaultSite::Frontend { way: front_way }, word as u64) as u32;
             let inst = decode(raw).unwrap_or(Inst::Nop);
             // `word` (not `raw`) is what the DTQ will carry: the trailing
             // copy applies its own way's corruption to the pristine bits.
@@ -2548,12 +2139,14 @@ impl Core {
                     self.trace_uop(FlightKind::Fetch, id);
                 }
                 Slot::Inst(p) => {
-                    // The DTQ payload RAM read: a defective entry hands
-                    // the trailing thread a corrupted copy of the
-                    // pristine word, *before* the trailing fetch way's
-                    // own corruption applies.
-                    let word = self.corrupt_dtq_word(p.seq, p.raw);
-                    let raw = self.corrupt_fetch(slot, word);
+                    // The DTQ payload RAM read: a defective entry (its
+                    // circular-RAM slot is the program-order sequence mod
+                    // capacity) hands the trailing thread a corrupted copy
+                    // of the pristine word, *before* the trailing fetch
+                    // way's own corruption applies.
+                    let entry = (p.seq % self.cfg.dtq as u64) as usize;
+                    let word = self.plan.apply(FaultSite::DtqPayload { entry }, p.raw as u64) as u32;
+                    let raw = self.plan.apply(FaultSite::Frontend { way: slot }, word as u64) as u32;
                     let inst = decode(raw).ok();
                     // A decode that disagrees with the leading structure
                     // (class or memory behaviour) would derail the virtual
@@ -2650,7 +2243,7 @@ impl CoreSnapshot {
             self.core.cycle,
         );
         let mut core = self.core.clone();
-        core.set_plan(plan);
+        core.plan = plan;
         core
     }
 }

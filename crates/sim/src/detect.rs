@@ -81,33 +81,6 @@ impl fmt::Display for DetectionEvent {
     }
 }
 
-/// Why an early-exit mechanism stopped a run before its natural end.
-///
-/// Early exits only occur when the corresponding mechanism was enabled on
-/// the core ([`Core::set_quiesce_cycle`](crate::Core::set_quiesce_cycle),
-/// [`Core::set_stall_window`](crate::Core::set_stall_window)); a plain
-/// `Core::run` never returns one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EarlyExitReason {
-    /// The fault site went quiescent with zero activations: the run is
-    /// provably bit-identical to the fault-free run from here on, so its
-    /// verdict (benign) is sealed.
-    Converged,
-    /// No commit (and no fault-hook activity) for the configured stall
-    /// window: the run is declared stuck without burning the full cycle
-    /// budget.
-    Stalled,
-}
-
-impl std::fmt::Display for EarlyExitReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EarlyExitReason::Converged => "converged",
-            EarlyExitReason::Stalled => "stalled",
-        })
-    }
-}
-
 /// How a simulation ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -115,11 +88,9 @@ pub enum RunOutcome {
     Completed,
     /// A check fired; the error was contained before corrupting memory.
     Detected(DetectionEvent),
-    /// The cycle budget ran out first.
+    /// The cycle budget ran out first (or the built-in no-commit
+    /// watchdog fired).
     CycleLimit,
-    /// An enabled early-exit mechanism sealed the verdict and stopped the
-    /// run (see [`EarlyExitReason`]).
-    EarlyExit(EarlyExitReason),
 }
 
 impl RunOutcome {

@@ -29,6 +29,7 @@
 //! # }
 //! ```
 
+mod commit;
 mod config;
 mod core;
 mod detect;
@@ -45,11 +46,10 @@ mod stats;
 pub mod trace;
 mod uop;
 
-pub use crate::core::{
-    CommitRecord, Core, CoreSnapshot, MemEffect, SiteUsage, FLIGHT_CAPACITY, LEADING, TRAILING,
-};
+pub use crate::core::{Core, CoreSnapshot, FLIGHT_CAPACITY, LEADING, TRAILING};
+pub use commit::{replay_commit_log, CommitRecord, Divergence, MemEffect};
 pub use config::{table1, CoreConfig, FuCounts, FuLatencies, Mode, ShuffleAlgo};
-pub use detect::{DetectionEvent, DetectionKind, EarlyExitReason, RunOutcome};
+pub use detect::{DetectionEvent, DetectionKind, RunOutcome};
 pub use dtq::{Dtq, DtqPayload};
 pub use fu::FuPool;
 pub use iq::IssueQueue;

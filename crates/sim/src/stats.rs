@@ -33,22 +33,13 @@ pub enum ExitReason {
     /// The cycle budget (or the built-in no-progress watchdog) cut the
     /// run off.
     CycleLimit,
-    /// Early exit: the fault site went quiescent with zero activations.
-    Converged,
-    /// Early exit: the configured stall window elapsed with no progress.
-    Stalled,
 }
 
 impl ExitReason {
     /// Every reason, in stable (telemetry/metrics) order — campaign
     /// metrics key per-reason counters off this enumeration.
-    pub const ALL: [ExitReason; 5] = [
-        ExitReason::Completed,
-        ExitReason::Detected,
-        ExitReason::CycleLimit,
-        ExitReason::Converged,
-        ExitReason::Stalled,
-    ];
+    pub const ALL: [ExitReason; 3] =
+        [ExitReason::Completed, ExitReason::Detected, ExitReason::CycleLimit];
 
     /// Stable telemetry token for the reason.
     pub fn as_str(&self) -> &'static str {
@@ -56,8 +47,6 @@ impl ExitReason {
             ExitReason::Completed => "completed",
             ExitReason::Detected => "detected",
             ExitReason::CycleLimit => "cycle_limit",
-            ExitReason::Converged => "converged",
-            ExitReason::Stalled => "stalled",
         }
     }
 }
@@ -446,10 +435,10 @@ mod tests {
         let mut a = done.clone();
         a.merge(&done);
         assert_eq!(a.exit_reason, Some(ExitReason::Completed));
-        let stalled = SimStats { exit_reason: Some(ExitReason::Stalled), ..SimStats::default() };
+        let limited = SimStats { exit_reason: Some(ExitReason::CycleLimit), ..SimStats::default() };
         let mut x = done.clone();
-        x.merge(&stalled);
-        let mut y = stalled.clone();
+        x.merge(&limited);
+        let mut y = limited.clone();
         y.merge(&done);
         assert_eq!(x.exit_reason, None);
         assert_eq!(y.exit_reason, None);

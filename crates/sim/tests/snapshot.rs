@@ -148,56 +148,24 @@ fn fork_rejects_plans_armed_inside_the_prefix() {
 }
 
 #[test]
-fn early_exit_state_survives_snapshot_restore() {
-    // The watchdog window, quiesce cycle, and activation bookkeeping are
-    // simulation state like any other: a run configured for early exit
-    // and split across a snapshot/restore boundary must end exactly like
-    // the uninterrupted run — same outcome, same cycle, same stats.
-    let prog = build(Benchmark::Gzip, 1);
-    let cfg = CoreConfig::with_mode(Mode::Srt);
-    let fault = HardFault::stuck_bit(FaultSite::Backend { way: 2 }, 5);
-    let plan = FaultPlan::single(fault).arm_at(6_000);
-
-    let configure = |core: &mut Core| {
-        core.set_stall_window(Some(20_000));
-        core.set_quiesce_cycle(Some(1_000_000));
-    };
-
-    let mut straight = Core::new(cfg.clone(), &prog, plan.clone());
-    configure(&mut straight);
-    let straight_out = straight.run(MAX_CYCLES);
-
-    let mut first = Core::new(cfg, &prog, plan);
-    configure(&mut first);
-    first.run(10_000);
-    let mut resumed = first.snapshot().restore();
-    let resumed_out = resumed.run(MAX_CYCLES);
-
-    assert_eq!(resumed_out, straight_out);
-    assert_eq!(resumed.cycle(), straight.cycle());
-    assert_eq!(arch_stats(resumed.stats()), arch_stats(straight.stats()));
-}
-
-#[test]
 fn site_usage_tracker_survives_snapshot_restore() {
     // The reference pass's per-site last-exercise schedule must come
     // through a snapshot/restore split unchanged — it is what the
     // activation early-exit mechanism proves runs benign with.
     let prog = build(Benchmark::Gzip, 1);
     let cfg = CoreConfig::with_mode(Mode::BlackJack);
+    let sizes = cfg.site_family_sizes();
 
-    let mut straight = Core::new(cfg.clone(), &prog, FaultPlan::new());
-    straight.enable_site_usage();
+    let mut straight = Core::new(cfg.clone(), &prog, FaultPlan::new().record_usage(sizes));
     assert!(straight.run(MAX_CYCLES).completed());
 
-    let mut first = Core::new(cfg, &prog, FaultPlan::new());
-    first.enable_site_usage();
+    let mut first = Core::new(cfg, &prog, FaultPlan::new().record_usage(sizes));
     first.run(10_000);
     let mut resumed = first.snapshot().restore();
     assert!(resumed.run(MAX_CYCLES).completed());
 
-    let a = straight.site_usage().expect("tracking stays enabled");
-    let b = resumed.site_usage().expect("tracking survives the split");
+    let a = straight.plan().site_usage().expect("tracking stays enabled");
+    let b = resumed.plan().site_usage().expect("tracking survives the split");
     for way in 0..8 {
         assert_eq!(
             a.last_use(FaultSite::Frontend { way }),
@@ -220,36 +188,40 @@ fn site_usage_tracker_survives_snapshot_restore() {
 }
 
 #[test]
-fn fork_clears_early_exit_state() {
-    // A fork installs a fresh plan, and with it a clean early-exit
-    // slate: the donor's watchdog window, quiesce cycle, and usage
-    // tracker must not leak into the fork — otherwise a forked run could
-    // exit early where the equivalent cold run would not.
+fn usage_record_covers_every_site_in_every_mode() {
+    // A hook consulting a site past the record's sizes panics, so a
+    // completed reference pass shows the configuration's sizes cover
+    // every site the machine consults.
+    let prog = build(Benchmark::Gzip, 1);
+    for mode in Mode::ALL {
+        let cfg = CoreConfig::with_mode(mode);
+        let plan = FaultPlan::new().record_usage(cfg.site_family_sizes());
+        assert!(Core::new(cfg, &prog, plan).run(MAX_CYCLES).completed(), "{mode}");
+    }
+}
+
+#[test]
+fn fork_replaces_the_donor_plan() {
+    // A fork installs a fresh plan, and with it fresh activation counts:
+    // the donor's plan — here a reference pass recording site usage —
+    // must not leak into the fork, or a forked run could differ from the
+    // equivalent cold run.
     let prog = build(Benchmark::Gzip, 1);
     let cfg = CoreConfig::with_mode(Mode::Srt);
     let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
     let arm = 8_000;
 
-    let mut donor = Core::new(cfg.clone(), &prog, FaultPlan::new());
-    donor.enable_site_usage();
-    // Configured but inert for the donor's own run: large enough that
-    // neither check can fire before `arm` (a firing would legitimately
-    // change the donor's stats, which is not what this test probes).
-    donor.set_stall_window(Some(50_000));
-    donor.set_quiesce_cycle(Some(1_000_000));
-    let donor_out = donor.run(arm - 1);
-    assert!(
-        !matches!(donor_out, RunOutcome::EarlyExit(_)),
-        "donor must reach the snapshot point without early-exiting"
-    );
+    let plan = FaultPlan::new().record_usage(cfg.site_family_sizes());
+    let mut donor = Core::new(cfg.clone(), &prog, plan);
+    assert_eq!(donor.run(arm - 1), RunOutcome::CycleLimit, "donor pauses before the arm");
 
     let mut forked = donor.snapshot().fork(FaultPlan::single(fault).arm_at(arm));
-    assert!(forked.site_usage().is_none(), "fork must drop the usage tracker");
+    assert!(forked.plan().site_usage().is_none(), "fork must drop the usage recorder");
     let forked_out = forked.run(MAX_CYCLES);
 
     let mut cold = Core::new(cfg, &prog, FaultPlan::single(fault).arm_at(arm));
     let cold_out = cold.run(MAX_CYCLES);
-    assert_eq!(forked_out, cold_out, "donor early-exit config must not leak into the fork");
+    assert_eq!(forked_out, cold_out, "the donor plan must not leak into the fork");
     assert_eq!(forked.cycle(), cold.cycle());
     assert_eq!(arch_stats(forked.stats()), arch_stats(cold.stats()));
 }

@@ -38,6 +38,15 @@ rendered="$(cargo run --release -q --offline -p blackjack-bench --bin bj-trace -
 echo "$rendered" | grep -q "flight recorder:"
 echo "$rendered" | grep -q "detection:"
 
+echo "== tier-1: bjsim --oracle smoke (commit-log replay, fault-free and faulted) =="
+# A fault-free run must replay against the interpreter commit for commit;
+# under a fault the replay names the first corrupted commit, and the run
+# still detects and exits 0.
+cargo run --release -q --offline --bin bjsim -- --quiet --oracle examples/programs/checksum.s \
+  | grep -q "^oracle: all [0-9]* commits match the interpreter$"
+cargo run --release -q --offline --bin bjsim -- --quiet --oracle --fault backend:4:2 \
+  examples/programs/checksum.s | grep -q DETECTED
+
 echo "== tier-1: BJ_SNAPSHOT equivalence smoke (ext_detection, gzip) =="
 # The fork-at-injection path must be invisible in the report: stdout is
 # byte-identical with snapshots off (replay from cycle 0) and on.

@@ -7,13 +7,21 @@
 //!   --mode single|srt|blackjack-ns|blackjack    (default: blackjack)
 //!   --shuffle greedy|exhaustive                 (default: greedy)
 //!   --slack N                                   (default: 256)
-//!   --fault SITE:WAY[:BIT]  inject a stuck-at-1 hard fault; SITE is
-//!                           `backend`, `frontend`, or `payload`
+//!   --fault SITE:WAY[:BIT]  inject a stuck-at-1 hard fault on bit BIT
+//!                           (default 0); SITE is one of `frontend`,
+//!                           `backend`, `payload`, `cachedata`,
+//!                           `cachetag`, `sbuf`, `dtq`, `lvq`
 //!   --max-cycles N                              (default: 1 billion)
-//!   --oracle        cross-check every commit against the interpreter
-//!                   (single mode, fault-free only)
-//!   --quiet         print only the outcome line
+//!   --oracle        replay every leading commit against the interpreter
+//!                   and print the match count or the first divergence
+//!                   (any mode; under --fault the divergence names the
+//!                   first corrupted commit)
+//!   --quiet         print only the outcome (and oracle) line
 //! ```
+//!
+//! Exit status: 0 on a completed or detected run, 1 when the program
+//! cannot be read or assembled, 2 on bad options, 3 at the cycle limit,
+//! and 4 when a fault-free run's commits diverge from the interpreter.
 //!
 //! Example:
 //!
@@ -33,9 +41,11 @@
 use std::process::exit;
 
 use blackjack::envcfg;
-use blackjack::faults::{AreaModel, FaultPlan, FaultSite, HardFault};
+use blackjack::faults::{AreaModel, FaultPlan, HardFault};
 use blackjack::isa::asm::assemble_named;
-use blackjack::sim::{Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo, FLIGHT_CAPACITY};
+use blackjack::sim::{
+    replay_commit_log, Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo, FLIGHT_CAPACITY,
+};
 use blackjack::telemetry::TraceWriter;
 
 fn usage() -> ! {
@@ -92,23 +102,11 @@ fn main() {
             }
             "--fault" => {
                 let spec = args.next().unwrap_or_else(|| usage());
-                let parts: Vec<&str> = spec.split(':').collect();
-                if parts.len() < 2 || parts.len() > 3 {
-                    eprintln!("bad fault spec `{spec}` (want SITE:WAY[:BIT])");
-                    usage();
-                }
-                let way: usize = parts[1].parse().unwrap_or_else(|_| usage());
-                let bit: u8 = parts.get(2).map(|b| b.parse().unwrap_or_else(|_| usage())).unwrap_or(0);
-                let site = match parts[0] {
-                    "backend" => FaultSite::Backend { way },
-                    "frontend" => FaultSite::Frontend { way },
-                    "payload" => FaultSite::PayloadRam { entry: way },
-                    other => {
-                        eprintln!("unknown fault site `{other}`");
-                        usage()
-                    }
-                };
-                plan.add(HardFault::stuck_bit(site, bit));
+                let fault = HardFault::parse_stuck_bit(&spec).unwrap_or_else(|e| {
+                    eprintln!("bad fault spec `{spec}`: {e}");
+                    usage()
+                });
+                plan.add(fault);
             }
             "--oracle" => oracle = true,
             "--quiet" => quiet = true,
@@ -137,7 +135,7 @@ fn main() {
         .unwrap_or(FLIGHT_CAPACITY);
     let mut core = Core::new(cfg.clone(), &prog, plan);
     if oracle {
-        core.enable_oracle(&prog);
+        core.enable_commit_log();
     }
     if writer.is_some() {
         core.enable_trace_with_capacity(trace_depth);
@@ -154,6 +152,7 @@ fn main() {
         }
     }
 
+    let replay = core.take_commit_log().map(|log| replay_commit_log(&prog, &log));
     let s = core.stats();
     match outcome {
         RunOutcome::Completed => println!("completed: {} instructions, {} cycles (IPC {:.3})",
@@ -164,11 +163,26 @@ fn main() {
             if !quiet {
                 eprintln!("{}", core.debug_state());
             }
-            exit(3);
         }
-        // bjsim never arms the campaign early-exit checks (stall window /
-        // quiesce cycle), so this is defensive only.
-        RunOutcome::EarlyExit(r) => println!("early exit ({r}) at cycle {}", s.cycles),
+    }
+    // Under a fault the divergence is the expected, informational part:
+    // it names the first corrupted commit, which precedes any detection.
+    let diverged = match &replay {
+        Some(Ok(n)) => {
+            println!("oracle: all {n} commits match the interpreter");
+            false
+        }
+        Some(Err(d)) => {
+            println!("oracle: first divergence at {d}");
+            core.plan().is_empty()
+        }
+        None => false,
+    };
+    if outcome == RunOutcome::CycleLimit {
+        exit(3);
+    }
+    if diverged {
+        exit(4);
     }
     if quiet {
         return;

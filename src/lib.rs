@@ -12,6 +12,7 @@ pub use blackjack_sim as sim;
 pub use blackjack_workloads as workloads;
 
 mod campaign;
+pub mod earlyexit;
 pub mod envcfg;
 mod experiment;
 pub mod metrics;
@@ -22,6 +23,7 @@ pub use campaign::{
     Campaign, CampaignStats, CampaignTrace, JobTiming, Observed, ObserveOpts, ProgressHook,
     ProgressTick,
 };
+pub use earlyexit::{EarlyExit, EarlyExitKind, Exit};
 pub use envcfg::EnvError;
 pub use experiment::{BenchmarkResult, Experiment, ExperimentResult, ModeResult};
 pub use metrics::{Counter, Gauge, Metrics, MetricsRegistry};

@@ -73,9 +73,9 @@ pub enum Counter {
     ExitDetected,
     /// Runs that ended with `ExitReason::CycleLimit`.
     ExitCycleLimit,
-    /// Runs that ended with `ExitReason::Converged` (early exit).
+    /// Runs the early-exit driver sealed benign (M2, convergence).
     ExitConverged,
-    /// Runs that ended with `ExitReason::Stalled` (early exit).
+    /// Runs the early-exit driver declared stuck (M3, stall watchdog).
     ExitStalled,
     /// Sites statically proven benign — no simulation at all.
     PrunedStatic,
@@ -170,8 +170,6 @@ impl Counter {
             ExitReason::Completed => Counter::ExitCompleted,
             ExitReason::Detected => Counter::ExitDetected,
             ExitReason::CycleLimit => Counter::ExitCycleLimit,
-            ExitReason::Converged => Counter::ExitConverged,
-            ExitReason::Stalled => Counter::ExitStalled,
         }
     }
 }
@@ -547,11 +545,11 @@ mod tests {
         let mut m = Metrics::enabled();
         m.record_exit(Some(ExitReason::Completed));
         m.record_exit(Some(ExitReason::Completed));
-        m.record_exit(Some(ExitReason::Converged));
+        m.record_exit(Some(ExitReason::CycleLimit));
         m.record_exit(None); // pre-run / unknown: not counted
         let r = m.registry().unwrap();
         assert_eq!(r.get(Counter::ExitCompleted), 2);
-        assert_eq!(r.get(Counter::ExitConverged), 1);
+        assert_eq!(r.get(Counter::ExitCycleLimit), 1);
         assert_eq!(r.get(Counter::ExitDetected), 0);
     }
 
@@ -564,6 +562,8 @@ mod tests {
             assert!(!seen.contains(&c), "{reason:?} shares a counter");
             seen.push(c);
         }
+        // The early-exit driver's own exits never alias a core reason.
+        assert!(!seen.contains(&Counter::ExitConverged) && !seen.contains(&Counter::ExitStalled));
     }
 
     #[test]

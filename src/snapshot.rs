@@ -67,8 +67,8 @@ pub struct SnapshotChain {
 pub struct ChainStats {
     /// Snapshots taken from a fresh allocation.
     pub taken: u64,
-    /// Snapshots taken by refilling a retired spare in place
-    /// (allocation-free; the periodic builder's steady state).
+    /// Snapshots taken by refilling a retired spare in place, reusing its
+    /// machine buffers (the periodic builder's steady state).
     pub refilled: u64,
     /// Snapshots retired behind the sliding horizon (or thinned when the
     /// interval doubled).
@@ -105,8 +105,9 @@ impl SnapshotChain {
     /// every `interval` cycles, with no advance knowledge of the arming
     /// points — pair with [`SnapshotChain::fork_catchup`]. Returns the
     /// chain and the completed core (whose cycle count is the arming
-    /// schedule's denominator, and whose site-usage tracker — if the
-    /// caller enabled one — holds the early-exit activation schedule).
+    /// schedule's denominator, and whose plan — if the caller built it
+    /// with `FaultPlan::record_usage` — holds the early-exit activation
+    /// schedule).
     ///
     /// Because arms always land in the late half of the run
     /// ([`arming_schedule`]), snapshots that fall behind the advancing
@@ -147,9 +148,9 @@ impl SnapshotChain {
         let mut interval = interval;
         // Snapshots the sliding horizon retires go here and are refreshed
         // in place ([`CoreSnapshot::refill_from`]) for the next pause:
-        // past the warm-up the builder takes snapshots without touching
-        // the allocator, which is most of its overhead over a plain
-        // reference run.
+        // past the warm-up the builder reuses every machine buffer (only
+        // the fault plan, with its small usage record, is copied afresh),
+        // which saves most of its overhead over a plain reference run.
         let mut spare: Vec<Box<CoreSnapshot>> = Vec::new();
         let mut stats = ChainStats { taken: 1, peak_retained: 1, ..ChainStats::default() };
         let mut snaps: Vec<(u64, Box<CoreSnapshot>)> =
@@ -229,10 +230,10 @@ impl SnapshotChain {
     }
 
     /// Like [`SnapshotChain::fork`], but tolerant of arms the chain never
-    /// paused at: restores the nearest snapshot at or before `arm - 1`,
-    /// catches up the remaining fault-free cycles, then installs `plan`.
-    /// Exact for the same reason the plain fork is — every caught-up
-    /// cycle precedes the arming point, where the hooks are inert.
+    /// paused at: forks the nearest snapshot at or before `arm - 1` under
+    /// `plan` and catches up the remaining cycles to `arm - 1`. Exact for
+    /// the same reason the plain fork is — every caught-up cycle precedes
+    /// the arming point, where the hooks are inert.
     ///
     /// # Panics
     ///
@@ -244,13 +245,12 @@ impl SnapshotChain {
         let target = arm.saturating_sub(1);
         let i = self.snaps.partition_point(|(_, s)| s.cycle() <= target);
         assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
-        let mut core = self.snaps[i - 1].1.restore();
-        // The donor of an early-exit chain carries the reference pass's
-        // site-usage tracker; the fork doesn't need it (set_plan would
-        // drop it anyway) and catch-up shouldn't pay for the recording.
-        core.take_site_usage();
+        // The plan goes in before the catch-up: its hooks are inert until
+        // `arm`, and the donor's plan (with an early-exit chain, the
+        // reference pass's usage recorder) is gone before it costs a
+        // cycle of recording.
+        let mut core = self.snaps[i - 1].1.fork(plan);
         core.run(target);
-        core.set_plan(plan);
         core
     }
 
