@@ -574,10 +574,11 @@ pub fn run_detection_observed(
     // The one schedule choice. Several workers first fill every cell in
     // a parallel setup pass, so no worker waits on another's reference
     // pass — at the price of every group's snapshot chain being live at
-    // once (1,789 MiB peak for 850 jobs over 34 groups on two workers;
-    // `benchmark/README.md`). One worker gains nothing from that, so
-    // each group's first job fills its cell and its last job frees the
-    // chain: one chain live at a time (447 MiB for the same jobs).
+    // once (1,071 MiB peak for 850 jobs over 34 groups on two workers,
+    // the benchmark's `inject-transient`). One worker gains nothing from
+    // that, so each group's first job fills its cell and its last job
+    // frees the chain: one chain live at a time (84 MiB for the same
+    // jobs, `inject-hard`).
     let setup_shards: Vec<Option<Box<MetricsRegistry>>> = if campaign.workers() > 1 {
         campaign.run(
             (0..cells.len())

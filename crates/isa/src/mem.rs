@@ -2,16 +2,27 @@
 //! timing simulator's data state.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
+type Page = [u8; PAGE_SIZE];
+
+/// What every untouched page reads as.
+static ZERO_PAGE: Page = [0; PAGE_SIZE];
+
 /// A sparse, paged, byte-addressable 64-bit memory.
 ///
-/// Pages are allocated on first touch and initialized to zero, so any
+/// Pages are allocated on first write and initialized to zero, so any
 /// address is readable. Multi-byte accesses are little-endian and may cross
 /// page boundaries.
+///
+/// Pages are shared copy-on-write: a clone shares every page with its
+/// source, and either side copies a page only when it first writes it. A
+/// snapshot of a core's memory therefore costs one reference count per
+/// page, and later snapshots copy only the pages written in between.
 ///
 /// # Example
 ///
@@ -22,10 +33,14 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// m.write_u64(0x1000, 0xdead_beef);
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u64(0x2000), 0, "untouched memory reads zero");
+///
+/// let snap = m.clone();
+/// m.write_u64(0x1000, 1);
+/// assert_eq!(snap.read_u64(0x1000), 0xdead_beef, "a clone keeps its own view");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PagedMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Arc<Page>>,
 }
 
 impl PagedMem {
@@ -39,36 +54,51 @@ impl PagedMem {
         self.pages.len()
     }
 
+    /// The page holding `addr`, or the zero page if it was never written.
+    fn page(&self, addr: u64) -> &Page {
+        self.pages.get(&(addr >> PAGE_SHIFT)).map_or(&ZERO_PAGE, |p| p)
+    }
+
+    /// The page holding `addr`, allocated on first write and unshared
+    /// (copied) if a clone still holds it.
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        Arc::make_mut(self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Arc::new(ZERO_PAGE)))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr & PAGE_MASK) as usize],
-            None => 0,
-        }
+        self.page(addr)[(addr & PAGE_MASK) as usize]
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = val;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = val;
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
     pub fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let off = (addr & PAGE_MASK) as usize;
         let mut out = [0u8; N];
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+        match self.page(addr).get(off..off + N) {
+            Some(bytes) => out.copy_from_slice(bytes),
+            // Straddles a page boundary, or wraps past `u64::MAX` to page 0.
+            None => {
+                for (i, b) in out.iter_mut().enumerate() {
+                    *b = self.read_u8(addr.wrapping_add(i as u64));
+                }
+            }
         }
         out
     }
 
-    /// Writes bytes starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+    /// Writes bytes starting at `addr`, one page-sized chunk at a time.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - off));
+            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            bytes = rest;
         }
     }
 
@@ -120,21 +150,24 @@ impl PagedMem {
         }
     }
 
-    /// Compares the touched contents of two memories, returning the first
-    /// differing address if any. Used by differential tests.
+    /// The SDC oracle: the lowest address at which the two memories
+    /// differ, or `None` if they hold the same bytes everywhere. A page
+    /// written on one side only compares against zeros, so touching a page
+    /// without changing its contents is no difference.
     pub fn first_difference(&self, other: &PagedMem) -> Option<u64> {
         let mut pages: Vec<u64> = self.pages.keys().chain(other.pages.keys()).copied().collect();
         pages.sort_unstable();
         pages.dedup();
-        for p in pages {
+        pages.into_iter().find_map(|p| {
             let base = p << PAGE_SHIFT;
-            for off in 0..PAGE_SIZE as u64 {
-                if self.read_u8(base + off) != other.read_u8(base + off) {
-                    return Some(base + off);
-                }
+            let (a, b) = (self.page(base), other.page(base));
+            // Whole pages first; bytes only inside a page that differs.
+            if a == b {
+                return None;
             }
-        }
-        None
+            let off = a.iter().zip(b).position(|(x, y)| x != y)?;
+            Some(base + off as u64)
+        })
     }
 }
 

@@ -128,9 +128,14 @@ impl StoreBuffer {
         }
     }
 
-    /// Reads `bytes` at `addr`, seeing buffered stores (youngest first) in
-    /// front of memory, at byte granularity.
+    /// Reads `bytes` (1, 4, or 8) at `addr`, seeing buffered stores
+    /// (youngest first) in front of memory, at byte granularity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not 1, 4, or 8.
     pub fn read_through(&self, addr: u64, bytes: u64, mem: &PagedMem) -> u64 {
+        let backing = mem.read_sized(addr, bytes);
         let mut out = 0u64;
         for i in 0..bytes {
             let a = addr.wrapping_add(i);
@@ -142,7 +147,7 @@ impl StoreBuffer {
                     let off = a.wrapping_sub(r.addr);
                     (off < r.bytes).then(|| (r.data >> (8 * off)) as u8)
                 })
-                .unwrap_or_else(|| mem.read_u8(a));
+                .unwrap_or((backing >> (8 * i)) as u8);
             out |= (byte as u64) << (8 * i);
         }
         out

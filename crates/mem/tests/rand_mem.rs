@@ -16,52 +16,93 @@ enum MemOp {
     R(u64, u8), // address, size log2 in {0,2,3}
 }
 
+/// Page boundaries the accesses cluster around. Anchor 0 puts them
+/// within 16 bytes of `u64::MAX`, where an access wraps to page 0.
+const ANCHORS: [u64; 4] = [0, 0x10_0000, 0x10_1000, 0x7fff_f000];
+
 fn mem_op(rng: &mut Rng) -> MemOp {
-    // Cluster addresses so reads observe writes.
-    let addr = 0x10_0000 + rng.random_range(0u64..4096);
+    // Cluster addresses so reads observe writes and multi-byte accesses
+    // straddle pages.
+    let anchor = ANCHORS[rng.random_range(0..ANCHORS.len())];
+    let addr = anchor.wrapping_add(rng.random_range(0u64..32)).wrapping_sub(16);
+    // Every fourth write stores zeros: a written page holding only zeros
+    // must compare equal to an absent one.
+    let v = if rng.random_range(0..4u32) == 0 { 0 } else { rng.next_u64() };
     match rng.random_range(0..4u32) {
-        0 => MemOp::W8(addr, rng.next_u64() as u8),
-        1 => MemOp::W32(addr, rng.next_u32()),
-        2 => MemOp::W64(addr, rng.next_u64()),
+        0 => MemOp::W8(addr, v as u8),
+        1 => MemOp::W32(addr, v as u32),
+        2 => MemOp::W64(addr, v),
         _ => MemOp::R(addr, [0u8, 2, 3][rng.random_range(0..3usize)]),
     }
 }
 
+/// A memory under test and its byte-map model (absent bytes read zero).
+type Side = (PagedMem, HashMap<u64, u8>);
+
+fn model_byte(model: &HashMap<u64, u8>, a: u64) -> u8 {
+    model.get(&a).copied().unwrap_or(0)
+}
+
+fn apply(op: MemOp, (mem, model): &mut Side) {
+    let mut record = |a: u64, bytes: &[u8]| {
+        for (i, b) in bytes.iter().enumerate() {
+            model.insert(a.wrapping_add(i as u64), *b);
+        }
+    };
+    match op {
+        MemOp::W8(a, v) => {
+            mem.write_u8(a, v);
+            record(a, &[v]);
+        }
+        MemOp::W32(a, v) => {
+            mem.write_u32(a, v);
+            record(a, &v.to_le_bytes());
+        }
+        MemOp::W64(a, v) => {
+            mem.write_u64(a, v);
+            record(a, &v.to_le_bytes());
+        }
+        MemOp::R(a, logsz) => {
+            let n = 1u64 << logsz;
+            let want = (0..n)
+                .fold(0u64, |w, i| w | (model_byte(model, a.wrapping_add(i)) as u64) << (8 * i));
+            assert_eq!(mem.read_sized(a, n), want, "read {n} bytes at {a:#x}");
+        }
+    }
+}
+
+/// The lowest address at which two byte maps differ.
+fn model_difference(a: &HashMap<u64, u8>, b: &HashMap<u64, u8>) -> Option<u64> {
+    a.keys().chain(b.keys()).copied().filter(|&k| model_byte(a, k) != model_byte(b, k)).min()
+}
+
+/// Random accesses, a clone taken mid-sequence with both sides written
+/// afterwards, and `first_difference` between the sides and against an
+/// empty memory, all against byte maps.
 #[test]
 fn paged_mem_matches_byte_map() {
     let mut rng = Rng::seed_from_u64(0x11E1);
+    let empty: Side = (PagedMem::new(), HashMap::new());
     for _ in 0..100 {
         let n_ops = rng.random_range(1..200usize);
-        let mut mem = PagedMem::new();
-        let mut model: HashMap<u64, u8> = HashMap::new();
-        for _ in 0..n_ops {
-            match mem_op(&mut rng) {
-                MemOp::W8(a, v) => {
-                    mem.write_u8(a, v);
-                    model.insert(a, v);
-                }
-                MemOp::W32(a, v) => {
-                    mem.write_u32(a, v);
-                    for (i, b) in v.to_le_bytes().iter().enumerate() {
-                        model.insert(a + i as u64, *b);
-                    }
-                }
-                MemOp::W64(a, v) => {
-                    mem.write_u64(a, v);
-                    for (i, b) in v.to_le_bytes().iter().enumerate() {
-                        model.insert(a + i as u64, *b);
-                    }
-                }
-                MemOp::R(a, logsz) => {
-                    let n = 1u64 << logsz;
-                    let got = mem.read_sized(a, n);
-                    let mut want = 0u64;
-                    for i in 0..n {
-                        want |= (*model.get(&(a + i)).unwrap_or(&0) as u64) << (8 * i);
-                    }
-                    assert_eq!(got, want, "read {n} bytes at {a:#x}");
-                }
+        let clone_at = rng.random_range(0..n_ops);
+        let mut sides: Vec<Side> = vec![empty.clone()];
+        for k in 0..n_ops {
+            if k == clone_at {
+                sides.push(sides[0].clone());
             }
+            let side = rng.random_range(0..sides.len());
+            apply(mem_op(&mut rng), &mut sides[side]);
+        }
+        for (mem, model) in &sides {
+            for (&a, &b) in model {
+                assert_eq!(mem.read_u8(a), b, "byte at {a:#x}");
+            }
+        }
+        for (x, y) in [(&sides[0], &sides[1]), (&sides[0], &empty), (&sides[1], &empty)] {
+            let want = model_difference(&x.1, &y.1);
+            assert_eq!(x.0.first_difference(&y.0), want);
+            assert_eq!(y.0.first_difference(&x.0), want);
         }
     }
 }

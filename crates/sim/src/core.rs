@@ -1603,11 +1603,10 @@ impl Core {
             let Some(fwd) = self.ctxs[LEADING].lsq.forward_status(seq, addr, bytes) else {
                 return false; // an overlapping older store has no data yet
             };
+            let committed = self.sb.read_through(addr, bytes, &self.mem);
             let mut raw = 0u64;
             for (i, byte) in fwd.iter().enumerate() {
-                let v = byte.unwrap_or_else(|| {
-                    self.sb.read_through(addr.wrapping_add(i as u64), 1, &self.mem) as u8
-                });
+                let v = byte.unwrap_or((committed >> (8 * i)) as u8);
                 raw |= (v as u64) << (8 * i);
             }
             // ECC check bits are generated over the clean composed value
@@ -2190,9 +2189,11 @@ impl Core {
 /// A frozen, restore-exact copy of a [`Core`] mid-simulation, taken with
 /// [`Core::snapshot`].
 ///
-/// The snapshot owns a deep copy of the entire simulation state, so it
+/// The snapshot owns a copy of the entire simulation state, so it
 /// outlives the core it came from and can mint any number of independent
-/// continuations. Two uses:
+/// continuations. Memory pages are shared copy-on-write
+/// ([`PagedMem`]): the snapshot, its donor and every continuation copy
+/// a page only when they first write it. Two uses:
 ///
 /// - [`CoreSnapshot::restore`] resumes the *same* run — stepping the
 ///   restored core is bit-identical to stepping the original.

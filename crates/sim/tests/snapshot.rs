@@ -5,6 +5,7 @@
 //! contract the fork-at-injection campaign path is built on.
 
 use blackjack_faults::{FaultPlan, FaultSite, HardFault};
+use blackjack_isa::{asm::assemble, FuType};
 use blackjack_sim::{Core, CoreConfig, Mode, RunOutcome, SimStats};
 use blackjack_workloads::{build, Benchmark};
 
@@ -224,4 +225,71 @@ fn fork_replaces_the_donor_plan() {
     assert_eq!(forked_out, cold_out, "the donor plan must not leak into the fork");
     assert_eq!(forked.cycle(), cold.cycle());
     assert_eq!(arch_stats(forked.stats()), arch_stats(cold.stats()));
+}
+
+#[test]
+fn forks_of_a_many_page_image_stay_isolated() {
+    // Forks share the snapshot's memory pages until they write them. A
+    // program that rewrites 96 pages on every pass makes each fork write
+    // through pages the snapshot still holds; one fork's corrupted stores
+    // must not reach the snapshot or a later fork of it.
+    const PAGES: u64 = 96;
+    const BASE: u64 = 0x40_0000;
+    let prog = assemble(&format!(
+        r#"
+        .text
+            li  x20, {BASE}
+            li  x24, 4096
+            li  x22, 4
+        pass:
+            li  x21, {PAGES}
+            mv  x23, x20
+        page:
+            sd  x21, 0(x23)
+            sd  x22, 2048(x23)
+            add x23, x23, x24
+            addi x21, x21, -1
+            bnez x21, page
+            addi x22, x22, -1
+            bnez x22, pass
+            halt
+        "#
+    ))
+    .unwrap();
+    let pass_stamp = |core: &Core, p: u64| core.mem().read_u64(BASE + p * 4096 + 2048);
+
+    for mode in [Mode::Single, Mode::BlackJack] {
+        let cfg = CoreConfig::with_mode(mode);
+        let mut cold = Core::new(cfg.clone(), &prog, FaultPlan::new());
+        assert!(cold.run(MAX_CYCLES).completed(), "{mode}: cold run");
+
+        let mut prefix = Core::new(cfg.clone(), &prog, FaultPlan::new());
+        prefix.run(cold.cycle() / 2);
+        let snap = prefix.snapshot();
+        assert!(prefix.mem().page_count() as u64 >= PAGES, "{mode}: image at the snapshot");
+        let rewritten =
+            (0..PAGES).filter(|&p| pass_stamp(&prefix, p) != pass_stamp(&cold, p)).count();
+        assert!(rewritten >= 64, "{mode}: only {rewritten} pages written after the snapshot");
+
+        // A stuck bit on every cache port corrupts store data (and
+        // addresses) on their way to memory.
+        let arm = snap.cycle() + 1;
+        let mut faulty = FaultPlan::new();
+        for i in 0..cfg.fu_counts.of(FuType::MemPort) {
+            let way = cfg.fu_counts.global_way(FuType::MemPort, i);
+            faulty.add(HardFault::stuck_bit(FaultSite::Backend { way }, 3));
+        }
+        let mut clean = snap.fork(FaultPlan::new().arm_at(arm));
+        let mut corrupt = snap.fork(faulty.arm_at(arm));
+        clean.run(MAX_CYCLES);
+        corrupt.run(MAX_CYCLES);
+        assert_eq!(clean.mem().first_difference(cold.mem()), None, "{mode}: first clean fork");
+        assert!(corrupt.mem().first_difference(cold.mem()).is_some(), "{mode}: faulted fork");
+
+        let mut third = snap.fork(FaultPlan::new().arm_at(arm));
+        assert!(third.run(MAX_CYCLES).completed(), "{mode}: third fork");
+        assert_eq!(third.mem().first_difference(cold.mem()), None, "{mode}: memory");
+        assert_eq!(third.cycle(), cold.cycle(), "{mode}: cycles");
+        assert_eq!(third.stats().committed, cold.stats().committed, "{mode}: commits");
+    }
 }

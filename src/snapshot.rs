@@ -147,10 +147,12 @@ impl SnapshotChain {
         const MAX_RETAINED: usize = 96;
         let mut interval = interval;
         // Snapshots the sliding horizon retires go here and are refreshed
-        // in place ([`CoreSnapshot::refill_from`]) for the next pause:
-        // past the warm-up the builder reuses every machine buffer (only
-        // the fault plan, with its small usage record, is copied afresh),
-        // which saves most of its overhead over a plain reference run.
+        // in place ([`CoreSnapshot::refill_from`]) for the next pause.
+        // Past the warm-up the builder reuses every machine buffer except
+        // the memory pages, which the snapshot shares with the advancing
+        // core until the core writes them; only the fault plan, with its
+        // small usage record, is copied afresh. That saves most of the
+        // builder's overhead over a plain reference run.
         let mut spare: Vec<Box<CoreSnapshot>> = Vec::new();
         let mut stats = ChainStats { taken: 1, peak_retained: 1, ..ChainStats::default() };
         let mut snaps: Vec<(u64, Box<CoreSnapshot>)> =
