@@ -1,5 +1,7 @@
 //! Set-associative cache model (tags + LRU state only).
 
+use std::sync::Arc;
+
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -57,11 +59,11 @@ impl CacheStats {
     }
 }
 
-/// One cache line, packed to 16 bytes: snapshot-heavy campaigns memcpy
-/// every line of every level on each `Core` clone, so line size is
-/// directly campaign wall time. `meta` holds the LRU stamp (higher =
-/// more recently used) in its upper 62 bits and valid/dirty in the low
-/// two.
+/// One cache line, packed to 16 bytes: the first access to a chunk
+/// after a clone copies all of its lines (2 KiB for Table 1's 8-way L2,
+/// 1 KiB for its 4-way L1s), so line size is the unsharing cost. `meta`
+/// holds the LRU stamp (higher = more recently used) in its upper 62
+/// bits and valid/dirty in the low two.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
@@ -98,6 +100,10 @@ impl Line {
     }
 }
 
+/// Sets per copy-on-write chunk of lines. A cache with no more sets than
+/// this is one chunk.
+const CHUNK_SETS: usize = 16;
+
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
@@ -111,44 +117,23 @@ pub struct Access {
 ///
 /// The model tracks tags and replacement state only; see the crate docs for
 /// why data is held externally.
-#[derive(Debug)]
+///
+/// Lines are shared copy-on-write in chunks of 16 sets: a clone shares
+/// every chunk with its source, and either side copies a chunk on its
+/// first [`Cache::access`] to it ([`Cache::probe`] copies nothing).
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// All lines in one contiguous row-major block, `assoc` per set.
-    /// Cloning a cache is one allocation and one memcpy — snapshot-heavy
-    /// campaigns clone the hierarchy thousands of times, and a
-    /// `Vec<Vec<_>>` here costs one allocation *per set* each time.
-    lines: Vec<Line>,
+    /// The lines, `assoc` per set row-major, in chunks of `CHUNK_SETS`
+    /// sets. Snapshot-heavy campaigns clone the hierarchy thousands of
+    /// times, so a clone copies only these handles: 4.6 KB for the
+    /// Table 1 hierarchy. A new cache's slots all hold one shared empty
+    /// chunk, so a cold core allocates only the chunks it touches.
+    chunks: Vec<Arc<[Line]>>,
     set_shift: u32,
     set_mask: u64,
     stamp: u64,
     stats: CacheStats,
-}
-
-/// Hand-written so `clone_from` copies the line block into the existing
-/// allocation: geometry never changes between a cache and its snapshot,
-/// so refreshing a recycled snapshot is a straight memcpy with no
-/// alloc/free traffic.
-impl Clone for Cache {
-    fn clone(&self) -> Cache {
-        Cache {
-            cfg: self.cfg,
-            lines: self.lines.clone(),
-            set_shift: self.set_shift,
-            set_mask: self.set_mask,
-            stamp: self.stamp,
-            stats: self.stats,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Cache) {
-        self.cfg = source.cfg;
-        self.lines.clone_from(&source.lines);
-        self.set_shift = source.set_shift;
-        self.set_mask = source.set_mask;
-        self.stamp = source.stamp;
-        self.stats = source.stats;
-    }
 }
 
 impl Cache {
@@ -159,8 +144,10 @@ impl Cache {
     /// Panics if the geometry is inconsistent (see [`CacheConfig::num_sets`]).
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.num_sets();
+        let chunk_sets = sets.min(CHUNK_SETS);
+        let empty: Arc<[Line]> = vec![Line::EMPTY; chunk_sets * cfg.assoc].into();
         Cache {
-            lines: vec![Line::EMPTY; sets * cfg.assoc],
+            chunks: vec![empty; sets / chunk_sets],
             set_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
             stamp: 0,
@@ -169,8 +156,9 @@ impl Cache {
         }
     }
 
-    fn set_lines(&self, set: usize) -> &[Line] {
-        &self.lines[set * self.cfg.assoc..(set + 1) * self.cfg.assoc]
+    /// Chunk index and the offset of `set`'s first line within it.
+    fn locate(&self, set: usize) -> (usize, usize) {
+        (set / CHUNK_SETS, set % CHUNK_SETS * self.cfg.assoc)
     }
 
     /// The configured geometry.
@@ -203,7 +191,8 @@ impl Cache {
     /// True if the line containing `addr` is resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.split(addr);
-        self.set_lines(set).iter().any(|l| l.valid() && l.tag == tag)
+        let (chunk, at) = self.locate(set);
+        self.chunks[chunk][at..at + self.cfg.assoc].iter().any(|l| l.valid() && l.tag == tag)
     }
 
     /// Performs an access, updating tags, LRU, and statistics.
@@ -214,8 +203,10 @@ impl Cache {
         self.stamp += 1;
         self.stats.accesses += 1;
         let (set, tag) = self.split(addr);
+        let (chunk, at) = self.locate(set);
         let assoc = self.cfg.assoc;
-        let lines = &mut self.lines[set * assoc..(set + 1) * assoc];
+        // Every access writes LRU state, so a hit unshares the chunk too.
+        let lines = &mut Arc::make_mut(&mut self.chunks[chunk])[at..at + assoc];
 
         if let Some(l) = lines.iter_mut().find(|l| l.valid() && l.tag == tag) {
             l.touch(self.stamp, write);
@@ -235,13 +226,6 @@ impl Cache {
         }
         *victim = Line::filled(tag, write, self.stamp);
         Access { hit: false, writeback }
-    }
-
-    /// Invalidates everything (used when resetting between runs).
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            l.meta = 0;
-        }
     }
 }
 
@@ -314,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_invalidates() {
-        let mut c = small();
-        c.access(0, true);
-        c.flush();
-        assert!(!c.probe(0));
-        assert!(!c.access(0, false).hit);
-        assert_eq!(c.stats().writebacks, 0, "flush drops dirty data silently (model only)");
-    }
-
-    #[test]
     fn distinct_sets_do_not_conflict() {
         let mut c = small();
         for i in 0..4u64 {
@@ -352,5 +326,65 @@ mod tests {
         c.access(0, false);
         c.access(0, false);
         assert_eq!(c.stats().miss_rate(), 0.5);
+    }
+
+    /// Table 1's L2 geometry: 4,096 sets of 8 ways, so 256 chunks.
+    fn l2() -> Cache {
+        Cache::new(CacheConfig {
+            size_bytes: 2 * 1024 * 1024,
+            assoc: 8,
+            line_bytes: 64,
+            hit_latency: 12,
+        })
+    }
+
+    /// Where each chunk's lines live: equal pointers are a shared chunk.
+    fn chunk_ptrs(c: &Cache) -> Vec<*const Line> {
+        c.chunks.iter().map(|ch| Arc::as_ptr(ch).cast::<Line>()).collect()
+    }
+
+    #[test]
+    fn a_new_cache_shares_one_empty_chunk() {
+        // No more sets than one chunk: a single chunk of every line.
+        assert_eq!(small().chunks.len(), 1);
+        assert_eq!(small().chunks[0].len(), 4 * 2);
+        let mut c = l2();
+        assert_eq!(c.chunks.len(), 4096 / CHUNK_SETS);
+        assert_eq!(c.chunks[0].len(), CHUNK_SETS * 8);
+        assert!(c.chunks.iter().all(|ch| Arc::ptr_eq(ch, &c.chunks[0])));
+        assert_eq!(Arc::strong_count(&c.chunks[0]), 256);
+        // Set 17 lives in chunk 1; only that slot gets a chunk of its own.
+        c.access(17 * 64, false);
+        assert_eq!(Arc::strong_count(&c.chunks[1]), 1);
+        assert_eq!(Arc::strong_count(&c.chunks[0]), 255);
+    }
+
+    #[test]
+    fn access_copies_only_the_accessed_chunk_on_the_accessing_side() {
+        let mut a = l2();
+        // Give every chunk lines of its own.
+        for set in 0..a.sets() as u64 {
+            a.access(set * 64, false);
+        }
+        let mut b = a.clone();
+        let shared = chunk_ptrs(&a);
+        assert_eq!(chunk_ptrs(&b), shared, "a clone shares every chunk");
+        assert!(a.chunks.iter().all(|ch| Arc::strong_count(ch) == 2));
+
+        assert!(b.probe(0) && !b.probe(1 << 30));
+        assert_eq!(chunk_ptrs(&b), shared, "probe copies nothing");
+
+        // Set 37 lives in chunk 2: a hit on it copies that chunk, on b only.
+        assert!(b.access(37 * 64, false).hit);
+        let b_ptrs = chunk_ptrs(&b);
+        assert_eq!(chunk_ptrs(&a), shared, "the other side keeps every chunk");
+        let copied: Vec<usize> = (0..shared.len()).filter(|&i| b_ptrs[i] != shared[i]).collect();
+        assert_eq!(copied, [2]);
+        assert_eq!(Arc::strong_count(&a.chunks[2]), 1);
+
+        // Another set of the same chunk: already b's own, nothing copied.
+        b.access(38 * 64 + (1 << 30), true);
+        assert_eq!(chunk_ptrs(&b), b_ptrs);
+        assert!(!a.probe(38 * 64 + (1 << 30)), "b's fill stays on b");
     }
 }

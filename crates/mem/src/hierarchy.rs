@@ -38,36 +38,13 @@ impl Default for MemConfig {
 ///
 /// Each access returns the number of cycles until the data is available;
 /// the pipeline schedules instruction completion from that.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemSystem {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
     mem_latency: u64,
     mem_accesses: u64,
-}
-
-/// Hand-written so `clone_from` forwards to [`Cache::clone_from`] and
-/// the whole hierarchy refreshes in place without reallocating any of
-/// the three line blocks.
-impl Clone for MemSystem {
-    fn clone(&self) -> MemSystem {
-        MemSystem {
-            l1i: self.l1i.clone(),
-            l1d: self.l1d.clone(),
-            l2: self.l2.clone(),
-            mem_latency: self.mem_latency,
-            mem_accesses: self.mem_accesses,
-        }
-    }
-
-    fn clone_from(&mut self, source: &MemSystem) {
-        self.l1i.clone_from(&source.l1i);
-        self.l1d.clone_from(&source.l1d);
-        self.l2.clone_from(&source.l2);
-        self.mem_latency = source.mem_latency;
-        self.mem_accesses = source.mem_accesses;
-    }
 }
 
 impl MemSystem {
@@ -170,13 +147,6 @@ impl MemSystem {
     pub fn mem_accesses(&self) -> u64 {
         self.mem_accesses
     }
-
-    /// Invalidates all levels.
-    pub fn flush(&mut self) {
-        self.l1i.flush();
-        self.l1d.flush();
-        self.l2.flush();
-    }
 }
 
 #[cfg(test)]
@@ -258,14 +228,5 @@ mod tests {
         assert_eq!(m.l1d_set(0), 0);
         assert_eq!(m.l1d_set(64), 1);
         assert_eq!(m.l1d_set(256 * 64), 0);
-    }
-
-    #[test]
-    fn flush_restores_cold_state() {
-        let cfg = MemConfig::default();
-        let mut m = MemSystem::new(&cfg);
-        m.access_data(0, false);
-        m.flush();
-        assert_eq!(m.access_data(0, false), 2 + 12 + 350);
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use blackjack_isa::PagedMem;
-use blackjack_mem::{Cache, CacheConfig, StoreBuffer, StoreRecord};
+use blackjack_mem::{Cache, CacheConfig, CacheStats, StoreBuffer, StoreRecord};
 use blackjack_rng::Rng;
 
 /// Random byte/word/dword writes against a byte-map model.
@@ -135,31 +135,96 @@ fn store_buffer_read_through_matches_replay() {
     }
 }
 
-/// The cache agrees with a reference model: per-set LRU lists.
+/// A cache's reference model: per set, the resident lines
+/// most-recent-last with their dirty bits, and the counters the cache
+/// must report.
+#[derive(Debug, Clone)]
+struct LruModel {
+    sets: Vec<Vec<(u64, bool)>>,
+    stats: CacheStats,
+}
+
+/// A cache under test and its model.
+type CacheSide = (Cache, LruModel);
+
+/// An address in one of the four `hot` sets (so lines get evicted) or,
+/// as often, in any set (so every chunk is touched).
+fn cache_addr(rng: &mut Rng, cfg: &CacheConfig, hot: u64) -> u64 {
+    let sets = cfg.num_sets() as u64;
+    let set = if rng.random_range(0..2u32) == 0 {
+        (hot + rng.random_range(0..4u64)) % sets
+    } else {
+        rng.random_range(0..sets)
+    };
+    let tag = rng.random_range(0..2 * cfg.assoc as u64);
+    (tag * sets + set) * cfg.line_bytes + rng.random_range(0..cfg.line_bytes)
+}
+
+/// One access (a write one time in three) or probe, checked against the
+/// model: hit, the evicted dirty line's address, and residency.
+fn cache_op(rng: &mut Rng, hot: u64, (cache, model): &mut CacheSide) {
+    let cfg = *cache.config();
+    let a = cache_addr(rng, &cfg, hot);
+    let line = a / cfg.line_bytes;
+    let ways = &mut model.sets[(line % cfg.num_sets() as u64) as usize];
+    let pos = ways.iter().position(|&(l, _)| l == line);
+    if rng.random_range(0..4u32) == 0 {
+        assert_eq!(cache.probe(a), pos.is_some(), "probe {a:#x}");
+        return;
+    }
+    let write = rng.random_range(0..3u32) == 0;
+    let got = cache.access(a, write);
+    model.stats.accesses += 1;
+    let mut writeback = None;
+    let dirty = match pos {
+        Some(p) => ways.remove(p).1 || write,
+        None => {
+            model.stats.misses += 1;
+            if ways.len() == cfg.assoc {
+                let (victim, victim_dirty) = ways.remove(0);
+                if victim_dirty {
+                    model.stats.writebacks += 1;
+                    writeback = Some(victim * cfg.line_bytes);
+                }
+            }
+            write
+        }
+    };
+    ways.push((line, dirty));
+    assert_eq!(got.hit, pos.is_some(), "access {a:#x}");
+    assert_eq!(got.writeback, writeback, "writeback of access {a:#x}");
+}
+
+/// The cache agrees with per-set LRU lists, with fewer sets than a
+/// copy-on-write chunk, exactly one, and many: hits, writebacks and
+/// counters, through a clone taken mid-sequence after which both sides
+/// take different accesses, each against its own copy of the model.
 #[test]
 fn cache_matches_lru_model() {
     let mut rng = Rng::seed_from_u64(0xCAC4E);
-    for _ in 0..50 {
-        let n_addrs = rng.random_range(1..300usize);
-        let cfg = CacheConfig { size_bytes: 1024, assoc: 4, line_bytes: 32, hit_latency: 1 };
-        let mut cache = Cache::new(cfg);
-        let sets = cfg.num_sets() as u64;
-        // Model: per set, most-recent-last vector of line addresses.
-        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
-        for _ in 0..n_addrs {
-            let a = rng.random_range(0u64..0x4000);
-            let line = a / cfg.line_bytes;
-            let set = (line % sets) as usize;
-            let hit_model = model[set].contains(&line);
-            let got = cache.access(a, false);
-            assert_eq!(got.hit, hit_model, "addr {a:#x}");
-            if hit_model {
-                let pos = model[set].iter().position(|l| *l == line).unwrap();
-                model[set].remove(pos);
-            } else if model[set].len() == cfg.assoc {
-                model[set].remove(0); // evict LRU
+    for sets in [8u64, 16, 256] {
+        let cfg =
+            CacheConfig { size_bytes: sets * 4 * 32, assoc: 4, line_bytes: 32, hit_latency: 1 };
+        let fresh =
+            LruModel { sets: vec![Vec::new(); sets as usize], stats: CacheStats::default() };
+        for _ in 0..50 {
+            let n_ops = rng.random_range(1..(4 * sets as usize).max(300));
+            let clone_at = rng.random_range(0..n_ops);
+            let hot = rng.random_range(0..sets);
+            let mut sides: Vec<CacheSide> = vec![(Cache::new(cfg), fresh.clone())];
+            for k in 0..n_ops {
+                if k == clone_at {
+                    sides.push(sides[0].clone());
+                }
+                let side = rng.random_range(0..sides.len());
+                cache_op(&mut rng, hot, &mut sides[side]);
             }
-            model[set].push(line);
+            for (cache, model) in &sides {
+                assert_eq!(*cache.stats(), model.stats, "{sets} sets: counters");
+                for &(line, _) in model.sets.iter().flatten() {
+                    assert!(cache.probe(line * cfg.line_bytes), "{sets} sets: line {line:#x}");
+                }
+            }
         }
     }
 }

@@ -65,8 +65,8 @@ impl ShuffleItem for DtqPayload {
 ///
 /// `step()` runs hundreds of millions of times per campaign; these
 /// buffers are taken (`std::mem::take`), cleared, filled, and put back
-/// each cycle, so the steady-state hot path performs no heap allocation —
-/// every buffer retains its high-water-mark capacity across cycles.
+/// each cycle, so in the steady state they never allocate — every
+/// buffer retains its high-water-mark capacity across cycles.
 #[derive(Clone, Default)]
 struct StepScratch {
     /// Completions due this cycle.
@@ -2191,9 +2191,10 @@ impl Core {
 ///
 /// The snapshot owns a copy of the entire simulation state, so it
 /// outlives the core it came from and can mint any number of independent
-/// continuations. Memory pages are shared copy-on-write
-/// ([`PagedMem`]): the snapshot, its donor and every continuation copy
-/// a page only when they first write it. Two uses:
+/// continuations. Cache lines and memory pages are shared copy-on-write
+/// ([`blackjack_mem::Cache`], [`PagedMem`]): the snapshot, its donor and
+/// every continuation copy a 16-set cache chunk only when they first
+/// access it, and a page only when they first write it. Two uses:
 ///
 /// - [`CoreSnapshot::restore`] resumes the *same* run — stepping the
 ///   restored core is bit-identical to stepping the original.

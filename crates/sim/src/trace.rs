@@ -23,8 +23,8 @@
 //!
 //! **Overhead-when-off guarantee:** every hook goes through [`Tracer`],
 //! an enum whose `Off` variant reduces each call to a single discriminant
-//! branch — no allocation, no stores — preserving the zero-allocation
-//! `Core::step` hot loop (`bench_campaign` measures the trace-off
+//! branch — no allocation, no stores — so tracing off adds nothing to
+//! the `Core::step` hot loop (`bench_campaign` measures the trace-off
 //! throughput). When `On`, all buffers are pre-sized at
 //! [`Core::enable_trace`](crate::Core::enable_trace) time and recording
 //! is increment-only, so even traced runs never allocate per cycle.

@@ -21,6 +21,14 @@ fn arch_stats(stats: &SimStats) -> String {
     format!("{s:?}")
 }
 
+/// The memory hierarchy's counters as a comparable string. `SimStats`
+/// carries no cache counters, so cache state after a restore or fork is
+/// compared through these.
+fn cache_stats(core: &Core) -> String {
+    let m = core.mem_sys();
+    format!("{:?} {:?} {:?} {}", m.l1i_stats(), m.l1d_stats(), m.l2_stats(), m.mem_accesses())
+}
+
 /// Runs `bench` in `mode` under `plan` uninterrupted, and again split at
 /// `pause` cycles via snapshot/restore; asserts both end states match
 /// byte for byte.
@@ -61,12 +69,15 @@ fn assert_split_run_identical(bench: Benchmark, mode: Mode, plan: FaultPlan, pau
         None,
         "{bench}/{mode}: memory"
     );
+    assert_eq!(cache_stats(&resumed), cache_stats(&straight), "{bench}/{mode}: caches");
 
     // The donor core is untouched by the snapshot: finishing it from the
-    // pause point reproduces the same run a third time.
+    // pause point reproduces the same run a third time, though it and the
+    // restored core started from the same shared cache chunks.
     let donor_out = prefix.run(MAX_CYCLES);
     assert_eq!(donor_out, straight_out, "{bench}/{mode}: donor outcome");
     assert_eq!(arch_stats(prefix.stats()), arch_stats(straight.stats()), "{bench}/{mode}: donor");
+    assert_eq!(cache_stats(&prefix), cache_stats(&straight), "{bench}/{mode}: donor caches");
 }
 
 #[test]
@@ -229,10 +240,11 @@ fn fork_replaces_the_donor_plan() {
 
 #[test]
 fn forks_of_a_many_page_image_stay_isolated() {
-    // Forks share the snapshot's memory pages until they write them. A
-    // program that rewrites 96 pages on every pass makes each fork write
-    // through pages the snapshot still holds; one fork's corrupted stores
-    // must not reach the snapshot or a later fork of it.
+    // Forks share the snapshot's memory pages until they write them, and
+    // its cache chunks until they access them. A program that rewrites 96
+    // pages on every pass makes each fork write through pages and L2
+    // chunks the snapshot still holds; one fork's corrupted stores and
+    // addresses must not reach the snapshot or a later fork of it.
     const PAGES: u64 = 96;
     const BASE: u64 = 0x40_0000;
     let prog = assemble(&format!(
@@ -291,5 +303,6 @@ fn forks_of_a_many_page_image_stay_isolated() {
         assert_eq!(third.mem().first_difference(cold.mem()), None, "{mode}: memory");
         assert_eq!(third.cycle(), cold.cycle(), "{mode}: cycles");
         assert_eq!(third.stats().committed, cold.stats().committed, "{mode}: commits");
+        assert_eq!(cache_stats(&third), cache_stats(&cold), "{mode}: caches");
     }
 }

@@ -68,8 +68,11 @@ impl Experiment {
     }
 
     /// Enables per-run tracing: each [`ModeResult`] carries the run's
-    /// occupancy histograms, heatmap, and flight dump. Off by default —
-    /// the untraced hot loop stays allocation-free.
+    /// occupancy histograms, heatmap, and flight dump. Off by default:
+    /// the untraced hot loop allocates only to unshare — a shared cache
+    /// chunk on its first access and a shared page on its first write
+    /// after construction or a clone, at most once per chunk or page —
+    /// and to create a page the program writes for the first time.
     pub fn with_trace(mut self, trace: bool) -> Experiment {
         self.trace = trace;
         self

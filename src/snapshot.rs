@@ -149,10 +149,11 @@ impl SnapshotChain {
         // Snapshots the sliding horizon retires go here and are refreshed
         // in place ([`CoreSnapshot::refill_from`]) for the next pause.
         // Past the warm-up the builder reuses every machine buffer except
-        // the memory pages, which the snapshot shares with the advancing
-        // core until the core writes them; only the fault plan, with its
-        // small usage record, is copied afresh. That saves most of the
-        // builder's overhead over a plain reference run.
+        // the cache chunks and memory pages, which the snapshot shares
+        // with the advancing core until the core accesses the chunk or
+        // writes the page; only those handles and the fault plan, with
+        // its small usage record, are built afresh. That saves most of
+        // the builder's overhead over a plain reference run.
         let mut spare: Vec<Box<CoreSnapshot>> = Vec::new();
         let mut stats = ChainStats { taken: 1, peak_retained: 1, ..ChainStats::default() };
         let mut snaps: Vec<(u64, Box<CoreSnapshot>)> =
