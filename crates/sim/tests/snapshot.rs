@@ -306,3 +306,55 @@ fn forks_of_a_many_page_image_stay_isolated() {
         assert_eq!(cache_stats(&third), cache_stats(&cold), "{mode}: caches");
     }
 }
+
+#[test]
+fn a_snapshot_copies_only_the_live_slab_prefix() {
+    // gcc in BlackJack mode fills its uop slab to ~960 slots early and
+    // then runs with a few dozen uops in flight. A mid-run snapshot must
+    // copy the slab only up to its last live slot, keep every slot's
+    // generation, and still restore and fork exactly.
+    const PAUSE: u64 = 20_000;
+    assert_split_run_identical(Benchmark::Gcc, Mode::BlackJack, FaultPlan::new(), PAUSE);
+
+    let prog = build(Benchmark::Gcc, 1);
+    let cfg = CoreConfig::with_mode(Mode::BlackJack);
+    let mut donor = Core::new(cfg.clone(), &prog, FaultPlan::new());
+    assert_eq!(donor.run(PAUSE), RunOutcome::CycleLimit);
+    let slab = donor.uop_slab();
+    assert!(
+        slab.high_water() >= 10 * slab.slot_count(),
+        "{} live uops in {} slots, high water {}",
+        slab.len(),
+        slab.slot_count(),
+        slab.high_water()
+    );
+    let snap = donor.snapshot();
+    let restored = snap.restore();
+    let copy = restored.uop_slab();
+    assert_eq!(copy.len(), slab.len());
+    assert_eq!(copy.slot_count(), slab.slot_count(), "a clone copies the live prefix");
+    assert_eq!(copy.high_water(), slab.high_water(), "generations stay whole");
+
+    // Forks of the small snapshot run exactly like the cold run with the
+    // same armed plan, clean and faulted.
+    let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
+    for plan in [FaultPlan::new(), FaultPlan::single(fault)] {
+        let plan = plan.arm_at(PAUSE + 1);
+        let mut forked = snap.fork(plan.clone());
+        let mut cold = Core::new(cfg.clone(), &prog, plan);
+        assert_eq!(forked.run(MAX_CYCLES), cold.run(MAX_CYCLES));
+        assert_eq!(forked.cycle(), cold.cycle());
+        assert_eq!(arch_stats(forked.stats()), arch_stats(cold.stats()));
+        assert_eq!(cache_stats(&forked), cache_stats(&cold));
+        assert_eq!(forked.mem().first_difference(cold.mem()), None);
+    }
+
+    // A snapshot refilled from the small state holds the small copy,
+    // whatever it held before.
+    let mut early = Core::new(cfg, &prog, FaultPlan::new());
+    early.run(6_000);
+    let mut recycled = early.snapshot();
+    assert!(recycled.restore().uop_slab().slot_count() > 10 * slab.slot_count());
+    recycled.refill_from(&donor);
+    assert_eq!(recycled.restore().uop_slab().slot_count(), slab.slot_count());
+}

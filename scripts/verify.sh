@@ -47,12 +47,17 @@ cargo run --release -q --offline --bin bjsim -- --quiet --oracle examples/progra
 cargo run --release -q --offline --bin bjsim -- --quiet --oracle --fault backend:4:2 \
   examples/programs/checksum.s | grep -q DETECTED
 
-echo "== tier-1: BJ_SNAPSHOT equivalence smoke (ext_detection, gzip and equake) =="
+echo "== tier-1: BJ_SNAPSHOT equivalence smoke (ext_detection, gzip, equake, gcc and apsi) =="
 # The fork-at-injection path must be invisible in the report: stdout is
 # byte-identical with snapshots off (replay from cycle 0) and on. gzip
 # touches 2 memory pages; equake touches 1,192, so its forks write
-# through pages that their snapshots still share.
-for bench in gzip equake; do
+# through pages that their snapshots still share. A snapshot copies the
+# uop slab only up to its last live slot and each active list only over
+# its window: gcc's slab is cut deepest (in BlackJack mode, about 16
+# live uops of a 959-slot slab through the late half, where the arms
+# are), and apsi's windows are the longest (about 530 entries over both
+# contexts in BlackJack mode).
+for bench in gzip equake gcc apsi; do
   snap_off="$(BJ_SCALE=1 BJ_SNAPSHOT=0 cargo run --release -q --offline -p blackjack-bench \
     --bin ext_detection -- --bench "$bench" 2>/dev/null)"
   snap_on="$(BJ_SCALE=1 BJ_SNAPSHOT=1 cargo run --release -q --offline -p blackjack-bench \

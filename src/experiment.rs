@@ -68,11 +68,14 @@ impl Experiment {
     }
 
     /// Enables per-run tracing: each [`ModeResult`] carries the run's
-    /// occupancy histograms, heatmap, and flight dump. Off by default:
-    /// the untraced hot loop allocates only to unshare — a shared cache
-    /// chunk on its first access and a shared page on its first write
-    /// after construction or a clone, at most once per chunk or page —
-    /// and to create a page the program writes for the first time.
+    /// occupancy histograms, heatmap, and flight dump. Off by default.
+    /// Untraced, the Single and SRT hot loops allocate only to unshare a
+    /// copy-on-write cache chunk, page or BTB table (once each after
+    /// construction or a clone), to create a page the program writes for
+    /// the first time, and to grow a buffer to the run's high-water mark.
+    /// The BlackJack modes also allocate per trailing packet:
+    /// `Dtq::pop_packet` returns a `Vec`, and `safe_shuffle` builds its
+    /// slot and outcome vectors (DESIGN §2.11).
     pub fn with_trace(mut self, trace: bool) -> Experiment {
         self.trace = trace;
         self

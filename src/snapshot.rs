@@ -148,12 +148,13 @@ impl SnapshotChain {
         let mut interval = interval;
         // Snapshots the sliding horizon retires go here and are refreshed
         // in place ([`CoreSnapshot::refill_from`]) for the next pause.
-        // Past the warm-up the builder reuses every machine buffer except
-        // the cache chunks and memory pages, which the snapshot shares
-        // with the advancing core until the core accesses the chunk or
-        // writes the page; only those handles and the fault plan, with
-        // its small usage record, are built afresh. That saves most of
-        // the builder's overhead over a plain reference run.
+        // A refill goes through `Core::clone_from`, which refills only the
+        // top-level vectors in place and clones every other field afresh,
+        // so the uop slab (up to its last live slot), the active-list
+        // windows and the plan's usage record are no larger than in a new
+        // snapshot. Cache chunks, memory pages and the BTB table stay
+        // shared with the advancing core until it accesses the chunk or
+        // changes the page or table.
         let mut spare: Vec<Box<CoreSnapshot>> = Vec::new();
         let mut stats = ChainStats { taken: 1, peak_retained: 1, ..ChainStats::default() };
         let mut snaps: Vec<(u64, Box<CoreSnapshot>)> =
