@@ -1,78 +1,8 @@
-//! The unified `BENCH_*.json` schema and the regression-gate logic
-//! behind `bj-bench`.
-//!
-//! Every perf harness (`bench_campaign`, `bench_snapshot`,
-//! `bench_earlyexit`) used to write its own ad-hoc JSON shape; this
-//! module normalizes them into one versioned document per file:
-//!
-//! ```text
-//! {
-//!   "schema":     self-describing version string (see [`SCHEMA`]),
-//!   "bench":      which harness ("campaign" | "snapshot" | "earlyexit"),
-//!   "host":       os / arch / parallelism of the recording machine,
-//!   "config":     deterministic inputs (workers, jobs, scale, ...),
-//!   "checks":     boolean invariants the run must uphold,
-//!   "tolerance":  the regression gate's bounds (user-editable),
-//!   "baseline":   committed reference metrics,
-//!   "latest":     the newest run's metrics,
-//!   "trajectory": capped history of runs, newest last
-//! }
-//! ```
-//!
-//! The documents are plain hand-rolled JSON (no serde anywhere in the
-//! workspace); they parse through the telemetry crate's whitespace-
-//! tolerant [`parse_line`] and re-emit through a small 2-space pretty
-//! printer. A *legacy* file — one without a `"schema"` field — migrates
-//! in place: its metric values seed `baseline` (so the committed
-//! pre-migration numbers stay the regression reference) and its
-//! deterministic fields become `config`/`checks`.
-//!
-//! The gate ([`check_doc`]) enforces, in order: every `checks` boolean
-//! is true; every `tolerance.min_value` floor holds on `latest`; every
-//! `tolerance.min_ratio` bound holds on `latest` relative to
-//! `baseline`; every `tolerance.exact` key is byte-equal between
-//! `latest` and `baseline`. Ratio bounds are deliberately loose
-//! (default [`DEFAULT_MIN_RATIO`]) — they catch order-of-magnitude
-//! regressions, not run-to-run noise.
+//! Field lookups over parsed JSON objects, for readers of the
+//! repository's JSON documents (the `benchmark/` package reads
+//! `BENCHMARK.json` and its run records through these).
 
-use std::path::Path;
-
-use blackjack::telemetry::{emit_value, json_string, parse_line, JsonValue};
-
-/// The schema marker written into every unified document. Presence of
-/// this field (prefix-matched on `bj-bench/`) is what distinguishes a
-/// unified file from a legacy one.
-pub const SCHEMA: &str = "bj-bench/v1: unified benchmark document; 'baseline' holds the \
-     committed reference metrics, 'latest' the newest run, 'trajectory' a capped run \
-     history (newest last); 'checks' booleans must all be true; 'tolerance' bounds \
-     latest against baseline for bj-bench --check (min_value: absolute floors, \
-     min_ratio: latest >= ratio * baseline, exact: byte-equal keys)";
-
-/// Runs kept in `trajectory` before the oldest are dropped.
-pub const MAX_TRAJECTORY: usize = 50;
-
-/// Default throughput ratio bound: `latest >= ratio * baseline`. Loose
-/// on purpose — shared-machine benchmark noise easily reaches 2-3x, and
-/// the gate's job is catching collapses, not jitter.
-pub const DEFAULT_MIN_RATIO: f64 = 0.25;
-
-/// Object-field list — the shape every document-level value takes.
-pub type Obj = Vec<(String, JsonValue)>;
-
-/// One bench run, ready to fold into its document via [`record`].
-pub struct RunRecord {
-    /// Which harness: `campaign`, `snapshot`, or `earlyexit`.
-    pub bench: &'static str,
-    /// Deterministic inputs (workers, jobs, scale, ...).
-    pub config: Obj,
-    /// Boolean invariants this run observed.
-    pub checks: Obj,
-    /// The run's perf metrics (wall seconds, throughput, speedups).
-    pub metrics: Obj,
-    /// Tolerance written when the document has none yet (a committed
-    /// tolerance is user-editable and never overwritten).
-    pub default_tolerance: Obj,
-}
+use blackjack::telemetry::JsonValue;
 
 /// Looks a field up in an object's field list.
 pub fn obj_get<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
@@ -84,466 +14,5 @@ pub fn num(fields: &[(String, JsonValue)], key: &str) -> Option<f64> {
     match obj_get(fields, key)? {
         JsonValue::Raw(t) => t.parse().ok(),
         _ => None,
-    }
-}
-
-fn raw(v: impl ToString) -> JsonValue {
-    JsonValue::Raw(v.to_string())
-}
-
-/// A raw-token field (number/bool) for building [`RunRecord`] sections.
-/// The token is whatever `value` displays as — pre-format floats
-/// (`format!("{x:.3}")`) to control the recorded precision.
-pub fn field(key: &str, value: impl ToString) -> (String, JsonValue) {
-    (key.to_string(), raw(value))
-}
-
-/// A string field for building [`RunRecord`] sections.
-pub fn str_field(key: &str, value: &str) -> (String, JsonValue) {
-    (key.to_string(), JsonValue::Str(value.to_string()))
-}
-
-/// Parses a whole `BENCH_*.json` document (multi-line JSON is fine —
-/// the parser skips newlines like any whitespace).
-pub fn parse_doc(text: &str) -> Option<Obj> {
-    parse_line(text)
-}
-
-/// Reads and parses `path`, `None` when absent or malformed.
-pub fn load(path: &Path) -> Option<Obj> {
-    parse_doc(&std::fs::read_to_string(path).ok()?)
-}
-
-/// True when the parsed document carries the unified schema marker.
-pub fn is_unified(doc: &Obj) -> bool {
-    matches!(obj_get(doc, "schema"), Some(JsonValue::Str(s)) if s.starts_with("bj-bench/"))
-}
-
-/// The bench kind a `BENCH_<kind>.json` path names, if recognizable.
-pub fn kind_of_path(path: &Path) -> Option<&'static str> {
-    let name = path.file_name()?.to_str()?;
-    ["campaign", "snapshot", "earlyexit"]
-        .into_iter()
-        .find(|k| name == format!("BENCH_{k}.json"))
-}
-
-/// Per-kind legacy extraction: which legacy top-level keys are
-/// deterministic config, which are boolean checks, and which are perf
-/// metrics. Keys absent from a given legacy file are skipped.
-fn legacy_split(kind: &str) -> (&'static [&'static str], &'static [&'static str], &'static [&'static str]) {
-    match kind {
-        "campaign" => (
-            &["workers", "jobs", "trace", "sim_cycles", "committed_insts"],
-            &[],
-            &["core_wall_seconds", "core_cycles_per_sec", "campaign_wall_seconds", "campaign_cycles_per_sec"],
-        ),
-        "snapshot" => (
-            &["campaign", "scale", "workers", "jobs"],
-            &["reports_identical"],
-            &["replay_wall_seconds", "snapshot_wall_seconds", "speedup"],
-        ),
-        "earlyexit" => (
-            &["campaign", "scale", "workers", "jobs", "reps"],
-            &["reports_identical"],
-            &["baseline_wall_seconds", "earlyexit_wall_seconds", "speedup"],
-        ),
-        _ => (&[], &[], &[]),
-    }
-}
-
-/// The default regression gate for a bench kind (see module docs for
-/// the committed magnitudes these floors sit far below).
-pub fn default_tolerance(kind: &str) -> Obj {
-    let ratio_on = |keys: &[&str]| {
-        JsonValue::Obj(keys.iter().map(|k| (k.to_string(), raw(DEFAULT_MIN_RATIO))).collect())
-    };
-    match kind {
-        "campaign" => vec![(
-            "min_ratio".to_string(),
-            ratio_on(&["core_cycles_per_sec", "campaign_cycles_per_sec"]),
-        )],
-        "snapshot" => vec![
-            // Fork-at-injection must stay a real win, not just "not
-            // slower": the floor sits far under the committed ~3.7x.
-            ("min_value".to_string(), JsonValue::Obj(vec![("speedup".to_string(), raw(1.3))])),
-            ("min_ratio".to_string(), ratio_on(&["speedup"])),
-        ],
-        "earlyexit" => vec![
-            ("min_value".to_string(), JsonValue::Obj(vec![("speedup".to_string(), raw(1.1))])),
-            ("min_ratio".to_string(), ratio_on(&["speedup"])),
-            // The per-mechanism attribution is deterministic for a given
-            // config — drift is a behavior change, not noise.
-            (
-                "exact".to_string(),
-                JsonValue::Array(
-                    ["early_exits_activation", "early_exits_convergence", "early_exits_watchdog", "early_exits_total"]
-                        .map(|k| JsonValue::Str(k.to_string()))
-                        .to_vec(),
-                ),
-            ),
-        ],
-        _ => Vec::new(),
-    }
-}
-
-/// Migrates a legacy document in memory: legacy metrics seed both
-/// `baseline` and `latest` (the committed numbers stay the regression
-/// reference), deterministic fields become `config` and `checks`.
-pub fn migrate_legacy(kind: &str, legacy: &Obj) -> Obj {
-    let (config_keys, check_keys, metric_keys) = legacy_split(kind);
-    let pick = |keys: &[&str]| -> Obj {
-        keys.iter()
-            .filter_map(|k| obj_get(legacy, k).map(|v| (k.to_string(), v.clone())))
-            .collect()
-    };
-    let mut metrics = pick(metric_keys);
-    // Legacy earlyexit nests the per-mechanism counts; flatten them so
-    // the `exact` gate can address them by key.
-    if let Some(JsonValue::Obj(exits)) = obj_get(legacy, "early_exits") {
-        for (k, v) in exits {
-            metrics.push((format!("early_exits_{k}"), v.clone()));
-        }
-    }
-    assemble(kind, pick(config_keys), pick(check_keys), metrics.clone(), default_tolerance(kind), metrics.clone(), vec![JsonValue::Obj(metrics)])
-}
-
-/// The host identity stamped into each document on every write.
-pub fn host_fields() -> Obj {
-    vec![
-        ("os".to_string(), JsonValue::Str(std::env::consts::OS.to_string())),
-        ("arch".to_string(), JsonValue::Str(std::env::consts::ARCH.to_string())),
-        (
-            "parallelism".to_string(),
-            raw(std::thread::available_parallelism().map(usize::from).unwrap_or(1)),
-        ),
-    ]
-}
-
-fn assemble(
-    kind: &str,
-    config: Obj,
-    checks: Obj,
-    baseline: Obj,
-    tolerance: Obj,
-    latest: Obj,
-    trajectory: Vec<JsonValue>,
-) -> Obj {
-    vec![
-        ("schema".to_string(), JsonValue::Str(SCHEMA.to_string())),
-        ("bench".to_string(), JsonValue::Str(kind.to_string())),
-        ("host".to_string(), JsonValue::Obj(host_fields())),
-        ("config".to_string(), JsonValue::Obj(config)),
-        ("checks".to_string(), JsonValue::Obj(checks)),
-        ("tolerance".to_string(), JsonValue::Obj(tolerance)),
-        ("baseline".to_string(), JsonValue::Obj(baseline)),
-        ("latest".to_string(), JsonValue::Obj(latest)),
-        ("trajectory".to_string(), JsonValue::Array(trajectory)),
-    ]
-}
-
-/// Folds one run into its document at `path`: preserves a committed
-/// `baseline` and `tolerance` (migrating a legacy file first, seeding
-/// both from the legacy metrics), replaces `latest`, and appends to the
-/// capped `trajectory`. A missing or unparseable file starts fresh with
-/// this run as its own baseline.
-///
-/// # Errors
-///
-/// Propagates the file write error.
-pub fn record(path: &Path, run: RunRecord) -> std::io::Result<()> {
-    let existing = load(path).map(|doc| {
-        if is_unified(&doc) {
-            doc
-        } else {
-            migrate_legacy(run.bench, &doc)
-        }
-    });
-    let (baseline, tolerance, mut trajectory) = match &existing {
-        Some(doc) => (
-            match obj_get(doc, "baseline") {
-                Some(JsonValue::Obj(b)) if !b.is_empty() => b.clone(),
-                _ => run.metrics.clone(),
-            },
-            match obj_get(doc, "tolerance") {
-                Some(JsonValue::Obj(t)) if !t.is_empty() => t.clone(),
-                _ => run.default_tolerance.clone(),
-            },
-            match obj_get(doc, "trajectory") {
-                Some(JsonValue::Array(t)) => t.clone(),
-                _ => Vec::new(),
-            },
-        ),
-        None => (run.metrics.clone(), run.default_tolerance.clone(), Vec::new()),
-    };
-    trajectory.push(JsonValue::Obj(run.metrics.clone()));
-    if trajectory.len() > MAX_TRAJECTORY {
-        trajectory.drain(..trajectory.len() - MAX_TRAJECTORY);
-    }
-    let doc = assemble(run.bench, run.config, run.checks, baseline, tolerance, run.metrics, trajectory);
-    std::fs::write(path, pretty_doc(&doc))
-}
-
-/// Rewrites `path` with `latest` promoted to `baseline` (the
-/// `--rebaseline` verb). No-op `Ok(false)` when the file is absent,
-/// legacy, or has no `latest`.
-///
-/// # Errors
-///
-/// Propagates the file write error.
-pub fn rebaseline(path: &Path) -> std::io::Result<bool> {
-    let Some(mut doc) = load(path).filter(is_unified_ref) else { return Ok(false) };
-    let Some(JsonValue::Obj(latest)) = obj_get(&doc, "latest").cloned() else {
-        return Ok(false);
-    };
-    let Some(slot) = doc.iter_mut().find(|(k, _)| k == "baseline") else { return Ok(false) };
-    slot.1 = JsonValue::Obj(latest);
-    std::fs::write(path, pretty_doc(&doc))?;
-    Ok(true)
-}
-
-fn is_unified_ref(doc: &Obj) -> bool {
-    is_unified(doc)
-}
-
-/// Runs the regression gate over one parsed document. Returns the list
-/// of violated constraints, empty when the gate passes. A legacy
-/// document fails with a single migration hint.
-pub fn check_doc(doc: &Obj) -> Vec<String> {
-    if !is_unified(doc) {
-        return vec!["legacy document (no bj-bench schema field); run a bench harness or bj-bench to migrate".to_string()];
-    }
-    let mut failures = Vec::new();
-    let empty: Obj = Vec::new();
-    let section = |key: &str| match obj_get(doc, key) {
-        Some(JsonValue::Obj(o)) => o.clone(),
-        _ => empty.clone(),
-    };
-    let (checks, tolerance, baseline, latest) =
-        (section("checks"), section("tolerance"), section("baseline"), section("latest"));
-    for (k, v) in &checks {
-        if !matches!(v, JsonValue::Raw(t) if t == "true") {
-            failures.push(format!("check '{k}' is {} (must be true)", emit_value(v)));
-        }
-    }
-    if let Some(JsonValue::Obj(floors)) = obj_get(&tolerance, "min_value") {
-        for (k, v) in floors {
-            let floor: f64 = match v { JsonValue::Raw(t) => t.parse().unwrap_or(f64::MAX), _ => f64::MAX };
-            match num(&latest, k) {
-                Some(x) if x >= floor => {}
-                Some(x) => failures.push(format!("latest.{k} = {x} below floor {floor}")),
-                None => failures.push(format!("latest.{k} missing (floor {floor})")),
-            }
-        }
-    }
-    if let Some(JsonValue::Obj(ratios)) = obj_get(&tolerance, "min_ratio") {
-        for (k, v) in ratios {
-            let ratio: f64 = match v { JsonValue::Raw(t) => t.parse().unwrap_or(f64::MAX), _ => f64::MAX };
-            match (num(&latest, k), num(&baseline, k)) {
-                (Some(l), Some(b)) if l >= ratio * b => {}
-                (Some(l), Some(b)) => failures.push(format!(
-                    "latest.{k} = {l} regressed below {ratio} x baseline {b}"
-                )),
-                _ => failures.push(format!("latest.{k} or baseline.{k} missing (ratio {ratio})")),
-            }
-        }
-    }
-    if let Some(JsonValue::Array(keys)) = obj_get(&tolerance, "exact") {
-        for key in keys {
-            let JsonValue::Str(k) = key else { continue };
-            let (l, b) = (obj_get(&latest, k), obj_get(&baseline, k));
-            match (l, b) {
-                (Some(l), Some(b)) if emit_value(l) == emit_value(b) => {}
-                (Some(l), Some(b)) => failures.push(format!(
-                    "latest.{k} = {} differs from baseline {} (exact key)",
-                    emit_value(l),
-                    emit_value(b)
-                )),
-                _ => failures.push(format!("latest.{k} or baseline.{k} missing (exact key)")),
-            }
-        }
-    }
-    failures
-}
-
-/// One human table row per document: kind, headline metric movement,
-/// gate status.
-pub fn summary_row(doc: &Obj) -> String {
-    let bench = match obj_get(doc, "bench") {
-        Some(JsonValue::Str(s)) => s.clone(),
-        _ => "?".to_string(),
-    };
-    if !is_unified(doc) {
-        return format!("{bench:<10} legacy document (unmigrated)");
-    }
-    let section = |key: &str| match obj_get(doc, key) {
-        Some(JsonValue::Obj(o)) => o.clone(),
-        _ => Vec::new(),
-    };
-    let (baseline, latest) = (section("baseline"), section("latest"));
-    let headline = match bench.as_str() {
-        "campaign" => "core_cycles_per_sec",
-        _ => "speedup",
-    };
-    let runs = match obj_get(doc, "trajectory") {
-        Some(JsonValue::Array(t)) => t.len(),
-        _ => 0,
-    };
-    let fails = check_doc(doc);
-    format!(
-        "{bench:<10} {headline}: baseline {} -> latest {}   runs {runs:>3}   gate {}",
-        num(&baseline, headline).map_or("-".to_string(), |v| format!("{v:.2}")),
-        num(&latest, headline).map_or("-".to_string(), |v| format!("{v:.2}")),
-        if fails.is_empty() { "ok".to_string() } else { format!("FAIL ({})", fails.len()) },
-    )
-}
-
-/// Pretty-prints a document: 2-space indent, `"key": value` spacing (so
-/// shell greps like `'"reports_identical": true'` keep working),
-/// trailing newline.
-pub fn pretty_doc(doc: &Obj) -> String {
-    let mut out = String::new();
-    pretty_value(&JsonValue::Obj(doc.clone()), 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn pretty_value(v: &JsonValue, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent + 1);
-    match v {
-        JsonValue::Obj(fields) if !fields.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in fields.iter().enumerate() {
-                out.push_str(&pad);
-                out.push_str(&json_string(k));
-                out.push_str(": ");
-                pretty_value(v, indent + 1, out);
-                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push('}');
-        }
-        JsonValue::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                pretty_value(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push(']');
-        }
-        other => out.push_str(&emit_value(other)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const LEGACY_SNAPSHOT: &str = r#"{
-  "campaign": "detection",
-  "scale": 5,
-  "workers": 8,
-  "jobs": 160,
-  "reports_identical": true,
-  "replay_wall_seconds": 60.0,
-  "snapshot_wall_seconds": 16.0,
-  "speedup": 3.75
-}"#;
-
-    #[test]
-    fn legacy_snapshot_migrates_with_committed_numbers_as_baseline() {
-        let legacy = parse_doc(LEGACY_SNAPSHOT).unwrap();
-        assert!(!is_unified(&legacy));
-        let doc = migrate_legacy("snapshot", &legacy);
-        assert!(is_unified(&doc));
-        let Some(JsonValue::Obj(baseline)) = obj_get(&doc, "baseline") else { panic!() };
-        assert_eq!(num(baseline, "speedup"), Some(3.75));
-        let Some(JsonValue::Obj(config)) = obj_get(&doc, "config") else { panic!() };
-        assert_eq!(num(config, "jobs"), Some(160.0));
-        let Some(JsonValue::Obj(checks)) = obj_get(&doc, "checks") else { panic!() };
-        assert_eq!(obj_get(checks, "reports_identical"), Some(&JsonValue::Raw("true".into())));
-        assert!(check_doc(&doc).is_empty(), "{:?}", check_doc(&doc));
-        // The greppable literal survives pretty-printing.
-        assert!(pretty_doc(&doc).contains("\"reports_identical\": true"));
-    }
-
-    #[test]
-    fn gate_trips_on_false_check_floor_ratio_and_exact() {
-        let legacy = parse_doc(LEGACY_SNAPSHOT).unwrap();
-        let mut doc = migrate_legacy("snapshot", &legacy);
-        // Degrade the latest run: report divergence + speedup collapse.
-        let latest = JsonValue::Obj(vec![("speedup".to_string(), raw(0.5))]);
-        doc.iter_mut().find(|(k, _)| k == "latest").unwrap().1 = latest;
-        doc.iter_mut().find(|(k, _)| k == "checks").unwrap().1 =
-            JsonValue::Obj(vec![("reports_identical".to_string(), JsonValue::Raw("false".into()))]);
-        let fails = check_doc(&doc);
-        assert_eq!(fails.len(), 3, "{fails:?}"); // check + min_value + min_ratio
-        // Exact-key drift (earlyexit's gate).
-        let mut tol = default_tolerance("earlyexit");
-        tol.retain(|(k, _)| k == "exact");
-        let doc = assemble(
-            "earlyexit",
-            vec![],
-            vec![],
-            vec![("early_exits_activation".to_string(), raw(4)), ("early_exits_convergence".to_string(), raw(0)), ("early_exits_watchdog".to_string(), raw(0)), ("early_exits_total".to_string(), raw(4))],
-            tol,
-            vec![("early_exits_activation".to_string(), raw(3)), ("early_exits_convergence".to_string(), raw(0)), ("early_exits_watchdog".to_string(), raw(0)), ("early_exits_total".to_string(), raw(3))],
-            vec![],
-        );
-        let fails = check_doc(&doc);
-        assert_eq!(fails.len(), 2, "{fails:?}"); // activation + total drift
-    }
-
-    #[test]
-    fn record_preserves_baseline_and_caps_trajectory() {
-        let dir = std::env::temp_dir().join("bj_benchfmt_record_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("BENCH_snapshot.json");
-        std::fs::write(&path, LEGACY_SNAPSHOT).unwrap();
-        let run = |speedup: f64| RunRecord {
-            bench: "snapshot",
-            config: vec![("jobs".to_string(), raw(160))],
-            checks: vec![("reports_identical".to_string(), JsonValue::Raw("true".into()))],
-            metrics: vec![("speedup".to_string(), raw(speedup))],
-            default_tolerance: default_tolerance("snapshot"),
-        };
-        for i in 0..(MAX_TRAJECTORY + 5) {
-            record(&path, run(2.0 + i as f64 * 0.01)).unwrap();
-        }
-        let doc = load(&path).unwrap();
-        // The committed legacy speedup survives every later run.
-        let Some(JsonValue::Obj(baseline)) = obj_get(&doc, "baseline") else { panic!() };
-        assert_eq!(num(baseline, "speedup"), Some(3.75));
-        let Some(JsonValue::Array(traj)) = obj_get(&doc, "trajectory") else { panic!() };
-        assert_eq!(traj.len(), MAX_TRAJECTORY);
-        assert!(check_doc(&doc).is_empty(), "{:?}", check_doc(&doc));
-        // Round-trip: the pretty document reparses to the same fields.
-        assert_eq!(parse_doc(&pretty_doc(&doc)).unwrap(), doc);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rebaseline_promotes_latest() {
-        let dir = std::env::temp_dir().join("bj_benchfmt_rebaseline_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("BENCH_snapshot.json");
-        std::fs::write(&path, LEGACY_SNAPSHOT).unwrap();
-        record(
-            &path,
-            RunRecord {
-                bench: "snapshot",
-                config: vec![],
-                checks: vec![],
-                metrics: vec![("speedup".to_string(), raw(9.9))],
-                default_tolerance: default_tolerance("snapshot"),
-            },
-        )
-        .unwrap();
-        assert!(rebaseline(&path).unwrap());
-        let doc = load(&path).unwrap();
-        let Some(JsonValue::Obj(baseline)) = obj_get(&doc, "baseline") else { panic!() };
-        assert_eq!(num(baseline, "speedup"), Some(9.9));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,7 +11,7 @@
 //! report is byte-identical on every path, and for any `BJ_THREADS`.
 //!
 //! `--bench <name>` restricts the sweep to one benchmark (used by the
-//! `verify.sh` equivalence smoke). `BJ_PRUNE=0` disables static pruning.
+//! `verify.sh` wiring smoke). `BJ_PRUNE=0` disables static pruning.
 //! `BJ_FAULT_KINDS` (comma list: `hard`, `transient`,
 //! `intermittent[:PERIOD:ON]`) runs one campaign per temporal fault
 //! model — the default is the byte-stable hard-fault sweep alone.

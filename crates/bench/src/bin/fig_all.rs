@@ -142,16 +142,18 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
     s.push_str("## Throughput (simulator, not paper)\n\n");
     let (cycles, wall, cps) = r.throughput();
     s.push_str(&format!(
-        "This evaluation run simulated {cycles} cycles in {wall:.2}s of in-core\n\
-         wall time \u{2014} {cps:.0} cycles/sec (also tracked by `bench_campaign`,\n\
-         which writes `BENCH_campaign.json`).\n\n",
+        "This run simulated {cycles} cycles in {wall:.2}s of in-core wall time ({cps:.0} cycles/sec).\n\n",
     ));
     s.push_str(
-        "De-allocating the `Core::step` hot path \u{2014} reusable scratch buffers for\n\
+        "The benchmark (`benchmark/`, workloads declared in `BENCHMARK.json`)\n\
+         measures the same hot loop per mode as `sim.cycles_per_s.*` on its\n\
+         `figures` workload, and the injection campaign end to end on\n\
+         `inject-hard` and `inject-transient`.\n\n\
+         De-allocating the `Core::step` hot path \u{2014} reusable scratch buffers for\n\
          every per-cycle worklist plus a fixed-capacity packet-total table in\n\
          place of a per-cycle `HashMap` \u{2014} raised median core throughput from\n\
          601,409 to 751,339 cycles/sec on the same host and benchmark mix\n\
-         (+25%, 9-run medians of `bench_campaign` before/after).\n\n\
+         (+25%, 9-run medians before/after).\n\n\
          The campaign engine fans simulations out over `BJ_THREADS` workers\n\
          and reassembles results in job order:\n\n\
          | workers | output | wall-clock |\n|---|---|---|\n\
@@ -160,15 +162,16 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          \x20 speedup on multi-core hosts (jobs are independent simulations) |\n\n",
     );
     s.push_str(
-        "### Fork-at-injection (`BJ_SNAPSHOT`, measured by `bench_snapshot`)\n\n\
+        "### Fork-at-injection (`BJ_SNAPSHOT`)\n\n\
          Injection campaigns share a long fault-free prefix: a wear-out fault\n\
          armed at cycle *C* behaves identically to a fault-free core until *C*.\n\
          With `BJ_SNAPSHOT=1` (the default) each (mode, benchmark) group\n\
-         simulates that prefix once, snapshots the core just before each\n\
-         arming cycle, and hands every injection job a forked copy instead of\n\
-         replaying from cycle 0. `bench_snapshot` runs the full `ext_detection`\n\
-         sweep both ways, asserts the reports are byte-identical, and writes\n\
-         `BENCH_snapshot.json`:\n\n\
+         simulates that prefix once, snapshotting the core every 512 cycles,\n\
+         and hands every injection job a fork of the last snapshot before its\n\
+         arming cycle instead of replaying from cycle 0. The equivalence\n\
+         matrix (`crates/bench/tests/detection_equiv.rs`) asserts the reports\n\
+         are byte-identical either way. Measured on the full `ext_detection`\n\
+         sweep when the path landed:\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
          | replay from cycle 0 (`BJ_SNAPSHOT=0`) | 3.59 s |\n\
          | fork from prefix snapshots (`BJ_SNAPSHOT=1`) | 1.08 s |\n\
@@ -176,10 +179,11 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          The fork side got cheaper again in the early-exit PR: the manual\n\
          `Core::clone_from` lets snapshot takes refresh retired snapshots'\n\
          buffers in place instead of allocating fresh clones (PR 6 measured\n\
-         2.4\u{d7} on the same host).\n\n",
+         2.4\u{d7} on the same host). The benchmark's `inject-*` workloads time\n\
+         the fork path today.\n\n",
     );
     s.push_str(
-        "### Verdict-convergence early exit (`BJ_EARLYEXIT`, measured by `bench_earlyexit`)\n\n\
+        "### Verdict-convergence early exit (`BJ_EARLYEXIT`)\n\n\
          Fork-at-injection removes the redundant prefix of every injection\n\
          run; the early-exit layer (DESIGN \u{a7}2.12) removes the redundant\n\
          suffix \u{2014} the cycles a run keeps simulating after its verdict is\n\
@@ -188,22 +192,23 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          run never exercises it at or after arming; the *convergence seal*\n\
          stops a zero-activation run one cycle past the site's last reference\n\
          exercise; the *stall watchdog* declares Stuck after `BJ_STALL_CYCLES`\n\
-         of no progress instead of burning the full cycle budget.\n\
-         `bench_earlyexit` runs the sweep both ways interleaved (min-of-5 per\n\
-         leg), asserts byte-identical reports, and writes\n\
-         `BENCH_earlyexit.json`:\n\n\
+         of no progress instead of burning the full cycle budget. The\n\
+         equivalence matrix asserts byte-identical reports with the layer off\n\
+         and on. Measured on the same sweep when the layer landed, both ways\n\
+         interleaved (min-of-5 per leg):\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
          | full runs (`BJ_EARLYEXIT=0`, snapshots on) | 0.83 s |\n\
          | early exit (`BJ_EARLYEXIT=1`) | 0.53 s |\n\
          | **speedup** | **1.57\u{d7}** |\n\n\
-         Attribution at this scale: of the 92 simulated injections (68 of 160\n\
-         are statically pruned first), activation pruning cut 4 before they\n\
-         started; convergence and watchdog cut 0 \u{2014} the sweep's always-firing\n\
-         stuck-bit faults on exercised sites activate almost immediately, so\n\
-         the suffix savings come from the fault-free *reference* pass riding\n\
-         the snapshot chain's instruction-count bound instead of a second\n\
-         full replay. On campaigns with trigger-gated faults (the fuzzer's\n\
-         `ValuePattern` class) the seal and watchdog take over.\n\n",
+         Part of that gain was the reference pass doubling as the snapshot\n\
+         builder, which the `BJ_EARLYEXIT=0` path has since adopted too.\n\
+         Attribution on today's default sweep, pinned by the equivalence\n\
+         matrix: of the 132 injections left after static pruning (68 of 200\n\
+         jobs), activation pruning cuts 24 before they start; convergence and\n\
+         watchdog cut 0 \u{2014} the sweep's always-firing stuck-bit faults on\n\
+         exercised sites activate almost immediately. On campaigns with\n\
+         trigger-gated faults (the fuzzer's `ValuePattern` class) the seal and\n\
+         watchdog take over.\n\n",
     );
 
     s.push_str("## Observability — flight recorder on an injected fault\n\n");
@@ -213,7 +218,7 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          way)` issue heatmaps, and a bounded flight recorder of per-uop\n\
          pipeline events); `bj-trace` renders the stream as text. Tracing is\n\
          off by default and costs one branch per hook when disabled \u{2014}\n\
-         `bench_campaign` pins the trace-off hot-loop throughput.\n\n\
+         the benchmark's `figures` workload measures the trace-off hot loop.\n\n\
          The dump below is real: a stuck-at-1 fault on bit 2 of backend way 4\n\
          (`INT_MUL` instance 0) under BlackJack, captured by this\n\
          `--write-experiments` run. The trailing copy of the `mul` issues on a\n\
@@ -230,8 +235,9 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          gauges max \u{2014} the deterministic prefix is byte-identical for any\n\
          `BJ_THREADS`), `BJ_PROGRESS_SECS=<n>` streams live `progress` records,\n\
          and a `phase` record attributes campaign wall time. Off means zero\n\
-         overhead (`bench_campaign` records the interleaved off/on A/B ratio in\n\
-         `BENCH_campaign.json`), and stdout stays byte-identical either way.\n\
+         overhead (the benchmark's traced mode reports what turning it on\n\
+         costs as `trace.overhead_frac`), and stdout stays byte-identical\n\
+         either way.\n\
          A real capture \u{2014} `BJ_SCALE=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1\n\
          BJ_TRACE=t.jsonl ext_detection --bench gzip`, rendered by\n\
          `bj-trace top t.jsonl` on this 1-CPU host:\n\n\
@@ -256,9 +262,10 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          pass that builds the snapshot chain dominates, and the 20 forked\n\
          injection runs barely register \u{2014} each detects within cycles of its\n\
          arming point, which is exactly the prefix-sharing + early-exit story\n\
-         the two benchmarks above measure. `bj-bench --check` gates the three\n\
-         `BENCH_*.json` documents (speedup floors, throughput ratio bounds,\n\
-         exact early-exit attribution) in tier-1.\n\n",
+         of the two sections above. In tier-1 the equivalence matrix pins the\n\
+         exact early-exit attribution and fork counts, and `BENCHMARK.json`\n\
+         bounds every change's end-to-end throughput, setup time and peak\n\
+         memory against its parent.\n\n",
     );
     s.push_str("## Differential fuzzing — the core vs. the golden interpreter\n\n");
     s.push_str(

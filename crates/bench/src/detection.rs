@@ -2,11 +2,11 @@
 //! under injected wear-out faults, per fault site, for SRT and BlackJack.
 //!
 //! Extracted from the `ext_detection` binary so the harness, the
-//! `bench_snapshot` / `bench_earlyexit` measurements, and the equivalence
-//! tests all drive one implementation. The report text is fully
-//! deterministic — byte-identical for any worker count and for either
-//! value of `BJ_SNAPSHOT` and `BJ_EARLYEXIT` — which is the campaign's
-//! testable contract.
+//! benchmark's `inject-*` workloads, and the equivalence matrix
+//! (`tests/detection_equiv.rs`) all drive one implementation. The report
+//! text is fully deterministic — byte-identical for any worker count and
+//! for either value of `BJ_SNAPSHOT` and `BJ_EARLYEXIT` — which is the
+//! campaign's testable contract.
 //!
 //! **Fault model.** Each site gets a stuck-at-style bit flip that *arms*
 //! partway through the run ([`blackjack::arming_schedule`]): the hardware
@@ -16,17 +16,18 @@
 //! mode) pair's fault-free cycle count, so every injection run sharing a
 //! (benchmark, mode) is identical up to its arming point.
 //!
-//! **Execution paths.** With `snapshot` off, every injection run replays
-//! from cycle 0. With it on (the default), each (mode, benchmark) group
-//! simulates the fault-free prefix once and every injection job forks
-//! from a snapshot ([`blackjack::SnapshotChain`]). Independently,
-//! `early_exit` (default on) stops each run the moment its verdict is
-//! decided, by three mechanisms ([`blackjack::EarlyExit`]); with it on,
-//! the group's fault-free pass records site usage ([`SiteUsage`]) and —
-//! fork path — doubles as the periodic snapshot builder, so one reference
-//! pass does triple duty. All four path combinations compute the same
-//! arming schedule and the same verdicts, so their reports match byte
-//! for byte (`detection_equiv` tests enforce this).
+//! **Execution paths.** Every (mode, benchmark) group runs one fault-free
+//! reference pass, whose cycle count fixes the arming schedule. With
+//! `snapshot` off, every injection run replays from cycle 0. With it on
+//! (the default), the reference pass also builds a periodic snapshot
+//! chain ([`blackjack::SnapshotChain`]) and every injection job forks
+//! from it. Independently, `early_exit` (default on) stops each run the
+//! moment its verdict is decided, by three mechanisms
+//! ([`blackjack::EarlyExit`]); with it on, the reference pass also
+//! records site usage ([`SiteUsage`]). All four path combinations
+//! compute the same arming schedule and the same verdicts, so their
+//! reports match byte for byte (the `detection_equiv` matrix enforces
+//! this).
 //!
 //! **Schedule.** On every path the injection jobs are one
 //! [`Campaign::run_observed`] fan-out. Each job takes its group from a
@@ -57,8 +58,8 @@ use blackjack_analysis::SiteAnalysis;
 /// Cycle budget per injection run — far above anything the kernels need.
 pub const MAX_CYCLES: u64 = 100_000_000;
 
-/// Snapshot spacing for the early-exit path's periodic chain: forks catch
-/// up at most this many fault-free cycles, while the chain stays a few
+/// Snapshot spacing for the fork path's periodic chain: forks catch up
+/// at most this many fault-free cycles, while the chain stays a few
 /// dozen snapshots deep for the campaign kernels.
 pub const SNAPSHOT_INTERVAL: u64 = 512;
 
@@ -112,8 +113,7 @@ pub fn armed_plan_kind(site: FaultSite, arm: u64, kind: FaultKind) -> FaultPlan 
 /// The campaign's switches, normally read from the environment
 /// ([`DetectionConfig::from_env_or_exit`]). All four combinations of
 /// `snapshot` × `early_exit` produce byte-identical reports; the flags
-/// exist so the equivalence is checkable and each optimization
-/// benchmarkable in isolation.
+/// exist so that equivalence is checkable (`tests/detection_equiv.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectionConfig {
     /// Skip simulating sites statically proven unexercisable
@@ -201,12 +201,10 @@ pub struct DetectionGroup {
     pub fault_free_cycles: u64,
     /// Per-site arming cycles, indexed like [`sites`].
     pub arms: Vec<u64>,
-    /// Snapshots of the fault-free prefix, when the fork path is
-    /// enabled: exact per-arm pauses normally, periodic
-    /// ([`SNAPSHOT_INTERVAL`]) with early exit on. Behind a lock only so
-    /// the group's last job can drop it
-    /// ([`DetectionGroup::release_fork_state`]); every other job only
-    /// reads it.
+    /// Periodic ([`SNAPSHOT_INTERVAL`]) snapshots of the fault-free run,
+    /// when the fork path is enabled. Behind a lock only so the group's
+    /// last job can drop it ([`DetectionGroup::release_fork_state`]);
+    /// every other job only reads it.
     pub chain: RwLock<Option<SnapshotChain>>,
     /// Per-site last-exercise cycles from the recording reference pass —
     /// the early-exit activation schedule (`None` with early exit off).
@@ -226,10 +224,9 @@ impl DetectionGroup {
     /// that fixes the arming schedule. `golden` is the benchmark's
     /// completed functional run ([`golden_run`]) — mode-independent, so
     /// the caller builds it once per benchmark and shares it between the
-    /// modes' groups. With early exit on, the fault-free pass records
-    /// site usage and (fork path) doubles as the periodic snapshot
-    /// builder; otherwise the fork path builds its exact chain in a
-    /// second pass over the non-pruned sites' arms.
+    /// modes' groups. The fault-free pass doubles as the periodic
+    /// snapshot builder on the fork path, and records site usage with
+    /// early exit on.
     ///
     /// Setup/snapshot wall time, the chain's build accounting and the
     /// snapshot-reuse tally go to `metrics` and `meter` (either may be
@@ -261,7 +258,7 @@ impl DetectionGroup {
         // counts as snapshot time; one that only fixes the arming
         // schedule counts as setup.
         let mut snap_nanos = 0u64;
-        let (fault_free_cycles, site_usage, periodic) = if cfg.early_exit && cfg.snapshot {
+        let (fault_free_cycles, site_usage, chain) = if cfg.snapshot {
             let ts = Instant::now();
             let (chain, done) = SnapshotChain::build_periodic(
                 ff,
@@ -276,29 +273,7 @@ impl DetectionGroup {
             (ff.cycle(), ff.plan().site_usage().cloned(), None)
         };
 
-        let all = sites();
-        let arms = arming_schedule(fault_free_cycles, all.len());
-        let chain = if cfg.early_exit {
-            periodic
-        } else {
-            cfg.snapshot.then(|| {
-                // Pruned sites never simulate, so they contribute no
-                // snapshot; the chain pauses only at live arming points.
-                let live: Vec<u64> = all
-                    .iter()
-                    .zip(&arms)
-                    .filter(|&(&s, _)| !(cfg.prune && analysis.prunable(s)))
-                    .map(|(_, &a)| a)
-                    .collect();
-                let ts = Instant::now();
-                let chain = SnapshotChain::build(
-                    Core::new(cfg.core_config(mode), &prog, FaultPlan::new()),
-                    &live,
-                );
-                snap_nanos += ts.elapsed().as_nanos() as u64;
-                chain
-            })
-        };
+        let arms = arming_schedule(fault_free_cycles, sites().len());
         if let Some(chain) = &chain {
             let s = chain.stats();
             metrics.add(Counter::SnapshotsTaken, s.taken);
@@ -377,13 +352,12 @@ impl DetectionGroup {
         let mut core = match chain.as_ref() {
             // The periodic chain rarely paused exactly at arm - 1; catch
             // up the few fault-free cycles in between.
-            Some(chain) if self.cfg.early_exit => {
+            Some(chain) => {
                 if metrics.is_on() {
                     metrics.record_catchup(chain.catchup_cycles(arm));
                 }
                 chain.fork_catchup(arm, plan)
             }
-            Some(chain) => chain.fork(arm, plan),
             None => Core::new(self.cfg.core_config(self.mode), &self.prog, plan),
         };
         drop(chain);
@@ -782,10 +756,9 @@ fn report_text(
 }
 
 /// Parses harness arguments: `--bench <name>` restricts the sweep to one
-/// benchmark (the `verify.sh` equivalence smokes use this). Any kernel
+/// benchmark (the `verify.sh` wiring smokes use this). Any kernel
 /// [`Benchmark::from_name`] knows is accepted — including the
-/// call-bearing kernels outside the default sweep, so the
-/// flag-equivalence checks can cover call/return machinery. Unknown
+/// call-bearing kernels outside the default sweep. Unknown
 /// arguments or benchmarks exit with status 2.
 pub fn benchmarks_from_args(args: &[String]) -> Vec<Benchmark> {
     let mut benchmarks = default_benchmarks();

@@ -1,24 +1,24 @@
 //! # Benchmark harnesses for the BlackJack reproduction
 //!
-//! One binary per figure of the paper, plus extension/ablation harnesses:
+//! One binary for the paper's evaluation, plus extension/ablation
+//! harnesses and tools:
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
-//! | `fig4_coverage` | Figure 4a/4b — hard-error instruction coverage |
-//! | `fig5_interference` | Figure 5 — interference cycles |
-//! | `fig6_burstiness` | Figure 6 — single-context issue cycles |
-//! | `fig7_performance` | Figure 7 — normalized performance |
-//! | `fig_all` | Table 1 + all figures, and the EXPERIMENTS.md body |
+//! | `fig_all` | Table 1 + Figures 4a/4b, 5, 6 and 7, and the EXPERIMENTS.md body |
 //! | `ext_detection` | detection-rate sweep under injected faults |
+//! | `ext_diagnosis` | active-probe online diagnosis of a faulty FU instance |
 //! | `ext_ablation` | slack sweep + design-choice ablation |
-//! | `bench_campaign` | simulator throughput; writes `BENCH_campaign.json` |
-//! | `bj-bench` | summarizes/migrates/gates the `BENCH_*.json` documents |
+//! | `bj-lint` | static-analysis report over the kernels and examples |
+//! | `bj-trace` | renders `BJ_TRACE` telemetry streams |
 //!
 //! Run with `cargo run --release -p blackjack-bench --bin <name>`. The
 //! harnesses fan out over a worker pool ([`blackjack::Campaign`]); set
 //! `BJ_THREADS` to pick the worker count and `BJ_SCALE` to scale the
-//! workloads. Self-timed microbenchmarks of the simulator's machinery
-//! live in `benches/`.
+//! workloads. Simulator and campaign speed is measured by the
+//! `benchmark/` package (workloads declared in `BENCHMARK.json`);
+//! self-timed microbenchmarks of the simulator's machinery live in
+//! `benches/`.
 
 use blackjack::{envcfg, Experiment};
 

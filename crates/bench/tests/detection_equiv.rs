@@ -1,126 +1,184 @@
-//! Detection-campaign equivalence: the `ext_detection` report must be
-//! byte-identical with the snapshot-fork path on or off, with the
-//! early-exit layer on or off, and for any worker count — the hard
-//! requirement on both campaign optimizations. One benchmark keeps the
-//! test fast; the full sweep's equivalence is re-checked by `verify.sh`,
-//! `bench_snapshot` and `bench_earlyexit`.
+//! The equivalence matrix: every campaign acceleration must leave the
+//! `ext_detection` report byte-identical to the plain replay path.
+//!
+//! The reference, per kernel, is the most literal path: snapshots off
+//! (every run replays from cycle 0), early exit off (every run goes to
+//! its natural end), one worker, hard faults, static pruning on. Each
+//! cell runs the kernel's campaign again and compares the report text,
+//! the per-job tallies and CE/DUE/SDC taxonomies, and the per-job
+//! metadata (the arming schedule) with it:
+//!
+//! * snapshot × early exit × workers ∈ {(on, off, 8), (off, on, 1),
+//!   (on, on, 1), (on, on, 8)};
+//! * static pruning off, where only the `pruned_sites` block and the
+//!   per-job pruned marker may differ;
+//! * transient and intermittent faults with ECC on, on gzip and equake:
+//!   8 workers against 1, plus a replay cross-check of the transient
+//!   campaign.
+//!
+//! The kernels are the default sweep (gzip, fma3d, vortex, apsi) and
+//! three that stress the fork path apart from it: equake touches 1,192
+//! memory pages and many L2 sets, gcc's uop slab is cut deepest by a
+//! snapshot, and perlbmk calls and returns.
+//!
+//! Equal reports cannot tell a working optimisation from a silently
+//! disabled one, so the cells run with the metrics registry on (which
+//! also checks that observing a campaign leaves its report alone) and
+//! the matrix pins counts only a working one produces: every simulated
+//! run of a snapshot cell is a fork, and early exit cuts exactly the
+//! runs listed in [`CELLS`] on the default sweep.
+//!
+//! The matrix takes seconds in release and many minutes in debug, so
+//! the debug suite skips it; `scripts/verify.sh` runs it with
+//! `cargo test --release --offline -p blackjack-bench --test detection_equiv`.
 
 use blackjack::faults::FaultKind;
 use blackjack::workloads::Benchmark;
-use blackjack::{Campaign, EarlyExitKind};
-use blackjack_bench::detection::{run_detection, DetectionConfig};
+use blackjack::{Campaign, Counter, EarlyExitKind};
+use blackjack_bench::detection::{
+    default_benchmarks, run_detection, run_detection_observed, DetectionConfig, DetectionReport,
+    ObserveCtl,
+};
+
+/// The kernels outside the default sweep the matrix also covers.
+const EXTRA_KERNELS: [Benchmark; 3] = [Benchmark::Equake, Benchmark::Gcc, Benchmark::Perlbmk];
+
+/// Each cell's (snapshot, early exit, workers), and the counts it must
+/// reach summed over the default sweep: runs cut short by activation
+/// pruning, by the convergence seal and by the stall watchdog, snapshot
+/// forks, and runs simulated. Of the sweep's 200 jobs, 68 are statically
+/// pruned.
+const CELLS: [((bool, bool, usize), [u64; 5]); 4] = [
+    ((true, false, 8), [0, 0, 0, 132, 132]),
+    ((false, true, 1), [24, 0, 0, 0, 108]),
+    ((true, true, 1), [24, 0, 0, 108, 108]),
+    ((true, true, 8), [24, 0, 0, 108, 108]),
+];
 
 fn cfg(snapshot: bool, early_exit: bool) -> DetectionConfig {
-    DetectionConfig { prune: true, snapshot, early_exit, ..DetectionConfig::default() }
+    DetectionConfig { snapshot, early_exit, ..DetectionConfig::default() }
 }
 
-#[test]
-fn report_identical_across_paths_and_worker_counts() {
-    let benches = [Benchmark::Gzip];
-    // Baseline: the slowest, most literal path — replay from cycle 0,
-    // every run to its natural end, one worker.
-    let base = run_detection(&Campaign::with_workers(1), cfg(false, false), &benches, false);
-    assert!(!base.text.is_empty());
-    assert!(base.early_exits.iter().all(|e| e.is_none()), "early exit off means none attributed");
-    for (snapshot, early_exit, workers) in [
-        (false, false, 8),
-        (true, false, 1),
-        (true, false, 8),
-        (false, true, 1),
-        (true, true, 1),
-        (true, true, 8),
-    ] {
-        let got =
-            run_detection(&Campaign::with_workers(workers), cfg(snapshot, early_exit), &benches, false);
-        let which = format!("snapshot={snapshot} early_exit={early_exit} workers={workers}");
-        assert_eq!(got.text, base.text, "{which} changed the report");
-        assert_eq!(got.tallies, base.tallies, "{which}");
-        assert_eq!(got.taxonomies, base.taxonomies, "{which} changed the CE/DUE/SDC split");
-        assert_eq!(got.meta, base.meta, "arming schedules must not depend on the path");
-    }
+/// The plain replay path on one worker, metrics off.
+fn replay(bench: Benchmark, cfg: DetectionConfig) -> DetectionReport {
+    let cfg = DetectionConfig { snapshot: false, early_exit: false, ..cfg };
+    run_detection(&Campaign::with_workers(1), cfg, &[bench], false)
 }
 
-#[test]
-fn transient_and_intermittent_reports_are_worker_deterministic() {
-    // The temporal fault models ride the same campaign machinery, with
-    // the ECC layer on so the CE column is live; the report (legacy
-    // table and taxonomy both) must not depend on the worker count or
-    // on the snapshot/early-exit path.
-    let benches = [Benchmark::Gzip];
-    for kind in [FaultKind::Transient, FaultKind::Intermittent { period: 64, on: 8 }] {
-        let mk = |snapshot, early_exit| DetectionConfig {
-            kind,
-            ecc: true,
-            ..cfg(snapshot, early_exit)
-        };
-        let base = run_detection(&Campaign::with_workers(1), mk(true, true), &benches, false);
-        assert!(!base.text.is_empty());
-        // Worker-count determinism on the fast path for both kinds; the
-        // expensive replay-from-zero cross-check once, on the transient
-        // campaign (the hard-fault slow path is covered above).
-        let mut others = vec![(true, true, 8)];
-        if kind == FaultKind::Transient {
-            others.push((false, false, 1));
-        }
-        for (snapshot, early_exit, workers) in others {
-            let got =
-                run_detection(&Campaign::with_workers(workers), mk(snapshot, early_exit), &benches, false);
-            let which =
-                format!("{kind:?} snapshot={snapshot} early_exit={early_exit} workers={workers}");
-            assert_eq!(got.text, base.text, "{which} changed the report");
-            assert_eq!(got.taxonomies, base.taxonomies, "{which} changed the CE/DUE/SDC split");
-        }
-    }
+/// One cell's campaign, metrics on.
+fn observed(bench: Benchmark, cfg: DetectionConfig, workers: usize) -> DetectionReport {
+    let ctl = ObserveCtl { metrics: true, ..ObserveCtl::default() };
+    run_detection_observed(&Campaign::with_workers(workers), cfg, &[bench], ctl)
 }
 
-#[test]
-fn early_exit_attributes_runs_without_touching_the_tallies() {
-    let benches = [Benchmark::Gzip];
-    let c = Campaign::with_workers(8);
-    let fast =
-        run_detection(&c, DetectionConfig { prune: false, ..cfg(true, true) }, &benches, false);
-    // Attribution rides beside the tallies, one entry per job.
-    assert_eq!(fast.early_exits.len(), fast.tallies.len());
-    // An activation-pruned run is benign by construction, and never
-    // carries the static-prune marker (pruning was off).
-    let mut activations: u32 = 0;
-    for (e, (_, t)) in fast.early_exits.iter().zip(&fast.tallies) {
+fn count(report: &DetectionReport, c: Counter) -> u64 {
+    report.metrics.as_ref().expect("the cell ran with metrics on").get(c)
+}
+
+fn assert_same(got: &DetectionReport, want: &DetectionReport, which: &str) {
+    assert_eq!(got.text, want.text, "{which}: report text");
+    assert_eq!(got.tallies, want.tallies, "{which}: tallies");
+    assert_eq!(got.taxonomies, want.taxonomies, "{which}: CE/DUE/SDC taxonomies");
+    assert_eq!(got.meta, want.meta, "{which}: arming schedule");
+}
+
+/// Runs every hard-fault cell on `bench` against the kernel's reference
+/// and returns each [`CELLS`] entry's counts, in order.
+fn check_hard_fault_cells(bench: Benchmark) -> [[u64; 5]; CELLS.len()] {
+    let reference = replay(bench, DetectionConfig::default());
+    assert!(reference.early_exits.iter().all(Option::is_none), "{bench}: early exit was off");
+    let cell_counts = CELLS.map(|((snapshot, early_exit, workers), _)| {
+        let which =
+            format!("{bench} snapshot={snapshot} early_exit={early_exit} workers={workers}");
+        let got = observed(bench, cfg(snapshot, early_exit), workers);
+        assert_same(&got, &reference, &which);
+        let exits = |k| got.early_exits.iter().filter(|e| **e == Some(k)).count() as u64;
+        let forks = count(&got, Counter::SnapshotForks);
+        let runs = count(&got, Counter::RunsSimulated);
+        assert_eq!(forks, if snapshot { runs } else { 0 }, "{which}: forks");
+        [
+            exits(EarlyExitKind::Activation),
+            exits(EarlyExitKind::Convergence),
+            exits(EarlyExitKind::Watchdog),
+            forks,
+            runs,
+        ]
+    });
+
+    // Static pruning off: the simulated sites reach the verdicts the
+    // pruned ones were tallied with, and early exit's activation pruning
+    // claims at least every statically dead site.
+    let which = format!("{bench} prune=false");
+    let unpruned = observed(bench, DetectionConfig { prune: false, ..cfg(true, true) }, 8);
+    let rows = |r: &DetectionReport| {
+        let end = r.text.find("\npruned_sites").expect("the report ends with pruned_sites");
+        r.text[..end].to_string()
+    };
+    assert_eq!(rows(&unpruned), rows(&reference), "{which}: report rows");
+    let outcomes = |r: &DetectionReport| -> Vec<_> {
+        r.tallies.iter().map(|(m, t)| (*m, t.detected, t.corrupted, t.benign, t.stuck)).collect()
+    };
+    assert_eq!(outcomes(&unpruned), outcomes(&reference), "{which}: tallies");
+    assert_eq!(unpruned.taxonomies, reference.taxonomies, "{which}: CE/DUE/SDC taxonomies");
+    assert_eq!(unpruned.meta, reference.meta, "{which}: arming schedule");
+    let mut activations = 0;
+    for (e, (_, t)) in unpruned.early_exits.iter().zip(&unpruned.tallies) {
+        assert_eq!(t.pruned, 0, "{which}: a site was statically pruned");
         if *e == Some(EarlyExitKind::Activation) {
             activations += 1;
-            assert_eq!((t.benign, t.pruned, t.total()), (1, 0, 1));
+            assert_eq!((t.benign, t.total()), (1, 1), "{which}: an activation-pruned run");
         }
     }
-    // With static pruning off, every statically dead site is still dead
-    // dynamically, so mechanism 1 must claim at least those runs with
-    // zero simulation.
-    let statically_dead: u32 = run_detection(&c, cfg(true, true), &benches, false)
-        .tallies
-        .iter()
-        .map(|(_, t)| t.pruned)
-        .sum();
-    assert!(statically_dead > 0, "gzip should have statically dead ways");
+    let statically_dead: u32 = reference.tallies.iter().map(|(_, t)| t.pruned).sum();
     assert!(
         activations >= statically_dead,
-        "activation pruning claimed {activations} runs, fewer than the {statically_dead} \
-         statically dead sites"
+        "{which}: activation pruning claimed {activations} runs, fewer than the \
+         {statically_dead} statically dead sites"
     );
+    cell_counts
 }
 
 #[test]
-fn pruning_does_not_change_the_tally_table() {
-    // Pruned sites are tallied benign without simulating; the per-mode
-    // table must match the fully simulated sweep on both paths.
-    let benches = [Benchmark::Gzip];
-    let c = Campaign::with_workers(8);
-    let full = run_detection(&c, DetectionConfig { prune: false, ..cfg(true, true) }, &benches, false);
-    let pruned = run_detection(&c, cfg(true, true), &benches, false);
-    for ((fm, f), (pm, p)) in full.tallies.iter().zip(&pruned.tallies) {
-        assert_eq!(fm, pm);
-        // The `pruned` marker legitimately differs; the outcome must not.
+#[cfg_attr(debug_assertions, ignore = "release-only: scripts/verify.sh runs it")]
+fn default_sweep_matches_the_replay_path_with_pinned_counts() {
+    let mut sums = [[0u64; 5]; CELLS.len()];
+    for bench in default_benchmarks() {
+        for (sum, counts) in sums.iter_mut().zip(check_hard_fault_cells(bench)) {
+            for (s, c) in sum.iter_mut().zip(counts) {
+                *s += c;
+            }
+        }
+    }
+    for (((snapshot, early_exit, workers), want), got) in CELLS.iter().zip(sums) {
         assert_eq!(
-            (f.detected, f.corrupted, f.benign, f.stuck),
-            (p.detected, p.corrupted, p.benign, p.stuck),
-            "a pruned site's outcome diverged from its simulated run"
+            got, *want,
+            "default sweep, snapshot={snapshot} early_exit={early_exit} workers={workers}: \
+             [activation, convergence, watchdog, forks, runs simulated]"
         );
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: scripts/verify.sh runs it")]
+fn extra_kernels_match_the_replay_path() {
+    for bench in EXTRA_KERNELS {
+        check_hard_fault_cells(bench);
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: scripts/verify.sh runs it")]
+fn transient_and_intermittent_reports_match_across_workers_and_the_replay_path() {
+    for kind in [FaultKind::Transient, FaultKind::Intermittent { period: 64, on: 8 }] {
+        for bench in [Benchmark::Gzip, Benchmark::Equake] {
+            let cfg = DetectionConfig { kind, ecc: true, ..DetectionConfig::default() };
+            let which = format!("{kind} {bench}");
+            let one = run_detection(&Campaign::with_workers(1), cfg, &[bench], false);
+            assert!(one.text.contains("taxonomy (ECC on):"), "{which}: taxonomy");
+            assert_same(&observed(bench, cfg, 8), &one, &format!("{which} workers=8"));
+            if kind == FaultKind::Transient {
+                assert_same(&replay(bench, cfg), &one, &format!("{which} replay"));
+            }
+        }
     }
 }

@@ -61,10 +61,9 @@ pub struct SimStats {
     /// *simulate*-phase stamp when attributing wall time to phases.
     /// [`SimStats::merge`] leaves it untouched: summing
     /// the wall-clock of runs that executed in parallel on different
-    /// campaign workers would not measure any real elapsed interval. For
-    /// campaign-level wall-clock throughput use
-    /// `CampaignStats::cycles_per_sec`, which divides by the campaign's
-    /// actual elapsed time.
+    /// campaign workers would not measure any real elapsed interval.
+    /// Campaign-level wall-clock throughput divides by the campaign's own
+    /// elapsed time instead (`CampaignTrace::wall`).
     pub wall_nanos: u64,
     /// *Aggregate* compute nanoseconds: the sum of `wall_nanos` over every
     /// run merged into this record (equal to `wall_nanos` for a single
@@ -200,7 +199,8 @@ impl SimStats {
     }
 
     /// Simulated cycles per *worker*-second — the simulator's own
-    /// throughput, reported by the `bench_campaign` harness.
+    /// throughput, the number the benchmark's `figures` workload reports
+    /// per mode as `sim.cycles_per_s.*`.
     ///
     /// The denominator is [`SimStats::agg_wall_nanos`], the summed
     /// compute time of every merged run — **not** campaign elapsed time.

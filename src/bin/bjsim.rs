@@ -48,6 +48,22 @@ use blackjack::sim::{
 };
 use blackjack::telemetry::TraceWriter;
 
+/// `println!` that stops printing, instead of panicking, once the reader
+/// has closed stdout: a reader that quits early (`bjsim … | grep -q
+/// DETECTED`) has already seen what it wanted, and the run's exit status
+/// must not depend on when it quit.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            assert!(
+                e.kind() == std::io::ErrorKind::BrokenPipe,
+                "failed printing to stdout: {e}"
+            );
+        }
+    }};
+}
+
 fn usage() -> ! {
     eprintln!("usage: bjsim [--mode M] [--shuffle S] [--slack N] [--fault SITE:WAY[:BIT]] [--max-cycles N] [--oracle] [--quiet] <program.s>");
     exit(2);
@@ -155,11 +171,11 @@ fn main() {
     let replay = core.take_commit_log().map(|log| replay_commit_log(&prog, &log));
     let s = core.stats();
     match outcome {
-        RunOutcome::Completed => println!("completed: {} instructions, {} cycles (IPC {:.3})",
+        RunOutcome::Completed => outln!("completed: {} instructions, {} cycles (IPC {:.3})",
             s.committed[0], s.cycles, s.ipc()),
-        RunOutcome::Detected(ev) => println!("DETECTED: {ev}"),
+        RunOutcome::Detected(ev) => outln!("DETECTED: {ev}"),
         RunOutcome::CycleLimit => {
-            println!("cycle limit reached at {}", s.cycles);
+            outln!("cycle limit reached at {}", s.cycles);
             if !quiet {
                 eprintln!("{}", core.debug_state());
             }
@@ -169,11 +185,11 @@ fn main() {
     // it names the first corrupted commit, which precedes any detection.
     let diverged = match &replay {
         Some(Ok(n)) => {
-            println!("oracle: all {n} commits match the interpreter");
+            outln!("oracle: all {n} commits match the interpreter");
             false
         }
         Some(Err(d)) => {
-            println!("oracle: first divergence at {d}");
+            outln!("oracle: first divergence at {d}");
             core.plan().is_empty()
         }
         None => false,
@@ -189,33 +205,33 @@ fn main() {
     }
     if cfg.mode.is_redundant() {
         let area = AreaModel::default();
-        println!(
+        outln!(
             "coverage: {:.1}% total ({:.1}% frontend, {:.1}% backend) over {} pairs",
             100.0 * s.total_coverage(&area),
             100.0 * s.frontend_coverage(),
             100.0 * s.backend_coverage(),
             s.coverage.pairs
         );
-        println!(
+        outln!(
             "interference: {:.2}% leading-trailing, {:.2}% trailing-trailing; burstiness {:.1}%",
             100.0 * s.lt_interference(),
             100.0 * s.tt_interference(),
             100.0 * s.burstiness()
         );
         if cfg.mode.uses_dtq() {
-            println!(
+            outln!(
                 "shuffle: {} packets, {} splits, {} filler NOPs, {} forced",
                 s.shuffle_packets, s.shuffle_splits, s.shuffle_nops, s.shuffle_forced
             );
         }
-        println!("checks: {} stores compared", s.store_checks);
+        outln!("checks: {} stores compared", s.store_checks);
     }
-    println!(
+    outln!(
         "branches: {} committed, {} mispredicted; squashed {} wrong-path instructions",
         s.branches, s.mispredicts, s.squashed
     );
     let m = core.mem_sys();
-    println!(
+    outln!(
         "caches: L1D {:.2}% miss, L1I {:.2}% miss, L2 {:.2}% miss, {} memory accesses",
         100.0 * m.l1d_stats().miss_rate(),
         100.0 * m.l1i_stats().miss_rate(),

@@ -379,52 +379,6 @@ impl CampaignTrace {
     }
 }
 
-/// Aggregate throughput accounting for a campaign of simulator runs.
-///
-/// Built from the per-run [`SimStats`](blackjack_sim::SimStats) by
-/// [`CampaignStats::tally`]; the headline metric is *simulated cycles per
-/// wall-clock second across the whole campaign*, the number the
-/// `bench_campaign` harness records in `BENCH_campaign.json`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CampaignStats {
-    /// Jobs executed.
-    pub jobs: u64,
-    /// Total simulated cycles across all jobs.
-    pub sim_cycles: u64,
-    /// Total architecturally committed instructions (leading contexts).
-    pub committed: u64,
-    /// Campaign wall-clock.
-    pub wall: Duration,
-}
-
-impl CampaignStats {
-    /// Accumulates one run's statistics.
-    pub fn tally(&mut self, stats: &blackjack_sim::SimStats) {
-        self.jobs += 1;
-        self.sim_cycles += stats.cycles;
-        self.committed += stats.committed[0];
-    }
-
-    /// Simulated cycles per wall-clock second for the whole campaign.
-    pub fn cycles_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.sim_cycles as f64 / secs
-        }
-    }
-
-    /// Merges another campaign's tally into this one (wall-clock adds,
-    /// which models sequential campaign phases).
-    pub fn merge(&mut self, other: &CampaignStats) {
-        self.jobs += other.jobs;
-        self.sim_cycles += other.sim_cycles;
-        self.committed += other.committed;
-        self.wall += other.wall;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,33 +471,5 @@ mod tests {
         assert!(out.is_empty());
         assert!(trace.timings.is_empty());
         assert!(trace.busy_fractions().iter().all(|f| *f == 0.0));
-    }
-
-    #[test]
-    fn campaign_stats_tally_and_merge() {
-        let mut a = CampaignStats::default();
-        let mut s = blackjack_sim::SimStats { cycles: 100, ..Default::default() };
-        s.committed[0] = 40;
-        a.tally(&s);
-        s.cycles = 50;
-        s.committed[0] = 20;
-        a.tally(&s);
-        assert_eq!(a.jobs, 2);
-        assert_eq!(a.sim_cycles, 150);
-        assert_eq!(a.committed, 60);
-
-        let mut b = CampaignStats {
-            jobs: 1,
-            sim_cycles: 850,
-            committed: 300,
-            wall: Duration::from_secs(1),
-        };
-        b.merge(&a);
-        assert_eq!(b.jobs, 3);
-        assert_eq!(b.sim_cycles, 1000);
-        assert_eq!(b.committed, 360);
-        assert_eq!(b.cycles_per_sec(), 1000.0);
-
-        assert_eq!(CampaignStats::default().cycles_per_sec(), 0.0);
     }
 }

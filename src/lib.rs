@@ -20,8 +20,7 @@ pub mod snapshot;
 pub mod telemetry;
 
 pub use campaign::{
-    Campaign, CampaignStats, CampaignTrace, JobTiming, Observed, ObserveOpts, ProgressHook,
-    ProgressTick,
+    Campaign, CampaignTrace, JobTiming, Observed, ObserveOpts, ProgressHook, ProgressTick,
 };
 pub use earlyexit::{EarlyExit, EarlyExitKind, Exit};
 pub use envcfg::EnvError;

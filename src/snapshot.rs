@@ -4,32 +4,25 @@
 //! triple is identical up to its fault's arming cycle — the hardware is
 //! healthy until the wear-out defect develops. Replaying that common
 //! prefix from cycle 0 for every fault site dominates campaign wall time.
-//! This module simulates the prefix *once*: a fault-free core is driven
-//! forward, pausing one cycle before each distinct arming point to take a
-//! [`CoreSnapshot`], and each injection job is handed a cheap
-//! [`SnapshotChain::fork`] instead of a cold `Core::new`.
+//! This module simulates the prefix *once*:
+//! [`SnapshotChain::build_periodic`] drives a fault-free core to
+//! completion, taking a [`CoreSnapshot`] every `interval` cycles, and each
+//! injection job is handed a cheap [`SnapshotChain::fork_catchup`] instead
+//! of a cold `Core::new` — a fork of the nearest snapshot at or before
+//! `arm - 1`, caught up the few fault-free cycles in between.
 //!
 //! **Why the fork is exact.** Every fault hook in the core is inert
 //! before the plan's arming cycle, so a faulted run's state at cycle
 //! `arm - 1` equals the fault-free state at `arm - 1` — which is exactly
-//! what the snapshot holds. `Core::run` compares against absolute cycle
-//! numbers, so the continuation simulates the same cycles the cold run
-//! would. The only difference is wall-clock telemetry
+//! what the caught-up fork holds. `Core::run` compares against absolute
+//! cycle numbers, so the continuation simulates the same cycles the cold
+//! run would. The only difference is wall-clock telemetry
 //! (`SimStats::wall_nanos`), which no report includes.
 //!
-//! The chain is *incremental*: snapshots are taken in ascending arm order
-//! from one continuously advancing core, so building `k` snapshots costs
-//! one fault-free prefix, not `k`.
-
-//! Two chain-building strategies exist. [`SnapshotChain::build`] pauses
-//! exactly one cycle before each known arming point (the *exact* chain:
-//! forks resume with zero catch-up). [`SnapshotChain::build_periodic`]
-//! snapshots every `interval` cycles in a single pass to completion
-//! without knowing the arms in advance — the early-exit campaign path
-//! uses it to make one instrumented reference run do triple duty (cycle
-//! count, site-usage schedule, snapshots); forks then catch up at most
-//! `interval - 1` fault-free cycles via [`SnapshotChain::fork_catchup`],
-//! which is exact for the same reason the fork itself is.
+//! The chain is *incremental*: snapshots are taken from one continuously
+//! advancing core, so building `k` snapshots costs one fault-free run,
+//! not `k`. It needs no advance knowledge of the arms, so the reference
+//! pass that fixes the arming schedule builds it too.
 
 use blackjack_faults::FaultPlan;
 use blackjack_sim::{Core, CoreSnapshot};
@@ -48,13 +41,13 @@ pub fn arming_schedule(fault_free_cycles: u64, sites: usize) -> Vec<u64> {
     (0..sites as u64).map(|i| (n / 2 + i * n / (2 * sites.max(1) as u64)).max(1)).collect()
 }
 
-/// Snapshots of one fault-free run, taken one cycle before each distinct
-/// arming point, ready to mint per-site injection cores.
+/// Periodic snapshots of one fault-free run, ready to mint per-site
+/// injection cores.
 pub struct SnapshotChain {
-    /// `(arm_cycle, snapshot at arm_cycle - 1)`, ascending by arm.
-    /// Boxed: `Core` is ~3 KB inline, and the periodic builder's sliding
-    /// retention compacts this vector every snapshot — through a `Box`
-    /// that's a 16-byte move per element instead of a deep memmove.
+    /// `(cycle, snapshot at cycle)`, ascending by cycle. Boxed: `Core` is
+    /// ~3 KB inline, and the builder's sliding retention compacts this
+    /// vector every snapshot — through a `Box` that's a 16-byte move per
+    /// element instead of a deep memmove.
     snaps: Vec<(u64, Box<CoreSnapshot>)>,
     stats: ChainStats,
 }
@@ -78,29 +71,6 @@ pub struct ChainStats {
 }
 
 impl SnapshotChain {
-    /// Builds the chain by driving `core` (which must be fault-free)
-    /// forward once, pausing at `arm - 1` for every distinct cycle in
-    /// `arms`. Duplicate and unsorted arms are fine — the chain stores
-    /// each distinct arm once, in ascending order.
-    ///
-    /// An arm past the run's completion still gets a snapshot (of the
-    /// completed state): forking it reproduces the cold run in which the
-    /// fault never fires.
-    pub fn build(mut core: Core, arms: &[u64]) -> SnapshotChain {
-        let mut distinct: Vec<u64> = arms.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut snaps = Vec::with_capacity(distinct.len());
-        for arm in distinct {
-            // Incremental: continues from the previous pause, never from
-            // cycle 0. `run` is a no-op once the core is done.
-            core.run(arm.saturating_sub(1));
-            snaps.push((arm, Box::new(core.snapshot())));
-        }
-        let stats = ChainStats { taken: snaps.len() as u64, peak_retained: snaps.len() as u64, ..ChainStats::default() };
-        SnapshotChain { snaps, stats }
-    }
-
     /// Builds a chain in one fault-free pass to *completion*, snapshotting
     /// every `interval` cycles, with no advance knowledge of the arming
     /// points — pair with [`SnapshotChain::fork_catchup`]. Returns the
@@ -217,27 +187,11 @@ impl SnapshotChain {
         (SnapshotChain { snaps, stats }, core)
     }
 
-    /// A core continuing from the snapshot for `arm` under `plan` — the
-    /// per-site injection fork. `plan` must be armed at `arm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arm` was not in the arms the chain was built with, or
-    /// if `plan.arm_cycle() != arm`.
-    pub fn fork(&self, arm: u64, plan: FaultPlan) -> Core {
-        assert_eq!(plan.arm_cycle(), arm, "plan must be armed at the requested snapshot");
-        let i = self
-            .snaps
-            .binary_search_by_key(&arm, |&(a, _)| a)
-            .unwrap_or_else(|_| panic!("no snapshot for arming cycle {arm}"));
-        self.snaps[i].1.fork(plan)
-    }
-
-    /// Like [`SnapshotChain::fork`], but tolerant of arms the chain never
-    /// paused at: forks the nearest snapshot at or before `arm - 1` under
-    /// `plan` and catches up the remaining cycles to `arm - 1`. Exact for
-    /// the same reason the plain fork is — every caught-up cycle precedes
-    /// the arming point, where the hooks are inert.
+    /// A core at cycle `arm - 1` under `plan` — the per-site injection
+    /// fork: forks the nearest snapshot at or before `arm - 1` under
+    /// `plan` and catches up the remaining fault-free cycles. Exact
+    /// because every caught-up cycle precedes the arming point, where the
+    /// hooks are inert.
     ///
     /// # Panics
     ///
@@ -250,9 +204,9 @@ impl SnapshotChain {
         let i = self.snaps.partition_point(|(_, s)| s.cycle() <= target);
         assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
         // The plan goes in before the catch-up: its hooks are inert until
-        // `arm`, and the donor's plan (with an early-exit chain, the
-        // reference pass's usage recorder) is gone before it costs a
-        // cycle of recording.
+        // `arm`, and the donor's plan (when the reference pass recorded
+        // site usage, its recorder) is gone before it costs a cycle of
+        // recording.
         let mut core = self.snaps[i - 1].1.fork(plan);
         core.run(target);
         core
@@ -288,9 +242,9 @@ impl SnapshotChain {
         self.snaps.is_empty()
     }
 
-    /// The distinct arming cycles, ascending.
-    pub fn arms(&self) -> Vec<u64> {
-        self.snaps.iter().map(|&(a, _)| a).collect()
+    /// The snapshot cycles, ascending.
+    pub fn cycles(&self) -> Vec<u64> {
+        self.snaps.iter().map(|&(c, _)| c).collect()
     }
 }
 
@@ -316,38 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_dedups_and_forks_exactly() {
-        let prog = build(Benchmark::Gzip, 1);
-        let cfg = CoreConfig::with_mode(Mode::Srt);
-
-        // Fault-free length for a meaningful schedule.
-        let mut probe = Core::new(cfg.clone(), &prog, FaultPlan::new());
-        assert!(probe.run(10_000_000).completed());
-        let n = probe.cycle();
-
-        let arms = vec![n / 2, n / 2, n * 3 / 4];
-        let chain = SnapshotChain::build(Core::new(cfg.clone(), &prog, FaultPlan::new()), &arms);
-        assert_eq!(chain.len(), 2, "duplicate arms collapse");
-        assert_eq!(chain.arms(), vec![n / 2, n * 3 / 4]);
-
-        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
-        for &arm in &[n / 2, n * 3 / 4] {
-            let plan = FaultPlan::single(fault).arm_at(arm);
-            let mut forked = chain.fork(arm, plan.clone());
-            let forked_out = forked.run(10_000_000);
-            let mut cold = Core::new(cfg.clone(), &prog, plan);
-            let cold_out = cold.run(10_000_000);
-            assert_eq!(forked_out, cold_out, "arm {arm}: outcome must match cold run");
-            assert_eq!(forked.cycle(), cold.cycle(), "arm {arm}: cycle count must match");
-            assert_eq!(
-                forked.mem().first_difference(cold.mem()),
-                None,
-                "arm {arm}: memory must match"
-            );
-        }
-    }
-
-    #[test]
     fn periodic_chain_forks_exactly_from_any_arm() {
         let prog = build(Benchmark::Gzip, 1);
         let cfg = CoreConfig::with_mode(Mode::Srt);
@@ -363,7 +285,7 @@ mod tests {
         assert!(!chain.is_empty());
         // Sliding retention: nothing older than the final horizon
         // survives, so memory does not scale with the full run length.
-        for &c in &chain.arms() {
+        for &c in &chain.cycles() {
             assert!(c + 1024 >= n / 2 || c + 2048 >= n / 2, "snapshot at {c} is behind the horizon");
         }
 
@@ -410,7 +332,7 @@ mod tests {
             10_000_000,
             None,
         );
-        assert_eq!(chain.arms(), plain.arms(), "hint must not change the finished chain");
+        assert_eq!(chain.cycles(), plain.cycles(), "hint must not change the finished chain");
 
         // Every schedulable arm still forks exactly.
         let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
@@ -431,38 +353,5 @@ mod tests {
         let prog = build(Benchmark::Gzip, 1);
         let core = Core::new(CoreConfig::with_mode(Mode::Srt), &prog, FaultPlan::new());
         let _ = SnapshotChain::build_periodic(core, 1024, 10_000_000, Some(7));
-    }
-
-    #[test]
-    fn catchup_fork_works_on_exact_chains_too() {
-        // The exact chain stores (arm, snapshot at arm-1); fork_catchup
-        // must find the donor by snapshot cycle and replay the one
-        // missing cycle.
-        let prog = build(Benchmark::Gzip, 1);
-        let cfg = CoreConfig::with_mode(Mode::Srt);
-        let mut probe = Core::new(cfg.clone(), &prog, FaultPlan::new());
-        assert!(probe.run(10_000_000).completed());
-        let n = probe.cycle();
-
-        let chain = SnapshotChain::build(Core::new(cfg.clone(), &prog, FaultPlan::new()), &[n / 2]);
-        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
-        let plan = FaultPlan::single(fault).arm_at(n / 2);
-        let mut a = chain.fork(n / 2, plan.clone());
-        let mut b = chain.fork_catchup(n / 2, plan);
-        assert_eq!(a.run(10_000_000), b.run(10_000_000));
-        assert_eq!(a.cycle(), b.cycle());
-        assert_eq!(a.mem().first_difference(b.mem()), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "no snapshot for arming cycle")]
-    fn fork_of_unknown_arm_panics() {
-        let prog = build(Benchmark::Gzip, 1);
-        let chain = SnapshotChain::build(
-            Core::new(CoreConfig::with_mode(Mode::Single), &prog, FaultPlan::new()),
-            &[100],
-        );
-        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
-        chain.fork(200, FaultPlan::single(fault).arm_at(200));
     }
 }

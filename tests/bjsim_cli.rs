@@ -1,7 +1,7 @@
 //! `bjsim` on the command line: the `--oracle` commit-log replay, with
 //! and without a fault, and the `--fault` site spellings.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs `bjsim` on the checksum example; returns (exit code, stdout).
 fn bjsim(args: &[&str]) -> (i32, String) {
@@ -49,6 +49,23 @@ fn oracle_under_a_fault_names_the_first_corrupted_commit() {
         number_after(diverged, "at seq ") < number_after(detected, "(seq "),
         "the corrupted commit comes before the detection: {out}"
     );
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_leaves_the_exit_status_alone() {
+    // `bjsim … | grep -q DETECTED` closes the pipe at the first match,
+    // before bjsim prints its oracle line. Here the read end is closed
+    // before bjsim prints anything, so every line it writes hits the
+    // closed pipe; the detected run must still exit 0.
+    let program = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs/checksum.s");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bjsim"))
+        .args(["--quiet", "--oracle", "--fault", "backend:4:2", program])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("bjsim runs");
+    drop(child.stdout.take());
+    assert_eq!(child.wait().expect("bjsim exits").code(), Some(0));
 }
 
 #[test]
