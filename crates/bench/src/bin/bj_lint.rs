@@ -106,9 +106,7 @@ fn main() {
         }
     }
 
-    let scale = envcfg::positive_from_env::<u32>("BJ_SCALE")
-        .unwrap_or_else(|e| envcfg::exit_invalid(&e))
-        .unwrap_or(1);
+    let scale = envcfg::SCALE.positive().expect("BJ_SCALE has a default") as u32;
     let counts = FuCounts::default();
     let mut hard_failed = false;
     let mut findings = false;

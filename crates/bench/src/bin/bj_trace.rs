@@ -32,9 +32,12 @@
 use std::io::Read as _;
 
 use blackjack::telemetry::{
-    json_obj, json_str, json_str_array, json_u64, json_u64_array, summarize_campaign,
-    SCHEMA_VERSION,
+    get_bool, get_obj, get_str, get_strs, get_u64, get_u64s, parse_line, summarize_campaign,
+    JsonValue, SCHEMA_VERSION,
 };
+
+/// One parsed telemetry line: its fields in source order.
+type Record = Vec<(String, JsonValue)>;
 
 /// Cycle columns shown in the pipeline timeline (the tail of the
 /// recorded window).
@@ -85,17 +88,28 @@ fn main() {
         println!("bj-trace: no telemetry lines in input (nothing to render)");
         return;
     }
+    let records = parse_records(&text);
 
     let mut rendered = 0usize;
-    rendered += render_meta(&lines);
+    rendered += render_meta(&records);
     rendered += render_campaign(&lines);
-    rendered += render_runs(&lines);
-    rendered += render_heatmaps(&lines);
-    rendered += render_flight(&lines);
-    rendered += render_detections(&lines);
+    rendered += render_runs(&records);
+    rendered += render_heatmaps(&records);
+    rendered += render_flight(&records);
+    rendered += render_detections(&records);
     if rendered == 0 {
         println!("bj-trace: no recognized telemetry lines in input (nothing to render)");
     }
+}
+
+/// Every well-formed line of `text`, parsed; anything else (a blank or
+/// half-written line) is skipped.
+fn parse_records(text: &str) -> Vec<Record> {
+    text.lines().filter_map(parse_line).collect()
+}
+
+fn of_type<'a>(records: &'a [Record], ty: &str) -> Vec<&'a Record> {
+    records.iter().filter(|r| get_str(r, "type") == Some(ty)).collect()
 }
 
 // ------------------------------------------------------------------- top
@@ -112,9 +126,7 @@ fn top_main(args: &[String]) {
         }
     }
     if !follow {
-        let text = read_input(path);
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        if render_top(&lines) == 0 {
+        if render_top(&parse_records(&read_input(path))) == 0 {
             println!("bj-trace top: no observability records in input (nothing to render)");
         }
         return;
@@ -126,18 +138,17 @@ fn top_main(args: &[String]) {
     // Follow mode: one compact line per fresh tick, a full render once
     // the campaign's final tick lands. The file may not exist yet — a
     // follower is typically started before the campaign.
-    let mut last: Option<String> = None;
+    let mut last: Option<Record> = None;
     loop {
-        let text = std::fs::read_to_string(p).unwrap_or_default();
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        if let Some(tick) = latest_progress(&lines) {
-            if last.as_deref() != Some(tick) {
+        let records = parse_records(&std::fs::read_to_string(p).unwrap_or_default());
+        if let Some(tick) = latest_progress(&records) {
+            if last.as_ref() != Some(tick) {
                 println!("{}", progress_line(tick));
-                last = Some(tick.to_string());
+                last = Some(tick.clone());
             }
-            if tick.contains("\"done\":true") {
+            if get_bool(tick, "done") == Some(true) {
                 println!();
-                render_top(&lines);
+                render_top(&records);
                 return;
             }
         }
@@ -145,8 +156,8 @@ fn top_main(args: &[String]) {
     }
 }
 
-fn latest_progress<'a>(lines: &[&'a str]) -> Option<&'a str> {
-    of_type(lines, "progress").into_iter().last()
+fn latest_progress(records: &[Record]) -> Option<&Record> {
+    of_type(records, "progress").into_iter().last()
 }
 
 fn secs(nanos: u64) -> String {
@@ -154,46 +165,46 @@ fn secs(nanos: u64) -> String {
 }
 
 /// The compact one-line progress view (`--follow`'s per-tick output).
-fn progress_line(p: &str) -> String {
-    let done = json_u64(p, "jobs_done").unwrap_or(0);
-    let total = json_u64(p, "jobs_total").unwrap_or(0).max(1);
+fn progress_line(p: &Record) -> String {
+    let done = get_u64(p, "jobs_done").unwrap_or(0);
+    let total = get_u64(p, "jobs_total").unwrap_or(0).max(1);
     let filled = (done * 24 / total) as usize;
-    let eta = json_u64(p, "eta_nanos").map_or("-".to_string(), secs);
-    let exits = json_obj(p, "early_exits").and_then(|e| json_u64(e, "total")).unwrap_or(0);
+    let eta = get_u64(p, "eta_nanos").map_or("-".to_string(), secs);
+    let exits = get_obj(p, "early_exits").and_then(|e| get_u64(e, "total")).unwrap_or(0);
     format!(
         "[{}{}] {done}/{total} jobs  elapsed {}  eta {eta}  runs {}  early-exits {exits}",
         "#".repeat(filled),
         ".".repeat(24usize.saturating_sub(filled)),
-        json_u64(p, "elapsed_nanos").map_or("-".to_string(), secs),
-        json_u64(p, "runs").unwrap_or(0),
+        get_u64(p, "elapsed_nanos").map_or("-".to_string(), secs),
+        get_u64(p, "runs").unwrap_or(0),
     )
 }
 
 /// The full `top` view: latest progress tick, phase attribution, and the
 /// metrics headline. Returns the number of records rendered.
-fn render_top(lines: &[&str]) -> usize {
+fn render_top(records: &[Record]) -> usize {
     let mut rendered = 0usize;
-    if let Some(p) = latest_progress(lines) {
+    if let Some(p) = latest_progress(records) {
         rendered += 1;
-        let state = if p.contains("\"done\":true") { "finished" } else { "running" };
+        let state = if get_bool(p, "done") == Some(true) { "finished" } else { "running" };
         println!("campaign: {state}  {}", progress_line(p));
         println!(
             "  workers: {}  forked runs: {}/{}",
-            json_u64(p, "workers").unwrap_or(0),
-            json_u64(p, "forked_runs").unwrap_or(0),
-            json_u64(p, "runs").unwrap_or(0),
+            get_u64(p, "workers").unwrap_or(0),
+            get_u64(p, "forked_runs").unwrap_or(0),
+            get_u64(p, "runs").unwrap_or(0),
         );
-        if let Some(e) = json_obj(p, "early_exits") {
+        if let Some(e) = get_obj(p, "early_exits") {
             println!(
                 "  early exits: activation {}  convergence {}  watchdog {}",
-                json_u64(e, "activation").unwrap_or(0),
-                json_u64(e, "convergence").unwrap_or(0),
-                json_u64(e, "watchdog").unwrap_or(0),
+                get_u64(e, "activation").unwrap_or(0),
+                get_u64(e, "convergence").unwrap_or(0),
+                get_u64(e, "watchdog").unwrap_or(0),
             );
         }
-        if let Some(s) = json_obj(p, "snapshots") {
-            let taken = json_u64(s, "taken").unwrap_or(0);
-            let refilled = json_u64(s, "refilled").unwrap_or(0);
+        if let Some(s) = get_obj(p, "snapshots") {
+            let taken = get_u64(s, "taken").unwrap_or(0);
+            let refilled = get_u64(s, "refilled").unwrap_or(0);
             let rate = refilled as f64 / (taken + refilled).max(1) as f64;
             println!(
                 "  snapshots: {taken} allocated, {refilled} refilled in place ({:.0}% reuse)",
@@ -201,7 +212,7 @@ fn render_top(lines: &[&str]) -> usize {
             );
         }
         if let (Some(busy), Some(elapsed)) =
-            (json_u64_array(p, "busy_nanos"), json_u64(p, "elapsed_nanos"))
+            (get_u64s(p, "busy_nanos"), get_u64(p, "elapsed_nanos"))
         {
             let view: Vec<String> = busy
                 .iter()
@@ -213,16 +224,16 @@ fn render_top(lines: &[&str]) -> usize {
             println!("  worker busy: {}", view.join("  "));
         }
     }
-    if let Some(ph) = of_type(lines, "phase").into_iter().last() {
+    if let Some(ph) = of_type(records, "phase").into_iter().last() {
         rendered += 1;
-        let wall = json_u64(ph, "wall_nanos").unwrap_or(0);
+        let wall = get_u64(ph, "wall_nanos").unwrap_or(0);
         println!();
         println!("phase attribution (cpu time; campaign wall {}):", secs(wall));
         let phases =
             ["setup_nanos", "snapshot_nanos", "simulate_nanos", "oracle_nanos", "reassembly_nanos"];
-        let total: u64 = phases.iter().filter_map(|k| json_u64(ph, k)).sum();
+        let total: u64 = phases.iter().filter_map(|k| get_u64(ph, k)).sum();
         for k in phases {
-            let v = json_u64(ph, k).unwrap_or(0);
+            let v = get_u64(ph, k).unwrap_or(0);
             let share = v as f64 / total.max(1) as f64;
             let bar = "#".repeat((share * 32.0).round() as usize);
             println!(
@@ -233,30 +244,30 @@ fn render_top(lines: &[&str]) -> usize {
             );
         }
     }
-    if let Some(m) = of_type(lines, "metrics").into_iter().last() {
+    if let Some(m) = of_type(records, "metrics").into_iter().last() {
         rendered += 1;
         println!();
         println!("metrics registry:");
-        if let Some(c) = json_obj(m, "counters") {
+        if let Some(c) = get_obj(m, "counters") {
             println!(
                 "  jobs {}  setups {}  runs simulated {}  forks {}  pruned {} (static {} / activation {})",
-                json_u64(c, "jobs").unwrap_or(0),
-                json_u64(c, "setups").unwrap_or(0),
-                json_u64(c, "runs_simulated").unwrap_or(0),
-                json_u64(c, "snapshot_forks").unwrap_or(0),
-                json_u64(c, "pruned_static").unwrap_or(0) + json_u64(c, "pruned_activation").unwrap_or(0),
-                json_u64(c, "pruned_static").unwrap_or(0),
-                json_u64(c, "pruned_activation").unwrap_or(0),
+                get_u64(c, "jobs").unwrap_or(0),
+                get_u64(c, "setups").unwrap_or(0),
+                get_u64(c, "runs_simulated").unwrap_or(0),
+                get_u64(c, "snapshot_forks").unwrap_or(0),
+                get_u64(c, "pruned_static").unwrap_or(0) + get_u64(c, "pruned_activation").unwrap_or(0),
+                get_u64(c, "pruned_static").unwrap_or(0),
+                get_u64(c, "pruned_activation").unwrap_or(0),
             );
             let exits = ["exit_completed", "exit_detected", "exit_cycle_limit", "exit_converged", "exit_stalled"];
             let view: Vec<String> = exits
                 .iter()
-                .map(|k| format!("{} {}", k.trim_start_matches("exit_"), json_u64(c, k).unwrap_or(0)))
+                .map(|k| format!("{} {}", k.trim_start_matches("exit_"), get_u64(c, k).unwrap_or(0)))
                 .collect();
             println!("  exit reasons: {}", view.join("  "));
         }
-        if let Some(h) = json_obj(m, "catchup_cycles") {
-            let total = json_u64(h, "total").unwrap_or(0);
+        if let Some(h) = get_obj(m, "catchup_cycles") {
+            let total = get_u64(h, "total").unwrap_or(0);
             if total > 0 {
                 println!("  fork catch-up: {total} forks measured (histogram in stream)");
             }
@@ -265,19 +276,11 @@ fn render_top(lines: &[&str]) -> usize {
     rendered
 }
 
-fn of_type<'a>(lines: &[&'a str], ty: &str) -> Vec<&'a str> {
-    lines
-        .iter()
-        .filter(|l| json_str(l, "type").as_deref() == Some(ty))
-        .copied()
-        .collect()
-}
-
-fn render_meta(lines: &[&str]) -> usize {
-    let metas = of_type(lines, "meta");
+fn render_meta(records: &[Record]) -> usize {
+    let metas = of_type(records, "meta");
     for m in &metas {
-        let tool = json_str(m, "tool").unwrap_or_default();
-        let schema = json_u64(m, "schema").unwrap_or(0);
+        let tool = get_str(m, "tool").unwrap_or_default();
+        let schema = get_u64(m, "schema").unwrap_or(0);
         println!("trace: tool={tool} schema={schema}");
         // Older schemas are a strict subset of the current one (v2 only
         // added record types), so only a *newer* stream merits a warning.
@@ -310,35 +313,34 @@ fn render_campaign(lines: &[&str]) -> usize {
     1
 }
 
-fn render_runs(lines: &[&str]) -> usize {
-    let runs = of_type(lines, "run");
+fn render_runs(records: &[Record]) -> usize {
+    let runs = of_type(records, "run");
     if runs.is_empty() {
         return 0;
     }
     println!();
     println!("{:<28} {:>12} {:>12} {:>8} {:>10}", "run", "cycles", "committed", "ipc", "exit");
     for r in &runs {
-        let label = json_str(r, "label").unwrap_or_default();
-        let cycles = json_u64(r, "cycles").unwrap_or(0);
-        let committed = json_u64_array(r, "committed")
-            .map(|v| v.iter().sum::<u64>())
-            .unwrap_or(0);
+        let label = get_str(r, "label").unwrap_or_default();
+        let stats = get_obj(r, "stats").unwrap_or_default();
+        let cycles = get_u64(stats, "cycles").unwrap_or(0);
+        let committed = get_u64s(stats, "committed").map_or(0, |v| v.iter().sum::<u64>());
         let ipc = if cycles == 0 { 0.0 } else { committed as f64 / cycles as f64 };
         // Additive field: streams from before the early-exit layer
         // simply show "-".
-        let exit = json_str(r, "exit_reason").unwrap_or_else(|| "-".to_string());
+        let exit = get_str(stats, "exit_reason").unwrap_or("-");
         println!("{label:<28} {cycles:>12} {committed:>12} {ipc:>8.3} {exit:>10}");
     }
     runs.len()
 }
 
-fn render_heatmaps(lines: &[&str]) -> usize {
-    let maps = of_type(lines, "heatmap");
+fn render_heatmaps(records: &[Record]) -> usize {
+    let maps = of_type(records, "heatmap");
     for m in &maps {
-        let label = json_str(m, "label").unwrap_or_default();
-        let ways = json_str_array(m, "ways").unwrap_or_default();
-        let lead = json_u64_array(m, "lead").unwrap_or_default();
-        let trail = json_u64_array(m, "trail").unwrap_or_default();
+        let label = get_str(m, "label").unwrap_or_default();
+        let ways = get_strs(m, "ways").unwrap_or_default();
+        let lead = get_u64s(m, "lead").unwrap_or_default();
+        let trail = get_u64s(m, "trail").unwrap_or_default();
         let max = lead.iter().chain(trail.iter()).copied().max().unwrap_or(0).max(1);
         println!();
         println!("way utilization: {label}");
@@ -384,8 +386,8 @@ fn stage_char(kind: &str) -> char {
     }
 }
 
-fn render_flight(lines: &[&str]) -> usize {
-    let events = of_type(lines, "flight_event");
+fn render_flight(records: &[Record]) -> usize {
+    let events = of_type(records, "flight_event");
     if events.is_empty() {
         return 0;
     }
@@ -393,12 +395,12 @@ fn render_flight(lines: &[&str]) -> usize {
     let mut detect_stamps: Vec<(u64, u64)> = Vec::new(); // (cycle, pc)
     let mut last_cycle = 0u64;
     for e in &events {
-        let cycle = json_u64(e, "cycle").unwrap_or(0);
+        let cycle = get_u64(e, "cycle").unwrap_or(0);
         last_cycle = last_cycle.max(cycle);
-        let kind = json_str(e, "kind").unwrap_or_default();
-        let Some(uid) = json_u64(e, "uid") else {
+        let kind = get_str(e, "kind").unwrap_or_default();
+        let Some(uid) = get_u64(e, "uid") else {
             // A `detect` stamp carries no uid; mark the cycle itself.
-            detect_stamps.push((cycle, json_u64(e, "pc").unwrap_or(0)));
+            detect_stamps.push((cycle, get_u64(e, "pc").unwrap_or(0)));
             continue;
         };
         let row = match rows.iter_mut().find(|r| r.uid == uid) {
@@ -406,23 +408,23 @@ fn render_flight(lines: &[&str]) -> usize {
             None => {
                 rows.push(UopRow {
                     uid,
-                    ctx: json_u64(e, "ctx").unwrap_or(0),
+                    ctx: get_u64(e, "ctx").unwrap_or(0),
                     seq: None,
-                    pc: json_u64(e, "pc").unwrap_or(0),
+                    pc: get_u64(e, "pc").unwrap_or(0),
                     way: None,
-                    filler: e.contains("\"filler\":true"),
+                    filler: get_bool(e, "filler") == Some(true),
                     stamps: Vec::new(),
                 });
                 rows.last_mut().expect("just pushed")
             }
         };
-        if let Some(seq) = json_u64(e, "seq") {
+        if let Some(seq) = get_u64(e, "seq") {
             row.seq = Some(seq);
         }
         if kind == "issue" {
-            row.way = json_u64(e, "way");
+            row.way = get_u64(e, "way");
         }
-        row.stamps.push((cycle, stage_char(&kind)));
+        row.stamps.push((cycle, stage_char(kind)));
     }
     let start = last_cycle.saturating_sub(TIMELINE_CYCLES.saturating_sub(1));
     let width = (last_cycle - start + 1) as usize;
@@ -480,22 +482,19 @@ fn render_flight(lines: &[&str]) -> usize {
     events.len()
 }
 
-fn render_detections(lines: &[&str]) -> usize {
-    let dets = of_type(lines, "detection");
+fn render_detections(records: &[Record]) -> usize {
+    let dets = of_type(records, "detection");
     for d in &dets {
-        let opt = |key: &str| {
-            json_u64(d, key).map_or("-".to_string(), |v| v.to_string())
-        };
+        let opt = |key: &str| get_u64(d, key).map_or("-".to_string(), |v| v.to_string());
         println!();
         println!(
             "detection: {} at cycle {} (seq {}, pc 0x{:x})",
-            json_str(d, "kind").unwrap_or_default(),
-            json_u64(d, "cycle").unwrap_or(0),
+            get_str(d, "kind").unwrap_or_default(),
+            get_u64(d, "cycle").unwrap_or(0),
             opt("seq"),
-            json_u64(d, "pc").unwrap_or(0)
+            get_u64(d, "pc").unwrap_or(0)
         );
-        let fronts = json_u64_array(d, "front_ways")
-            .map_or("-".to_string(), |v| format!("{v:?}"));
+        let fronts = get_u64s(d, "front_ways").map_or("-".to_string(), |v| format!("{v:?}"));
         println!(
             "  back ways: lead {} / trail {}   front ways [lead, trail]: {}",
             opt("lead_back_way"),

@@ -7,8 +7,9 @@
 //! pool. With `BJ_SNAPSHOT=1` (the default) the jobs fork from snapshots
 //! of the shared prefix instead of replaying from cycle 0; with
 //! `BJ_EARLYEXIT=1` (also the default) each run stops the moment its
-//! verdict is decided (`BJ_STALL_CYCLES` tunes the stall watchdog). The
-//! report is byte-identical on every path, and for any `BJ_THREADS`.
+//! verdict is decided. The report is byte-identical on every path, and
+//! for any `BJ_THREADS`. The sweep runs at workload scale 1 whatever
+//! `BJ_SCALE` says.
 //!
 //! `--bench <name>` restricts the sweep to one benchmark (used by the
 //! `verify.sh` wiring smoke). `BJ_PRUNE=0` disables static pruning.
@@ -38,12 +39,10 @@ use blackjack_bench::detection::{
 
 fn main() {
     let writer = TraceWriter::from_env_or_exit("ext_detection");
-    let metrics_on =
-        envcfg::metrics_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
-    let progress_secs =
-        envcfg::progress_secs_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
+    let metrics_on = envcfg::METRICS.flag();
+    let progress_secs = envcfg::PROGRESS_SECS.positive();
     let campaign = Campaign::from_env_or_exit();
-    let kinds = envcfg::fault_kinds_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
+    let kinds = envcfg::FAULT_KINDS.fault_kinds();
     let mut cfg = DetectionConfig::from_env_or_exit();
     cfg.kind = kinds[0];
     let args: Vec<String> = std::env::args().skip(1).collect();

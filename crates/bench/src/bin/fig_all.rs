@@ -155,11 +155,13 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          601,409 to 751,339 cycles/sec on the same host and benchmark mix\n\
          (+25%, 9-run medians before/after).\n\n\
          The campaign engine fans simulations out over `BJ_THREADS` workers\n\
-         and reassembles results in job order:\n\n\
+         and reassembles results in job order. Wall-clock of the full\n\
+         `ext_detection` sweep on a 2-vCPU host, medians of 21 interleaved\n\
+         runs each:\n\n\
          | workers | output | wall-clock |\n|---|---|---|\n\
-         | 1 | reference | reference |\n\
-         | 8 | byte-identical | \u{2248}1\u{d7} on this 1-core host; near-linear\n\
-         \x20 speedup on multi-core hosts (jobs are independent simulations) |\n\n",
+         | 1 | reference | 0.73 s |\n\
+         | 2 | byte-identical | 0.44 s (1.7\u{d7}) |\n\
+         | 8 | byte-identical | not measured (more workers than vCPUs) |\n\n",
     );
     s.push_str(
         "### Fork-at-injection (`BJ_SNAPSHOT`)\n\n\
@@ -191,8 +193,9 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          pruning* tallies a site Benign with no simulation when the reference\n\
          run never exercises it at or after arming; the *convergence seal*\n\
          stops a zero-activation run one cycle past the site's last reference\n\
-         exercise; the *stall watchdog* declares Stuck after `BJ_STALL_CYCLES`\n\
-         of no progress instead of burning the full cycle budget. The\n\
+         exercise; the *stall watchdog* declares Stuck after 25,000 cycles of\n\
+         no progress instead of burning the full cycle budget (a fixed\n\
+         window: much shorter ones change verdicts, DESIGN \u{a7}2.12). The\n\
          equivalence matrix asserts byte-identical reports with the layer off\n\
          and on. Measured on the same sweep when the layer landed, both ways\n\
          interleaved (min-of-5 per leg):\n\n\
@@ -240,7 +243,7 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          either way.\n\
          A real capture \u{2014} `BJ_SCALE=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1\n\
          BJ_TRACE=t.jsonl ext_detection --bench gzip`, rendered by\n\
-         `bj-trace top t.jsonl` on this 1-CPU host:\n\n\
+         `bj-trace top t.jsonl` on a 1-CPU host:\n\n\
          ```text\n\
          campaign: finished  [########################] 40/40 jobs  elapsed 0.0s  eta 0.0s  runs 20  early-exits 0\n\
          \x20 workers: 1  forked runs: 20/20\n\

@@ -23,8 +23,9 @@
 //! chain ([`blackjack::SnapshotChain`]) and every injection job forks
 //! from it. Independently, `early_exit` (default on) stops each run the
 //! moment its verdict is decided, by three mechanisms
-//! ([`blackjack::EarlyExit`]); with it on, the reference pass also
-//! records site usage ([`SiteUsage`]). All four path combinations
+//! ([`blackjack::EarlyExit`]; the stall watchdog's window is the fixed
+//! [`blackjack::earlyexit::STALL_WINDOW`]); with it on, the reference
+//! pass also records site usage ([`SiteUsage`]). All four path combinations
 //! compute the same arming schedule and the same verdicts, so their
 //! reports match byte for byte (the `detection_equiv` matrix enforces
 //! this).
@@ -40,7 +41,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use blackjack::envcfg::DEFAULT_STALL_CYCLES;
 use blackjack::faults::{
     Corruption, DetectionOutcome, DetectionTally, FaultKind, FaultPlan, FaultSite, HardFault,
     SiteUsage, Taxonomy, TaxonomyTally, Trigger,
@@ -125,9 +125,6 @@ pub struct DetectionConfig {
     /// Stop each injection run the moment its verdict is decided
     /// (`BJ_EARLYEXIT`, default on).
     pub early_exit: bool,
-    /// The early-exit stall watchdog's no-progress window in cycles
-    /// (`BJ_STALL_CYCLES`).
-    pub stall_cycles: u64,
     /// The temporal fault model every injection in the campaign uses
     /// (one entry of `BJ_FAULT_KINDS`; the harness runs one campaign per
     /// listed kind). [`FaultKind::Hard`] is the byte-stable legacy sweep.
@@ -143,7 +140,6 @@ impl Default for DetectionConfig {
             prune: true,
             snapshot: true,
             early_exit: true,
-            stall_cycles: DEFAULT_STALL_CYCLES,
             kind: FaultKind::Hard,
             ecc: false,
         }
@@ -151,24 +147,18 @@ impl Default for DetectionConfig {
 }
 
 impl DetectionConfig {
-    /// Reads `BJ_PRUNE`, `BJ_SNAPSHOT`, `BJ_EARLYEXIT`,
-    /// `BJ_STALL_CYCLES` and `BJ_ECC`, exiting with status 2 (the
-    /// harness convention) on a malformed value. `kind` stays
-    /// [`FaultKind::Hard`]; the harness overrides it per `BJ_FAULT_KINDS`
-    /// entry.
+    /// Reads `BJ_PRUNE`, `BJ_SNAPSHOT`, `BJ_EARLYEXIT` and `BJ_ECC`,
+    /// exiting with status 2 (the harness convention) on a malformed
+    /// value. `kind` stays [`FaultKind::Hard`]; the harness overrides it
+    /// per `BJ_FAULT_KINDS` entry.
     pub fn from_env_or_exit() -> DetectionConfig {
-        use blackjack::envcfg;
-        let or_exit = |r: Result<bool, envcfg::EnvError>| {
-            r.unwrap_or_else(|e| envcfg::exit_invalid(&e))
-        };
+        use blackjack::envcfg::{EARLYEXIT, ECC, PRUNE, SNAPSHOT};
         DetectionConfig {
-            prune: or_exit(envcfg::flag_from_env("BJ_PRUNE", true)),
-            snapshot: or_exit(envcfg::snapshot_from_env()),
-            early_exit: or_exit(envcfg::earlyexit_from_env()),
-            stall_cycles: envcfg::stall_cycles_from_env()
-                .unwrap_or_else(|e| envcfg::exit_invalid(&e)),
+            prune: PRUNE.flag(),
+            snapshot: SNAPSHOT.flag(),
+            early_exit: EARLYEXIT.flag(),
             kind: FaultKind::Hard,
-            ecc: or_exit(envcfg::ecc_from_env()),
+            ecc: ECC.flag(),
         }
     }
 
@@ -329,7 +319,7 @@ impl DetectionGroup {
         }
         let arm = self.arms[site_idx];
         let early = match &self.site_usage {
-            Some(usage) => match EarlyExit::for_site(usage, site, arm, self.cfg.stall_cycles) {
+            Some(usage) => match EarlyExit::for_site(usage, site, arm) {
                 Ok(early) => early,
                 Err(kind) => {
                     metrics.inc(Counter::PrunedActivation);

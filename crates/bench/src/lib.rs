@@ -20,19 +20,23 @@
 //! self-timed microbenchmarks of the simulator's machinery live in
 //! `benches/`.
 
-use blackjack::{envcfg, Experiment};
+use blackjack::envcfg::{SCALE, SNAPSHOT};
+use blackjack::Experiment;
 
-pub mod benchfmt;
 pub mod detection;
+
+/// Field lookups over parsed JSON objects, for readers of the
+/// repository's JSON documents (the `benchmark/` package reads
+/// `BENCHMARK.json` and its run records through these).
+pub mod benchfmt {
+    pub use blackjack::telemetry::{num, obj_get};
+}
 
 /// Builds the standard experiment at the scale used by the harnesses
 /// (`BJ_SCALE`, default 1) with the snapshot-fork path from the
 /// environment (`BJ_SNAPSHOT`, default on), exiting with a clear message
 /// when an override is malformed.
 pub fn standard_experiment() -> Experiment {
-    let scale = envcfg::positive_from_env::<u32>("BJ_SCALE")
-        .unwrap_or_else(|e| envcfg::exit_invalid(&e))
-        .unwrap_or(1);
-    let snapshot = envcfg::snapshot_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
-    Experiment::new().scale(scale).with_snapshot(snapshot)
+    let scale = SCALE.positive().expect("BJ_SCALE has a default") as u32;
+    Experiment::new().scale(scale).with_snapshot(SNAPSHOT.flag())
 }

@@ -15,13 +15,14 @@
 //!   --quiet           print only the summary
 //! ```
 //!
-//! Environment: `BJ_FUZZ_SEED` and `BJ_FUZZ_ITERS` provide defaults for
-//! `--seed`/`--iters` (flags win); `BJ_CALL_DEPTH` sets the generator's
-//! function-nesting depth (default 2: `main` plus one helper, `1`
-//! disables calls); `BJ_FAULT_KINDS` picks the temporal fault models
-//! the soundness sample sweeps (default `hard`); `BJ_ECC` replays the
-//! sample with the LVQ SEC-DED layer on, which promotes the load-value
-//! escape sites to guaranteed; invalid values exit with status 2.
+//! `--seed` and `--iters` parse by the knob table's seed and
+//! positive-integer grammars (`--iters 0` is an error). Environment:
+//! `BJ_CALL_DEPTH` sets the generator's function-nesting depth (1 to 3,
+//! default 2: `main` plus one helper, `1` disables calls);
+//! `BJ_FAULT_KINDS` picks the temporal fault models the soundness sample
+//! sweeps (default `hard`); `BJ_ECC` replays the sample with the LVQ
+//! SEC-DED layer on, which promotes the load-value escape sites to
+//! guaranteed. Invalid flag or knob values exit with status 2.
 //!
 //! Each iteration generates a lint-clean program, checks it
 //! differentially against the interpreter in all four modes, and
@@ -61,17 +62,11 @@ struct Tally {
 }
 
 fn main() {
-    let mut seed: u64 = envcfg::seed_from_env("BJ_FUZZ_SEED")
-        .unwrap_or_else(|e| envcfg::exit_invalid(&e))
-        .unwrap_or(0xB1AC);
-    let mut iters: u64 = envcfg::positive_from_env("BJ_FUZZ_ITERS")
-        .unwrap_or_else(|e| envcfg::exit_invalid(&e))
-        .unwrap_or(200);
-    let call_depth: usize = envcfg::call_depth_from_env()
-        .unwrap_or_else(|e| envcfg::exit_invalid(&e));
-    let kinds: Vec<FaultKind> =
-        envcfg::fault_kinds_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
-    let ecc: bool = envcfg::ecc_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
+    let mut seed: u64 = 0xB1AC;
+    let mut iters: u64 = 200;
+    let call_depth = envcfg::CALL_DEPTH.positive().expect("BJ_CALL_DEPTH has a default") as usize;
+    let kinds: Vec<FaultKind> = envcfg::FAULT_KINDS.fault_kinds();
+    let ecc = envcfg::ECC.flag();
     let mut out_dir = PathBuf::from("fuzz-failures");
     let mut mine: Option<PathBuf> = None;
     let mut quiet = false;
@@ -81,13 +76,11 @@ fn main() {
         match a.as_str() {
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                seed = envcfg::parse_seed("--seed", &v).unwrap_or_else(|_| {
-                    eprintln!("bad --seed `{v}`");
-                    usage()
-                });
+                seed = envcfg::or_exit(envcfg::parse_seed("--seed", &v));
             }
             "--iters" => {
-                iters = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+                let v = args.next().unwrap_or_else(|| usage());
+                iters = envcfg::or_exit(envcfg::parse_positive("--iters", &v, u64::MAX));
             }
             "--out" => out_dir = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--mine-corpus" => mine = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),

@@ -49,7 +49,8 @@ const WORK_X: [u8; 8] = [5, 6, 7, 8, 9, 10, 11, 12];
 const WORK_F: [u8; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 /// Data-arena base pointer.
 const BASE: u8 = 20;
-/// Deepest supported call chain: `main` → `helper1` → `helper2`.
+/// Deepest supported call chain: `main` → `helper1` → `helper2`. The
+/// `BJ_CALL_DEPTH` knob is bounded to it.
 const MAX_CALL_DEPTH: usize = 3;
 /// Per-nesting-level loop counters: a callee's loops must not clobber a
 /// caller's live trip count.
@@ -481,6 +482,12 @@ mod tests {
                 "seed {seed}: expected a helper function"
             );
         }
+    }
+
+    #[test]
+    fn the_call_depth_knob_is_bounded_by_the_generator() {
+        use blackjack::envcfg::{Grammar, CALL_DEPTH};
+        assert_eq!(CALL_DEPTH.grammar, Grammar::Positive { max: MAX_CALL_DEPTH as u64 });
     }
 
     #[test]

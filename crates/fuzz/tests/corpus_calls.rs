@@ -15,8 +15,8 @@
 //!
 //! The `.bjcase` files under `tests/corpus/` (repo root) are replayed
 //! by the generic corpus tests; this file pins them to the sources
-//! below so they cannot drift. Set `BJ_REGEN_CORPUS=1` to rewrite the
-//! files from the sources.
+//! below so they cannot drift. Set `BJ_BLESS=1` to rewrite the files
+//! from the sources.
 
 use std::path::PathBuf;
 
@@ -122,18 +122,18 @@ fn call_corpus_files_match_their_sources() {
     for (name, src) in CASES {
         let case = case_for(name, src);
         let path = corpus_dir().join(format!("{name}.bjcase"));
-        if std::env::var("BJ_REGEN_CORPUS").is_ok() {
+        if std::env::var_os("BJ_BLESS").is_some() {
             std::fs::write(&path, case.to_text())
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         }
         let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("{}: {e} (set BJ_REGEN_CORPUS=1 to generate)", path.display())
+            panic!("{}: {e} (set BJ_BLESS=1 to generate)", path.display())
         });
         assert_eq!(
             case.to_text(),
             on_disk,
             "{name}: corpus file does not match its source \
-             (set BJ_REGEN_CORPUS=1 to regenerate)"
+             (set BJ_BLESS=1 to regenerate)"
         );
     }
 }

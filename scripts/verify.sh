@@ -60,9 +60,9 @@ echo "== tier-1: ext_detection wiring smoke (gzip, BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 
 # The matrix drives the campaign library; this checks that the binary
 # prints the same report with every acceleration off as with the
 # defaults.
-plain="$(BJ_SCALE=1 BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 cargo run --release -q --offline \
+plain="$(BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 cargo run --release -q --offline \
   -p blackjack-bench --bin ext_detection -- --bench gzip 2>/dev/null)"
-fast="$(BJ_SCALE=1 cargo run --release -q --offline -p blackjack-bench \
+fast="$(cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
 [ -n "$fast" ]
 diff <(printf '%s' "$plain") <(printf '%s' "$fast")
@@ -76,10 +76,10 @@ echo "== tier-1: observability smoke (BJ_METRICS + BJ_PROGRESS_SECS) =="
 # that the report does not depend on the worker count, on any host.
 obs_file="$(mktemp /tmp/bj_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$obs_file"' EXIT
-obs_out="$(BJ_SCALE=1 BJ_THREADS=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1 BJ_TRACE="$obs_file" \
+obs_out="$(BJ_THREADS=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1 BJ_TRACE="$obs_file" \
   cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
-plain_out="$(BJ_SCALE=1 BJ_THREADS=8 cargo run --release -q --offline -p blackjack-bench \
+plain_out="$(BJ_THREADS=8 cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
 [ -n "$obs_out" ]
 diff <(printf '%s' "$plain_out") <(printf '%s' "$obs_out")
@@ -98,15 +98,15 @@ echo "== tier-1: bj-fuzz smoke (fixed seed, 50 iterations) =="
 # Differential fuzz of the core against the interpreter: zero
 # mismatches, zero fault-free false detections, all guaranteed-site
 # injections detected or masked. Deterministic for the fixed seed.
-BJ_FUZZ_ITERS=50 cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
-  --seed 0xB1AC --quiet | grep -q "all checks passed"
+cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
+  --seed 0xB1AC --iters 50 --quiet | grep -q "all checks passed"
 
 echo "== tier-1: fault-universe oracle battery (bj-fuzz, all kinds, ECC on) =="
 # The soundness battery over the full universe: hard, transient, and
 # intermittent plans on every site family with the LVQ SEC-DED layer on
 # — every load-value site is guaranteed, so zero escapes anywhere.
-BJ_FUZZ_ITERS=50 BJ_FAULT_KINDS=hard,transient,intermittent BJ_ECC=1 \
+BJ_FAULT_KINDS=hard,transient,intermittent BJ_ECC=1 \
   cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
-  --seed 0xB1AC --quiet | grep -q "all checks passed"
+  --seed 0xB1AC --iters 50 --quiet | grep -q "all checks passed"
 
 echo "verify: OK"

@@ -32,20 +32,14 @@
 //! When `BJ_TRACE=<path>` is set the run is traced: occupancy
 //! histograms, the `(class, way)` issue heatmap, the flight recorder's
 //! final window, and any detection event are written to `<path>` as
-//! JSONL (render with `bj-trace`). The path is validated up front —
-//! empty or unwritable values exit with status 2. `BJ_TRACE_DEPTH=<n>`
-//! overrides the flight recorder's event capacity (default 256) for
-//! deeper post-detection forensics; zero or non-numeric values exit
-//! with status 2.
+//! JSONL (render with `bj-trace`). The file is created before the run —
+//! empty or unwritable values exit with status 2.
 
 use std::process::exit;
 
-use blackjack::envcfg;
 use blackjack::faults::{AreaModel, FaultPlan, HardFault};
 use blackjack::isa::asm::assemble_named;
-use blackjack::sim::{
-    replay_commit_log, Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo, FLIGHT_CAPACITY,
-};
+use blackjack::sim::{replay_commit_log, Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo};
 use blackjack::telemetry::TraceWriter;
 
 /// `println!` that stops printing, instead of panicking, once the reader
@@ -146,15 +140,12 @@ fn main() {
     });
 
     let mut writer = TraceWriter::from_env_or_exit("bjsim");
-    let trace_depth = envcfg::positive_from_env::<usize>("BJ_TRACE_DEPTH")
-        .unwrap_or_else(|e| envcfg::exit_invalid(&e))
-        .unwrap_or(FLIGHT_CAPACITY);
     let mut core = Core::new(cfg.clone(), &prog, plan);
     if oracle {
         core.enable_commit_log();
     }
     if writer.is_some() {
-        core.enable_trace_with_capacity(trace_depth);
+        core.enable_trace();
     }
     let outcome = core.run(max_cycles);
 

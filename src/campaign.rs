@@ -35,7 +35,7 @@ use crate::metrics::{Counter, Metrics, MetricsRegistry};
 
 /// A worker pool executing a flat list of independent jobs.
 ///
-/// Construct with [`Campaign::from_env`] (honours `BJ_THREADS`) or
+/// Construct with [`Campaign::from_env_or_exit`] (honours `BJ_THREADS`) or
 /// [`Campaign::with_workers`]; run job lists with [`Campaign::run`], or
 /// with [`Campaign::run_observed`] for timings, metrics and progress.
 #[derive(Debug, Clone)]
@@ -44,27 +44,17 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// A campaign sized from the environment: `BJ_THREADS` if set to a
-    /// positive integer, otherwise the host's available parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvError`](crate::envcfg::EnvError) when `BJ_THREADS`
-    /// is set to `0` or to a non-numeric value — an explicit-but-broken
-    /// override should stop the campaign, not silently fall back to a
-    /// default worker count.
-    pub fn from_env() -> Result<Campaign, crate::envcfg::EnvError> {
-        let workers = match crate::envcfg::positive_from_env::<usize>("BJ_THREADS")? {
-            Some(n) => n,
+    /// A campaign sized from the environment: `BJ_THREADS` if set,
+    /// otherwise the host's available parallelism. A malformed
+    /// `BJ_THREADS` (`0`, `eight`) exits with status 2 — an explicit but
+    /// broken override should stop the harness, not silently fall back
+    /// to a default worker count.
+    pub fn from_env_or_exit() -> Campaign {
+        let workers = match crate::envcfg::THREADS.positive() {
+            Some(n) => n as usize,
             None => thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         };
-        Ok(Campaign { workers })
-    }
-
-    /// [`Campaign::from_env`] for harness binaries: prints the error and
-    /// exits with status 2 instead of returning it.
-    pub fn from_env_or_exit() -> Campaign {
-        Campaign::from_env().unwrap_or_else(|e| crate::envcfg::exit_invalid(&e))
+        Campaign { workers }
     }
 
     /// A campaign with an explicit worker count (tests use this to avoid
@@ -430,7 +420,7 @@ mod tests {
         assert_eq!(c.workers(), 3);
         // BJ_THREADS is either unset or set to something valid when the
         // suite runs; either way a campaign must materialize.
-        assert!(Campaign::from_env().expect("valid BJ_THREADS").workers() >= 1);
+        assert!(Campaign::from_env_or_exit().workers() >= 1);
     }
 
     /// `run_observed` with only per-job timings on.

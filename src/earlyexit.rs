@@ -65,6 +65,15 @@ pub enum Exit {
     Early(EarlyExitKind),
 }
 
+/// M3's no-progress window in cycles for campaign runs: generous
+/// against the longest natural commit gaps in the campaign workloads
+/// (hundreds of cycles) while still orders of magnitude below the
+/// campaign cycle budget. It is a constant, not a knob: a window short
+/// enough to cut a run that would still have finished changes its
+/// verdict (at 200 or 300 cycles, gzip injection runs that end silent or
+/// benign are declared stuck; DESIGN §2.12).
+pub const STALL_WINDOW: u64 = 25_000;
+
 /// The early-exit mechanisms armed for one run. The default arms none,
 /// and [`EarlyExit::run`] is then a single `Core::run`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,8 +90,8 @@ pub struct EarlyExit {
 
 impl EarlyExit {
     /// Arms M2 (one cycle past the site's last fault-free exercise) and
-    /// M3 for a fault on `site` armed at `arm`, given the reference
-    /// pass's `usage`.
+    /// M3 (over [`STALL_WINDOW`]) for a fault on `site` armed at `arm`,
+    /// given the reference pass's `usage`.
     ///
     /// # Errors
     ///
@@ -92,11 +101,10 @@ impl EarlyExit {
         usage: &SiteUsage,
         site: FaultSite,
         arm: u64,
-        stall_window: u64,
     ) -> Result<EarlyExit, EarlyExitKind> {
         match usage.last_use(site) {
             Some(last) if last >= arm => {
-                Ok(EarlyExit { quiesce: Some(last + 1), stall_window: Some(stall_window) })
+                Ok(EarlyExit { quiesce: Some(last + 1), stall_window: Some(STALL_WINDOW) })
             }
             _ => Err(EarlyExitKind::Activation),
         }
@@ -191,11 +199,11 @@ mod tests {
         reference.apply(used, 0);
         let usage = reference.site_usage().expect("recording");
 
-        let armed = EarlyExit::for_site(usage, used, 100, 50);
-        assert_eq!(armed, Ok(EarlyExit { quiesce: Some(101), stall_window: Some(50) }));
-        assert_eq!(EarlyExit::for_site(usage, used, 101, 50), Err(EarlyExitKind::Activation));
+        let armed = EarlyExit::for_site(usage, used, 100);
+        assert_eq!(armed, Ok(EarlyExit { quiesce: Some(101), stall_window: Some(STALL_WINDOW) }));
+        assert_eq!(EarlyExit::for_site(usage, used, 101), Err(EarlyExitKind::Activation));
         let idle = FaultSite::Backend { way: 2 };
-        assert_eq!(EarlyExit::for_site(usage, idle, 1, 50), Err(EarlyExitKind::Activation));
+        assert_eq!(EarlyExit::for_site(usage, idle, 1), Err(EarlyExitKind::Activation));
     }
 
     #[test]

@@ -1,20 +1,192 @@
-//! Validated environment-variable configuration.
+//! The harness knob table: every `BJ_*` environment variable a harness
+//! binary reads, declared once in [`KNOBS`].
 //!
-//! The harnesses are steered by a handful of environment variables
-//! (`BJ_THREADS`, `BJ_SCALE`, `BJ_PRUNE`, `BJ_TRACE`, `BJ_TRACE_DEPTH`,
-//! `BJ_FUZZ_SEED`, `BJ_FUZZ_ITERS`, `BJ_CALL_DEPTH`, `BJ_METRICS`,
-//! `BJ_PROGRESS_SECS`, `BJ_FAULT_KINDS`, `BJ_ECC`). Historically a
-//! typo like
-//! `BJ_THREADS=eight` or `BJ_SCALE=0` was silently swallowed (falling
-//! back to a default) or surfaced as a panic deep inside a workload
-//! builder. This module centralizes parsing: every variable is either
-//! unset, valid, or a clear [`EnvError`] naming the variable and the
-//! offending value.
+//! A row names its variable, the [`Grammar`] its value parses by, the
+//! value an unset variable stands for, and what it does. Each grammar
+//! has one parser (`parse_positive`, `parse_flag`, `parse_path`,
+//! `parse_fault_kinds`, plus `parse_seed` for `bj-fuzz --seed`) that
+//! returns an [`EnvError`] naming the variable and the offending value.
+//! Its harness form — a [`Knob`] method, or [`or_exit`] for a
+//! command-line value — prints that error and exits with status 2, so a
+//! call site reads a knob in one call, and a typo such as
+//! `BJ_THREADS=eight` or `BJ_SCALE=0` stops the harness before it
+//! simulates anything instead of falling back to a default.
 
 use std::fmt;
-use std::str::FromStr;
+use std::path::Path;
 
-/// A malformed environment variable.
+use crate::faults::FaultKind;
+
+/// How a knob's value parses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grammar {
+    /// A positive integer no larger than `max` ([`parse_positive`]).
+    Positive {
+        /// The largest accepted value.
+        max: u64,
+    },
+    /// `0`/`1`, `false`/`true`, `off`/`on`, `no`/`yes` ([`parse_flag`]).
+    Flag,
+    /// A file path the harness can create ([`parse_path`]); set but
+    /// empty is an error, not "unset".
+    Path,
+    /// A comma-separated fault-kind list ([`parse_fault_kinds`]).
+    FaultKinds,
+}
+
+/// One harness knob: a row of [`KNOBS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Knob {
+    /// The environment variable.
+    pub name: &'static str,
+    /// How its value parses.
+    pub grammar: Grammar,
+    /// The value an unset or blank variable stands for, in the grammar's
+    /// own syntax; `None` when unset means off, or that the host decides.
+    pub default: Option<&'static str>,
+    /// What the knob does, in one line.
+    pub doc: &'static str,
+}
+
+// The rows of `KNOBS`, one per variable; each row's `doc` says what it
+// steers.
+
+pub const THREADS: Knob = Knob {
+    name: "BJ_THREADS",
+    grammar: Grammar::Positive { max: usize::MAX as u64 },
+    default: None,
+    doc: "campaign workers for `fig_all`, `ext_detection` and `ext_ablation`; \
+          unset uses every available core",
+};
+
+pub const SCALE: Knob = Knob {
+    name: "BJ_SCALE",
+    grammar: Grammar::Positive { max: u32::MAX as u64 },
+    default: Some("1"),
+    doc: "workload iteration multiplier for `fig_all` and `bj-lint`",
+};
+
+pub const PRUNE: Knob = Knob {
+    name: "BJ_PRUNE",
+    grammar: Grammar::Flag,
+    default: Some("1"),
+    doc: "skip injection sites static analysis proves never exercised",
+};
+
+pub const SNAPSHOT: Knob = Knob {
+    name: "BJ_SNAPSHOT",
+    grammar: Grammar::Flag,
+    default: Some("1"),
+    doc: "fork injection runs from snapshots of the fault-free prefix \
+          instead of replaying from cycle 0",
+};
+
+pub const EARLYEXIT: Knob = Knob {
+    name: "BJ_EARLYEXIT",
+    grammar: Grammar::Flag,
+    default: Some("1"),
+    doc: "end each injection run as soon as its verdict is decided",
+};
+
+pub const ECC: Knob = Knob {
+    name: "BJ_ECC",
+    grammar: Grammar::Flag,
+    default: Some("0"),
+    doc: "run every core with the SEC-DED layer over the LVQ payload RAM",
+};
+
+pub const FAULT_KINDS: Knob = Knob {
+    name: "BJ_FAULT_KINDS",
+    grammar: Grammar::FaultKinds,
+    default: Some("hard"),
+    doc: "temporal fault models swept by `ext_detection` and `bj-fuzz`",
+};
+
+pub const METRICS: Knob = Knob {
+    name: "BJ_METRICS",
+    grammar: Grammar::Flag,
+    default: Some("0"),
+    doc: "record the campaign metrics registry on the `BJ_TRACE` stream",
+};
+
+pub const PROGRESS_SECS: Knob = Knob {
+    name: "BJ_PROGRESS_SECS",
+    grammar: Grammar::Positive { max: u64::MAX },
+    default: None,
+    doc: "seconds between live `progress` records on the `BJ_TRACE` stream",
+};
+
+pub const TRACE: Knob = Knob {
+    name: "BJ_TRACE",
+    grammar: Grammar::Path,
+    default: None,
+    doc: "file the harness writes JSONL telemetry to",
+};
+
+pub const CALL_DEPTH: Knob = Knob {
+    name: "BJ_CALL_DEPTH",
+    grammar: Grammar::Positive { max: 3 },
+    default: Some("2"),
+    doc: "function levels in `bj-fuzz` programs (`1` = no calls)",
+};
+
+/// Every harness knob, in README order.
+pub const KNOBS: [Knob; 11] = [
+    SCALE,
+    THREADS,
+    SNAPSHOT,
+    EARLYEXIT,
+    PRUNE,
+    METRICS,
+    PROGRESS_SECS,
+    FAULT_KINDS,
+    ECC,
+    TRACE,
+    CALL_DEPTH,
+];
+
+impl Knob {
+    /// The variable's setting, or the row's default when it is unset or
+    /// blank.
+    fn value(&self) -> Option<String> {
+        match std::env::var(self.name) {
+            Ok(raw) if !raw.trim().is_empty() => Some(raw),
+            _ => self.default.map(str::to_string),
+        }
+    }
+
+    /// Reads a [`Grammar::Positive`] knob: `None` only when it is unset
+    /// and has no default. Exits 2 on a malformed value.
+    pub fn positive(&self) -> Option<u64> {
+        let Grammar::Positive { max } = self.grammar else {
+            panic!("{} is not a positive-integer knob", self.name)
+        };
+        self.value().map(|raw| or_exit(parse_positive(self.name, &raw, max)))
+    }
+
+    /// Reads a [`Grammar::Flag`] knob. Exits 2 on a malformed value.
+    pub fn flag(&self) -> bool {
+        assert_eq!(self.grammar, Grammar::Flag, "{} is not a flag", self.name);
+        or_exit(parse_flag(self.name, &self.value().expect("every flag has a default")))
+    }
+
+    /// Reads a [`Grammar::FaultKinds`] knob. Exits 2 on a malformed list.
+    pub fn fault_kinds(&self) -> Vec<FaultKind> {
+        assert_eq!(self.grammar, Grammar::FaultKinds, "{} is not a fault-kind list", self.name);
+        or_exit(parse_fault_kinds(self.name, &self.value().expect("the kind list has a default")))
+    }
+
+    /// Reads a [`Grammar::Path`] knob and creates its file with
+    /// `create`: `None` when unset. Exits 2 when it is set but empty or
+    /// when `create` fails.
+    pub fn create<T>(&self, create: impl FnOnce(&Path) -> std::io::Result<T>) -> Option<T> {
+        assert_eq!(self.grammar, Grammar::Path, "{} is not a path", self.name);
+        let raw = std::env::var(self.name).ok()?;
+        Some(or_exit(parse_path(self.name, &raw, create)))
+    }
+}
+
+/// A malformed knob or command-line value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnvError {
     /// The value does not parse as a number of the expected type.
@@ -28,6 +200,15 @@ pub enum EnvError {
     Zero {
         /// Variable name.
         var: &'static str,
+    },
+    /// The value parsed but exceeds the knob's bound.
+    TooLarge {
+        /// Variable name.
+        var: &'static str,
+        /// The value found.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
     },
     /// The value is not a recognized boolean flag.
     NotAFlag {
@@ -69,6 +250,9 @@ impl fmt::Display for EnvError {
             EnvError::Zero { var } => {
                 write!(f, "{var}=0 is invalid: the value must be at least 1")
             }
+            EnvError::TooLarge { var, value, max } => {
+                write!(f, "{var}={value} is invalid: the value must be at most {max}")
+            }
             EnvError::NotAFlag { var, value } => write!(
                 f,
                 "{var}={value:?} is not a valid flag (use 0/1, true/false, on/off)"
@@ -90,40 +274,33 @@ impl fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
-/// Parses `raw` as a positive (non-zero) integer for variable `var`.
+/// The harness form of every parser: the parsed value, or — on a
+/// malformed setting — the error on stderr and exit status 2. Harness
+/// binaries have no caller to hand the error to.
+pub fn or_exit<T>(parsed: Result<T, EnvError>) -> T {
+    parsed.unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses `raw` as a positive integer no larger than `max`, for
+/// variable (or flag) `var`.
 ///
 /// # Errors
 ///
 /// [`EnvError::NotANumber`] when `raw` does not parse,
-/// [`EnvError::Zero`] when it parses to zero.
-pub fn parse_positive<T>(var: &'static str, raw: &str) -> Result<T, EnvError>
-where
-    T: FromStr + PartialEq + Default,
-{
-    let v: T = raw.trim().parse().map_err(|_| EnvError::NotANumber {
+/// [`EnvError::Zero`] when it parses to zero, [`EnvError::TooLarge`]
+/// above `max`.
+pub fn parse_positive(var: &'static str, raw: &str, max: u64) -> Result<u64, EnvError> {
+    let v: u64 = raw.trim().parse().map_err(|_| EnvError::NotANumber {
         var,
         value: raw.to_string(),
     })?;
-    if v == T::default() {
-        return Err(EnvError::Zero { var });
-    }
-    Ok(v)
-}
-
-/// Reads `var` from the environment as a positive integer.
-///
-/// Returns `Ok(None)` when the variable is unset or empty.
-///
-/// # Errors
-///
-/// Propagates [`parse_positive`]'s errors for set, non-empty values.
-pub fn positive_from_env<T>(var: &'static str) -> Result<Option<T>, EnvError>
-where
-    T: FromStr + PartialEq + Default,
-{
-    match std::env::var(var) {
-        Ok(raw) if !raw.trim().is_empty() => parse_positive(var, &raw).map(Some),
-        _ => Ok(None),
+    match v {
+        0 => Err(EnvError::Zero { var }),
+        v if v > max => Err(EnvError::TooLarge { var, value: v, max }),
+        v => Ok(v),
     }
 }
 
@@ -146,20 +323,6 @@ pub fn parse_seed(var: &'static str, raw: &str) -> Result<u64, EnvError> {
     parsed.map_err(|_| EnvError::NotANumber { var, value: raw.to_string() })
 }
 
-/// Reads `var` from the environment as a seed ([`parse_seed`] syntax).
-///
-/// Returns `Ok(None)` when the variable is unset or empty.
-///
-/// # Errors
-///
-/// Propagates [`parse_seed`]'s error for set, non-empty values.
-pub fn seed_from_env(var: &'static str) -> Result<Option<u64>, EnvError> {
-    match std::env::var(var) {
-        Ok(raw) if !raw.trim().is_empty() => parse_seed(var, &raw).map(Some),
-        _ => Ok(None),
-    }
-}
-
 /// Parses `raw` as a boolean flag: `1`/`true`/`on`/`yes` or
 /// `0`/`false`/`off`/`no` (case-insensitive).
 ///
@@ -174,138 +337,31 @@ pub fn parse_flag(var: &'static str, raw: &str) -> Result<bool, EnvError> {
     }
 }
 
-/// Reads a boolean flag from the environment, with a default for the
-/// unset/empty case.
+/// Parses `raw` as a file path and creates the file with `create`.
 ///
-/// # Errors
-///
-/// Propagates [`parse_flag`]'s error for set, non-empty values.
-pub fn flag_from_env(var: &'static str, default: bool) -> Result<bool, EnvError> {
-    match std::env::var(var) {
-        Ok(raw) if !raw.trim().is_empty() => parse_flag(var, &raw),
-        _ => Ok(default),
-    }
-}
-
-/// Reads the `BJ_SNAPSHOT` flag: whether injection campaigns share the
-/// fault-free prefix through snapshot forks (default) or replay every run
-/// from cycle 0. The two paths produce byte-identical reports; the flag
-/// exists so the equivalence is checkable and the old path benchmarkable.
-///
-/// # Errors
-///
-/// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
-pub fn snapshot_from_env() -> Result<bool, EnvError> {
-    flag_from_env("BJ_SNAPSHOT", true)
-}
-
-/// Reads the `BJ_EARLYEXIT` flag: whether injection runs may stop the
-/// moment their verdict is decided (default) — skipping provably-dead
-/// fault sites, sealing benign verdicts at reconvergence, and cutting
-/// stuck runs short with a stall watchdog — or must run to their natural
-/// end. Both settings produce byte-identical reports; the flag exists so
-/// the equivalence is checkable and the full-run path benchmarkable.
-///
-/// # Errors
-///
-/// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
-pub fn earlyexit_from_env() -> Result<bool, EnvError> {
-    flag_from_env("BJ_EARLYEXIT", true)
-}
-
-/// Default no-progress window (cycles) for the early-exit stall
-/// watchdog — generous against the longest natural commit gaps seen in
-/// the campaign workloads (hundreds of cycles) while still orders of
-/// magnitude below the campaign cycle budget.
-pub const DEFAULT_STALL_CYCLES: u64 = 25_000;
-
-/// Reads `BJ_STALL_CYCLES`: the early-exit watchdog's no-progress window
-/// in cycles ([`DEFAULT_STALL_CYCLES`] when unset). Zero is rejected — a
-/// zero window would declare every run stuck on its first idle cycle.
-///
-/// # Errors
-///
-/// [`EnvError::NotANumber`] / [`EnvError::Zero`] per [`parse_positive`].
-pub fn stall_cycles_from_env() -> Result<u64, EnvError> {
-    Ok(positive_from_env::<u64>("BJ_STALL_CYCLES")?.unwrap_or(DEFAULT_STALL_CYCLES))
-}
-
-/// Reads `var` from the environment as a path that must be writable
-/// (used by `BJ_TRACE`).
-///
-/// Returns `Ok(None)` when the variable is unset. A set-but-empty value
-/// is rejected rather than treated as unset: an empty `BJ_TRACE` is
+/// A blank value is an error rather than "unset": an empty `BJ_TRACE` is
 /// almost always a broken shell expansion, and silently dropping the
-/// telemetry the user asked for is worse than stopping. Writability is
-/// probed by opening the file in append mode (creating it if absent), so
-/// a bad directory or permission surfaces here, before any simulation
-/// work is done.
+/// telemetry the user asked for is worse than stopping. The create is
+/// the writability check, so a bad directory or permission surfaces
+/// before any simulation work is done.
 ///
 /// # Errors
 ///
-/// [`EnvError::EmptyPath`] for set-but-empty values,
-/// [`EnvError::Unwritable`] when the open probe fails.
-pub fn writable_path_from_env(
+/// [`EnvError::EmptyPath`] for a blank value, [`EnvError::Unwritable`]
+/// when `create` fails.
+pub fn parse_path<T>(
     var: &'static str,
-) -> Result<Option<std::path::PathBuf>, EnvError> {
-    let Ok(raw) = std::env::var(var) else { return Ok(None) };
+    raw: &str,
+    create: impl FnOnce(&Path) -> std::io::Result<T>,
+) -> Result<T, EnvError> {
     if raw.trim().is_empty() {
         return Err(EnvError::EmptyPath { var });
     }
-    let path = std::path::PathBuf::from(raw);
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|e| EnvError::Unwritable {
-            var,
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        })?;
-    Ok(Some(path))
-}
-
-/// Default call depth for the fuzz generator's call trees: `main` plus
-/// one level of helpers — deep enough to exercise call/return machinery
-/// (RAS push/pop, return resolution) without dominating the program.
-pub const DEFAULT_CALL_DEPTH: usize = 2;
-
-/// Reads `BJ_CALL_DEPTH`: how many function levels the fuzz generator
-/// emits (`1` = `main` only, no calls; [`DEFAULT_CALL_DEPTH`] when
-/// unset). Zero is rejected — a program with no functions at all is not
-/// generable — as are non-numeric values, matching the
-/// `BJ_THREADS`/`BJ_SCALE` grammar.
-///
-/// # Errors
-///
-/// [`EnvError::NotANumber`] / [`EnvError::Zero`] per [`parse_positive`].
-pub fn call_depth_from_env() -> Result<usize, EnvError> {
-    Ok(positive_from_env::<usize>("BJ_CALL_DEPTH")?.unwrap_or(DEFAULT_CALL_DEPTH))
-}
-
-/// Reads the `BJ_METRICS` flag: whether campaigns record the typed
-/// metrics registry (`metrics::MetricsRegistry`) while they run. Default
-/// off — the registry is the observability layer's opt-in, and the
-/// metrics-off path must stay the zero-overhead hot path.
-///
-/// # Errors
-///
-/// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
-pub fn metrics_from_env() -> Result<bool, EnvError> {
-    flag_from_env("BJ_METRICS", false)
-}
-
-/// Reads `BJ_PROGRESS_SECS`: the wall-clock cadence (seconds) of live
-/// `progress` telemetry records during a campaign. `Ok(None)` when unset
-/// (no progress streaming); zero is rejected — a zero cadence would emit
-/// a record at every job boundary and swamp the stream — as are
-/// non-numeric values, matching the `BJ_THREADS`/`BJ_SCALE` grammar.
-///
-/// # Errors
-///
-/// [`EnvError::NotANumber`] / [`EnvError::Zero`] per [`parse_positive`].
-pub fn progress_secs_from_env() -> Result<Option<u64>, EnvError> {
-    positive_from_env::<u64>("BJ_PROGRESS_SECS")
+    create(Path::new(raw)).map_err(|e| EnvError::Unwritable {
+        var,
+        path: raw.to_string(),
+        reason: e.to_string(),
+    })
 }
 
 /// Default duty-cycle window for an `intermittent` fault kind given
@@ -325,11 +381,7 @@ pub const DEFAULT_INTERMITTENT_ON: u64 = 8;
 /// # Errors
 ///
 /// [`EnvError::UnknownKind`] for anything else.
-pub fn parse_fault_kind(
-    var: &'static str,
-    raw: &str,
-) -> Result<crate::faults::FaultKind, EnvError> {
-    use crate::faults::FaultKind;
+pub fn parse_fault_kind(var: &'static str, raw: &str) -> Result<FaultKind, EnvError> {
     let bad = || EnvError::UnknownKind { var, value: raw.trim().to_string() };
     let parts: Vec<&str> = raw.trim().split(':').collect();
     match (parts[0], parts.len()) {
@@ -358,10 +410,7 @@ pub fn parse_fault_kind(
 /// # Errors
 ///
 /// [`EnvError::UnknownKind`] naming the first bad entry.
-pub fn parse_fault_kinds(
-    var: &'static str,
-    raw: &str,
-) -> Result<Vec<crate::faults::FaultKind>, EnvError> {
+pub fn parse_fault_kinds(var: &'static str, raw: &str) -> Result<Vec<FaultKind>, EnvError> {
     let kinds: Vec<_> = raw
         .split(',')
         .map(|e| parse_fault_kind(var, e))
@@ -372,64 +421,29 @@ pub fn parse_fault_kinds(
     Ok(kinds)
 }
 
-/// Reads `BJ_FAULT_KINDS`: which temporal fault models the injection
-/// campaigns sweep, as a comma-separated list (`hard`, `transient`,
-/// `intermittent[:PERIOD:ON]`). Unset/empty defaults to `[hard]` — the
-/// original wear-out campaign, whose report is the byte-stability
-/// contract.
-///
-/// # Errors
-///
-/// [`EnvError::UnknownKind`] per [`parse_fault_kinds`].
-pub fn fault_kinds_from_env() -> Result<Vec<crate::faults::FaultKind>, EnvError> {
-    match std::env::var("BJ_FAULT_KINDS") {
-        Ok(raw) if !raw.trim().is_empty() => parse_fault_kinds("BJ_FAULT_KINDS", &raw),
-        _ => Ok(vec![crate::faults::FaultKind::Hard]),
-    }
-}
-
-/// Reads the `BJ_ECC` flag: whether the LVQ payload RAM carries the
-/// SEC-DED check-bit layer. Default off — the legacy hard-fault report
-/// is byte-stable only on the unprotected datapath, and ECC is the
-/// fault-universe extension's opt-in.
-///
-/// # Errors
-///
-/// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
-pub fn ecc_from_env() -> Result<bool, EnvError> {
-    flag_from_env("BJ_ECC", false)
-}
-
-/// Prints `err` to stderr (prefixed with the program's purpose) and
-/// exits with status 2 — the shared failure path for harness binaries,
-/// which have no caller to propagate to.
-pub fn exit_invalid(err: &EnvError) -> ! {
-    eprintln!("error: {err}");
-    std::process::exit(2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn positive_accepts_normal_values() {
-        assert_eq!(parse_positive::<usize>("BJ_THREADS", "8"), Ok(8));
-        assert_eq!(parse_positive::<u32>("BJ_SCALE", " 3 "), Ok(3));
-        assert_eq!(parse_positive::<u32>("BJ_SCALE", "1"), Ok(1));
+        assert_eq!(parse_positive("BJ_THREADS", "8", u64::MAX), Ok(8));
+        assert_eq!(parse_positive("BJ_SCALE", " 3 ", u64::MAX), Ok(3));
+        assert_eq!(parse_positive("BJ_SCALE", "1", u64::MAX), Ok(1));
+        assert_eq!(parse_positive("BJ_CALL_DEPTH", "3", 3), Ok(3));
     }
 
     #[test]
     fn zero_rejected_with_named_variable() {
-        let err = parse_positive::<u32>("BJ_SCALE", "0").unwrap_err();
+        let err = parse_positive("BJ_SCALE", "0", u64::MAX).unwrap_err();
         assert_eq!(err, EnvError::Zero { var: "BJ_SCALE" });
         assert!(err.to_string().contains("BJ_SCALE=0"));
     }
 
     #[test]
     fn non_numeric_rejected_with_value_echoed() {
-        for bad in ["eight", "-1", "3.5", "1e3", "0x10"] {
-            let err = parse_positive::<usize>("BJ_THREADS", bad).unwrap_err();
+        for bad in ["eight", "-1", "3.5", "1e3", "0x10", "18446744073709551616"] {
+            let err = parse_positive("BJ_THREADS", bad, u64::MAX).unwrap_err();
             assert_eq!(
                 err,
                 EnvError::NotANumber { var: "BJ_THREADS", value: bad.to_string() },
@@ -441,19 +455,18 @@ mod tests {
 
     #[test]
     fn seeds_accept_decimal_and_hex_including_zero() {
-        assert_eq!(parse_seed("BJ_FUZZ_SEED", "12345"), Ok(12345));
-        assert_eq!(parse_seed("BJ_FUZZ_SEED", "0"), Ok(0));
-        assert_eq!(parse_seed("BJ_FUZZ_SEED", " 0xB1AC "), Ok(0xB1AC));
-        assert_eq!(parse_seed("BJ_FUZZ_SEED", "0Xdead_beef".replace('_', "").as_str()), Ok(0xdead_beef));
+        assert_eq!(parse_seed("--seed", "12345"), Ok(12345));
+        assert_eq!(parse_seed("--seed", "0"), Ok(0));
+        assert_eq!(parse_seed("--seed", " 0xB1AC "), Ok(0xB1AC));
+        assert_eq!(parse_seed("--seed", "0Xdeadbeef"), Ok(0xdead_beef));
         for bad in ["", "seed", "0x", "0xZZ", "-1", "1.5"] {
-            let err = parse_seed("BJ_FUZZ_SEED", bad).unwrap_err();
+            let err = parse_seed("--seed", bad).unwrap_err();
             assert_eq!(
                 err,
-                EnvError::NotANumber { var: "BJ_FUZZ_SEED", value: bad.to_string() },
+                EnvError::NotANumber { var: "--seed", value: bad.to_string() },
                 "{bad:?}"
             );
         }
-        assert_eq!(seed_from_env("BJ_ENVCFG_TEST_UNSET"), Ok(None));
     }
 
     #[test]
@@ -472,131 +485,231 @@ mod tests {
 
     #[test]
     fn path_validation_rejects_unwritable_and_accepts_tempfile() {
-        // Unset → None (a name no harness sets, to avoid env races).
-        assert_eq!(writable_path_from_env("BJ_ENVCFG_TEST_UNSET"), Ok(None));
-
         // Unwritable: a path under a directory that does not exist.
-        std::env::set_var("BJ_ENVCFG_TEST_BADPATH", "/nonexistent-dir-bj/trace.jsonl");
-        let err = writable_path_from_env("BJ_ENVCFG_TEST_BADPATH").unwrap_err();
+        let bad = "/nonexistent-dir-bj/trace.jsonl";
+        let err = parse_path("BJ_TRACE", bad, |p| std::fs::File::create(p)).unwrap_err();
         match &err {
             EnvError::Unwritable { var, path, .. } => {
-                assert_eq!(*var, "BJ_ENVCFG_TEST_BADPATH");
-                assert!(path.contains("nonexistent-dir-bj"));
+                assert_eq!(*var, "BJ_TRACE");
+                assert_eq!(path, bad);
             }
             other => panic!("expected Unwritable, got {other:?}"),
         }
         assert!(err.to_string().contains("not writable"));
-        std::env::remove_var("BJ_ENVCFG_TEST_BADPATH");
 
-        // Writable: a file in the target dir.
+        // Writable: a file in the temp dir, created by the one open.
         let ok = std::env::temp_dir().join("bj_envcfg_test_trace.jsonl");
-        std::env::set_var("BJ_ENVCFG_TEST_GOODPATH", &ok);
-        assert_eq!(
-            writable_path_from_env("BJ_ENVCFG_TEST_GOODPATH"),
-            Ok(Some(ok.clone()))
-        );
-        std::env::remove_var("BJ_ENVCFG_TEST_GOODPATH");
+        let created = parse_path("BJ_TRACE", ok.to_str().unwrap(), |p| {
+            std::fs::File::create(p).map(|_| p.to_path_buf())
+        });
+        assert_eq!(created, Ok(ok.clone()));
+        assert!(ok.exists());
         let _ = std::fs::remove_file(ok);
     }
 
     #[test]
     fn empty_path_is_an_error_not_unset() {
-        std::env::set_var("BJ_ENVCFG_TEST_EMPTYPATH", "  ");
-        let err = writable_path_from_env("BJ_ENVCFG_TEST_EMPTYPATH").unwrap_err();
-        assert_eq!(err, EnvError::EmptyPath { var: "BJ_ENVCFG_TEST_EMPTYPATH" });
+        let err = parse_path("BJ_TRACE", "  ", |_| -> std::io::Result<()> {
+            panic!("a blank path is never created")
+        })
+        .unwrap_err();
+        assert_eq!(err, EnvError::EmptyPath { var: "BJ_TRACE" });
         assert!(err.to_string().contains("set but empty"));
-        std::env::remove_var("BJ_ENVCFG_TEST_EMPTYPATH");
     }
 
     #[test]
     fn unset_variables_are_none_or_default() {
-        // A variable name no test or harness ever sets.
-        assert_eq!(positive_from_env::<u32>("BJ_ENVCFG_TEST_UNSET"), Ok(None));
-        assert_eq!(flag_from_env("BJ_ENVCFG_TEST_UNSET", true), Ok(true));
-        assert_eq!(flag_from_env("BJ_ENVCFG_TEST_UNSET", false), Ok(false));
+        // Readers only consult the real variables, so each assertion
+        // holds only when the suite's environment leaves its knob unset.
+        for knob in KNOBS {
+            if std::env::var_os(knob.name).is_some() {
+                continue;
+            }
+            match knob.grammar {
+                Grammar::Positive { .. } => assert_eq!(
+                    knob.positive(),
+                    knob.default.map(|d| d.parse().unwrap()),
+                    "{}",
+                    knob.name
+                ),
+                Grammar::Flag => {
+                    assert_eq!(knob.flag(), knob.default == Some("1"), "{}", knob.name)
+                }
+                Grammar::Path => assert!(knob.create(|_| Ok(())).is_none(), "{}", knob.name),
+                Grammar::FaultKinds => {
+                    assert_eq!(knob.fault_kinds(), vec![FaultKind::Hard], "{}", knob.name)
+                }
+            }
+        }
     }
+
+    /// One pass over the table: names are unique `BJ_*` variables, every
+    /// default parses under its row's grammar, and a malformed value is
+    /// rejected with an error that names the variable.
+    #[test]
+    fn every_knob_parses_its_default_and_names_itself_when_malformed() {
+        for (i, knob) in KNOBS.iter().enumerate() {
+            let name = knob.name;
+            assert!(name.starts_with("BJ_"), "{name}");
+            assert!(KNOBS[..i].iter().all(|k| k.name != name), "{name} declared twice");
+            assert!(!knob.doc.is_empty(), "{name} has no doc");
+            let rejected = match knob.grammar {
+                Grammar::Positive { max } => {
+                    if let Some(d) = knob.default {
+                        assert!(parse_positive(name, d, max).is_ok(), "{name} default {d}");
+                    }
+                    assert_eq!(parse_positive(name, "0", max), Err(EnvError::Zero { var: name }));
+                    if max < u64::MAX {
+                        assert_eq!(
+                            parse_positive(name, &(max + 1).to_string(), max),
+                            Err(EnvError::TooLarge { var: name, value: max + 1, max })
+                        );
+                    }
+                    parse_positive(name, "soon", max).unwrap_err()
+                }
+                Grammar::Flag => {
+                    let d = knob.default.unwrap_or_else(|| panic!("{name} needs a default"));
+                    assert!(parse_flag(name, d).is_ok(), "{name} default {d}");
+                    parse_flag(name, "maybe").unwrap_err()
+                }
+                Grammar::Path => {
+                    assert_eq!(knob.default, None, "{name}: a path is opt-in");
+                    parse_path(name, "", |_| Ok(())).unwrap_err()
+                }
+                Grammar::FaultKinds => {
+                    let d = knob.default.unwrap_or_else(|| panic!("{name} needs a default"));
+                    assert!(parse_fault_kinds(name, d).is_ok(), "{name} default {d}");
+                    parse_fault_kinds(name, "soft").unwrap_err()
+                }
+            };
+            assert!(rejected.to_string().contains(name), "{name}: {rejected}");
+        }
+    }
+
+    // The per-knob tests below pin each knob's grammar and, when the
+    // suite's environment leaves the variable unset, the value its
+    // reader returns.
 
     #[test]
     fn snapshot_flag_accepts_and_rejects_like_prune() {
-        // BJ_SNAPSHOT goes through the same flag grammar as BJ_PRUNE.
+        assert_eq!(SNAPSHOT.grammar, PRUNE.grammar);
         assert_eq!(parse_flag("BJ_SNAPSHOT", "1"), Ok(true));
         assert_eq!(parse_flag("BJ_SNAPSHOT", "0"), Ok(false));
         let err = parse_flag("BJ_SNAPSHOT", "fork").unwrap_err();
         assert_eq!(err, EnvError::NotAFlag { var: "BJ_SNAPSHOT", value: "fork".to_string() });
         assert!(err.to_string().contains("BJ_SNAPSHOT"));
-        // Unset defaults to on (the optimized path); the harness-facing
-        // wrapper only consults the real variable, so it can only be
-        // exercised here when the suite's environment leaves it unset.
-        if std::env::var("BJ_SNAPSHOT").is_err() {
-            assert_eq!(snapshot_from_env(), Ok(true));
+        // Unset defaults to on (the optimized path).
+        if std::env::var_os(SNAPSHOT.name).is_none() {
+            assert!(SNAPSHOT.flag());
         }
     }
 
     #[test]
     fn earlyexit_flag_accepts_and_rejects_like_snapshot() {
+        assert_eq!(EARLYEXIT.grammar, SNAPSHOT.grammar);
         assert_eq!(parse_flag("BJ_EARLYEXIT", "on"), Ok(true));
         assert_eq!(parse_flag("BJ_EARLYEXIT", "no"), Ok(false));
         let err = parse_flag("BJ_EARLYEXIT", "fast").unwrap_err();
         assert_eq!(err, EnvError::NotAFlag { var: "BJ_EARLYEXIT", value: "fast".to_string() });
         assert!(err.to_string().contains("BJ_EARLYEXIT"));
-        if std::env::var("BJ_EARLYEXIT").is_err() {
-            assert_eq!(earlyexit_from_env(), Ok(true));
+        if std::env::var_os(EARLYEXIT.name).is_none() {
+            assert!(EARLYEXIT.flag());
         }
     }
 
     #[test]
     fn call_depth_rejects_zero_and_defaults_when_unset() {
-        assert_eq!(parse_positive::<usize>("BJ_CALL_DEPTH", "3"), Ok(3));
-        assert_eq!(parse_positive::<usize>("BJ_CALL_DEPTH", "1"), Ok(1));
+        let Grammar::Positive { max } = CALL_DEPTH.grammar else {
+            panic!("BJ_CALL_DEPTH is a positive integer")
+        };
+        assert_eq!(parse_positive("BJ_CALL_DEPTH", "3", max), Ok(3));
+        assert_eq!(parse_positive("BJ_CALL_DEPTH", "1", max), Ok(1));
         assert_eq!(
-            parse_positive::<usize>("BJ_CALL_DEPTH", "0"),
+            parse_positive("BJ_CALL_DEPTH", "0", max),
             Err(EnvError::Zero { var: "BJ_CALL_DEPTH" })
         );
         assert_eq!(
-            parse_positive::<usize>("BJ_CALL_DEPTH", "deep"),
+            parse_positive("BJ_CALL_DEPTH", "deep", max),
             Err(EnvError::NotANumber { var: "BJ_CALL_DEPTH", value: "deep".to_string() })
         );
-        if std::env::var("BJ_CALL_DEPTH").is_err() {
-            assert_eq!(call_depth_from_env(), Ok(DEFAULT_CALL_DEPTH));
+        if std::env::var_os(CALL_DEPTH.name).is_none() {
+            assert_eq!(CALL_DEPTH.positive(), Some(2));
         }
     }
 
     #[test]
     fn metrics_flag_accepts_and_rejects_like_prune() {
+        assert_eq!(METRICS.grammar, PRUNE.grammar);
         assert_eq!(parse_flag("BJ_METRICS", "1"), Ok(true));
         assert_eq!(parse_flag("BJ_METRICS", "off"), Ok(false));
         let err = parse_flag("BJ_METRICS", "all").unwrap_err();
         assert_eq!(err, EnvError::NotAFlag { var: "BJ_METRICS", value: "all".to_string() });
         assert!(err.to_string().contains("BJ_METRICS"));
         // Unset defaults to off: metrics are opt-in.
-        if std::env::var("BJ_METRICS").is_err() {
-            assert_eq!(metrics_from_env(), Ok(false));
+        if std::env::var_os(METRICS.name).is_none() {
+            assert!(!METRICS.flag());
         }
     }
 
     #[test]
     fn progress_secs_rejects_zero_and_non_numeric_like_threads() {
-        assert_eq!(parse_positive::<u64>("BJ_PROGRESS_SECS", "5"), Ok(5));
-        assert_eq!(parse_positive::<u64>("BJ_PROGRESS_SECS", " 1 "), Ok(1));
+        assert_eq!(PROGRESS_SECS.grammar, Grammar::Positive { max: u64::MAX });
+        assert_eq!(parse_positive("BJ_PROGRESS_SECS", "5", u64::MAX), Ok(5));
+        assert_eq!(parse_positive("BJ_PROGRESS_SECS", " 1 ", u64::MAX), Ok(1));
         assert_eq!(
-            parse_positive::<u64>("BJ_PROGRESS_SECS", "0"),
+            parse_positive("BJ_PROGRESS_SECS", "0", u64::MAX),
             Err(EnvError::Zero { var: "BJ_PROGRESS_SECS" })
         );
         for bad in ["soon", "-1", "2.5"] {
             assert_eq!(
-                parse_positive::<u64>("BJ_PROGRESS_SECS", bad),
+                parse_positive("BJ_PROGRESS_SECS", bad, u64::MAX),
                 Err(EnvError::NotANumber { var: "BJ_PROGRESS_SECS", value: bad.to_string() }),
                 "{bad}"
             );
         }
-        if std::env::var("BJ_PROGRESS_SECS").is_err() {
-            assert_eq!(progress_secs_from_env(), Ok(None));
+        if std::env::var_os(PROGRESS_SECS.name).is_none() {
+            assert_eq!(PROGRESS_SECS.positive(), None);
         }
     }
 
     #[test]
+    fn ecc_flag_accepts_and_rejects_like_prune() {
+        assert_eq!(ECC.grammar, PRUNE.grammar);
+        assert_eq!(parse_flag("BJ_ECC", "1"), Ok(true));
+        assert_eq!(parse_flag("BJ_ECC", "off"), Ok(false));
+        let err = parse_flag("BJ_ECC", "secded").unwrap_err();
+        assert_eq!(err, EnvError::NotAFlag { var: "BJ_ECC", value: "secded".to_string() });
+        // Unset defaults to off: the unprotected datapath is the
+        // byte-stable legacy configuration.
+        if std::env::var_os(ECC.name).is_none() {
+            assert!(!ECC.flag());
+        }
+    }
+
+    /// README's knob list names exactly the table's knobs, with the
+    /// table's defaults, in table order.
+    #[test]
+    fn readme_knob_list_matches_the_table() {
+        let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"));
+        let listed: Vec<(String, Option<&str>)> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("* `"))
+            .filter(|rest| rest.starts_with("BJ_"))
+            .map(|rest| {
+                let name = rest.chars().take_while(|c| c.is_ascii_uppercase() || *c == '_');
+                let default = rest
+                    .split_once("(default `")
+                    .map(|(_, d)| &d[..d.find('`').expect("a closing backtick")]);
+                (name.collect(), default)
+            })
+            .collect();
+        let table: Vec<(String, Option<&str>)> =
+            KNOBS.iter().map(|k| (k.name.to_string(), k.default)).collect();
+        assert_eq!(listed, table);
+    }
+
+    #[test]
     fn fault_kinds_parse_the_universe() {
-        use crate::faults::FaultKind;
         assert_eq!(parse_fault_kinds("BJ_FAULT_KINDS", "hard"), Ok(vec![FaultKind::Hard]));
         assert_eq!(
             parse_fault_kinds("BJ_FAULT_KINDS", "hard,transient,intermittent"),
@@ -613,9 +726,6 @@ mod tests {
             parse_fault_kinds("BJ_FAULT_KINDS", " transient , intermittent:100:25 "),
             Ok(vec![FaultKind::Transient, FaultKind::Intermittent { period: 100, on: 25 }])
         );
-        if std::env::var("BJ_FAULT_KINDS").is_err() {
-            assert_eq!(fault_kinds_from_env(), Ok(vec![FaultKind::Hard]));
-        }
     }
 
     #[test]
@@ -644,34 +754,5 @@ mod tests {
             err,
             EnvError::UnknownKind { var: "BJ_FAULT_KINDS", value: "soft".to_string() }
         );
-    }
-
-    #[test]
-    fn ecc_flag_accepts_and_rejects_like_prune() {
-        assert_eq!(parse_flag("BJ_ECC", "1"), Ok(true));
-        assert_eq!(parse_flag("BJ_ECC", "off"), Ok(false));
-        let err = parse_flag("BJ_ECC", "secded").unwrap_err();
-        assert_eq!(err, EnvError::NotAFlag { var: "BJ_ECC", value: "secded".to_string() });
-        // Unset defaults to off: the unprotected datapath is the
-        // byte-stable legacy configuration.
-        if std::env::var("BJ_ECC").is_err() {
-            assert_eq!(ecc_from_env(), Ok(false));
-        }
-    }
-
-    #[test]
-    fn stall_cycles_rejects_zero_and_defaults_when_unset() {
-        assert_eq!(parse_positive::<u64>("BJ_STALL_CYCLES", "5000"), Ok(5000));
-        assert_eq!(
-            parse_positive::<u64>("BJ_STALL_CYCLES", "0"),
-            Err(EnvError::Zero { var: "BJ_STALL_CYCLES" })
-        );
-        assert_eq!(
-            parse_positive::<u64>("BJ_STALL_CYCLES", "soon"),
-            Err(EnvError::NotANumber { var: "BJ_STALL_CYCLES", value: "soon".to_string() })
-        );
-        if std::env::var("BJ_STALL_CYCLES").is_err() {
-            assert_eq!(stall_cycles_from_env(), Ok(DEFAULT_STALL_CYCLES));
-        }
     }
 }

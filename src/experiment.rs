@@ -16,9 +16,9 @@ const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 /// # Example
 ///
 /// ```no_run
-/// use blackjack::Experiment;
+/// use blackjack::{Campaign, Experiment};
 ///
-/// let result = Experiment::new().run_all();
+/// let result = Experiment::new().run_all_on(&Campaign::from_env_or_exit());
 /// println!("{}", result.fig4_table());
 /// ```
 #[derive(Debug, Clone)]
@@ -136,17 +136,10 @@ impl Experiment {
         BenchmarkResult { bench, single, srt, ns, bj }
     }
 
-    /// Runs the whole evaluation (16 benchmarks × 4 modes) on a campaign
-    /// sized from the environment (`BJ_THREADS`), exiting with a clear
-    /// message when the override is malformed.
-    pub fn run_all(&self) -> ExperimentResult {
-        self.run_all_on(&Campaign::from_env_or_exit())
-    }
-
-    /// Runs the whole evaluation on an explicit campaign. Every
-    /// (benchmark, mode) pair is one job, so the worker pool levels load
-    /// at mode granularity; results reassemble in benchmark order and are
-    /// identical for any worker count.
+    /// Runs the whole evaluation (16 benchmarks × 4 modes) on
+    /// `campaign`. Every (benchmark, mode) pair is one job, so the worker
+    /// pool levels load at mode granularity; results reassemble in
+    /// benchmark order and are identical for any worker count.
     pub fn run_all_on(&self, campaign: &Campaign) -> ExperimentResult {
         self.assemble(campaign.run(self.jobs()))
     }

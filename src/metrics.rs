@@ -33,8 +33,6 @@
 
 use blackjack_sim::{ExitReason, Histogram};
 
-use crate::envcfg::{self, EnvError};
-
 /// Bucket width of the fork catch-up histogram: 32-cycle buckets cover
 /// the periodic chain's `0..SNAPSHOT_INTERVAL` catch-up range across the
 /// histogram's 33 buckets.
@@ -395,15 +393,6 @@ impl Metrics {
         }
     }
 
-    /// Reads `BJ_METRICS` (flag grammar, default off).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
-    pub fn from_env() -> Result<Metrics, EnvError> {
-        Ok(Metrics::when(envcfg::metrics_from_env()?))
-    }
-
     /// True when recording.
     pub fn is_on(&self) -> bool {
         matches!(self, Metrics::On(_))
@@ -626,6 +615,6 @@ mod tests {
         assert!(Metrics::when(true).is_on());
         assert!(!Metrics::when(false).is_on());
         // BJ_METRICS is unset or valid when the suite runs.
-        let _ = Metrics::from_env().expect("valid BJ_METRICS");
+        let _ = Metrics::when(crate::envcfg::METRICS.flag());
     }
 }

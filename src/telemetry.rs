@@ -17,12 +17,12 @@
 //! | `metrics`      | campaign (v2)      | merged [`MetricsRegistry`], inlined         |
 //!
 //! Everything is hand-emitted and hand-parsed: the repo builds offline
-//! with no serde, and the schema is flat enough that a
-//! balanced-brace scanner ([`json_obj`]) plus typed field extractors
-//! ([`json_u64`], [`json_str`], [`json_u64_array`]) are all `bj-trace`
-//! needs. The emit path buffers through [`std::io::BufWriter`] and is
-//! only ever constructed when `BJ_TRACE` is set, so the default
-//! (untraced) harness path allocates nothing and writes nothing.
+//! with no serde. One parser ([`parse_line`]) reads every line back into
+//! a field list, and typed lookups ([`get_u64`], [`get_str`],
+//! [`get_obj`], ...) pick fields out of it for `bj-trace`. The emit path
+//! buffers through [`std::io::BufWriter`] and is only ever constructed
+//! when `BJ_TRACE` is set, so the default (untraced) harness path
+//! allocates nothing and writes nothing.
 //!
 //! **Schema v2 and the `nondet` contract.** Version 2 adds the three
 //! observability records; every v1 record is emitted unchanged, and the
@@ -43,7 +43,7 @@ use std::sync::Mutex;
 use blackjack_sim::{DetectionEvent, FlightEvent, SimStats, TraceState, WayHeat};
 
 use crate::campaign::{CampaignTrace, ProgressTick};
-use crate::envcfg::{self, EnvError};
+use crate::envcfg;
 use crate::metrics::MetricsRegistry;
 
 /// Telemetry schema version emitted in the `meta` line.
@@ -71,28 +71,11 @@ impl TraceWriter {
         Ok(w)
     }
 
-    /// Builds the sink from `BJ_TRACE`: `Ok(None)` when unset, the
-    /// envcfg error when set but empty or unwritable.
-    ///
-    /// # Errors
-    ///
-    /// See [`envcfg::writable_path_from_env`]; file creation failures
-    /// surface as [`EnvError::Unwritable`] too.
-    pub fn from_env(tool: &str) -> Result<Option<TraceWriter>, EnvError> {
-        let Some(path) = envcfg::writable_path_from_env("BJ_TRACE")? else {
-            return Ok(None);
-        };
-        TraceWriter::create(&path, tool).map(Some).map_err(|e| EnvError::Unwritable {
-            var: "BJ_TRACE",
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        })
-    }
-
-    /// [`TraceWriter::from_env`] for harness binaries: prints the error
-    /// and exits with status 2 (same contract as `BJ_THREADS`).
+    /// Builds the sink from `BJ_TRACE` for a harness binary: `None` when
+    /// unset; a set-but-empty or uncreatable path prints the error and
+    /// exits with status 2 (same contract as `BJ_THREADS`).
     pub fn from_env_or_exit(tool: &str) -> Option<TraceWriter> {
-        TraceWriter::from_env(tool).unwrap_or_else(|e| envcfg::exit_invalid(&e))
+        envcfg::TRACE.create(|path| TraceWriter::create(path, tool))
     }
 
     fn line(&mut self, s: &str) {
@@ -389,99 +372,6 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------- parsing
-//
-// `bj-trace` reads the stream back with these minimal extractors. They
-// assume the flat shapes this module emits (no nested objects under the
-// keys being extracted, except where `json_obj` is used to cut a nested
-// object out first).
-
-/// Extracts the raw value text following `"key":` in `obj`, or `None`.
-fn raw_value<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = obj.find(&needle)? + needle.len();
-    Some(obj[start..].trim_start())
-}
-
-/// Reads an unsigned integer field. `null` and absent both yield `None`.
-pub fn json_u64(obj: &str, key: &str) -> Option<u64> {
-    let rest = raw_value(obj, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads a string field (no unescaping beyond `\"` and `\\` — the
-/// emitter only produces those for harness labels).
-pub fn json_str(obj: &str, key: &str) -> Option<String> {
-    let rest = raw_value(obj, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => {
-                if let Some(esc) = chars.next() {
-                    out.push(esc);
-                }
-            }
-            '"' => return Some(out),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Reads a `[1,2,3]`-style array of unsigned integers.
-pub fn json_u64_array(obj: &str, key: &str) -> Option<Vec<u64>> {
-    let rest = raw_value(obj, key)?;
-    let rest = rest.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|v| v.trim().parse().ok()).collect()
-}
-
-/// Reads a `["a","b"]`-style array of strings.
-pub fn json_str_array(obj: &str, key: &str) -> Option<Vec<String>> {
-    let rest = raw_value(obj, key)?;
-    let rest = rest.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|v| {
-            let v = v.trim();
-            v.strip_prefix('"')?.strip_suffix('"').map(str::to_string)
-        })
-        .collect()
-}
-
-/// Cuts the balanced-brace object following `"key":` out of `obj`.
-pub fn json_obj<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let rest = raw_value(obj, key)?;
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 // ------------------------------------------------------------ round-trip
 
 /// A parsed JSON value from a telemetry line.
@@ -680,6 +570,79 @@ impl JsonParser<'_> {
     }
 }
 
+// --------------------------------------------------------------- lookups
+//
+// Typed field lookups over a parsed object: a [`parse_line`] result or a
+// nested [`JsonValue::Obj`]. Each is `None` when the field is absent or
+// holds another type; `null` counts as absent.
+
+/// Looks a field up in an object's field list.
+pub fn obj_get<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A numeric field as `f64` (metrics are raw number tokens).
+pub fn num(fields: &[(String, JsonValue)], key: &str) -> Option<f64> {
+    raw_as(obj_get(fields, key)?)
+}
+
+/// An unsigned-integer field.
+pub fn get_u64(fields: &[(String, JsonValue)], key: &str) -> Option<u64> {
+    raw_as(obj_get(fields, key)?)
+}
+
+/// A `true`/`false` field.
+pub fn get_bool(fields: &[(String, JsonValue)], key: &str) -> Option<bool> {
+    raw_as(obj_get(fields, key)?)
+}
+
+/// A string field.
+pub fn get_str<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a str> {
+    str_of(obj_get(fields, key)?)
+}
+
+/// A nested-object field.
+pub fn get_obj<'a>(
+    fields: &'a [(String, JsonValue)],
+    key: &str,
+) -> Option<&'a [(String, JsonValue)]> {
+    match obj_get(fields, key)? {
+        JsonValue::Obj(inner) => Some(inner),
+        _ => None,
+    }
+}
+
+/// An array field whose items are all unsigned integers.
+pub fn get_u64s(fields: &[(String, JsonValue)], key: &str) -> Option<Vec<u64>> {
+    match obj_get(fields, key)? {
+        JsonValue::Array(items) => items.iter().map(raw_as).collect(),
+        _ => None,
+    }
+}
+
+/// An array field whose items are all strings.
+pub fn get_strs<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<Vec<&'a str>> {
+    match obj_get(fields, key)? {
+        JsonValue::Array(items) => items.iter().map(str_of).collect(),
+        _ => None,
+    }
+}
+
+/// A raw token (number, boolean) parsed as `T`.
+fn raw_as<T: std::str::FromStr>(v: &JsonValue) -> Option<T> {
+    match v {
+        JsonValue::Raw(t) => t.parse().ok(),
+        _ => None,
+    }
+}
+
+fn str_of(v: &JsonValue) -> Option<&str> {
+    match v {
+        JsonValue::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
 // --------------------------------------------------------------- summary
 
 /// Aggregated job-latency and worker-utilization numbers from a
@@ -729,17 +692,17 @@ pub fn summarize_campaign(lines: &[&str]) -> Option<CampaignSummary> {
     let mut runs: Vec<u64> = Vec::new();
     let mut per_worker: Vec<u64> = Vec::new();
     let mut seen_campaign = false;
-    for line in lines {
-        match json_str(line, "type").as_deref() {
+    for rec in lines.iter().filter_map(|l| parse_line(l)) {
+        match get_str(&rec, "type") {
             Some("campaign") => {
                 seen_campaign = true;
-                s.workers = json_u64(line, "workers").unwrap_or(0);
-                s.wall_nanos = json_u64(line, "wall_nanos").unwrap_or(0);
+                s.workers = get_u64(&rec, "workers").unwrap_or(0);
+                s.wall_nanos = get_u64(&rec, "wall_nanos").unwrap_or(0);
             }
             Some("job") => {
-                let run = json_u64(line, "run_nanos").unwrap_or(0);
-                let worker = json_u64(line, "worker").unwrap_or(0) as usize;
-                let wait = json_u64(line, "queue_wait_nanos").unwrap_or(0);
+                let run = get_u64(&rec, "run_nanos").unwrap_or(0);
+                let worker = get_u64(&rec, "worker").unwrap_or(0) as usize;
+                let wait = get_u64(&rec, "queue_wait_nanos").unwrap_or(0);
                 s.jobs += 1;
                 runs.push(run);
                 if per_worker.len() <= worker {
@@ -749,7 +712,7 @@ pub fn summarize_campaign(lines: &[&str]) -> Option<CampaignSummary> {
                 s.max_queue_wait_nanos = s.max_queue_wait_nanos.max(wait);
                 if run >= s.max_nanos {
                     s.max_nanos = run;
-                    s.max_label = json_str(line, "label").unwrap_or_default();
+                    s.max_label = get_str(&rec, "label").unwrap_or_default().to_string();
                 }
             }
             _ => {}
@@ -778,21 +741,6 @@ mod tests {
         assert_eq!(json_string("plain"), "\"plain\"");
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
-    }
-
-    #[test]
-    fn field_extractors_roundtrip() {
-        let line = "{\"type\":\"job\",\"job\":3,\"worker\":1,\"run_nanos\":12345,\
-                    \"label\":\"matmul/BlackJack\",\"arr\":[1,2,3],\
-                    \"nested\":{\"a\":{\"b\":7},\"c\":1}}";
-        assert_eq!(json_str(line, "type").as_deref(), Some("job"));
-        assert_eq!(json_u64(line, "job"), Some(3));
-        assert_eq!(json_u64(line, "run_nanos"), Some(12345));
-        assert_eq!(json_str(line, "label").as_deref(), Some("matmul/BlackJack"));
-        assert_eq!(json_u64_array(line, "arr"), Some(vec![1, 2, 3]));
-        assert_eq!(json_obj(line, "nested"), Some("{\"a\":{\"b\":7},\"c\":1}"));
-        assert_eq!(json_u64(line, "missing"), None);
-        assert_eq!(json_str_array("{\"w\":[\"a\",\"b\"]}", "w"), Some(vec!["a".into(), "b".into()]));
     }
 
     #[test]
@@ -858,19 +806,24 @@ mod tests {
         let line = text.lines().nth(1).unwrap();
         // Byte-exact round-trip through the generic parser.
         assert_eq!(emit_line(&parse_line(line).unwrap()), line);
-        // Typed extraction of both halves.
-        assert_eq!(json_str(line, "type").as_deref(), Some("progress"));
-        assert_eq!(json_u64(line, "jobs_done"), Some(2));
-        assert_eq!(json_u64(line, "runs"), Some(2));
-        assert_eq!(json_u64(line, "forked_runs"), Some(1));
-        let exits = json_obj(line, "early_exits").unwrap();
-        assert_eq!(json_u64(exits, "activation"), Some(1));
-        assert_eq!(json_u64(exits, "watchdog"), Some(1));
-        assert_eq!(json_u64(exits, "total"), Some(2));
-        let snaps = json_obj(line, "snapshots").unwrap();
-        assert_eq!(json_u64(snaps, "refilled"), Some(14));
-        assert_eq!(json_u64(line, "elapsed_nanos"), Some(5_000));
-        assert_eq!(json_u64_array(line, "busy_nanos"), Some(vec![4_000, 3_000]));
+        // Typed lookups over both halves.
+        let rec = parse_line(line).unwrap();
+        assert_eq!(get_str(&rec, "type"), Some("progress"));
+        assert_eq!(get_u64(&rec, "jobs_done"), Some(2));
+        assert_eq!(get_u64(&rec, "runs"), Some(2));
+        assert_eq!(get_u64(&rec, "forked_runs"), Some(1));
+        assert_eq!(get_bool(&rec, "done"), Some(false));
+        let exits = get_obj(&rec, "early_exits").unwrap();
+        assert_eq!(get_u64(exits, "activation"), Some(1));
+        assert_eq!(get_u64(exits, "watchdog"), Some(1));
+        assert_eq!(get_u64(exits, "total"), Some(2));
+        let snaps = get_obj(&rec, "snapshots").unwrap();
+        assert_eq!(get_u64(snaps, "refilled"), Some(14));
+        assert_eq!(get_u64(&rec, "elapsed_nanos"), Some(5_000));
+        assert_eq!(get_u64(&rec, "eta_nanos"), Some(15_000));
+        assert_eq!(get_u64s(&rec, "busy_nanos"), Some(vec![4_000, 3_000]));
+        assert_eq!(get_strs(&rec, "nondet").map(|n| n.len()), Some(3));
+        assert_eq!(get_u64(&rec, "missing"), None);
         // The strip contract: deterministic prefix, balanced, no timing.
         let stripped = strip_nondet(line);
         assert!(stripped.ends_with("\"refilled\":14}}"), "{stripped}");
@@ -896,14 +849,15 @@ mod tests {
         let metrics = text.lines().nth(2).unwrap();
         assert_eq!(emit_line(&parse_line(phase).unwrap()), phase);
         assert_eq!(emit_line(&parse_line(metrics).unwrap()), metrics);
-        assert_eq!(json_u64(phase, "simulate_nanos"), Some(1234));
-        assert_eq!(json_u64(phase, "wall_nanos"), Some(9999));
+        let phase_rec = parse_line(phase).unwrap();
+        assert_eq!(get_u64(&phase_rec, "simulate_nanos"), Some(1234));
+        assert_eq!(get_u64(&phase_rec, "wall_nanos"), Some(9999));
         // Phase is all wall-clock: stripping leaves only the type tag.
         assert_eq!(strip_nondet(phase), "{\"type\":\"phase\"}");
         // Metrics strip to the registry's deterministic prefix, inlined.
         let stripped = strip_nondet(metrics);
-        assert!(parse_line(&stripped).is_some(), "{stripped}");
-        assert_eq!(json_obj(&stripped, "counters").map(|c| json_u64(c, "jobs")), Some(Some(1)));
+        let rec = parse_line(&stripped).unwrap_or_else(|| panic!("{stripped}"));
+        assert_eq!(get_obj(&rec, "counters").map(|c| get_u64(c, "jobs")), Some(Some(1)));
         assert!(!stripped.contains("simulate_nanos"));
         let _ = std::fs::remove_file(path);
     }
@@ -948,16 +902,18 @@ mod tests {
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(json_str(lines[0], "type").as_deref(), Some("meta"));
-        assert_eq!(json_u64(lines[0], "schema"), Some(SCHEMA_VERSION));
-        assert_eq!(json_str(lines[1], "type").as_deref(), Some("campaign"));
-        assert_eq!(json_u64(lines[1], "jobs"), Some(3));
+        let recs: Vec<_> = lines.iter().map(|l| parse_line(l).expect("well-formed")).collect();
+        assert_eq!(get_str(&recs[0], "type"), Some("meta"));
+        assert_eq!(get_u64(&recs[0], "schema"), Some(SCHEMA_VERSION));
+        assert_eq!(get_str(&recs[1], "type"), Some("campaign"));
+        assert_eq!(get_u64(&recs[1], "jobs"), Some(3));
         // 1 meta + 1 campaign + 3 jobs + 1 run.
         assert_eq!(lines.len(), 6);
-        let run = lines[5];
-        assert_eq!(json_str(run, "type").as_deref(), Some("run"));
-        let stats_obj = json_obj(run, "stats").unwrap();
-        assert_eq!(json_u64(stats_obj, "cycles"), Some(10));
+        assert_eq!(get_str(&recs[2], "label"), Some("a"));
+        assert_eq!(get_str(&recs[5], "type"), Some("run"));
+        let stats_obj = get_obj(&recs[5], "stats").unwrap();
+        assert_eq!(get_u64(stats_obj, "cycles"), Some(10));
+        assert_eq!(get_u64s(stats_obj, "committed"), Some(vec![0, 0]));
         // Every line is a balanced object.
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "{l}");

@@ -1,5 +1,6 @@
 //! `bjsim` on the command line: the `--oracle` commit-log replay, with
-//! and without a fault, and the `--fault` site spellings.
+//! and without a fault, the `--fault` site spellings, and a malformed
+//! `BJ_TRACE`.
 
 use std::process::{Command, Stdio};
 
@@ -79,4 +80,18 @@ fn every_fault_site_family_is_accepted_and_unknown_ones_exit_2() {
     for bad in ["tlb:0:1", "lvq", "backend:x", "backend:0:64"] {
         assert_eq!(bjsim(&["--quiet", "--fault", bad]).0, 2, "--fault {bad}");
     }
+}
+
+#[test]
+fn an_empty_bj_trace_exits_2_before_simulating() {
+    let program = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs/checksum.s");
+    let out = Command::new(env!("CARGO_BIN_EXE_bjsim"))
+        .env("BJ_TRACE", "")
+        .arg(program)
+        .output()
+        .expect("bjsim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: BJ_TRACE is set but empty"), "{stderr}");
+    assert!(out.stdout.is_empty(), "bjsim ran before exiting");
 }
