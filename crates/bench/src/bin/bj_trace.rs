@@ -19,10 +19,10 @@
 //! The `top` subcommand (`bj-trace top [trace.jsonl] [--follow]`)
 //! renders the schema-v2 observability records instead: the latest
 //! live-progress tick (progress bar, ETA, per-worker busy, early-exit
-//! attribution, snapshot reuse), the campaign phase-time attribution,
-//! and the metrics-registry headline. With `--follow` it polls the file
-//! until the campaign's final tick lands — a one-file `top` for a
-//! running campaign.
+//! attribution, snapshot reuse), then from the `metrics` record the
+//! campaign phase-time attribution and the registry headline. With
+//! `--follow` it polls the file until the campaign's final tick lands —
+//! a one-file `top` for a running campaign.
 //!
 //! Exits 0 on success — including on empty or unrecognized input, which
 //! prints a note and renders nothing (an empty trace is not an error:
@@ -180,8 +180,19 @@ fn progress_line(p: &Record) -> String {
     )
 }
 
-/// The full `top` view: latest progress tick, phase attribution, and the
-/// metrics headline. Returns the number of records rendered.
+/// Campaign phases in render order, each with the `metrics` record's
+/// wall-nanos counters it sums: snapshot = chain building + forking.
+const PHASES: [(&str, &[&str]); 5] = [
+    ("setup", &["setup_nanos"]),
+    ("snapshot", &["snapshot_build_nanos", "snapshot_fork_nanos"]),
+    ("simulate", &["simulate_nanos"]),
+    ("oracle", &["oracle_nanos"]),
+    ("reassembly", &["reassembly_nanos"]),
+];
+
+/// The full `top` view: latest progress tick, then the metrics record's
+/// phase attribution and headline. Returns the number of records
+/// rendered.
 fn render_top(records: &[Record]) -> usize {
     let mut rendered = 0usize;
     if let Some(p) = latest_progress(records) {
@@ -224,28 +235,19 @@ fn render_top(records: &[Record]) -> usize {
             println!("  worker busy: {}", view.join("  "));
         }
     }
-    if let Some(ph) = of_type(records, "phase").into_iter().last() {
-        rendered += 1;
-        let wall = get_u64(ph, "wall_nanos").unwrap_or(0);
-        println!();
-        println!("phase attribution (cpu time; campaign wall {}):", secs(wall));
-        let phases =
-            ["setup_nanos", "snapshot_nanos", "simulate_nanos", "oracle_nanos", "reassembly_nanos"];
-        let total: u64 = phases.iter().filter_map(|k| get_u64(ph, k)).sum();
-        for k in phases {
-            let v = get_u64(ph, k).unwrap_or(0);
-            let share = v as f64 / total.max(1) as f64;
-            let bar = "#".repeat((share * 32.0).round() as usize);
-            println!(
-                "  {:<12} {:>10}  {:>5.1}%  {bar}",
-                k.trim_end_matches("_nanos"),
-                secs(v),
-                share * 100.0
-            );
-        }
-    }
     if let Some(m) = of_type(records, "metrics").into_iter().last() {
         rendered += 1;
+        let wall = of_type(records, "campaign").last().and_then(|c| get_u64(c, "wall_nanos"));
+        println!();
+        println!("phase attribution (cpu time; campaign wall {}):", wall.map_or("-".into(), secs));
+        let phases: [(&str, u64); 5] =
+            PHASES.map(|(name, keys)| (name, keys.iter().filter_map(|k| get_u64(m, k)).sum()));
+        let total: u64 = phases.iter().map(|&(_, v)| v).sum();
+        for (name, v) in phases {
+            let share = v as f64 / total.max(1) as f64;
+            let bar = "#".repeat((share * 32.0).round() as usize);
+            println!("  {name:<12} {:>10}  {:>5.1}%  {bar}", secs(v), share * 100.0);
+        }
         println!();
         println!("metrics registry:");
         if let Some(c) = get_obj(m, "counters") {

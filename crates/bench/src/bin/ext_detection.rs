@@ -18,29 +18,31 @@
 //! model — the default is the byte-stable hard-fault sweep alone.
 //! `BJ_ECC=1` turns on the LVQ SEC-DED layer in every run; each report
 //! carries the CE/DUE/SDC taxonomy beneath the legacy table.
-//! With `BJ_TRACE=<path>` set, per-job scheduling telemetry and a
-//! flight-recorder pipetrace of the first detected injection are written
-//! to `<path>` (render with `bj-trace`); stdout stays byte-identical.
-//! `BJ_METRICS=1` adds the campaign metrics registry and the per-phase
-//! wall-time attribution to the stream; `BJ_PROGRESS_SECS=<n>` streams a
-//! live `progress` record every `n` seconds (render with `bj-trace
-//! top`). Wall-clock goes to stderr so stdout is fully deterministic.
+//! With `BJ_TRACE=<path>` set, `<path>` receives per-job scheduling
+//! telemetry, a live `progress` record every second, the campaign's
+//! metrics registry (which `bj-trace top` also reads the per-phase
+//! wall-time attribution from), and a flight-recorder pipetrace of the
+//! first detected injection (render with `bj-trace` and `bj-trace
+//! top`); stdout stays byte-identical. Without it nothing is recorded.
+//! Wall-clock goes to stderr so stdout is fully deterministic.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use blackjack::sim::{Core, RunOutcome};
-use blackjack::telemetry::{ProgressMeter, TraceWriter};
+use blackjack::telemetry::TraceWriter;
 use blackjack::workloads::build;
-use blackjack::{envcfg, Campaign};
+use blackjack::{envcfg, Campaign, ProgressHook, ProgressTick};
 use blackjack_bench::detection::{
     armed_plan_kind, benchmarks_from_args, run_detection_observed, DetectionConfig, ObserveCtl,
     MAX_CYCLES,
 };
 
+/// Wall-clock between live `progress` records on the `BJ_TRACE` stream.
+const PROGRESS_EVERY: Duration = Duration::from_secs(1);
+
 fn main() {
     let writer = TraceWriter::from_env_or_exit("ext_detection");
-    let metrics_on = envcfg::METRICS.flag();
-    let progress_secs = envcfg::PROGRESS_SECS.positive();
     let campaign = Campaign::from_env_or_exit();
     let kinds = envcfg::FAULT_KINDS.fault_kinds();
     let mut cfg = DetectionConfig::from_env_or_exit();
@@ -49,36 +51,25 @@ fn main() {
     let benchmarks = benchmarks_from_args(&args);
 
     let t0 = Instant::now();
-    let (report, mut writer) = if let Some(w) = writer {
-        // Progress streaming rides the telemetry stream: the meter wraps
-        // the writer for the campaign's duration and hands it back for
-        // the post-campaign record families.
-        let meter = ProgressMeter::new(w);
-        let report = run_detection_observed(
-            &campaign,
-            cfg,
-            &benchmarks,
-            ObserveCtl {
-                traced: true,
-                metrics: metrics_on,
-                meter: Some(&meter),
-                progress_every: progress_secs.map(Duration::from_secs),
-            },
-        );
-        (report, Some(meter.into_writer()))
-    } else {
-        if progress_secs.is_some() {
-            eprintln!("warning: BJ_PROGRESS_SECS set without BJ_TRACE; no stream to write to");
+    // The stream is the one telemetry switch: with it, the campaign
+    // records its metrics and ticks progress onto it, the workers sharing
+    // the writer for the campaign's duration.
+    let traced = writer.is_some();
+    let writer = writer.map(Mutex::new);
+    let emit = |t: &ProgressTick| {
+        if let Some(w) = &writer {
+            w.lock().expect("trace writer poisoned").emit_progress(t);
         }
-        let report = run_detection_observed(
-            &campaign,
-            cfg,
-            &benchmarks,
-            ObserveCtl { metrics: metrics_on, ..Default::default() },
-        );
-        (report, None)
     };
+    let hook = ProgressHook::new(PROGRESS_EVERY, &emit);
+    let report = run_detection_observed(
+        &campaign,
+        cfg,
+        &benchmarks,
+        ObserveCtl { traced, metrics: traced, progress: traced.then_some(&hook) },
+    );
     let wall = t0.elapsed();
+    let mut writer = writer.map(|w| w.into_inner().expect("trace writer poisoned"));
     print!("{}", report.text);
 
     // Any further BJ_FAULT_KINDS entries run their own campaign; the
@@ -120,7 +111,6 @@ fn main() {
         }
     }
     if let (Some(w), Some(r)) = (writer.as_mut(), report.metrics.as_ref()) {
-        w.emit_phase(&r.phase_nanos(), wall.as_nanos() as u64);
         w.emit_metrics(r);
     }
 

@@ -231,44 +231,50 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
     );
     s.push_str(&flight_dump_md());
     s.push_str(
-        "### Campaign observability (`BJ_METRICS`, `BJ_PROGRESS_SECS`, `bj-trace top`)\n\n\
+        "### Campaign observability (`BJ_TRACE`, `bj-trace top`)\n\n\
          The flight recorder answers \"what did this core do\"; the campaign\n\
-         layer answers \"what is the sweep doing\". `BJ_METRICS=1` merges\n\
-         per-worker metric shards into one registry (counters/histograms sum,\n\
-         gauges max \u{2014} the deterministic prefix is byte-identical for any\n\
-         `BJ_THREADS`), `BJ_PROGRESS_SECS=<n>` streams live `progress` records,\n\
-         and a `phase` record attributes campaign wall time. Off means zero\n\
-         overhead (the benchmark's traced mode reports what turning it on\n\
-         costs as `trace.overhead_frac`), and stdout stays byte-identical\n\
-         either way.\n\
-         A real capture \u{2014} `BJ_SCALE=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1\n\
-         BJ_TRACE=t.jsonl ext_detection --bench gzip`, rendered by\n\
-         `bj-trace top t.jsonl` on a 1-CPU host:\n\n\
+         layer answers \"what is the sweep doing\". `BJ_TRACE=<path>` is its\n\
+         only switch: with it set, `ext_detection` counts the campaign into one\n\
+         metrics registry, each job's counts merged in as the job retires\n\
+         (counters/histograms sum, gauges max \u{2014} the deterministic prefix is\n\
+         byte-identical for any `BJ_THREADS`). Every second a live `progress`\n\
+         record reads its counters from a copy of that registry, and at the end\n\
+         the registry itself is written as the `metrics` record, from which\n\
+         `bj-trace top` derives the phase table (snapshot = chain building +\n\
+         forking, under the `campaign` record's wall time). Unset, nothing is\n\
+         recorded and nothing is locked (the benchmark's traced mode reports\n\
+         what turning it on costs as `trace.overhead_frac`), and stdout stays\n\
+         byte-identical either way.\n\
+         A real capture \u{2014} `BJ_THREADS=1 BJ_TRACE=t.jsonl ext_detection --bench\n\
+         gzip`, rendered by `bj-trace top t.jsonl` on a 2-vCPU host:\n\n\
          ```text\n\
-         campaign: finished  [########################] 40/40 jobs  elapsed 0.0s  eta 0.0s  runs 20  early-exits 0\n\
-         \x20 workers: 1  forked runs: 20/20\n\
-         \x20 early exits: activation 0  convergence 0  watchdog 0\n\
+         campaign: finished  [########################] 50/50 jobs  elapsed 0.2s  eta 0.0s  runs 27  early-exits 3\n\
+         \x20 workers: 1  forked runs: 27/27\n\
+         \x20 early exits: activation 3  convergence 0  watchdog 0\n\
          \x20 snapshots: 60 allocated, 28 refilled in place (32% reuse)\n\
          \x20 worker busy: w0 100%\n\n\
          phase attribution (cpu time; campaign wall 0.2s):\n\
-         \x20 setup              0.0s    0.4%\n\
-         \x20 snapshot           0.1s   98.8%  ################################\n\
-         \x20 simulate           0.0s    0.7%\n\
+         \x20 setup              0.0s    0.2%\n\
+         \x20 snapshot           0.2s   85.8%  ###########################\n\
+         \x20 simulate           0.0s   14.0%  ####\n\
          \x20 oracle             0.0s    0.0%\n\
          \x20 reassembly         0.0s    0.0%\n\n\
          metrics registry:\n\
-         \x20 jobs 42  setups 2  runs simulated 20  forks 20  pruned 20 (static 20 / activation 0)\n\
-         \x20 exit reasons: completed 0  detected 20  cycle_limit 0  converged 0  stalled 0\n\
-         \x20 fork catch-up: 20 forks measured (histogram in stream)\n\
+         \x20 jobs 50  setups 2  runs simulated 27  forks 27  pruned 23 (static 20 / activation 3)\n\
+         \x20 exit reasons: completed 5  detected 22  cycle_limit 0  converged 0  stalled 0\n\
+         \x20 fork catch-up: 27 forks measured (histogram in stream)\n\
          ```\n\n\
-         Reading the phase table: at `BJ_SCALE=1` the fault-free reference\n\
-         pass that builds the snapshot chain dominates, and the 20 forked\n\
-         injection runs barely register \u{2014} each detects within cycles of its\n\
-         arming point, which is exactly the prefix-sharing + early-exit story\n\
-         of the two sections above. In tier-1 the equivalence matrix pins the\n\
-         exact early-exit attribution and fork counts, and `BENCHMARK.json`\n\
-         bounds every change's end-to-end throughput, setup time and peak\n\
-         memory against its parent.\n\n",
+         Reading the phase table: the fault-free reference pass that builds\n\
+         the snapshot chain dominates. Of the 50 jobs, 23 never simulate (20\n\
+         sites statically pruned, 3 activation-pruned), and the other 27 fork\n\
+         from the chain: 22 detect within cycles of their arming point and 5\n\
+         run to completion and the golden-memory compare \u{2014} exactly the\n\
+         prefix-sharing + early-exit story of the two sections above.\n\
+         `crates/bench/tests/observability.rs` pins these counts, so a change\n\
+         that moves them must retake this capture. In tier-1 the equivalence\n\
+         matrix pins the exact early-exit attribution and fork counts of the\n\
+         default sweep, and `BENCHMARK.json` bounds every change's end-to-end\n\
+         throughput, setup time and peak memory against its parent.\n\n",
     );
     s.push_str("## Differential fuzzing — the core vs. the golden interpreter\n\n");
     s.push_str(

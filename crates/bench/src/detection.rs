@@ -35,11 +35,14 @@
 //! per-group cell, filled by a parallel setup pass when the campaign has
 //! several workers and by the group's first job when it has one; the
 //! group's last job to finish frees its snapshot chain. Observation —
-//! timings, metrics, progress — never changes the schedule.
+//! timings, metrics, progress — never changes the schedule. An observed
+//! campaign counts into one [`MetricsRegistry`]: the setup pass and the
+//! injection fan-out merge each job's counts into it as the job retires,
+//! and every progress tick reads a copy of it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
 use blackjack::faults::{
     Corruption, DetectionOutcome, DetectionTally, FaultKind, FaultPlan, FaultSite, HardFault,
@@ -47,11 +50,10 @@ use blackjack::faults::{
 };
 use blackjack::isa::{Interp, Program};
 use blackjack::sim::{Core, CoreConfig, FuCounts, Mode, RunOutcome};
-use blackjack::telemetry::ProgressMeter;
 use blackjack::workloads::{build, Benchmark};
 use blackjack::{
     arming_schedule, Campaign, CampaignTrace, Counter, EarlyExit, EarlyExitKind, Exit, Gauge,
-    Metrics, MetricsRegistry, ObserveOpts, ProgressHook, ProgressTick, SnapshotChain,
+    Metrics, MetricsRegistry, ObserveOpts, ProgressHook, SnapshotChain,
 };
 use blackjack_analysis::SiteAnalysis;
 
@@ -218,16 +220,14 @@ impl DetectionGroup {
     /// snapshot builder on the fork path, and records site usage with
     /// early exit on.
     ///
-    /// Setup/snapshot wall time, the chain's build accounting and the
-    /// snapshot-reuse tally go to `metrics` and `meter` (either may be
-    /// off/absent).
+    /// Setup/snapshot wall time and the chain's build accounting go to
+    /// `metrics` (which may be off).
     pub fn build(
         mode: Mode,
         bench: Benchmark,
         cfg: DetectionConfig,
         golden: Arc<Interp>,
         metrics: &mut Metrics,
-        meter: Option<&ProgressMeter>,
     ) -> DetectionGroup {
         let t0 = Instant::now();
         let prog = build(bench, 1);
@@ -270,9 +270,6 @@ impl DetectionGroup {
             metrics.add(Counter::SnapshotsRefilled, s.refilled);
             metrics.add(Counter::SnapshotsRetired, s.retired);
             metrics.gauge_max(Gauge::PeakRetainedSnapshots, s.peak_retained);
-            if let Some(m) = meter {
-                m.note_snapshots(s.taken, s.refilled);
-            }
         }
         metrics.inc(Counter::Setups);
         metrics.add(Counter::SnapshotBuildNanos, snap_nanos);
@@ -301,12 +298,11 @@ impl DetectionGroup {
     ///
     /// Run accounting — prune attribution, fork count/latency/catch-up
     /// distance, simulate and oracle wall time, exit reason — goes to
-    /// `metrics` and the live `meter` (either may be off/absent).
+    /// `metrics` (which may be off).
     pub fn injection_tally(
         &self,
         site_idx: usize,
         metrics: &mut Metrics,
-        meter: Option<&ProgressMeter>,
     ) -> (DetectionTally, TaxonomyTally, Option<EarlyExitKind>) {
         let site = sites()[site_idx];
         if self.cfg.prune && self.analysis.prunable(site) {
@@ -323,9 +319,6 @@ impl DetectionGroup {
                 Ok(early) => early,
                 Err(kind) => {
                     metrics.inc(Counter::PrunedActivation);
-                    if let Some(m) = meter {
-                        m.note_early_activation();
-                    }
                     return (
                         DetectionTally::of(DetectionOutcome::Benign),
                         TaxonomyTally::of(Taxonomy::Benign),
@@ -356,14 +349,6 @@ impl DetectionGroup {
             metrics.add(Counter::SnapshotForkNanos, tf.elapsed().as_nanos() as u64);
         }
         let (outcome, kind) = outcome_of(&mut core, &early, &self.golden, metrics);
-        if let Some(m) = meter {
-            m.note_run(forked);
-            match kind {
-                Some(EarlyExitKind::Convergence) => m.note_early_convergence(),
-                Some(EarlyExitKind::Watchdog) => m.note_early_watchdog(),
-                _ => {}
-            }
-        }
         // Zero activations imply zero corrections, so the early-exit
         // paths (which never see a correction by construction) agree
         // with the natural-end runs on the CE/benign split.
@@ -459,25 +444,26 @@ pub struct DetectionReport {
     pub text: String,
     /// Per-job scheduling telemetry, when requested.
     pub trace: Option<CampaignTrace>,
-    /// The merged campaign metrics registry, when `BJ_METRICS` was on.
-    /// Its deterministic prefix is byte-identical for any worker count.
+    /// The campaign's metrics registry, when requested
+    /// ([`ObserveCtl::metrics`]). Its deterministic prefix is
+    /// byte-identical for any worker count.
     pub metrics: Option<MetricsRegistry>,
 }
 
 /// Observability switches for [`run_detection_observed`] — the
 /// campaign-level analog of the per-fan-out [`ObserveOpts`]. Default is
-/// everything off, which is exactly [`run_detection`]'s untraced path.
+/// everything off, which is exactly [`run_detection`]'s untraced path:
+/// no registry, no lock.
 #[derive(Default, Clone, Copy)]
 pub struct ObserveCtl<'a> {
     /// Collect per-job scheduling telemetry ([`DetectionReport::trace`]).
     pub traced: bool,
     /// Record the metrics registry ([`DetectionReport::metrics`]).
     pub metrics: bool,
-    /// Live-progress sink; required for `progress_every` to take effect.
-    pub meter: Option<&'a ProgressMeter>,
-    /// Progress cadence for the injection fan-out (the campaign's long
-    /// phase); `None` disables mid-campaign ticks.
-    pub progress_every: Option<Duration>,
+    /// Live-progress hook for the injection fan-out (the campaign's long
+    /// phase). With `metrics` on, each tick carries the registry as it
+    /// stands, setup pass included.
+    pub progress: Option<&'a ProgressHook<'a>>,
 }
 
 /// Compact job label for the telemetry stream: `mode/bench/site`, with
@@ -504,8 +490,8 @@ pub fn run_detection(
 /// telemetry, the metrics registry, and live progress streaming, each
 /// opt-in through `ctl`. Observation never changes the schedule: the
 /// injection jobs are one [`Campaign::run_observed`] fan-out on every
-/// path, and group setups are never engine jobs (the registry counts
-/// them as `setups`, not `jobs`).
+/// path. The registry counts injection jobs as `jobs` and group setups
+/// as `setups`, whichever pass ran them.
 pub fn run_detection_observed(
     campaign: &Campaign,
     cfg: DetectionConfig,
@@ -515,7 +501,7 @@ pub fn run_detection_observed(
     let all_sites = sites();
     let nb = benchmarks.len();
     let ns = all_sites.len();
-    let meter = ctl.meter;
+    let registry = ctl.metrics.then(|| Mutex::new(MetricsRegistry::new()));
 
     // One golden run per benchmark, shared by both modes' groups (the
     // functional interpreter knows nothing of pipeline mode).
@@ -531,7 +517,7 @@ pub fn run_detection_observed(
     let group = |g: usize, m: &mut Metrics| {
         cells_ref[g].0.get_or_init(|| {
             let golden = Arc::clone(&goldens[g % nb]);
-            DetectionGroup::build(MODES[g / nb], benchmarks[g % nb], cfg, golden, m, meter)
+            DetectionGroup::build(MODES[g / nb], benchmarks[g % nb], cfg, golden, m)
         })
     };
 
@@ -543,28 +529,26 @@ pub fn run_detection_observed(
     // that, so each group's first job fills its cell and its last job
     // frees the chain: one chain live at a time (41 MiB for the same
     // jobs, `inject-hard`).
-    let setup_shards: Vec<Option<Box<MetricsRegistry>>> = if campaign.workers() > 1 {
-        campaign.run(
+    if campaign.workers() > 1 {
+        campaign.run_observed(
             (0..cells.len())
                 .map(|g| {
-                    move || {
-                        let mut m = Metrics::when(ctl.metrics);
-                        group(g, &mut m);
-                        m.into_registry()
+                    move |m: &mut Metrics| {
+                        group(g, m);
                     }
                 })
                 .collect(),
-        )
-    } else {
-        Vec::new()
-    };
+            ObserveOpts { metrics: registry.as_ref(), ..ObserveOpts::default() },
+        );
+    }
 
     let jobs: Vec<_> = (0..cells.len() * ns)
         .map(|i| {
             move |m: &mut Metrics| {
                 let g = i / ns;
                 let grp = group(g, m);
-                let (tally, tax, early) = grp.injection_tally(i % ns, m, meter);
+                m.inc(Counter::Jobs);
+                let (tally, tax, early) = grp.injection_tally(i % ns, m);
                 // Release: this job is done with the chain. Acquire: the
                 // job that counts the group down to zero sees every other
                 // job done with it before dropping it.
@@ -575,29 +559,10 @@ pub fn run_detection_observed(
             }
         })
         .collect();
-    let emit = move |t: &ProgressTick| {
-        if let Some(m) = meter {
-            m.emit_tick(t);
-        }
-    };
-    let hook = ctl
-        .progress_every
-        .filter(|_| meter.is_some())
-        .map(|every| ProgressHook::new(every, &emit));
     let obs = campaign.run_observed(
         jobs,
-        ObserveOpts { timings: ctl.traced, metrics: ctl.metrics, progress: hook.as_ref() },
+        ObserveOpts { timings: ctl.traced, metrics: registry.as_ref(), progress: ctl.progress },
     );
-    let registry = ctl.metrics.then(|| {
-        let mut merged = MetricsRegistry::new();
-        for shard in setup_shards.iter().flatten().map(|r| &**r).chain(&obs.shards) {
-            merged.merge(shard);
-        }
-        // Config facts enter after the merge: the shards themselves
-        // stay byte-identical for any worker count.
-        merged.gauge_max(Gauge::Workers, campaign.workers() as u64);
-        merged
-    });
     let groups: Vec<DetectionGroup> = cells
         .into_iter()
         .map(|(cell, _)| cell.into_inner().expect("every group ran its jobs"))
@@ -634,7 +599,11 @@ pub fn run_detection_observed(
         .collect();
 
     let text = report_text(cfg, benchmarks, &groups[..nb], &tallies, &taxonomies);
-    let metrics = registry.map(|mut r| {
+    let metrics = registry.map(|r| {
+        let mut r = r.into_inner().expect("metrics registry poisoned");
+        // Config facts enter once the jobs are done: what the jobs
+        // recorded stays byte-identical for any worker count.
+        r.gauge_max(Gauge::Workers, campaign.workers() as u64);
         r.add(Counter::ReassemblyNanos, t_reassembly.elapsed().as_nanos() as u64);
         r
     });

@@ -1,6 +1,7 @@
 //! CLI behavior of `bj-trace`: graceful handling of empty and
 //! truncated traces (exit 0 with a note — an empty trace is not an
-//! error), unreadable input (exit 1), bad usage (exit 2).
+//! error), unreadable input (exit 1), bad usage (exit 2), and the phase
+//! table `top` derives from the `metrics` record.
 
 use std::process::{Command, Stdio};
 
@@ -58,4 +59,38 @@ fn valid_meta_line_renders() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("tool=test"), "{stdout}");
+}
+
+#[test]
+fn top_attributes_phases_from_the_metrics_record() {
+    // A trace saved before the `phase` record retired still carries one;
+    // `top` ignores it and sums the `metrics` record's counters, with
+    // snapshot = chain building + forking, under the campaign's wall.
+    let dir = std::env::temp_dir().join("bj-trace-cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("phases.jsonl");
+    let lines = [
+        "{\"type\":\"campaign\",\"workers\":1,\"wall_nanos\":4000000000,\"jobs\":0}",
+        "{\"type\":\"phase\",\"nondet\":[\"setup_nanos\"],\"setup_nanos\":7000000000}",
+        "{\"type\":\"metrics\",\"counters\":{\"jobs\":0},\"nondet\":[\"setup_nanos\",\
+         \"snapshot_build_nanos\",\"snapshot_fork_nanos\",\"simulate_nanos\",\"oracle_nanos\",\
+         \"reassembly_nanos\"],\"setup_nanos\":1000000000,\"snapshot_build_nanos\":2000000000,\
+         \"snapshot_fork_nanos\":500000000,\"simulate_nanos\":6000000000,\"oracle_nanos\":0,\
+         \"reassembly_nanos\":100000000}",
+    ];
+    std::fs::write(&path, lines.join("\n")).unwrap();
+    let out = bj_trace().arg("top").arg(&path).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("phase attribution (cpu time; campaign wall 4.0s):"), "{stdout}");
+    let row = |name: &str| -> Vec<&str> {
+        let line = stdout.lines().find(|l| l.trim_start().starts_with(name));
+        line.unwrap_or_else(|| panic!("no {name} row: {stdout}")).split_whitespace().take(3).collect()
+    };
+    // 9.6 s in all: 1.0 + (2.0 + 0.5) + 6.0 + 0.0 + 0.1.
+    assert_eq!(row("setup"), ["setup", "1.0s", "10.4%"]);
+    assert_eq!(row("snapshot"), ["snapshot", "2.5s", "26.0%"]);
+    assert_eq!(row("simulate"), ["simulate", "6.0s", "62.5%"]);
+    assert_eq!(row("oracle"), ["oracle", "0.0s", "0.0%"]);
+    assert_eq!(row("reassembly"), ["reassembly", "0.1s", "1.0%"]);
 }

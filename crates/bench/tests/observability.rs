@@ -1,6 +1,7 @@
 //! Observability-layer invariants: the metrics registry's merge algebra
 //! must make the deterministic prefix worker-count-invariant, metrics
-//! must be invisible in the report, and the progress hook must tick.
+//! must be invisible in the report, and the progress hook must tick with
+//! the registry's live counts.
 //!
 //! These are the campaign-level complements of the unit tests in
 //! `blackjack::metrics` (algebra on one registry) and
@@ -18,23 +19,15 @@ use blackjack_bench::detection::{
     run_detection, run_detection_observed, sites, DetectionConfig, ObserveCtl, MODES,
 };
 
-fn merged(shards: &[MetricsRegistry]) -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    for s in shards {
-        m.merge(s);
-    }
-    m
-}
-
 /// Runs the same synthetic job set at the given worker count and returns
-/// the merged shards' deterministic JSON.
+/// its registry's deterministic JSON.
 fn engine_metrics_at(workers: usize) -> String {
     let jobs: Vec<_> = (0..24u64)
         .map(|i| {
             move |m: &mut Metrics| {
                 // Schedule-dependent work split, schedule-invariant facts:
-                // counters and histograms sum, so any partition of the
-                // jobs over shards merges to the same registry.
+                // counters and histograms sum, so the order jobs retire
+                // in cannot change the registry.
                 m.inc(Counter::RunsSimulated);
                 m.add(Counter::SnapshotForks, i % 3);
                 m.record_catchup(i * 1000);
@@ -42,14 +35,17 @@ fn engine_metrics_at(workers: usize) -> String {
             }
         })
         .collect();
-    let obs = Campaign::with_workers(workers)
-        .run_observed(jobs, ObserveOpts { timings: false, metrics: true, progress: None });
+    let registry = Mutex::new(MetricsRegistry::new());
+    let obs = Campaign::with_workers(workers).run_observed(
+        jobs,
+        ObserveOpts { timings: false, metrics: Some(&registry), progress: None },
+    );
     assert_eq!(obs.results, (0..24).collect::<Vec<_>>());
-    merged(&obs.shards).deterministic_json()
+    registry.into_inner().unwrap().deterministic_json()
 }
 
 #[test]
-fn merged_shards_are_byte_identical_across_worker_counts() {
+fn registry_is_byte_identical_across_worker_counts() {
     let one = engine_metrics_at(1);
     let eight = engine_metrics_at(8);
     assert_eq!(one, eight, "metrics merge must not see the schedule");
@@ -90,6 +86,8 @@ fn detection_metrics_deterministic_prefix_is_worker_count_invariant() {
 fn metrics_and_progress_do_not_change_the_report() {
     let benches = [Benchmark::Gzip];
     let cfg = DetectionConfig::default();
+    let emit = |_: &ProgressTick| {};
+    let hook = ProgressHook::new(Duration::ZERO, &emit);
     for workers in [8, 1] {
         let c = Campaign::with_workers(workers);
         let plain = run_detection(&c, cfg, &benches, false);
@@ -97,7 +95,7 @@ fn metrics_and_progress_do_not_change_the_report() {
             &c,
             cfg,
             &benches,
-            ObserveCtl { traced: true, metrics: true, ..Default::default() },
+            ObserveCtl { traced: true, metrics: true, progress: Some(&hook) },
         );
         let which = format!("{workers} workers");
         assert_eq!(plain.text, observed.text, "{which}: observation must be report-invisible");
@@ -130,7 +128,7 @@ fn progress_hook_ticks_and_finishes_with_done() {
             .collect();
         Campaign::with_workers(4).run_observed(
             jobs,
-            ObserveOpts { timings: false, metrics: false, progress: Some(&hook) },
+            ObserveOpts { timings: false, metrics: None, progress: Some(&hook) },
         );
         let ticks = ticks.into_inner().unwrap();
         assert_eq!(spun.load(Ordering::Relaxed), n);
@@ -144,5 +142,100 @@ fn progress_hook_ticks_and_finishes_with_done() {
         assert!(ticks.windows(2).all(|w| w[0].jobs_done <= w[1].jobs_done));
         // Exactly one done-tick, and it is the last.
         assert_eq!(ticks.iter().filter(|t| t.done).count(), 1);
+        assert!(ticks.iter().all(|t| t.metrics.is_none()), "no registry, no copy");
     }
+}
+
+/// The seven counters a `progress` record carries, in its field order:
+/// runs, forked runs, early exits (activation, convergence, watchdog),
+/// snapshots taken and refilled.
+const PROGRESS_COUNTERS: [Counter; 7] = [
+    Counter::RunsSimulated,
+    Counter::SnapshotForks,
+    Counter::PrunedActivation,
+    Counter::ExitConverged,
+    Counter::ExitStalled,
+    Counter::SnapshotsTaken,
+    Counter::SnapshotsRefilled,
+];
+
+fn progress_counts(r: &MetricsRegistry) -> [u64; 7] {
+    PROGRESS_COUNTERS.map(|c| r.get(c))
+}
+
+#[test]
+fn live_ticks_read_the_registry() {
+    let benches = [Benchmark::Gzip];
+    let mut finals = Vec::new();
+    for workers in [1, 8] {
+        let which = format!("{workers} workers");
+        let ticks: Mutex<Vec<ProgressTick>> = Mutex::new(Vec::new());
+        let emit = |t: &ProgressTick| ticks.lock().unwrap().push(t.clone());
+        // Zero cadence: a tick at every job boundary.
+        let hook = ProgressHook::new(Duration::ZERO, &emit);
+        let report = run_detection_observed(
+            &Campaign::with_workers(workers),
+            DetectionConfig::default(),
+            &benches,
+            ObserveCtl { metrics: true, progress: Some(&hook), ..Default::default() },
+        );
+        let ticks = ticks.into_inner().unwrap();
+        assert!(ticks.len() > 1, "{which}: {} ticks", ticks.len());
+        let counts: Vec<[u64; 7]> = ticks
+            .iter()
+            .map(|t| progress_counts(t.metrics.as_ref().expect("every tick carries a registry")))
+            .collect();
+        for w in counts.windows(2) {
+            let rising = w[0].iter().zip(&w[1]).all(|(a, b)| a <= b);
+            assert!(rising, "{which}: {:?} -> {:?}", w[0], w[1]);
+        }
+        // The final tick is the registry the report returns.
+        let last = ticks.last().unwrap();
+        assert!(last.done, "{which}");
+        let registry = report.metrics.expect("metrics were requested");
+        assert_eq!(counts.last(), Some(&progress_counts(&registry)), "{which}");
+        let det = |r: &MetricsRegistry| -> Vec<u64> {
+            Counter::ALL.iter().filter(|c| !c.nondet()).map(|&c| r.get(c)).collect()
+        };
+        assert_eq!(det(last.metrics.as_ref().unwrap()), det(&registry), "{which}");
+        assert!(registry.get(Counter::SnapshotsTaken) > 0, "{which}: the chains were counted");
+        finals.push(det(&registry));
+    }
+    // Setup work counts on any number of workers: one worker builds each
+    // group inside its first job, eight build them all in the setup pass
+    // before the fan-out, and both tally the same.
+    assert_eq!(finals[0], finals[1], "1 vs 8 workers");
+}
+
+/// The gzip counts of the `bj-trace top` capture in EXPERIMENTS.md
+/// ("Campaign observability", generated by `fig_all`), taken with
+/// `BJ_THREADS=1 BJ_TRACE=t.jsonl ext_detection --bench gzip`. A change
+/// that moves any of them must retake that capture.
+#[test]
+fn gzip_counts_match_the_experiments_capture() {
+    let report = run_detection_observed(
+        &Campaign::with_workers(1),
+        DetectionConfig::default(),
+        &[Benchmark::Gzip],
+        ObserveCtl { metrics: true, ..Default::default() },
+    );
+    let r = report.metrics.as_ref().expect("metrics were requested");
+    let got = |c: Counter| r.get(c);
+    // 50/50 jobs, runs 27, forked 27/27, early exits 3/0/0.
+    assert_eq!(report.tallies.len(), 50);
+    assert_eq!(got(Counter::Jobs), 50);
+    assert_eq!(progress_counts(r), [27, 27, 3, 0, 0, 60, 28], "runs, forks, exits, snapshots");
+    // Pruned 23: static 20, activation 3.
+    assert_eq!((got(Counter::PrunedStatic), got(Counter::PrunedActivation)), (20, 3));
+    // Exit reasons: completed 5, detected 22, nothing else.
+    let exits = [
+        Counter::ExitCompleted,
+        Counter::ExitDetected,
+        Counter::ExitCycleLimit,
+        Counter::ExitConverged,
+        Counter::ExitStalled,
+    ]
+    .map(got);
+    assert_eq!(exits, [5, 22, 0, 0, 0]);
+    assert_eq!(report.early_exits.iter().filter(|e| e.is_some()).count(), 3);
 }

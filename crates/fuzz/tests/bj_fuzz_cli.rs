@@ -12,8 +12,9 @@ type Case = (&'static [&'static str], Option<(&'static str, &'static str)>, &'st
 
 #[test]
 fn a_malformed_flag_or_knob_exits_2_before_fuzzing() {
-    let cases: [Case; 2] = [
+    let cases: [Case; 3] = [
         (&["--iters", "0"], None, "--iters"),
+        (&["--seed", "xyz"], None, "--seed"),
         (&["--iters", "1"], Some(("BJ_CALL_DEPTH", "4")), "BJ_CALL_DEPTH"),
     ];
     for (args, knob, named) in cases {
@@ -29,5 +30,9 @@ fn a_malformed_flag_or_knob_exits_2_before_fuzzing() {
         assert_eq!(out.status.code(), Some(2), "{args:?} {knob:?}: {stderr}");
         assert!(stderr.starts_with("error: ") && stderr.contains(named), "{stderr}");
         assert!(out.stdout.is_empty(), "{args:?} {knob:?} fuzzed before exiting");
+        if named == "--seed" {
+            // Zero is a valid seed: the seed grammar has its own message.
+            assert!(!stderr.contains("positive"), "{stderr}");
+        }
     }
 }

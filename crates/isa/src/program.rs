@@ -173,19 +173,6 @@ impl ProgramBuilder {
         Ok(pc)
     }
 
-    /// Appends several instructions.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`EncodeError`], leaving previously pushed
-    /// instructions in place.
-    pub fn push_all(&mut self, insts: impl IntoIterator<Item = Inst>) -> Result<(), EncodeError> {
-        for i in insts {
-            self.push(i)?;
-        }
-        Ok(())
-    }
-
     /// Re-encodes the instruction at index `idx` (0-based, in push order).
     ///
     /// Program generators use this to backpatch forward branches: push a

@@ -484,12 +484,6 @@ impl Core {
         &self.stats
     }
 
-    /// Mutable statistics access (to enable tracing flags in tests).
-    #[doc(hidden)]
-    pub fn stats_mut_for_test(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
     /// One-line description of machine occupancy, for stuck-state triage.
     pub fn debug_state(&self) -> String {
         let mut out = format!(

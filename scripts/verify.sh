@@ -67,16 +67,16 @@ fast="$(cargo run --release -q --offline -p blackjack-bench \
 [ -n "$fast" ]
 diff <(printf '%s' "$plain") <(printf '%s' "$fast")
 
-echo "== tier-1: observability smoke (BJ_METRICS + BJ_PROGRESS_SECS) =="
-# A metrics-and-progress run must stream at least one well-formed
-# progress record (the guaranteed done:true tick), the phase and metrics
-# record families, render through bj-trace top — and leave stdout
+echo "== tier-1: observability smoke (BJ_TRACE alone: metrics + progress) =="
+# BJ_TRACE is the only telemetry switch: a traced run must stream at
+# least one well-formed progress record (the guaranteed done:true tick)
+# and the metrics record, render through bj-trace top — and leave stdout
 # byte-identical to the unobserved run. The worker counts are pinned and
 # differ, so the one diff checks both that observation is invisible and
 # that the report does not depend on the worker count, on any host.
 obs_file="$(mktemp /tmp/bj_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$obs_file"' EXIT
-obs_out="$(BJ_THREADS=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1 BJ_TRACE="$obs_file" \
+obs_out="$(env -u BJ_METRICS BJ_THREADS=1 BJ_TRACE="$obs_file" \
   cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
 plain_out="$(BJ_THREADS=8 cargo run --release -q --offline -p blackjack-bench \
@@ -86,8 +86,9 @@ diff <(printf '%s' "$plain_out") <(printf '%s' "$obs_out")
 # The final progress tick is guaranteed and carries the full shape.
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"done":true'
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"jobs_total":'
+grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"runs":'
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"nondet":\["elapsed_nanos"'
-grep -q '"type":"phase"' "$obs_file"
+# The run's environment has no BJ_METRICS: BJ_TRACE alone records metrics.
 grep -q '"type":"metrics"' "$obs_file"
 top_out="$(cargo run --release -q --offline -p blackjack-bench --bin bj-trace -- top "$obs_file")"
 echo "$top_out" | grep -q "campaign:"

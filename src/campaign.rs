@@ -31,7 +31,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Counter, Metrics, MetricsRegistry};
+use crate::metrics::{Metrics, MetricsRegistry};
 
 /// A worker pool executing a flat list of independent jobs.
 ///
@@ -97,19 +97,20 @@ impl Campaign {
     ///   campaign start to the moment a worker *claims* it — with
     ///   work-stealing there is no per-job enqueue time), and how long it
     ///   ran. Only the timing values vary run to run.
-    /// * **metrics** — one [`MetricsRegistry`] shard per worker; each job
-    ///   receives `&mut Metrics` (the worker's shard, or [`Metrics::Off`]
-    ///   when metrics are off). The engine itself records
-    ///   [`Counter::Jobs`] and the job-latency histogram into each shard;
-    ///   jobs add their domain counters — never config facts like the
-    ///   worker count, so shard merges stay byte-identical across worker
-    ///   counts. Shards come back in worker-index order; merging them
-    ///   (any order — the algebra commutes) yields totals that are
-    ///   byte-identical for any worker count.
+    /// * **metrics** — a caller-owned [`MetricsRegistry`]. Each job
+    ///   records into `&mut Metrics` (a worker-local handle, or
+    ///   [`Metrics::Off`] without a registry), and when the job retires
+    ///   its worker merges the job's counts into the registry. Jobs record
+    ///   events, never config facts like the worker count, and the merge
+    ///   algebra commutes, so the totals are byte-identical for any worker
+    ///   count. Several fan-outs may share one registry.
     /// * **progress** — a wall-clock-cadence [`ProgressHook`] called from
     ///   whichever worker crosses the deadline at a job boundary, plus
     ///   one final call (with [`ProgressTick::done`]) when the last job
-    ///   retires. Only timing fields of a tick vary run to run.
+    ///   retires. Each tick carries a copy of the registry as it stands;
+    ///   ticks are taken and emitted under the registry's lock, so their
+    ///   counts never go backwards. Only timing fields of a tick vary run
+    ///   to run.
     ///
     /// # Panics
     ///
@@ -131,12 +132,38 @@ impl Campaign {
         let results: Vec<Mutex<Option<(T, JobTiming)>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
+        // One progress tick of the campaign as it stands. The registry is
+        // read and the tick emitted under the registry's lock — jobs merge
+        // under it too — so successive ticks never show a count going
+        // backwards.
+        let tick = |hook: &ProgressHook, elapsed: Duration, finished: bool| {
+            let registry = opts.metrics.map(lock);
+            let jobs_done = done.load(Ordering::Relaxed);
+            let eta = if finished {
+                Some(Duration::ZERO)
+            } else {
+                (jobs_done > 0).then(|| {
+                    let nanos = elapsed.as_nanos() * (n - jobs_done) as u128 / jobs_done as u128;
+                    Duration::from_nanos(nanos as u64)
+                })
+            };
+            hook.emit(&ProgressTick {
+                jobs_done,
+                jobs_total: n,
+                workers: self.workers,
+                done: finished,
+                elapsed,
+                eta,
+                busy: busy.iter().map(|b| Duration::from_nanos(b.load(Ordering::Relaxed))).collect(),
+                metrics: registry.as_deref().cloned(),
+            });
+        };
 
         // One worker's claim–run–record loop. The shared index is the
         // work-stealing heart: a worker that finishes early immediately
         // claims the next unstarted job.
         let work = |worker: usize| {
-            let mut metrics = Metrics::when(opts.metrics);
+            let mut metrics = Metrics::when(opts.metrics.is_some());
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
@@ -151,46 +178,40 @@ impl Campaign {
                 let jt0 = Instant::now();
                 let out = job(&mut metrics);
                 let run = jt0.elapsed();
-                metrics.inc(Counter::Jobs);
-                metrics.record_job_nanos(run.as_nanos() as u64);
+                if let (Some(registry), Metrics::On(counts)) = (opts.metrics, &mut metrics) {
+                    lock(registry).merge(counts);
+                    **counts = MetricsRegistry::new();
+                }
                 busy[worker].fetch_add(run.as_nanos() as u64, Ordering::Relaxed);
                 done.fetch_add(1, Ordering::Relaxed);
                 let timing = JobTiming { job: i, worker, queue_wait, run };
                 *results[i].lock().expect("result slot poisoned") = Some((out, timing));
                 if let Some(hook) = opts.progress {
-                    hook.maybe_tick(t0, &deadline, &done, n, self.workers, &busy);
+                    let elapsed = t0.elapsed();
+                    if hook.claim(elapsed, &deadline) {
+                        tick(hook, elapsed, false);
+                    }
                 }
             }
-            metrics.into_registry()
         };
         let workers = self.workers.min(n);
-        let shards: Vec<MetricsRegistry> = if workers <= 1 {
+        if workers <= 1 {
             // Inline on "worker 0": no thread overhead, and exact
             // sequential semantics for debugging.
-            work(0).into_iter().map(|r| *r).collect()
+            work(0);
         } else {
             let work = &work;
             thread::scope(|s| {
                 let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
-                handles
-                    .into_iter()
-                    .filter_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .map(|r| *r)
-                    .collect()
-            })
-        };
+                for h in handles {
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                }
+            });
+        }
 
         let wall = t0.elapsed();
         if let Some(hook) = opts.progress {
-            hook.emit(&ProgressTick {
-                jobs_done: done.load(Ordering::Relaxed),
-                jobs_total: n,
-                workers: self.workers,
-                done: true,
-                elapsed: wall,
-                eta: Some(Duration::ZERO),
-                busy: busy.iter().map(|b| Duration::from_nanos(b.load(Ordering::Relaxed))).collect(),
-            });
+            tick(hook, wall, true);
         }
         let (results, timings): (Vec<T>, Vec<JobTiming>) = results
             .into_iter()
@@ -203,9 +224,12 @@ impl Campaign {
         Observed {
             results,
             trace: opts.timings.then_some(CampaignTrace { workers: self.workers, wall, timings }),
-            shards,
         }
     }
+}
+
+fn lock(registry: &Mutex<MetricsRegistry>) -> std::sync::MutexGuard<'_, MetricsRegistry> {
+    registry.lock().expect("metrics registry poisoned")
 }
 
 /// What [`Campaign::run_observed`] should observe.
@@ -213,8 +237,8 @@ impl Campaign {
 pub struct ObserveOpts<'a> {
     /// Collect per-job scheduling timings ([`Observed::trace`]).
     pub timings: bool,
-    /// Give each worker a [`MetricsRegistry`] shard ([`Observed::shards`]).
-    pub metrics: bool,
+    /// Merge every job's counts into this registry as the job retires.
+    pub metrics: Option<&'a Mutex<MetricsRegistry>>,
     /// Emit live progress ticks on this hook's cadence.
     pub progress: Option<&'a ProgressHook<'a>>,
 }
@@ -226,17 +250,14 @@ pub struct Observed<T> {
     pub results: Vec<T>,
     /// Scheduling telemetry, when requested.
     pub trace: Option<CampaignTrace>,
-    /// Per-worker metric shards in worker-index order, when requested
-    /// (workers that ran no job still contribute their — near-empty —
-    /// shard; with metrics off this is empty).
-    pub shards: Vec<MetricsRegistry>,
 }
 
 /// A live-progress callback with a wall-clock cadence, for
 /// [`Campaign::run_observed`]. The callback runs on whichever worker
-/// crosses the deadline, so it must be cheap and `Sync` (the telemetry
-/// [`ProgressMeter`](crate::telemetry::ProgressMeter) serializes through
-/// its writer lock).
+/// crosses the deadline, so it must be cheap and `Sync` (a harness
+/// writing ticks with
+/// [`TraceWriter::emit_progress`](crate::telemetry::TraceWriter::emit_progress)
+/// serializes through a lock on its writer).
 pub struct ProgressHook<'a> {
     every: Duration,
     emit: &'a (dyn Fn(&ProgressTick) + Sync),
@@ -257,47 +278,20 @@ impl<'a> ProgressHook<'a> {
         (self.emit)(tick);
     }
 
-    /// Emits a mid-campaign tick if the cadence deadline has passed; the
-    /// CAS guarantees one emitter per interval.
-    fn maybe_tick(
-        &self,
-        t0: Instant,
-        deadline: &AtomicU64,
-        done: &AtomicUsize,
-        total: usize,
-        workers: usize,
-        busy: &[AtomicU64],
-    ) {
-        let elapsed = t0.elapsed();
+    /// True when the cadence deadline has passed at `elapsed` and this
+    /// caller moved it on: the CAS guarantees one tick per interval.
+    fn claim(&self, elapsed: Duration, deadline: &AtomicU64) -> bool {
         let now = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let d = deadline.load(Ordering::Acquire);
-        if now < d
-            || deadline
+        now >= d
+            && deadline
                 .compare_exchange(
                     d,
                     now.saturating_add(self.every_nanos()),
                     Ordering::AcqRel,
                     Ordering::Relaxed,
                 )
-                .is_err()
-        {
-            return;
-        }
-        let jobs_done = done.load(Ordering::Relaxed);
-        let eta = (jobs_done > 0).then(|| {
-            Duration::from_nanos(
-                (now as u128 * (total - jobs_done) as u128 / jobs_done as u128) as u64,
-            )
-        });
-        self.emit(&ProgressTick {
-            jobs_done,
-            jobs_total: total,
-            workers,
-            done: false,
-            elapsed,
-            eta,
-            busy: busy.iter().map(|b| Duration::from_nanos(b.load(Ordering::Relaxed))).collect(),
-        });
+                .is_ok()
     }
 }
 
@@ -320,6 +314,9 @@ pub struct ProgressTick {
     /// Cumulative job-execution time, one slot per configured worker
     /// (like [`CampaignTrace::worker_busy`]).
     pub busy: Vec<Duration>,
+    /// A copy of the campaign's registry as it stood at this tick, when
+    /// the campaign has one ([`ObserveOpts::metrics`]).
+    pub metrics: Option<MetricsRegistry>,
 }
 
 /// One job's scheduling record from [`Campaign::run_observed`] (with

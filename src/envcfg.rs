@@ -102,25 +102,12 @@ pub const FAULT_KINDS: Knob = Knob {
     doc: "temporal fault models swept by `ext_detection` and `bj-fuzz`",
 };
 
-pub const METRICS: Knob = Knob {
-    name: "BJ_METRICS",
-    grammar: Grammar::Flag,
-    default: Some("0"),
-    doc: "record the campaign metrics registry on the `BJ_TRACE` stream",
-};
-
-pub const PROGRESS_SECS: Knob = Knob {
-    name: "BJ_PROGRESS_SECS",
-    grammar: Grammar::Positive { max: u64::MAX },
-    default: None,
-    doc: "seconds between live `progress` records on the `BJ_TRACE` stream",
-};
-
 pub const TRACE: Knob = Knob {
     name: "BJ_TRACE",
     grammar: Grammar::Path,
     default: None,
-    doc: "file the harness writes JSONL telemetry to",
+    doc: "file the harness writes JSONL telemetry to; `ext_detection` adds its \
+          metrics registry and a live `progress` record every second",
 };
 
 pub const CALL_DEPTH: Knob = Knob {
@@ -131,14 +118,12 @@ pub const CALL_DEPTH: Knob = Knob {
 };
 
 /// Every harness knob, in README order.
-pub const KNOBS: [Knob; 11] = [
+pub const KNOBS: [Knob; 9] = [
     SCALE,
     THREADS,
     SNAPSHOT,
     EARLYEXIT,
     PRUNE,
-    METRICS,
-    PROGRESS_SECS,
     FAULT_KINDS,
     ECC,
     TRACE,
@@ -196,6 +181,13 @@ pub enum EnvError {
         /// The raw value found.
         value: String,
     },
+    /// The value does not parse as a seed.
+    NotASeed {
+        /// Variable name.
+        var: &'static str,
+        /// The raw value found.
+        value: String,
+    },
     /// The value parsed but is zero where a positive number is required.
     Zero {
         /// Variable name.
@@ -247,6 +239,10 @@ impl fmt::Display for EnvError {
             EnvError::NotANumber { var, value } => {
                 write!(f, "{var}={value:?} is not a valid positive integer")
             }
+            EnvError::NotASeed { var, value } => write!(
+                f,
+                "{var}={value:?} is not a valid seed (use a decimal or 0x-prefixed hex integer)"
+            ),
             EnvError::Zero { var } => {
                 write!(f, "{var}=0 is invalid: the value must be at least 1")
             }
@@ -310,7 +306,7 @@ pub fn parse_positive(var: &'static str, raw: &str, max: u64) -> Result<u64, Env
 ///
 /// # Errors
 ///
-/// [`EnvError::NotANumber`] when `raw` parses as neither form.
+/// [`EnvError::NotASeed`] when `raw` parses as neither form.
 pub fn parse_seed(var: &'static str, raw: &str) -> Result<u64, EnvError> {
     let s = raw.trim();
     let parsed = if let Some(hex) =
@@ -320,7 +316,7 @@ pub fn parse_seed(var: &'static str, raw: &str) -> Result<u64, EnvError> {
     } else {
         s.parse()
     };
-    parsed.map_err(|_| EnvError::NotANumber { var, value: raw.to_string() })
+    parsed.map_err(|_| EnvError::NotASeed { var, value: raw.to_string() })
 }
 
 /// Parses `raw` as a boolean flag: `1`/`true`/`on`/`yes` or
@@ -463,9 +459,11 @@ mod tests {
             let err = parse_seed("--seed", bad).unwrap_err();
             assert_eq!(
                 err,
-                EnvError::NotANumber { var: "--seed", value: bad.to_string() },
+                EnvError::NotASeed { var: "--seed", value: bad.to_string() },
                 "{bad:?}"
             );
+            // Zero is a valid seed, so the message names the seed grammar.
+            assert!(!err.to_string().contains("positive"), "{err}");
         }
     }
 
@@ -634,41 +632,6 @@ mod tests {
         );
         if std::env::var_os(CALL_DEPTH.name).is_none() {
             assert_eq!(CALL_DEPTH.positive(), Some(2));
-        }
-    }
-
-    #[test]
-    fn metrics_flag_accepts_and_rejects_like_prune() {
-        assert_eq!(METRICS.grammar, PRUNE.grammar);
-        assert_eq!(parse_flag("BJ_METRICS", "1"), Ok(true));
-        assert_eq!(parse_flag("BJ_METRICS", "off"), Ok(false));
-        let err = parse_flag("BJ_METRICS", "all").unwrap_err();
-        assert_eq!(err, EnvError::NotAFlag { var: "BJ_METRICS", value: "all".to_string() });
-        assert!(err.to_string().contains("BJ_METRICS"));
-        // Unset defaults to off: metrics are opt-in.
-        if std::env::var_os(METRICS.name).is_none() {
-            assert!(!METRICS.flag());
-        }
-    }
-
-    #[test]
-    fn progress_secs_rejects_zero_and_non_numeric_like_threads() {
-        assert_eq!(PROGRESS_SECS.grammar, Grammar::Positive { max: u64::MAX });
-        assert_eq!(parse_positive("BJ_PROGRESS_SECS", "5", u64::MAX), Ok(5));
-        assert_eq!(parse_positive("BJ_PROGRESS_SECS", " 1 ", u64::MAX), Ok(1));
-        assert_eq!(
-            parse_positive("BJ_PROGRESS_SECS", "0", u64::MAX),
-            Err(EnvError::Zero { var: "BJ_PROGRESS_SECS" })
-        );
-        for bad in ["soon", "-1", "2.5"] {
-            assert_eq!(
-                parse_positive("BJ_PROGRESS_SECS", bad, u64::MAX),
-                Err(EnvError::NotANumber { var: "BJ_PROGRESS_SECS", value: bad.to_string() }),
-                "{bad}"
-            );
-        }
-        if std::env::var_os(PROGRESS_SECS.name).is_none() {
-            assert_eq!(PROGRESS_SECS.positive(), None);
         }
     }
 

@@ -1,35 +1,37 @@
 //! # Campaign-scale metrics: a typed, mergeable, zero-overhead registry
 //!
-//! Counters, gauges, and fixed-bucket histograms for everything a
+//! Counters, gauges, and a fixed-bucket histogram for everything a
 //! campaign does — jobs run, snapshots taken/refilled/retired, forks and
 //! their catch-up cycles, per-`exit_reason` verdict counts, pruning
-//! tallies — plus wall-clock phase attribution (setup / snapshot /
-//! simulate / oracle / reassembly).
+//! tallies — plus wall-clock phase attribution (setup / snapshot
+//! build and fork / simulate / oracle / reassembly).
 //!
-//! The design borrows both disciplines that made `sim::trace` safe to
-//! leave in the hot path:
+//! One registry is a campaign's only counter store: the `metrics` record
+//! on the `BJ_TRACE` stream inlines it, and every live `progress` record
+//! reads its counters from a copy of it. The design borrows both
+//! disciplines that made `sim::trace` safe to leave in the hot path:
 //!
 //! * **Zero overhead when off.** [`Metrics`] is an enum —
 //!   [`Metrics::Off`] or [`Metrics::On`]`(Box<MetricsRegistry>)` — the
 //!   same dispatch trick as `Tracer::Off`. Every recording method is a
-//!   single discriminant test on the off path; the registry itself is
-//!   only ever allocated when `BJ_METRICS=1`.
+//!   single discriminant test on the off path; a registry is only ever
+//!   allocated for an observed campaign (`BJ_TRACE` set).
 //! * **Deterministic merge algebra.** Counters and histograms merge by
 //!   element-wise sum, gauges by max — associative and commutative with
-//!   the empty registry as identity — so per-worker shards merged in any
-//!   order produce identical totals. The campaign engine merges shards
-//!   in worker-index order; the result is byte-identical for 1 and 8
-//!   workers (pinned by `tests/metrics_determinism.rs`).
+//!   the empty registry as identity. The campaign engine records each job
+//!   into a worker-local handle and merges it into the campaign's one
+//!   registry when the job retires, so the order jobs retire in cannot
+//!   change the totals: the deterministic prefix is byte-identical for 1
+//!   and 8 workers (pinned by `crates/bench/tests/observability.rs`).
 //!
 //! **Deterministic vs. nondeterministic metrics.** Counts of *events*
 //! (jobs, forks, exit reasons, snapshot takes) are identical run to run;
-//! *timing* metrics (the `*_nanos` counters and the job-latency
-//! histogram) are not. Every metric is statically tagged
-//! ([`Counter::nondet`]), the JSON emitters segregate the two
-//! ([`MetricsRegistry::to_json`] puts every nondeterministic field after
-//! the `"nondet"` marker), and [`MetricsRegistry::deterministic_json`]
-//! drops the timing side entirely — that string is the determinism
-//! test's byte-comparison artifact.
+//! *timing* metrics (the `*_nanos` counters) are not. Every counter is
+//! statically tagged ([`Counter::nondet`]), the JSON emitter segregates
+//! the two ([`MetricsRegistry::to_json`] puts every nondeterministic
+//! field after the `"nondet"` marker), and
+//! [`MetricsRegistry::deterministic_json`] drops the timing side entirely
+//! — that string is the determinism test's byte-comparison artifact.
 
 use blackjack_sim::{ExitReason, Histogram};
 
@@ -38,18 +40,14 @@ use blackjack_sim::{ExitReason, Histogram};
 /// histogram's 33 buckets.
 pub const CATCHUP_BUCKET_CYCLES: u64 = 32;
 
-/// Bucket width of the job-latency histogram: 2 ms buckets (the campaign
-/// kernels' injection jobs run single-digit milliseconds).
-pub const JOB_NANOS_BUCKET: u64 = 2_000_000;
-
 /// Every counter the registry holds. Deterministic counters count
 /// campaign *events*; the `*Nanos` counters accumulate wall-clock and are
 /// tagged nondeterministic ([`Counter::nondet`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Campaign engine jobs executed (injection jobs, bench runs, …).
-    /// Group setups are not jobs: they count under [`Counter::Setups`].
+    /// Injection jobs executed. Group setups are not jobs: they count
+    /// under [`Counter::Setups`].
     Jobs,
     /// Group setups executed (fault-free reference passes).
     Setups,
@@ -173,7 +171,7 @@ impl Counter {
 }
 
 /// Gauges: merged by **max**, not sum — high-water marks survive the
-/// shard merge without double counting.
+/// per-job merge without double counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
@@ -197,16 +195,14 @@ impl Gauge {
 }
 
 /// The metric store: fixed arrays indexed by [`Counter`]/[`Gauge`]
-/// discriminants plus two fixed-bucket histograms. ~700 bytes, cheap to
-/// allocate per worker and merge at campaign end.
-#[derive(Debug, Clone, PartialEq)]
+/// discriminants plus one fixed-bucket histogram. Plain data of about
+/// 450 bytes, cheap to merge per job and to copy into a progress tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: [u64; Counter::ALL.len()],
     gauges: [u64; Gauge::ALL.len()],
     /// Fork catch-up cycles per fork (deterministic).
     catchup_cycles: Histogram,
-    /// Per-job wall nanos (nondeterministic).
-    job_nanos: Histogram,
 }
 
 impl Default for MetricsRegistry {
@@ -215,7 +211,6 @@ impl Default for MetricsRegistry {
             counters: [0; Counter::ALL.len()],
             gauges: [0; Gauge::ALL.len()],
             catchup_cycles: Histogram::with_width(CATCHUP_BUCKET_CYCLES),
-            job_nanos: Histogram::with_width(JOB_NANOS_BUCKET),
         }
     }
 }
@@ -262,20 +257,9 @@ impl MetricsRegistry {
         self.add(Counter::ForkCatchupCycles, cycles);
     }
 
-    /// Records one job's wall time (nanos).
-    #[inline]
-    pub fn record_job_nanos(&mut self, nanos: u64) {
-        self.job_nanos.record(nanos);
-    }
-
     /// The catch-up histogram (deterministic).
     pub fn catchup_histogram(&self) -> &Histogram {
         &self.catchup_cycles
-    }
-
-    /// The job-latency histogram (nondeterministic).
-    pub fn job_nanos_histogram(&self) -> &Histogram {
-        &self.job_nanos
     }
 
     /// True when nothing has been recorded.
@@ -284,8 +268,8 @@ impl MetricsRegistry {
     }
 
     /// Merges `other` into `self`: counters and histograms sum, gauges
-    /// take the max. Associative and commutative, so shard merge order
-    /// cannot change the total.
+    /// take the max. Associative and commutative, so the order jobs
+    /// retire in cannot change the total.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
@@ -294,7 +278,6 @@ impl MetricsRegistry {
             *a = (*a).max(*b);
         }
         self.catchup_cycles.merge(&other.catchup_cycles);
-        self.job_nanos.merge(&other.job_nanos);
     }
 
     /// Deterministic counters, gauges, and the catch-up histogram as one
@@ -333,9 +316,8 @@ impl MetricsRegistry {
     /// 's/,"nondet":.*/}/'` leaves exactly the deterministic prefix).
     pub fn to_json(&self) -> String {
         let det = self.deterministic_json();
-        let mut nondet_names: Vec<String> =
+        let nondet_names: Vec<String> =
             Counter::ALL.iter().filter(|c| c.nondet()).map(|c| format!("\"{}\"", c.name())).collect();
-        nondet_names.push("\"job_nanos\"".to_string());
         let mut s = det;
         s.pop(); // reopen the deterministic object
         s.push_str(&format!(",\"nondet\":[{}]", nondet_names.join(",")));
@@ -344,24 +326,8 @@ impl MetricsRegistry {
                 s.push_str(&format!(",\"{}\":{}", c.name(), self.get(c)));
             }
         }
-        s.push_str(&format!(",\"job_nanos\":{}}}", self.job_nanos.to_json()));
+        s.push('}');
         s
-    }
-
-    /// Wall-nanos attribution per campaign phase, in render order:
-    /// `(phase name, nanos)` for setup / snapshot / simulate / oracle /
-    /// reassembly. Snapshot = chain building + forking.
-    pub fn phase_nanos(&self) -> [(&'static str, u64); 5] {
-        [
-            ("setup", self.get(Counter::SetupNanos)),
-            (
-                "snapshot",
-                self.get(Counter::SnapshotBuildNanos) + self.get(Counter::SnapshotForkNanos),
-            ),
-            ("simulate", self.get(Counter::SimulateNanos)),
-            ("oracle", self.get(Counter::OracleNanos)),
-            ("reassembly", self.get(Counter::ReassemblyNanos)),
-        ]
     }
 }
 
@@ -383,8 +349,8 @@ impl Metrics {
         Metrics::On(Box::default())
     }
 
-    /// `enabled()` or `Off` by flag — shard construction sites read the
-    /// campaign's single `BJ_METRICS` decision, not the environment.
+    /// `enabled()` or `Off` by flag — the campaign engine gives each
+    /// worker a live handle only when the campaign has a registry.
     pub fn when(on: bool) -> Metrics {
         if on {
             Metrics::enabled()
@@ -400,14 +366,6 @@ impl Metrics {
 
     /// The registry, when recording.
     pub fn registry(&self) -> Option<&MetricsRegistry> {
-        match self {
-            Metrics::Off => None,
-            Metrics::On(r) => Some(r),
-        }
-    }
-
-    /// Consumes the handle, returning the registry when recording.
-    pub fn into_registry(self) -> Option<Box<MetricsRegistry>> {
         match self {
             Metrics::Off => None,
             Metrics::On(r) => Some(r),
@@ -444,28 +402,11 @@ impl Metrics {
         }
     }
 
-    /// Records a job's wall nanos when recording.
-    #[inline]
-    pub fn record_job_nanos(&mut self, nanos: u64) {
-        if let Metrics::On(r) = self {
-            r.record_job_nanos(nanos);
-        }
-    }
-
     /// Counts a run's exit reason when recording.
     #[inline]
     pub fn record_exit(&mut self, reason: Option<ExitReason>) {
         if let (Metrics::On(r), Some(reason)) = (self, reason) {
             r.inc(Counter::of_exit(reason));
-        }
-    }
-
-    /// Merges a finished shard into this handle's registry. A shard from
-    /// a metrics-off run (empty) merges as the identity; merging into an
-    /// `Off` handle is a no-op.
-    pub fn merge(&mut self, shard: &MetricsRegistry) {
-        if let Metrics::On(r) = self {
-            r.merge(shard);
         }
     }
 }
@@ -495,7 +436,6 @@ mod tests {
         a.add(Counter::Jobs, 7);
         a.gauge_max(Gauge::Workers, 2);
         a.record_catchup(100);
-        a.record_job_nanos(5_000_000);
         let mut b = MetricsRegistry::new();
         b.add(Counter::Jobs, 4);
         b.add(Counter::PrunedStatic, 1);
@@ -521,12 +461,10 @@ mod tests {
         let mut m = Metrics::Off;
         m.inc(Counter::Jobs);
         m.record_catchup(10);
-        m.record_job_nanos(10);
         m.gauge_max(Gauge::Workers, 9);
         m.record_exit(Some(ExitReason::Detected));
         assert!(!m.is_on());
         assert!(m.registry().is_none());
-        assert!(m.into_registry().is_none());
     }
 
     #[test]
@@ -560,7 +498,6 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.add(Counter::Jobs, 3);
         r.add(Counter::SimulateNanos, 123_456);
-        r.record_job_nanos(9_999);
         let det = r.deterministic_json();
         for c in Counter::ALL {
             if c.nondet() {
@@ -569,7 +506,6 @@ mod tests {
                 assert!(det.contains(c.name()), "{} missing from deterministic json", c.name());
             }
         }
-        assert!(!det.contains("job_nanos"));
         assert!(det.contains("\"catchup_cycles\""));
     }
 
@@ -595,26 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_nanos_attributes_snapshot_build_plus_fork() {
-        let mut r = MetricsRegistry::new();
-        r.add(Counter::SetupNanos, 10);
-        r.add(Counter::SnapshotBuildNanos, 20);
-        r.add(Counter::SnapshotForkNanos, 5);
-        r.add(Counter::SimulateNanos, 60);
-        r.add(Counter::ReassemblyNanos, 1);
-        let phases = r.phase_nanos();
-        assert_eq!(phases[0], ("setup", 10));
-        assert_eq!(phases[1], ("snapshot", 25));
-        assert_eq!(phases[2], ("simulate", 60));
-        assert_eq!(phases[3], ("oracle", 0));
-        assert_eq!(phases[4], ("reassembly", 1));
-    }
-
-    #[test]
     fn when_and_from_env_shape() {
         assert!(Metrics::when(true).is_on());
         assert!(!Metrics::when(false).is_on());
-        // BJ_METRICS is unset or valid when the suite runs.
-        let _ = Metrics::when(crate::envcfg::METRICS.flag());
+        // A harness records metrics exactly when `BJ_TRACE` names a
+        // stream; the variable is unset or valid when the suite runs.
+        let _ = Metrics::when(crate::envcfg::TRACE.create(|_| Ok(())).is_some());
     }
 }

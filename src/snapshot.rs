@@ -54,8 +54,8 @@ pub struct SnapshotChain {
 
 /// Lifetime accounting of a [`SnapshotChain`]'s build. Always on — the
 /// counters tick once per *snapshot*, not per cycle, so the cost is
-/// unmeasurable — and read by the campaign metrics registry when
-/// `BJ_METRICS` is enabled.
+/// unmeasurable — and copied into the campaign's metrics registry when
+/// the campaign is observed (`BJ_TRACE` set).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
     /// Snapshots taken from a fresh allocation.

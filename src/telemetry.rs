@@ -13,8 +13,7 @@
 //! | `flight_event` | flight-recorder ev | cycle, kind, uid, ctx, seq, pc, way, packet |
 //! | `detection`    | detection event    | kind, cycle, seq, pc, ways                  |
 //! | `progress`     | cadence tick (v2)  | jobs done/total, busy, ETA, exit tallies    |
-//! | `phase`        | campaign (v2)      | wall nanos per campaign phase               |
-//! | `metrics`      | campaign (v2)      | merged [`MetricsRegistry`], inlined         |
+//! | `metrics`      | campaign (v2)      | the campaign's [`MetricsRegistry`], inlined |
 //!
 //! Everything is hand-emitted and hand-parsed: the repo builds offline
 //! with no serde. One parser ([`parse_line`]) reads every line back into
@@ -24,8 +23,10 @@
 //! when `BJ_TRACE` is set, so the default (untraced) harness path
 //! allocates nothing and writes nothing.
 //!
-//! **Schema v2 and the `nondet` contract.** Version 2 adds the three
-//! observability records; every v1 record is emitted unchanged, and the
+//! **Schema v2 and the `nondet` contract.** Version 2 added the
+//! observability records (`progress`, `metrics`, and a `phase` record
+//! that is no longer written: `bj-trace top` derives phase attribution
+//! from `metrics`); every v1 record is emitted unchanged, and the
 //! per-line parser is schema-agnostic, so v1 files still parse. Any
 //! record carrying wall-clock values places them *after* a
 //! `"nondet":[...]` marker listing their names — everything before the
@@ -37,14 +38,12 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use blackjack_sim::{DetectionEvent, FlightEvent, SimStats, TraceState, WayHeat};
 
 use crate::campaign::{CampaignTrace, ProgressTick};
 use crate::envcfg;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, MetricsRegistry};
 
 /// Telemetry schema version emitted in the `meta` line.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -183,24 +182,54 @@ impl TraceWriter {
         ));
     }
 
-    /// One `phase` line attributing campaign wall time. Every field but
-    /// the discriminator is wall-clock, so the whole payload sits behind
-    /// the `nondet` marker; stripping leaves `{"type":"phase"}`.
-    pub fn emit_phase(&mut self, phases: &[(&'static str, u64)], wall_nanos: u64) {
-        let mut names: Vec<String> =
-            phases.iter().map(|&(n, _)| format!("\"{n}_nanos\"")).collect();
-        names.push("\"wall_nanos\"".to_string());
-        let fields: String =
-            phases.iter().map(|&(n, v)| format!(",\"{n}_nanos\":{v}")).collect();
+    /// One `progress` line for `t`, its counts read from the registry the
+    /// tick carries (zero without one), flushed at once so `bj-trace top
+    /// --follow` sees it live. Deterministic fields first, wall-clock
+    /// fields behind the `nondet` marker.
+    ///
+    /// Mid-campaign ticks are inherently racy (which jobs have retired
+    /// when is scheduling-dependent); the final tick — `"done":true`,
+    /// emitted unconditionally after the last job — is deterministic up
+    /// to its `nondet` suffix, and is what verification compares across
+    /// runs.
+    pub fn emit_progress(&mut self, t: &ProgressTick) {
+        let empty = MetricsRegistry::new();
+        let r = t.metrics.as_ref().unwrap_or(&empty);
+        let (a, c, w) = (
+            r.get(Counter::PrunedActivation),
+            r.get(Counter::ExitConverged),
+            r.get(Counter::ExitStalled),
+        );
+        let eta = t.eta.map_or("null".to_string(), |d| d.as_nanos().to_string());
+        let busy: Vec<String> = t.busy.iter().map(|d| d.as_nanos().to_string()).collect();
         self.line(&format!(
-            "{{\"type\":\"phase\",\"nondet\":[{}]{fields},\"wall_nanos\":{wall_nanos}}}",
-            names.join(",")
+            "{{\"type\":\"progress\",\"jobs_done\":{},\"jobs_total\":{},\"workers\":{},\
+             \"done\":{},\"runs\":{},\"forked_runs\":{},\
+             \"early_exits\":{{\"activation\":{a},\"convergence\":{c},\"watchdog\":{w},\
+             \"total\":{}}},\
+             \"snapshots\":{{\"taken\":{},\"refilled\":{}}},\
+             \"nondet\":[\"elapsed_nanos\",\"eta_nanos\",\"busy_nanos\"],\
+             \"elapsed_nanos\":{},\"eta_nanos\":{eta},\"busy_nanos\":[{}]}}",
+            t.jobs_done,
+            t.jobs_total,
+            t.workers,
+            t.done,
+            r.get(Counter::RunsSimulated),
+            r.get(Counter::SnapshotForks),
+            a + c + w,
+            r.get(Counter::SnapshotsTaken),
+            r.get(Counter::SnapshotsRefilled),
+            t.elapsed.as_nanos(),
+            busy.join(","),
         ));
+        // A follower tailing the file must see the tick now, not at the
+        // next BufWriter spill.
+        let _ = self.flush();
     }
 
-    /// One `metrics` line: the merged registry's fields inlined at top
-    /// level (not nested), so the registry's own `nondet` marker keeps
-    /// the whole line brace-balanced after stripping.
+    /// One `metrics` line: the registry's fields inlined at top level
+    /// (not nested), so the registry's own `nondet` marker keeps the
+    /// whole line brace-balanced after stripping.
     pub fn emit_metrics(&mut self, registry: &MetricsRegistry) {
         let body = registry.to_json();
         self.line(&format!("{{\"type\":\"metrics\",{}", &body[1..]));
@@ -219,125 +248,6 @@ impl TraceWriter {
 impl Drop for TraceWriter {
     fn drop(&mut self) {
         let _ = self.out.flush();
-    }
-}
-
-/// Live-progress emitter: owns the [`TraceWriter`] for a campaign's
-/// duration, accumulates domain counters (runs, forks, early exits,
-/// snapshot reuse) from worker threads via relaxed atomics, and turns
-/// each [`ProgressTick`] from the campaign's
-/// [`ProgressHook`](crate::campaign::ProgressHook) into one `progress`
-/// line, flushed immediately so `bj-trace top --follow` sees it live.
-///
-/// Mid-campaign ticks are inherently racy (which jobs have retired when
-/// is scheduling-dependent); the final tick — `"done":true`, emitted
-/// unconditionally after the last job — is deterministic up to its
-/// `nondet` suffix, and is what verification compares across runs.
-pub struct ProgressMeter {
-    writer: Mutex<TraceWriter>,
-    runs: AtomicU64,
-    forked_runs: AtomicU64,
-    early_activation: AtomicU64,
-    early_convergence: AtomicU64,
-    early_watchdog: AtomicU64,
-    snapshots_taken: AtomicU64,
-    snapshots_refilled: AtomicU64,
-}
-
-impl ProgressMeter {
-    /// Wraps `writer` for the campaign's duration.
-    pub fn new(writer: TraceWriter) -> ProgressMeter {
-        ProgressMeter {
-            writer: Mutex::new(writer),
-            runs: AtomicU64::new(0),
-            forked_runs: AtomicU64::new(0),
-            early_activation: AtomicU64::new(0),
-            early_convergence: AtomicU64::new(0),
-            early_watchdog: AtomicU64::new(0),
-            snapshots_taken: AtomicU64::new(0),
-            snapshots_refilled: AtomicU64::new(0),
-        }
-    }
-
-    /// Hands the writer back for the post-campaign record families.
-    pub fn into_writer(self) -> TraceWriter {
-        self.writer.into_inner().expect("trace writer poisoned")
-    }
-
-    /// Runs the closure against the wrapped writer (for mid-campaign
-    /// emission other than progress — rarely needed).
-    pub fn with_writer<R>(&self, f: impl FnOnce(&mut TraceWriter) -> R) -> R {
-        f(&mut self.writer.lock().expect("trace writer poisoned"))
-    }
-
-    /// Counts one simulator run; `forked` when it continued from a
-    /// snapshot rather than a cold `Core::new`.
-    pub fn note_run(&self, forked: bool) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        if forked {
-            self.forked_runs.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one activation-pruned injection (skipped without a run).
-    pub fn note_early_activation(&self) {
-        self.early_activation.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one convergence-sealed early exit.
-    pub fn note_early_convergence(&self) {
-        self.early_convergence.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one stall-watchdog early exit.
-    pub fn note_early_watchdog(&self) {
-        self.early_watchdog.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds one snapshot chain's build accounting in.
-    pub fn note_snapshots(&self, taken: u64, refilled: u64) {
-        self.snapshots_taken.fetch_add(taken, Ordering::Relaxed);
-        self.snapshots_refilled.fetch_add(refilled, Ordering::Relaxed);
-    }
-
-    /// Emits one `progress` line for `t`. Deterministic fields first,
-    /// wall-clock fields behind the `nondet` marker.
-    pub fn emit_tick(&self, t: &ProgressTick) {
-        let (a, c, w) = (
-            self.early_activation.load(Ordering::Relaxed),
-            self.early_convergence.load(Ordering::Relaxed),
-            self.early_watchdog.load(Ordering::Relaxed),
-        );
-        let eta = t
-            .eta
-            .map_or("null".to_string(), |d| d.as_nanos().to_string());
-        let busy: Vec<String> =
-            t.busy.iter().map(|d| d.as_nanos().to_string()).collect();
-        let line = format!(
-            "{{\"type\":\"progress\",\"jobs_done\":{},\"jobs_total\":{},\"workers\":{},\
-             \"done\":{},\"runs\":{},\"forked_runs\":{},\
-             \"early_exits\":{{\"activation\":{a},\"convergence\":{c},\"watchdog\":{w},\
-             \"total\":{}}},\
-             \"snapshots\":{{\"taken\":{},\"refilled\":{}}},\
-             \"nondet\":[\"elapsed_nanos\",\"eta_nanos\",\"busy_nanos\"],\
-             \"elapsed_nanos\":{},\"eta_nanos\":{eta},\"busy_nanos\":[{}]}}",
-            t.jobs_done,
-            t.jobs_total,
-            t.workers,
-            t.done,
-            self.runs.load(Ordering::Relaxed),
-            self.forked_runs.load(Ordering::Relaxed),
-            a + c + w,
-            self.snapshots_taken.load(Ordering::Relaxed),
-            self.snapshots_refilled.load(Ordering::Relaxed),
-            t.elapsed.as_nanos(),
-            busy.join(","),
-        );
-        let mut writer = self.writer.lock().expect("trace writer poisoned");
-        writer.line(&line);
-        // A follower tailing the file must see the tick now, not at the
-        // next BufWriter spill.
-        let _ = writer.flush();
     }
 }
 
@@ -783,13 +693,15 @@ mod tests {
     #[test]
     fn progress_record_roundtrips_and_strips_to_deterministic_prefix() {
         let path = std::env::temp_dir().join("bj_telemetry_progress_test.jsonl");
-        let meter = ProgressMeter::new(TraceWriter::create(&path, "unit-test").unwrap());
-        meter.note_run(true);
-        meter.note_run(false);
-        meter.note_early_activation();
-        meter.note_early_watchdog();
-        meter.note_snapshots(3, 14);
-        meter.emit_tick(&ProgressTick {
+        let mut w = TraceWriter::create(&path, "unit-test").unwrap();
+        let mut r = MetricsRegistry::new();
+        r.add(Counter::RunsSimulated, 2);
+        r.inc(Counter::SnapshotForks);
+        r.inc(Counter::PrunedActivation);
+        r.inc(Counter::ExitStalled);
+        r.add(Counter::SnapshotsTaken, 3);
+        r.add(Counter::SnapshotsRefilled, 14);
+        w.emit_progress(&ProgressTick {
             jobs_done: 2,
             jobs_total: 8,
             workers: 4,
@@ -800,9 +712,11 @@ mod tests {
                 std::time::Duration::from_nanos(4_000),
                 std::time::Duration::from_nanos(3_000),
             ],
+            metrics: Some(r),
         });
-        drop(meter.into_writer());
+        // Flushed on emit: a follower sees the tick while the writer lives.
         let text = std::fs::read_to_string(&path).unwrap();
+        drop(w);
         let line = text.lines().nth(1).unwrap();
         // Byte-exact round-trip through the generic parser.
         assert_eq!(emit_line(&parse_line(line).unwrap()), line);
@@ -833,27 +747,22 @@ mod tests {
     }
 
     #[test]
-    fn phase_and_metrics_records_strip_balanced() {
-        let path = std::env::temp_dir().join("bj_telemetry_phase_test.jsonl");
+    fn metrics_record_strips_balanced() {
+        let path = std::env::temp_dir().join("bj_telemetry_metrics_test.jsonl");
         {
             let mut w = TraceWriter::create(&path, "unit-test").unwrap();
             let mut r = MetricsRegistry::new();
-            r.inc(crate::metrics::Counter::Jobs);
-            r.add(crate::metrics::Counter::SimulateNanos, 1234);
-            w.emit_phase(&r.phase_nanos(), 9999);
+            r.inc(Counter::Jobs);
+            r.add(Counter::SimulateNanos, 1234);
             w.emit_metrics(&r);
             w.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        let phase = text.lines().nth(1).unwrap();
-        let metrics = text.lines().nth(2).unwrap();
-        assert_eq!(emit_line(&parse_line(phase).unwrap()), phase);
+        let metrics = text.lines().nth(1).unwrap();
         assert_eq!(emit_line(&parse_line(metrics).unwrap()), metrics);
-        let phase_rec = parse_line(phase).unwrap();
-        assert_eq!(get_u64(&phase_rec, "simulate_nanos"), Some(1234));
-        assert_eq!(get_u64(&phase_rec, "wall_nanos"), Some(9999));
-        // Phase is all wall-clock: stripping leaves only the type tag.
-        assert_eq!(strip_nondet(phase), "{\"type\":\"phase\"}");
+        // The wall-clock counters follow the marker, readable by name.
+        let full = parse_line(metrics).unwrap();
+        assert_eq!(get_u64(&full, "simulate_nanos"), Some(1234));
         // Metrics strip to the registry's deterministic prefix, inlined.
         let stripped = strip_nondet(metrics);
         let rec = parse_line(&stripped).unwrap_or_else(|| panic!("{stripped}"));
