@@ -19,7 +19,7 @@
 //! The `top` subcommand (`bj-trace top [trace.jsonl] [--follow]`)
 //! renders the schema-v2 observability records instead: the latest
 //! live-progress tick (progress bar, ETA, per-worker busy, early-exit
-//! attribution, snapshot reuse), then from the `metrics` record the
+//! attribution, snapshots taken), then from the `metrics` record the
 //! campaign phase-time attribution and the registry headline. With
 //! `--follow` it polls the file until the campaign's final tick lands —
 //! a one-file `top` for a running campaign.
@@ -214,13 +214,9 @@ fn render_top(records: &[Record]) -> usize {
             );
         }
         if let Some(s) = get_obj(p, "snapshots") {
-            let taken = get_u64(s, "taken").unwrap_or(0);
-            let refilled = get_u64(s, "refilled").unwrap_or(0);
-            let rate = refilled as f64 / (taken + refilled).max(1) as f64;
-            println!(
-                "  snapshots: {taken} allocated, {refilled} refilled in place ({:.0}% reuse)",
-                rate * 100.0
-            );
+            // Older streams split the takes into fresh and `refilled`.
+            let taken: u64 = ["taken", "refilled"].iter().filter_map(|k| get_u64(s, k)).sum();
+            println!("  snapshots: {taken} taken");
         }
         if let (Some(busy), Some(elapsed)) =
             (get_u64s(p, "busy_nanos"), get_u64(p, "elapsed_nanos"))

@@ -4,16 +4,15 @@
 //! Thin shell over [`blackjack_bench::detection`]: each (mode, benchmark)
 //! group runs its fault-free prefix once to fix the wear-out arming
 //! schedule, then fans one injection job per fault site over the campaign
-//! pool. With `BJ_SNAPSHOT=1` (the default) the jobs fork from snapshots
-//! of the shared prefix instead of replaying from cycle 0; with
-//! `BJ_EARLYEXIT=1` (also the default) each run stops the moment its
-//! verdict is decided. The report is byte-identical on every path, and
-//! for any `BJ_THREADS`. The sweep runs at workload scale 1 whatever
-//! `BJ_SCALE` says.
+//! pool. The jobs fork from snapshots of the shared prefix, skip sites
+//! static analysis proves never exercised, and stop the moment their
+//! verdict is decided; the report is byte-identical to the library's plain
+//! replay path (every run from cycle 0 to its natural end), and for any
+//! `BJ_THREADS`. The sweep runs at workload scale 1 whatever `BJ_SCALE`
+//! says.
 //!
 //! `--bench <name>` restricts the sweep to one benchmark (used by the
-//! `verify.sh` wiring smoke). `BJ_PRUNE=0` disables static pruning.
-//! `BJ_FAULT_KINDS` (comma list: `hard`, `transient`,
+//! `verify.sh` observability smoke). `BJ_FAULT_KINDS` (comma list: `hard`, `transient`,
 //! `intermittent[:PERIOD:ON]`) runs one campaign per temporal fault
 //! model — the default is the byte-stable hard-fault sweep alone.
 //! `BJ_ECC=1` turns on the LVQ SEC-DED layer in every run; each report
@@ -123,11 +122,9 @@ fn main() {
     );
     let early: usize = report.early_exits.iter().filter(|e| e.is_some()).count();
     eprintln!(
-        "[{} injection runs in {:.1?}; {} workers; snapshot {}; early exit {}]",
+        "[{} injection runs in {:.1?}; {} workers; {early} runs cut short by early exit]",
         report.tallies.len(),
         wall,
         campaign.workers(),
-        if cfg.snapshot { "on" } else { "off" },
-        if cfg.early_exit { format!("on ({early} runs cut short)") } else { "off".to_string() },
     );
 }

@@ -164,28 +164,28 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          | 8 | byte-identical | not measured (more workers than vCPUs) |\n\n",
     );
     s.push_str(
-        "### Fork-at-injection (`BJ_SNAPSHOT`)\n\n\
+        "### Fork-at-injection\n\n\
          Injection campaigns share a long fault-free prefix: a wear-out fault\n\
          armed at cycle *C* behaves identically to a fault-free core until *C*.\n\
-         With `BJ_SNAPSHOT=1` (the default) each (mode, benchmark) group\n\
-         simulates that prefix once, snapshotting the core every 512 cycles,\n\
-         and hands every injection job a fork of the last snapshot before its\n\
-         arming cycle instead of replaying from cycle 0. The equivalence\n\
-         matrix (`crates/bench/tests/detection_equiv.rs`) asserts the reports\n\
-         are byte-identical either way. Measured on the full `ext_detection`\n\
+         Each (mode, benchmark) group simulates that prefix once, snapshotting\n\
+         the core every 512 cycles, and hands every injection job a fork of\n\
+         the last snapshot before its arming cycle instead of replaying from\n\
+         cycle 0. The library keeps the replay path as a `DetectionConfig`\n\
+         switch, and the equivalence matrix\n\
+         (`crates/bench/tests/detection_equiv.rs`) asserts the reports are\n\
+         byte-identical either way. Measured on the full `ext_detection`\n\
          sweep when the path landed:\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
-         | replay from cycle 0 (`BJ_SNAPSHOT=0`) | 3.59 s |\n\
-         | fork from prefix snapshots (`BJ_SNAPSHOT=1`) | 1.08 s |\n\
+         | replay from cycle 0 (the library's replay path) | 3.59 s |\n\
+         | fork from prefix snapshots (the harness) | 1.08 s |\n\
          | **speedup** | **3.3\u{d7}** |\n\n\
-         The fork side got cheaper again in the early-exit PR: the manual\n\
-         `Core::clone_from` lets snapshot takes refresh retired snapshots'\n\
-         buffers in place instead of allocating fresh clones (PR 6 measured\n\
-         2.4\u{d7} on the same host). The benchmark's `inject-*` workloads time\n\
-         the fork path today.\n\n",
+         Copy-on-write cache chunks, memory pages and BTB, and a uop slab\n\
+         cloned only up to its last live slot, have since made each snapshot\n\
+         copy little more than the machine's in-flight state. The\n\
+         benchmark's `inject-*` workloads time the fork path today.\n\n",
     );
     s.push_str(
-        "### Verdict-convergence early exit (`BJ_EARLYEXIT`)\n\n\
+        "### Verdict-convergence early exit\n\n\
          Fork-at-injection removes the redundant prefix of every injection\n\
          run; the early-exit layer (DESIGN \u{a7}2.12) removes the redundant\n\
          suffix \u{2014} the cycles a run keeps simulating after its verdict is\n\
@@ -197,14 +197,14 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          no progress instead of burning the full cycle budget (a fixed\n\
          window: much shorter ones change verdicts, DESIGN \u{a7}2.12). The\n\
          equivalence matrix asserts byte-identical reports with the layer off\n\
-         and on. Measured on the same sweep when the layer landed, both ways\n\
-         interleaved (min-of-5 per leg):\n\n\
+         (a library-only switch) and on. Measured on the same sweep when the\n\
+         layer landed, both ways interleaved (min-of-5 per leg):\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
-         | full runs (`BJ_EARLYEXIT=0`, snapshots on) | 0.83 s |\n\
-         | early exit (`BJ_EARLYEXIT=1`) | 0.53 s |\n\
+         | full runs (the library's replay path, snapshots on) | 0.83 s |\n\
+         | early exit (the harness) | 0.53 s |\n\
          | **speedup** | **1.57\u{d7}** |\n\n\
          Part of that gain was the reference pass doubling as the snapshot\n\
-         builder, which the `BJ_EARLYEXIT=0` path has since adopted too.\n\
+         builder, which the full-run path has since adopted too.\n\
          Attribution on today's default sweep, pinned by the equivalence\n\
          matrix: of the 132 injections left after static pruning (68 of 200\n\
          jobs), activation pruning cuts 24 before they start; convergence and\n\
@@ -241,22 +241,23 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          record reads its counters from a copy of that registry, and at the end\n\
          the registry itself is written as the `metrics` record, from which\n\
          `bj-trace top` derives the phase table (snapshot = chain building +\n\
-         forking, under the `campaign` record's wall time). Unset, nothing is\n\
+         forking, under the `campaign` record's wall time, which spans the\n\
+         whole campaign: golden runs, group setup and injection). Unset, nothing is\n\
          recorded and nothing is locked (the benchmark's traced mode reports\n\
          what turning it on costs as `trace.overhead_frac`), and stdout stays\n\
          byte-identical either way.\n\
          A real capture \u{2014} `BJ_THREADS=1 BJ_TRACE=t.jsonl ext_detection --bench\n\
          gzip`, rendered by `bj-trace top t.jsonl` on a 2-vCPU host:\n\n\
          ```text\n\
-         campaign: finished  [########################] 50/50 jobs  elapsed 0.2s  eta 0.0s  runs 27  early-exits 3\n\
+         campaign: finished  [########################] 50/50 jobs  elapsed 0.1s  eta 0.0s  runs 27  early-exits 3\n\
          \x20 workers: 1  forked runs: 27/27\n\
          \x20 early exits: activation 3  convergence 0  watchdog 0\n\
-         \x20 snapshots: 60 allocated, 28 refilled in place (32% reuse)\n\
+         \x20 snapshots: 88 taken\n\
          \x20 worker busy: w0 100%\n\n\
-         phase attribution (cpu time; campaign wall 0.2s):\n\
+         phase attribution (cpu time; campaign wall 0.1s):\n\
          \x20 setup              0.0s    0.2%\n\
-         \x20 snapshot           0.2s   85.8%  ###########################\n\
-         \x20 simulate           0.0s   14.0%  ####\n\
+         \x20 snapshot           0.1s   82.5%  ##########################\n\
+         \x20 simulate           0.0s   17.2%  ######\n\
          \x20 oracle             0.0s    0.0%\n\
          \x20 reassembly         0.0s    0.0%\n\n\
          metrics registry:\n\

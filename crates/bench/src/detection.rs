@@ -5,8 +5,9 @@
 //! benchmark's `inject-*` workloads, and the equivalence matrix
 //! (`tests/detection_equiv.rs`) all drive one implementation. The report
 //! text is fully deterministic — byte-identical for any worker count and
-//! for either value of `BJ_SNAPSHOT` and `BJ_EARLYEXIT` — which is the
-//! campaign's testable contract.
+//! for every combination of [`DetectionConfig`]'s `snapshot`, `early_exit`
+//! and `prune` switches (bar the `pruned_sites` block with pruning off) —
+//! which is the campaign's testable contract.
 //!
 //! **Fault model.** Each site gets a stuck-at-style bit flip that *arms*
 //! partway through the run ([`blackjack::arming_schedule`]): the hardware
@@ -17,18 +18,19 @@
 //! (benchmark, mode) is identical up to its arming point.
 //!
 //! **Execution paths.** Every (mode, benchmark) group runs one fault-free
-//! reference pass, whose cycle count fixes the arming schedule. With
-//! `snapshot` off, every injection run replays from cycle 0. With it on
-//! (the default), the reference pass also builds a periodic snapshot
-//! chain ([`blackjack::SnapshotChain`]) and every injection job forks
-//! from it. Independently, `early_exit` (default on) stops each run the
-//! moment its verdict is decided, by three mechanisms
+//! reference pass, whose cycle count fixes the arming schedule. On the
+//! harness path (the default config) the reference pass also builds a
+//! periodic snapshot chain ([`blackjack::SnapshotChain`]) and every
+//! injection job forks from it, and each run stops the moment its verdict
+//! is decided, by three mechanisms
 //! ([`blackjack::EarlyExit`]; the stall watchdog's window is the fixed
-//! [`blackjack::earlyexit::STALL_WINDOW`]); with it on, the reference
-//! pass also records site usage ([`SiteUsage`]). All four path combinations
-//! compute the same arming schedule and the same verdicts, so their
-//! reports match byte for byte (the `detection_equiv` matrix enforces
-//! this).
+//! [`blackjack::earlyexit::STALL_WINDOW`]), for which the reference pass
+//! also records site usage ([`SiteUsage`]). The library keeps the plain
+//! replay path — `snapshot` and `early_exit` off, every run replayed from
+//! cycle 0 to its natural end — as the reference the equivalence matrix
+//! (`tests/detection_equiv.rs`) and the benchmark's expected verdicts are
+//! computed on. All four path combinations compute the same arming
+//! schedule and the same verdicts, so their reports match byte for byte.
 //!
 //! **Schedule.** On every path the injection jobs are one
 //! [`Campaign::run_observed`] fan-out. Each job takes its group from a
@@ -112,20 +114,23 @@ pub fn armed_plan_kind(site: FaultSite, arm: u64, kind: FaultKind) -> FaultPlan 
     FaultPlan::single(fault).arm_at(arm).with_kind(kind)
 }
 
-/// The campaign's switches, normally read from the environment
-/// ([`DetectionConfig::from_env_or_exit`]). All four combinations of
-/// `snapshot` × `early_exit` produce byte-identical reports; the flags
-/// exist so that equivalence is checkable (`tests/detection_equiv.rs`).
+/// The campaign's switches. The harness reads `ecc` from the environment
+/// ([`DetectionConfig::from_env_or_exit`]) and runs every acceleration;
+/// `prune`, `snapshot` and `early_exit` are library-only switches, so the
+/// equivalence matrix (`tests/detection_equiv.rs`) and the benchmark's
+/// expected verdicts can run the plain replay path. All four
+/// combinations of `snapshot` × `early_exit` produce byte-identical
+/// reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectionConfig {
-    /// Skip simulating sites statically proven unexercisable
-    /// (`BJ_PRUNE`, default on).
+    /// Skip simulating sites statically proven unexercisable (default
+    /// on).
     pub prune: bool,
     /// Fork injection runs from fault-free-prefix snapshots instead of
-    /// replaying from cycle 0 (`BJ_SNAPSHOT`, default on).
+    /// replaying from cycle 0 (default on).
     pub snapshot: bool,
-    /// Stop each injection run the moment its verdict is decided
-    /// (`BJ_EARLYEXIT`, default on).
+    /// Stop each injection run the moment its verdict is decided (default
+    /// on).
     pub early_exit: bool,
     /// The temporal fault model every injection in the campaign uses
     /// (one entry of `BJ_FAULT_KINDS`; the harness runs one campaign per
@@ -149,19 +154,12 @@ impl Default for DetectionConfig {
 }
 
 impl DetectionConfig {
-    /// Reads `BJ_PRUNE`, `BJ_SNAPSHOT`, `BJ_EARLYEXIT` and `BJ_ECC`,
-    /// exiting with status 2 (the harness convention) on a malformed
-    /// value. `kind` stays [`FaultKind::Hard`]; the harness overrides it
-    /// per `BJ_FAULT_KINDS` entry.
+    /// The default config with `ecc` read from `BJ_ECC`, exiting with
+    /// status 2 (the harness convention) on a malformed value. `kind`
+    /// stays [`FaultKind::Hard`]; the harness overrides it per
+    /// `BJ_FAULT_KINDS` entry.
     pub fn from_env_or_exit() -> DetectionConfig {
-        use blackjack::envcfg::{EARLYEXIT, ECC, PRUNE, SNAPSHOT};
-        DetectionConfig {
-            prune: PRUNE.flag(),
-            snapshot: SNAPSHOT.flag(),
-            early_exit: EARLYEXIT.flag(),
-            kind: FaultKind::Hard,
-            ecc: ECC.flag(),
-        }
+        DetectionConfig { ecc: blackjack::envcfg::ECC.flag(), ..DetectionConfig::default() }
     }
 
     /// The core configuration every run in a campaign under this config
@@ -267,7 +265,6 @@ impl DetectionGroup {
         if let Some(chain) = &chain {
             let s = chain.stats();
             metrics.add(Counter::SnapshotsTaken, s.taken);
-            metrics.add(Counter::SnapshotsRefilled, s.refilled);
             metrics.add(Counter::SnapshotsRetired, s.retired);
             metrics.gauge_max(Gauge::PeakRetainedSnapshots, s.peak_retained);
         }
@@ -442,7 +439,9 @@ pub struct DetectionReport {
     /// The full report text (everything the harness prints to stdout).
     /// Byte-identical for any worker count and every execution path.
     pub text: String,
-    /// Per-job scheduling telemetry, when requested.
+    /// Per-job scheduling telemetry, when requested. Its `wall` spans the
+    /// whole campaign call — golden runs, setup pass and injection fan-out
+    /// — while the job timings are the fan-out's own.
     pub trace: Option<CampaignTrace>,
     /// The campaign's metrics registry, when requested
     /// ([`ObserveCtl::metrics`]). Its deterministic prefix is
@@ -498,6 +497,7 @@ pub fn run_detection_observed(
     benchmarks: &[Benchmark],
     ctl: ObserveCtl<'_>,
 ) -> DetectionReport {
+    let t0 = Instant::now();
     let all_sites = sites();
     let nb = benchmarks.len();
     let ns = all_sites.len();
@@ -607,7 +607,7 @@ pub fn run_detection_observed(
         r.add(Counter::ReassemblyNanos, t_reassembly.elapsed().as_nanos() as u64);
         r
     });
-    let trace = obs.trace;
+    let trace = obs.trace.map(|t| CampaignTrace { wall: t0.elapsed(), ..t });
     DetectionReport { tallies, taxonomies, early_exits, labels, meta, text, trace, metrics }
 }
 
@@ -615,7 +615,7 @@ pub fn run_detection_observed(
 /// benchmark groups of one mode (the analysis and pruning facts are
 /// mode-independent), in benchmark order. Worker counts and wall-clock
 /// are deliberately absent — the report is byte-identical for any
-/// `BJ_THREADS` and every `BJ_SNAPSHOT` / `BJ_EARLYEXIT` path.
+/// `BJ_THREADS` and every `snapshot` / `early_exit` path.
 fn report_text(
     cfg: DetectionConfig,
     benchmarks: &[Benchmark],
@@ -693,8 +693,7 @@ fn report_text(
         let per_mode: u32 =
             bench_groups.iter().map(|g| g.analysis.prunable_backend_ways().len() as u32).sum();
         s.push_str(&format!(
-            "\npruned_sites: {} of {} runs per mode statically proven benign \
-             (BJ_PRUNE=0 to disable)\n",
+            "\npruned_sites: {} of {} runs per mode statically proven benign\n",
             per_mode,
             benchmarks.len() * n_sites,
         ));
@@ -709,13 +708,13 @@ fn report_text(
             ));
         }
     } else {
-        s.push_str("\npruned_sites: static pruning disabled (BJ_PRUNE=0)\n");
+        s.push_str("\npruned_sites: static pruning disabled\n");
     }
     s
 }
 
 /// Parses harness arguments: `--bench <name>` restricts the sweep to one
-/// benchmark (the `verify.sh` wiring smokes use this). Any kernel
+/// benchmark (the `verify.sh` observability smoke uses this). Any kernel
 /// [`Benchmark::from_name`] knows is accepted — including the
 /// call-bearing kernels outside the default sweep. Unknown
 /// arguments or benchmarks exit with status 2.

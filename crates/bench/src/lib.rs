@@ -20,7 +20,7 @@
 //! self-timed microbenchmarks of the simulator's machinery live in
 //! `benches/`.
 
-use blackjack::envcfg::{SCALE, SNAPSHOT};
+use blackjack::envcfg::SCALE;
 use blackjack::Experiment;
 
 pub mod detection;
@@ -33,10 +33,10 @@ pub mod benchfmt {
 }
 
 /// Builds the standard experiment at the scale used by the harnesses
-/// (`BJ_SCALE`, default 1) with the snapshot-fork path from the
-/// environment (`BJ_SNAPSHOT`, default on), exiting with a clear message
-/// when an override is malformed.
+/// (`BJ_SCALE`, default 1), exiting with a clear message when the
+/// override is malformed. Every run goes through the snapshot-fork path
+/// ([`Experiment::with_snapshot`]'s default).
 pub fn standard_experiment() -> Experiment {
     let scale = SCALE.positive().expect("BJ_SCALE has a default") as u32;
-    Experiment::new().scale(scale).with_snapshot(SNAPSHOT.flag())
+    Experiment::new().scale(scale)
 }

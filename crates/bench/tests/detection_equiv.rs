@@ -17,9 +17,12 @@
 //!   campaign.
 //!
 //! The kernels are the default sweep (gzip, fma3d, vortex, apsi) and
-//! three that stress the fork path apart from it: equake touches 1,192
+//! every other kernel the benchmark's `inject-*` workloads inject into,
+//! among them three that stress the fork path: equake touches 1,192
 //! memory pages and many L2 sets, gcc's uop slab is cut deepest by a
-//! snapshot, and perlbmk calls and returns.
+//! snapshot, and perlbmk and parser call and return. Art is left out:
+//! its `srt/art/backend:0` replay runs to the 100M-cycle budget (about
+//! 70 s in release).
 //!
 //! Equal reports cannot tell a working optimisation from a silently
 //! disabled one, so the cells run with the metrics registry on (which
@@ -28,8 +31,9 @@
 //! run of a snapshot cell is a fork, and early exit cuts exactly the
 //! runs listed in [`CELLS`] on the default sweep.
 //!
-//! The matrix takes seconds in release and many minutes in debug, so
-//! the debug suite skips it; `scripts/verify.sh` runs it with
+//! The harness has no switch for any of these paths, so the matrix is the
+//! only check of the replay path. It takes about a minute in release and
+//! far longer in debug, so the debug suite skips it; `scripts/verify.sh` runs it with
 //! `cargo test --release --offline -p blackjack-bench --test detection_equiv`.
 
 use blackjack::faults::FaultKind;
@@ -41,7 +45,21 @@ use blackjack_bench::detection::{
 };
 
 /// The kernels outside the default sweep the matrix also covers.
-const EXTRA_KERNELS: [Benchmark; 3] = [Benchmark::Equake, Benchmark::Gcc, Benchmark::Perlbmk];
+const EXTRA_KERNELS: [Benchmark; 13] = [
+    Benchmark::Equake,
+    Benchmark::Gcc,
+    Benchmark::Perlbmk,
+    Benchmark::Swim,
+    Benchmark::Mgrid,
+    Benchmark::Applu,
+    Benchmark::Facerec,
+    Benchmark::Wupwise,
+    Benchmark::Bzip,
+    Benchmark::Crafty,
+    Benchmark::Eon,
+    Benchmark::Sixtrack,
+    Benchmark::Parser,
+];
 
 /// Each cell's (snapshot, early exit, workers), and the counts it must
 /// reach summed over the default sweep: runs cut short by activation

@@ -146,20 +146,19 @@ fn progress_hook_ticks_and_finishes_with_done() {
     }
 }
 
-/// The seven counters a `progress` record carries, in its field order:
+/// The six counters a `progress` record carries, in its field order:
 /// runs, forked runs, early exits (activation, convergence, watchdog),
-/// snapshots taken and refilled.
-const PROGRESS_COUNTERS: [Counter; 7] = [
+/// snapshots taken.
+const PROGRESS_COUNTERS: [Counter; 6] = [
     Counter::RunsSimulated,
     Counter::SnapshotForks,
     Counter::PrunedActivation,
     Counter::ExitConverged,
     Counter::ExitStalled,
     Counter::SnapshotsTaken,
-    Counter::SnapshotsRefilled,
 ];
 
-fn progress_counts(r: &MetricsRegistry) -> [u64; 7] {
+fn progress_counts(r: &MetricsRegistry) -> [u64; 6] {
     PROGRESS_COUNTERS.map(|c| r.get(c))
 }
 
@@ -181,7 +180,7 @@ fn live_ticks_read_the_registry() {
         );
         let ticks = ticks.into_inner().unwrap();
         assert!(ticks.len() > 1, "{which}: {} ticks", ticks.len());
-        let counts: Vec<[u64; 7]> = ticks
+        let counts: Vec<[u64; 6]> = ticks
             .iter()
             .map(|t| progress_counts(t.metrics.as_ref().expect("every tick carries a registry")))
             .collect();
@@ -224,7 +223,8 @@ fn gzip_counts_match_the_experiments_capture() {
     // 50/50 jobs, runs 27, forked 27/27, early exits 3/0/0.
     assert_eq!(report.tallies.len(), 50);
     assert_eq!(got(Counter::Jobs), 50);
-    assert_eq!(progress_counts(r), [27, 27, 3, 0, 0, 60, 28], "runs, forks, exits, snapshots");
+    assert_eq!(progress_counts(r), [27, 27, 3, 0, 0, 88], "runs, forks, exits, snapshots");
+    assert_eq!(got(Counter::SnapshotsRefilled), 0, "every snapshot is taken fresh");
     // Pruned 23: static 20, activation 3.
     assert_eq!((got(Counter::PrunedStatic), got(Counter::PrunedActivation)), (20, 3));
     // Exit reasons: completed 5, detected 22, nothing else.
@@ -238,4 +238,26 @@ fn gzip_counts_match_the_experiments_capture() {
     .map(got);
     assert_eq!(exits, [5, 22, 0, 0, 0]);
     assert_eq!(report.early_exits.iter().filter(|e| e.is_some()).count(), 3);
+}
+
+/// The campaign wall the `campaign` record and `bj-trace top` show spans
+/// the whole call, not only the injection fan-out: on eight workers the
+/// staged setup pass builds gzip's two groups in parallel before the
+/// fan-out starts, so the wall is at least half their summed setup and
+/// chain-building time.
+#[test]
+fn campaign_wall_covers_the_setup_pass() {
+    let report = run_detection_observed(
+        &Campaign::with_workers(8),
+        DetectionConfig::default(),
+        &[Benchmark::Gzip],
+        ObserveCtl { traced: true, metrics: true, ..Default::default() },
+    );
+    let r = report.metrics.as_ref().expect("metrics were requested");
+    let setup = Duration::from_nanos(
+        r.get(Counter::SetupNanos) + r.get(Counter::SnapshotBuildNanos),
+    );
+    let wall = report.trace.as_ref().expect("trace was requested").wall;
+    assert_eq!(r.get(Counter::Setups), 2);
+    assert!(wall >= setup / 2, "campaign wall {wall:?} below half of {setup:?} of setup");
 }

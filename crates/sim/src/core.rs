@@ -203,11 +203,8 @@ impl Context {
 /// `Clone` covers the *entire* ownership tree (contexts, queues,
 /// predictors, memory hierarchy, statistics), which is what makes
 /// [`Core::snapshot`] exact: a clone is indistinguishable from the
-/// original under every subsequent `step()`. The impl is hand-written
-/// only so `clone_from` can forward field-wise, letting each field decide
-/// what a snapshot refresh reuses: the top-level vectors refill in place,
-/// while fields with a derived `Clone`, the uop slab among them, clone
-/// afresh at their in-flight size.
+/// original under every subsequent `step()`.
+#[derive(Clone)]
 pub struct Core {
     cfg: CoreConfig,
     cycle: u64,
@@ -254,124 +251,6 @@ pub struct Core {
     /// Observability hooks; `Tracer::Off` (the default) keeps every hook
     /// a single discriminant branch — no allocation in the hot loop.
     tracer: Tracer,
-}
-
-/// Field-wise `clone_from` (see the struct docs). The destructuring in
-/// `clone_from` is deliberate: adding a field to `Core` without updating
-/// the impl is a compile error, so a snapshot refresh can never silently
-/// skip state.
-impl Clone for Core {
-    fn clone(&self) -> Core {
-        Core {
-            cfg: self.cfg.clone(),
-            cycle: self.cycle,
-            next_uid: self.next_uid,
-            slab: self.slab.clone(),
-            ctxs: self.ctxs.clone(),
-            iq: self.iq.clone(),
-            fus: self.fus.clone(),
-            mem_sys: self.mem_sys.clone(),
-            mem: self.mem.clone(),
-            sb: self.sb.clone(),
-            boq: self.boq.clone(),
-            lvq: self.lvq.clone(),
-            waylog: self.waylog.clone(),
-            dtq: self.dtq.clone(),
-            fetchq_packets: self.fetchq_packets.clone(),
-            gshare: self.gshare.clone(),
-            btb: self.btb.clone(),
-            ras: self.ras.clone(),
-            plan: self.plan.clone(),
-            stats: self.stats.clone(),
-            inflight: self.inflight.clone(),
-            halted: self.halted,
-            detection: self.detection,
-            done: self.done,
-            lead_packets: self.lead_packets,
-            trail_packets: self.trail_packets,
-            trail_packet_total: self.trail_packet_total.clone(),
-            scratch: self.scratch.clone(),
-            trail_expect_pc: self.trail_expect_pc,
-            commit_rat: self.commit_rat.clone(),
-            tmap: self.tmap.clone(),
-            last_commit_cycle: self.last_commit_cycle,
-            commit_log: self.commit_log.clone(),
-            tracer: self.tracer.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Core) {
-        let Core {
-            cfg,
-            cycle,
-            next_uid,
-            slab,
-            ctxs,
-            iq,
-            fus,
-            mem_sys,
-            mem,
-            sb,
-            boq,
-            lvq,
-            waylog,
-            dtq,
-            fetchq_packets,
-            gshare,
-            btb,
-            ras,
-            plan,
-            stats,
-            inflight,
-            halted,
-            detection,
-            done,
-            lead_packets,
-            trail_packets,
-            trail_packet_total,
-            scratch,
-            trail_expect_pc,
-            commit_rat,
-            tmap,
-            last_commit_cycle,
-            commit_log,
-            tracer,
-        } = source;
-        self.cfg.clone_from(cfg);
-        self.cycle = *cycle;
-        self.next_uid = *next_uid;
-        self.slab.clone_from(slab);
-        self.ctxs.clone_from(ctxs);
-        self.iq.clone_from(iq);
-        self.fus.clone_from(fus);
-        self.mem_sys.clone_from(mem_sys);
-        self.mem.clone_from(mem);
-        self.sb.clone_from(sb);
-        self.boq.clone_from(boq);
-        self.lvq.clone_from(lvq);
-        self.waylog.clone_from(waylog);
-        self.dtq.clone_from(dtq);
-        self.fetchq_packets.clone_from(fetchq_packets);
-        self.gshare.clone_from(gshare);
-        self.btb.clone_from(btb);
-        self.ras.clone_from(ras);
-        self.plan.clone_from(plan);
-        self.stats.clone_from(stats);
-        self.inflight.clone_from(inflight);
-        self.halted = *halted;
-        self.detection.clone_from(detection);
-        self.done = *done;
-        self.lead_packets = *lead_packets;
-        self.trail_packets = *trail_packets;
-        self.trail_packet_total.clone_from(trail_packet_total);
-        self.scratch.clone_from(scratch);
-        self.trail_expect_pc = *trail_expect_pc;
-        self.commit_rat.clone_from(commit_rat);
-        self.tmap.clone_from(tmap);
-        self.last_commit_cycle = *last_commit_cycle;
-        self.commit_log.clone_from(commit_log);
-        self.tracer.clone_from(tracer);
-    }
 }
 
 impl Core {
@@ -605,8 +484,8 @@ impl Core {
     ///
     /// A core that already finished returns its outcome again without
     /// stepping, so a caller can drive a run in slices. Wall-clock time
-    /// spent here accumulates into [`SimStats::wall_nanos`] for
-    /// throughput accounting ([`SimStats::cycles_per_sec`]).
+    /// spent here accumulates into [`SimStats::wall_nanos`] (and its twin
+    /// [`SimStats::agg_wall_nanos`]) for throughput accounting.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let t0 = std::time::Instant::now();
         let mut watchdog_fired = false;
@@ -1083,17 +962,6 @@ impl Core {
         if let Some((lf, lb)) = lead_ways {
             self.stats.coverage.record_pair(front_way != lf, back_way != lb);
             self.stats.back_div_by_fu[inst.fu_type().index()][(back_way != lb) as usize] += 1;
-            if self.stats.trace_pairs {
-                let u = self.slab.at(id);
-                self.stats.pair_trace.push(crate::stats::PairTrace {
-                    seq,
-                    fu: inst.fu_type().index(),
-                    lead: (lf, lb),
-                    trail: (front_way, back_way),
-                    trail_issue: u.issue_cycle.unwrap_or(0),
-                    packet: u.packet.unwrap_or(u64::MAX),
-                });
-            }
         }
 
         self.trail_expect_pc = next_pc;
@@ -2227,14 +2095,6 @@ impl CoreSnapshot {
     /// A fresh core continuing the snapshotted run, fault plan unchanged.
     pub fn restore(&self) -> Core {
         self.core.clone()
-    }
-
-    /// Re-freezes `core`'s current state into this snapshot in place.
-    /// Equivalent to `*self = core.snapshot()` but reuses the snapshot's
-    /// existing buffers — the periodic chain builder recycles retired
-    /// snapshots through this instead of allocating fresh ones.
-    pub fn refill_from(&mut self, core: &Core) {
-        self.core.clone_from(core);
     }
 
     /// A fresh core continuing from the snapshot point under `plan` — the

@@ -58,6 +58,6 @@ pub use predictor::{Btb, Gshare, Ras};
 pub use regfile::{CommitRat, LeadIndexedRat, RegFile};
 pub use rob::ActiveList;
 pub use srt::{Boq, BoqEntry, Lvq, LvqEntry, WayLog, WayRecord};
-pub use stats::{ExitReason, PairTrace, SimStats};
+pub use stats::{ExitReason, SimStats};
 pub use trace::{FlightEvent, FlightKind, FlightRecorder, Histogram, TraceState, Tracer, WayHeat};
 pub use uop::{PhysReg, Stage, Uop, UopId, UopSlab};

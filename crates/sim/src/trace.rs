@@ -9,8 +9,8 @@
 //!
 //! * **Occupancy histograms** ([`Histogram`]) — per-cycle occupancy of
 //!   the issue queue, DTQ, LSQ, and active list, plus the leading/trailing
-//!   slack distribution. Fixed-bucket and mergeable (like
-//!   `SimStats::merge`), so campaign workers can pool them.
+//!   slack distribution. Fixed-bucket and mergeable, so the campaign
+//!   metrics registry pools its fork catch-up histogram across workers.
 //! * **Way-utilization heatmap** ([`WayHeat`]) — issue counts per
 //!   `(context, backend way)`, the direct observable for safe-shuffle
 //!   spatial diversity: a diverse trailing thread spreads across the
@@ -186,20 +186,6 @@ impl WayHeat {
     /// Total issues recorded (both contexts).
     pub fn total(&self) -> u64 {
         self.counts.iter().map(|c| c.iter().sum::<u64>()).sum()
-    }
-
-    /// Merges another heatmap over the same FU population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FU populations differ.
-    pub fn merge(&mut self, other: &WayHeat) {
-        assert_eq!(self.fu, other.fu, "cannot merge heatmaps over different FU populations");
-        for ctx in 0..2 {
-            for (a, b) in self.counts[ctx].iter_mut().zip(&other.counts[ctx]) {
-                *a += b;
-            }
-        }
     }
 }
 
@@ -377,22 +363,6 @@ impl TraceState {
             heat: WayHeat::new(cfg.fu_counts),
             flight: FlightRecorder::new(flight_capacity),
         }
-    }
-
-    /// Merges another run's trace (histograms and heatmap pool; the flight
-    /// recorder keeps *this* run's events — pipetraces are per-incident,
-    /// not poolable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two traces were sized for different configurations.
-    pub fn merge(&mut self, other: &TraceState) {
-        self.occ_iq.merge(&other.occ_iq);
-        self.occ_dtq.merge(&other.occ_dtq);
-        self.occ_lsq.merge(&other.occ_lsq);
-        self.occ_al.merge(&other.occ_al);
-        self.slack.merge(&other.slack);
-        self.heat.merge(&other.heat);
     }
 
     /// One-line JSON object with every occupancy histogram:
@@ -624,16 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_records_and_merges() {
-        let fu = FuCounts::default();
-        let mut a = WayHeat::new(fu);
+    fn heatmap_records_per_context_and_way() {
+        let mut a = WayHeat::new(FuCounts::default());
+        a.record(0, 0);
         a.record(0, 0);
         a.record(0, 0);
         a.record(1, 1);
-        let mut b = WayHeat::new(fu);
-        b.record(0, 0);
-        b.record(1, 15);
-        a.merge(&b);
+        a.record(1, 15);
         assert_eq!(a.of_ctx(0)[0], 3);
         assert_eq!(a.of_ctx(1)[1], 1);
         assert_eq!(a.of_ctx(1)[15], 1);

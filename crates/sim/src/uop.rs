@@ -195,9 +195,7 @@ impl Uop {
 /// `inject-transient` campaign retains at once, a slab averages 119 live
 /// uops in 131 copied slots against a 418-slot high-water mark; gcc in
 /// BlackJack mode fills 959 slots early, then runs with a few dozen
-/// uops live. The derived `Clone` allocates afresh in `clone_from` too,
-/// so a refilled snapshot holds no larger slot buffer than a new one.
-/// `gens` stays whole across a clone: a squash leaves stale ids in the
+/// uops live. `gens` stays whole across a clone: a squash leaves stale ids in the
 /// in-flight list, and a slot past a clone's live prefix keeps its
 /// generation, so such an id never matches the uop the clone later puts
 /// there.
@@ -443,18 +441,10 @@ mod tests {
                     0 => {
                         sides[d] = sides[s].clone();
                         assert_eq!(sides[d].slab.high_water(), sides[s].slab.high_water());
-                    }
-                    1 => {
-                        let [a, b] = &mut sides;
-                        let (src, dst) = if s == 0 { (&*a, b) } else { (&*b, a) };
-                        dst.slab.clone_from(&src.slab);
-                        dst.live.clone_from(&src.live);
-                        dst.dead.clone_from(&src.dead);
-                        assert_eq!(dst.slab.high_water(), src.slab.high_water());
                         assert_eq!(
-                            dst.slab.slots.capacity(),
-                            dst.slab.slot_count(),
-                            "{what}: a refill keeps no larger buffer than a fresh clone"
+                            sides[d].slab.slots.capacity(),
+                            sides[d].slab.slot_count(),
+                            "{what}: a clone holds no larger buffer than the live prefix"
                         );
                     }
                     2 => {

@@ -50,22 +50,18 @@ cargo run --release -q --offline --bin bjsim -- --quiet --oracle --fault backend
 echo "== tier-1: equivalence matrix (release) =="
 # Every campaign acceleration (snapshots, early exit, worker count,
 # static pruning) must leave the detection report byte-identical to the
-# plain replay path, for hard faults on seven kernels and for transient
-# and intermittent faults with ECC on; the matrix also pins the fork and
-# early-exit counts that only working optimisations produce. The debug
-# test suite above skips it.
+# plain replay path, for hard faults on every kernel the benchmark
+# injects into and for transient and intermittent faults with ECC on;
+# the matrix also pins the fork and early-exit counts that only working
+# optimisations produce. The harness has no switch for the replay path,
+# so this is its only check. The debug test suite above skips it.
 cargo test --release -q --offline -p blackjack-bench --test detection_equiv
 
-echo "== tier-1: ext_detection wiring smoke (gzip, BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 vs defaults) =="
-# The matrix drives the campaign library; this checks that the binary
-# prints the same report with every acceleration off as with the
-# defaults.
-plain="$(BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 cargo run --release -q --offline \
-  -p blackjack-bench --bin ext_detection -- --bench gzip 2>/dev/null)"
-fast="$(cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
-[ -n "$fast" ]
-diff <(printf '%s' "$plain") <(printf '%s' "$fast")
+echo "== tier-1: benchmark package tests (release) =="
+# The benchmark builds against the library's campaign API; a change that
+# breaks its build or its own checks fails here. It builds into the
+# ignored benchmark/target.
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== tier-1: observability smoke (BJ_TRACE alone: metrics + progress) =="
 # BJ_TRACE is the only telemetry switch: a traced run must stream at

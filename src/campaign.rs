@@ -311,8 +311,7 @@ pub struct ProgressTick {
     /// Naive remaining-time estimate — `elapsed × remaining / done` —
     /// `None` before the first job retires.
     pub eta: Option<Duration>,
-    /// Cumulative job-execution time, one slot per configured worker
-    /// (like [`CampaignTrace::worker_busy`]).
+    /// Cumulative job-execution time, one slot per configured worker.
     pub busy: Vec<Duration>,
     /// A copy of the campaign's registry as it stood at this tick, when
     /// the campaign has one ([`ObserveOpts::metrics`]).
@@ -342,28 +341,6 @@ pub struct CampaignTrace {
     pub wall: Duration,
     /// One record per job, indexed like the submitted job list.
     pub timings: Vec<JobTiming>,
-}
-
-impl CampaignTrace {
-    /// Total execution time attributed to each worker (index = worker).
-    pub fn worker_busy(&self) -> Vec<Duration> {
-        let mut busy = vec![Duration::ZERO; self.workers];
-        for t in &self.timings {
-            busy[t.worker] += t.run;
-        }
-        busy
-    }
-
-    /// Fraction of the campaign wall-clock each worker spent running
-    /// jobs — the pool-imbalance observable (a healthy work-stealing
-    /// campaign keeps these near-equal and near 1.0).
-    pub fn busy_fractions(&self) -> Vec<f64> {
-        let wall = self.wall.as_secs_f64();
-        self.worker_busy()
-            .iter()
-            .map(|b| if wall == 0.0 { 0.0 } else { b.as_secs_f64() / wall })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -445,10 +422,11 @@ mod tests {
                 assert!(t.queue_wait <= trace.wall);
             }
             // Every worker's busy time fits inside the campaign wall.
-            let busy = trace.worker_busy();
-            assert_eq!(busy.len(), workers);
+            let mut busy = vec![Duration::ZERO; workers];
+            for t in &trace.timings {
+                busy[t.worker] += t.run;
+            }
             assert!(busy.iter().all(|b| *b <= trace.wall + Duration::from_millis(5)));
-            assert_eq!(trace.busy_fractions().len(), workers);
         }
     }
 
@@ -457,6 +435,6 @@ mod tests {
         let (out, trace) = timed(2, Vec::<fn() -> u8>::new());
         assert!(out.is_empty());
         assert!(trace.timings.is_empty());
-        assert!(trace.busy_fractions().iter().all(|f| *f == 0.0));
+        assert_eq!(trace.workers, 2);
     }
 }

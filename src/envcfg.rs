@@ -66,28 +66,6 @@ pub const SCALE: Knob = Knob {
     doc: "workload iteration multiplier for `fig_all` and `bj-lint`",
 };
 
-pub const PRUNE: Knob = Knob {
-    name: "BJ_PRUNE",
-    grammar: Grammar::Flag,
-    default: Some("1"),
-    doc: "skip injection sites static analysis proves never exercised",
-};
-
-pub const SNAPSHOT: Knob = Knob {
-    name: "BJ_SNAPSHOT",
-    grammar: Grammar::Flag,
-    default: Some("1"),
-    doc: "fork injection runs from snapshots of the fault-free prefix \
-          instead of replaying from cycle 0",
-};
-
-pub const EARLYEXIT: Knob = Knob {
-    name: "BJ_EARLYEXIT",
-    grammar: Grammar::Flag,
-    default: Some("1"),
-    doc: "end each injection run as soon as its verdict is decided",
-};
-
 pub const ECC: Knob = Knob {
     name: "BJ_ECC",
     grammar: Grammar::Flag,
@@ -118,17 +96,7 @@ pub const CALL_DEPTH: Knob = Knob {
 };
 
 /// Every harness knob, in README order.
-pub const KNOBS: [Knob; 9] = [
-    SCALE,
-    THREADS,
-    SNAPSHOT,
-    EARLYEXIT,
-    PRUNE,
-    FAULT_KINDS,
-    ECC,
-    TRACE,
-    CALL_DEPTH,
-];
+pub const KNOBS: [Knob; 6] = [SCALE, THREADS, FAULT_KINDS, ECC, TRACE, CALL_DEPTH];
 
 impl Knob {
     /// The variable's setting, or the row's default when it is unset or
@@ -470,14 +438,14 @@ mod tests {
     #[test]
     fn flags_parse_both_polarities() {
         for yes in ["1", "true", "ON", "Yes"] {
-            assert_eq!(parse_flag("BJ_PRUNE", yes), Ok(true), "{yes}");
+            assert_eq!(parse_flag("BJ_ECC", yes), Ok(true), "{yes}");
         }
         for no in ["0", "false", "off", "NO"] {
-            assert_eq!(parse_flag("BJ_PRUNE", no), Ok(false), "{no}");
+            assert_eq!(parse_flag("BJ_ECC", no), Ok(false), "{no}");
         }
         assert_eq!(
-            parse_flag("BJ_PRUNE", "maybe"),
-            Err(EnvError::NotAFlag { var: "BJ_PRUNE", value: "maybe".to_string() })
+            parse_flag("BJ_ECC", "maybe"),
+            Err(EnvError::NotAFlag { var: "BJ_ECC", value: "maybe".to_string() })
         );
     }
 
@@ -589,33 +557,6 @@ mod tests {
     // reader returns.
 
     #[test]
-    fn snapshot_flag_accepts_and_rejects_like_prune() {
-        assert_eq!(SNAPSHOT.grammar, PRUNE.grammar);
-        assert_eq!(parse_flag("BJ_SNAPSHOT", "1"), Ok(true));
-        assert_eq!(parse_flag("BJ_SNAPSHOT", "0"), Ok(false));
-        let err = parse_flag("BJ_SNAPSHOT", "fork").unwrap_err();
-        assert_eq!(err, EnvError::NotAFlag { var: "BJ_SNAPSHOT", value: "fork".to_string() });
-        assert!(err.to_string().contains("BJ_SNAPSHOT"));
-        // Unset defaults to on (the optimized path).
-        if std::env::var_os(SNAPSHOT.name).is_none() {
-            assert!(SNAPSHOT.flag());
-        }
-    }
-
-    #[test]
-    fn earlyexit_flag_accepts_and_rejects_like_snapshot() {
-        assert_eq!(EARLYEXIT.grammar, SNAPSHOT.grammar);
-        assert_eq!(parse_flag("BJ_EARLYEXIT", "on"), Ok(true));
-        assert_eq!(parse_flag("BJ_EARLYEXIT", "no"), Ok(false));
-        let err = parse_flag("BJ_EARLYEXIT", "fast").unwrap_err();
-        assert_eq!(err, EnvError::NotAFlag { var: "BJ_EARLYEXIT", value: "fast".to_string() });
-        assert!(err.to_string().contains("BJ_EARLYEXIT"));
-        if std::env::var_os(EARLYEXIT.name).is_none() {
-            assert!(EARLYEXIT.flag());
-        }
-    }
-
-    #[test]
     fn call_depth_rejects_zero_and_defaults_when_unset() {
         let Grammar::Positive { max } = CALL_DEPTH.grammar else {
             panic!("BJ_CALL_DEPTH is a positive integer")
@@ -636,8 +577,8 @@ mod tests {
     }
 
     #[test]
-    fn ecc_flag_accepts_and_rejects_like_prune() {
-        assert_eq!(ECC.grammar, PRUNE.grammar);
+    fn ecc_flag_accepts_and_rejects_both_polarities() {
+        assert_eq!(ECC.grammar, Grammar::Flag);
         assert_eq!(parse_flag("BJ_ECC", "1"), Ok(true));
         assert_eq!(parse_flag("BJ_ECC", "off"), Ok(false));
         let err = parse_flag("BJ_ECC", "secded").unwrap_err();

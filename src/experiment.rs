@@ -83,11 +83,12 @@ impl Experiment {
 
     /// Routes every run through the snapshot-fork machinery
     /// ([`Core::snapshot`] at cycle 0, then a fork) instead of driving
-    /// the constructed core directly. On by default (`BJ_SNAPSHOT`): the
-    /// figure runs are fault-free, so there is no prefix to share and no
-    /// speed to gain here, but the figures then *prove* restore-exactness
-    /// on every benchmark × mode — the tables must be byte-identical
-    /// either way.
+    /// the constructed core directly. On by default: the figure runs are
+    /// fault-free, so there is no prefix to share and no speed to gain
+    /// here, but the figures then *prove* restore-exactness on every
+    /// benchmark × mode — the tables must be byte-identical either way.
+    /// Off is the direct path `tests/determinism.rs` and the benchmark's
+    /// expected figures compare against.
     pub fn with_snapshot(mut self, snapshot: bool) -> Experiment {
         self.snapshot = snapshot;
         self

@@ -1,7 +1,7 @@
 //! # Campaign-scale metrics: a typed, mergeable, zero-overhead registry
 //!
 //! Counters, gauges, and a fixed-bucket histogram for everything a
-//! campaign does — jobs run, snapshots taken/refilled/retired, forks and
+//! campaign does — jobs run, snapshots taken/retired, forks and
 //! their catch-up cycles, per-`exit_reason` verdict counts, pruning
 //! tallies — plus wall-clock phase attribution (setup / snapshot
 //! build and fork / simulate / oracle / reassembly).
@@ -53,9 +53,13 @@ pub enum Counter {
     Setups,
     /// Injection runs actually simulated (not pruned away).
     RunsSimulated,
-    /// Snapshots taken fresh (allocator-touching).
+    /// Snapshots taken by the periodic chain builders.
     SnapshotsTaken,
-    /// Snapshots refreshed in place from the spare pool.
+    /// Always 0: the chain builder takes every snapshot fresh (it counts
+    /// under [`Counter::SnapshotsTaken`]) since copy-on-write cache
+    /// chunks, pages and BTB made a spare pool of retired snapshots
+    /// reuse almost nothing. Kept for readers of the `snapshots_refilled`
+    /// key, such as the benchmark's `snapshot.refilled` metric.
     SnapshotsRefilled,
     /// Snapshots retired by the sliding horizon / thinning.
     SnapshotsRetired,

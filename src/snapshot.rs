@@ -58,11 +58,8 @@ pub struct SnapshotChain {
 /// the campaign is observed (`BJ_TRACE` set).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
-    /// Snapshots taken from a fresh allocation.
+    /// Snapshots taken.
     pub taken: u64,
-    /// Snapshots taken by refilling a retired spare in place, reusing its
-    /// machine buffers (the periodic builder's steady state).
-    pub refilled: u64,
     /// Snapshots retired behind the sliding horizon (or thinned when the
     /// interval doubled).
     pub retired: u64,
@@ -116,16 +113,6 @@ impl SnapshotChain {
         assert!(interval > 0, "snapshot interval must be positive");
         const MAX_RETAINED: usize = 96;
         let mut interval = interval;
-        // Snapshots the sliding horizon retires go here and are refreshed
-        // in place ([`CoreSnapshot::refill_from`]) for the next pause.
-        // A refill goes through `Core::clone_from`, which refills only the
-        // top-level vectors in place and clones every other field afresh,
-        // so the uop slab (up to its last live slot), the active-list
-        // windows and the plan's usage record are no larger than in a new
-        // snapshot. Cache chunks, memory pages and the BTB table stay
-        // shared with the advancing core until it accesses the chunk or
-        // changes the page or table.
-        let mut spare: Vec<Box<CoreSnapshot>> = Vec::new();
         let mut stats = ChainStats { taken: 1, peak_retained: 1, ..ChainStats::default() };
         let mut snaps: Vec<(u64, Box<CoreSnapshot>)> =
             vec![(core.cycle(), Box::new(core.snapshot()))];
@@ -142,37 +129,20 @@ impl SnapshotChain {
                     continue;
                 }
             }
-            let snap = match spare.pop() {
-                Some(mut s) => {
-                    s.refill_from(&core);
-                    stats.refilled += 1;
-                    s
-                }
-                None => {
-                    stats.taken += 1;
-                    Box::new(core.snapshot())
-                }
-            };
-            snaps.push((core.cycle(), snap));
+            stats.taken += 1;
+            snaps.push((core.cycle(), Box::new(core.snapshot())));
             // The run so far is a lower bound on its final length N, and
             // arms are >= N/2, so anything behind cycle/2 - interval can
             // no longer be the nearest donor for any arm.
             let horizon = (core.cycle() / 2).saturating_sub(interval);
             let cut = snaps.partition_point(|&(c, _)| c < horizon);
             stats.retired += cut as u64;
-            spare.extend(snaps.drain(..cut).map(|(_, s)| s));
+            snaps.drain(..cut);
             if snaps.len() > MAX_RETAINED {
                 interval *= 2;
-                let iv = interval;
-                let kept = std::mem::take(&mut snaps);
-                for (c, s) in kept {
-                    if c % iv == 0 {
-                        snaps.push((c, s));
-                    } else {
-                        stats.retired += 1;
-                        spare.push(s);
-                    }
-                }
+                let before = snaps.len();
+                snaps.retain(|&(c, _)| c % interval == 0);
+                stats.retired += (before - snaps.len()) as u64;
             }
             stats.peak_retained = stats.peak_retained.max(snaps.len() as u64);
         }

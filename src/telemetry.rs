@@ -207,7 +207,7 @@ impl TraceWriter {
              \"done\":{},\"runs\":{},\"forked_runs\":{},\
              \"early_exits\":{{\"activation\":{a},\"convergence\":{c},\"watchdog\":{w},\
              \"total\":{}}},\
-             \"snapshots\":{{\"taken\":{},\"refilled\":{}}},\
+             \"snapshots\":{{\"taken\":{}}},\
              \"nondet\":[\"elapsed_nanos\",\"eta_nanos\",\"busy_nanos\"],\
              \"elapsed_nanos\":{},\"eta_nanos\":{eta},\"busy_nanos\":[{}]}}",
             t.jobs_done,
@@ -218,7 +218,6 @@ impl TraceWriter {
             r.get(Counter::SnapshotForks),
             a + c + w,
             r.get(Counter::SnapshotsTaken),
-            r.get(Counter::SnapshotsRefilled),
             t.elapsed.as_nanos(),
             busy.join(","),
         ));
@@ -579,14 +578,9 @@ pub struct CampaignSummary {
     pub max_queue_wait_nanos: u64,
 }
 
-/// Nearest-rank percentile of an unsorted sample (p in 0..=100).
-pub fn percentile_nanos(samples: &mut [u64], p: u64) -> u64 {
-    samples.sort_unstable();
-    sorted_percentile(samples, p)
-}
-
-/// Nearest-rank percentile of an already-sorted sample — callers taking
-/// several percentiles of one sample sort once and index repeatedly.
+/// Nearest-rank percentile (p in 0..=100) of an already-sorted sample —
+/// callers taking several percentiles of one sample sort once and index
+/// repeatedly.
 pub fn sorted_percentile(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -655,18 +649,12 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_nanos(&mut v.clone(), 50), 50);
-        assert_eq!(percentile_nanos(&mut v.clone(), 95), 95);
-        assert_eq!(percentile_nanos(&mut v, 100), 100);
-        assert_eq!(percentile_nanos(&mut [], 50), 0);
-        // The sorted-input fast path agrees with the sorting wrapper.
         let sorted: Vec<u64> = (1..=100).collect();
-        for p in [0, 1, 50, 95, 100] {
-            assert_eq!(sorted_percentile(&sorted, p), percentile_nanos(&mut sorted.clone(), p));
+        for (p, want) in [(0, 1), (1, 1), (50, 50), (95, 95), (100, 100)] {
+            assert_eq!(sorted_percentile(&sorted, p), want, "p{p}");
         }
         assert_eq!(sorted_percentile(&[], 50), 0);
-        assert_eq!(percentile_nanos(&mut [7], 50), 7);
+        assert_eq!(sorted_percentile(&[7], 50), 7);
     }
 
     #[test]
@@ -700,7 +688,6 @@ mod tests {
         r.inc(Counter::PrunedActivation);
         r.inc(Counter::ExitStalled);
         r.add(Counter::SnapshotsTaken, 3);
-        r.add(Counter::SnapshotsRefilled, 14);
         w.emit_progress(&ProgressTick {
             jobs_done: 2,
             jobs_total: 8,
@@ -732,7 +719,7 @@ mod tests {
         assert_eq!(get_u64(exits, "watchdog"), Some(1));
         assert_eq!(get_u64(exits, "total"), Some(2));
         let snaps = get_obj(&rec, "snapshots").unwrap();
-        assert_eq!(get_u64(snaps, "refilled"), Some(14));
+        assert_eq!(get_u64(snaps, "taken"), Some(3));
         assert_eq!(get_u64(&rec, "elapsed_nanos"), Some(5_000));
         assert_eq!(get_u64(&rec, "eta_nanos"), Some(15_000));
         assert_eq!(get_u64s(&rec, "busy_nanos"), Some(vec![4_000, 3_000]));
@@ -740,7 +727,7 @@ mod tests {
         assert_eq!(get_u64(&rec, "missing"), None);
         // The strip contract: deterministic prefix, balanced, no timing.
         let stripped = strip_nondet(line);
-        assert!(stripped.ends_with("\"refilled\":14}}"), "{stripped}");
+        assert!(stripped.ends_with("\"taken\":3}}"), "{stripped}");
         assert!(parse_line(&stripped).is_some(), "stripped line stays well-formed");
         assert!(!stripped.contains("elapsed_nanos"));
         let _ = std::fs::remove_file(path);

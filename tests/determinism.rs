@@ -29,12 +29,12 @@ fn experiment_tables_identical_across_worker_counts() {
 
 #[test]
 fn experiment_tables_identical_across_snapshot_paths() {
-    // The snapshot-fork machinery (`BJ_SNAPSHOT`) must be invisible in
-    // every report: tables from forked cores match direct cores. One
-    // cross-pair (direct @ 1 worker vs forked @ 8) suffices — combined
-    // with the worker-count test above (which runs the default, forked,
-    // path at 1 and 8 workers), every (path, workers) combination is
-    // pinned by transitivity.
+    // The snapshot-fork machinery (`Experiment::with_snapshot`) must be
+    // invisible in every report: tables from forked cores match direct
+    // cores. One cross-pair (direct @ 1 worker vs forked @ 8) suffices —
+    // combined with the worker-count test above (which runs the default,
+    // forked, path at 1 and 8 workers), every (path, workers)
+    // combination is pinned by transitivity.
     let direct =
         tables(&Experiment::new().with_snapshot(false).run_all_on(&Campaign::with_workers(1)));
     let forked =
