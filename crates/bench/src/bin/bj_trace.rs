@@ -31,6 +31,7 @@
 
 use std::io::Read as _;
 
+use blackjack::outln;
 use blackjack::telemetry::{
     get_bool, get_obj, get_str, get_strs, get_u64, get_u64s, parse_line, summarize_campaign,
     JsonValue, SCHEMA_VERSION,
@@ -85,7 +86,7 @@ fn main() {
     let text = read_input(path);
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     if lines.is_empty() {
-        println!("bj-trace: no telemetry lines in input (nothing to render)");
+        outln!("bj-trace: no telemetry lines in input (nothing to render)");
         return;
     }
     let records = parse_records(&text);
@@ -98,7 +99,7 @@ fn main() {
     rendered += render_flight(&records);
     rendered += render_detections(&records);
     if rendered == 0 {
-        println!("bj-trace: no recognized telemetry lines in input (nothing to render)");
+        outln!("bj-trace: no recognized telemetry lines in input (nothing to render)");
     }
 }
 
@@ -127,7 +128,7 @@ fn top_main(args: &[String]) {
     }
     if !follow {
         if render_top(&parse_records(&read_input(path))) == 0 {
-            println!("bj-trace top: no observability records in input (nothing to render)");
+            outln!("bj-trace top: no observability records in input (nothing to render)");
         }
         return;
     }
@@ -143,11 +144,11 @@ fn top_main(args: &[String]) {
         let records = parse_records(&std::fs::read_to_string(p).unwrap_or_default());
         if let Some(tick) = latest_progress(&records) {
             if last.as_ref() != Some(tick) {
-                println!("{}", progress_line(tick));
+                outln!("{}", progress_line(tick));
                 last = Some(tick.clone());
             }
             if get_bool(tick, "done") == Some(true) {
-                println!();
+                outln!();
                 render_top(&records);
                 return;
             }
@@ -198,15 +199,15 @@ fn render_top(records: &[Record]) -> usize {
     if let Some(p) = latest_progress(records) {
         rendered += 1;
         let state = if get_bool(p, "done") == Some(true) { "finished" } else { "running" };
-        println!("campaign: {state}  {}", progress_line(p));
-        println!(
+        outln!("campaign: {state}  {}", progress_line(p));
+        outln!(
             "  workers: {}  forked runs: {}/{}",
             get_u64(p, "workers").unwrap_or(0),
             get_u64(p, "forked_runs").unwrap_or(0),
             get_u64(p, "runs").unwrap_or(0),
         );
         if let Some(e) = get_obj(p, "early_exits") {
-            println!(
+            outln!(
                 "  early exits: activation {}  convergence {}  watchdog {}",
                 get_u64(e, "activation").unwrap_or(0),
                 get_u64(e, "convergence").unwrap_or(0),
@@ -216,7 +217,7 @@ fn render_top(records: &[Record]) -> usize {
         if let Some(s) = get_obj(p, "snapshots") {
             // Older streams split the takes into fresh and `refilled`.
             let taken: u64 = ["taken", "refilled"].iter().filter_map(|k| get_u64(s, k)).sum();
-            println!("  snapshots: {taken} taken");
+            outln!("  snapshots: {taken} taken");
         }
         if let (Some(busy), Some(elapsed)) =
             (get_u64s(p, "busy_nanos"), get_u64(p, "elapsed_nanos"))
@@ -228,26 +229,26 @@ fn render_top(records: &[Record]) -> usize {
                     format!("w{w} {:.0}%", 100.0 * b as f64 / elapsed.max(1) as f64)
                 })
                 .collect();
-            println!("  worker busy: {}", view.join("  "));
+            outln!("  worker busy: {}", view.join("  "));
         }
     }
     if let Some(m) = of_type(records, "metrics").into_iter().last() {
         rendered += 1;
         let wall = of_type(records, "campaign").last().and_then(|c| get_u64(c, "wall_nanos"));
-        println!();
-        println!("phase attribution (cpu time; campaign wall {}):", wall.map_or("-".into(), secs));
+        outln!();
+        outln!("phase attribution (cpu time; campaign wall {}):", wall.map_or("-".into(), secs));
         let phases: [(&str, u64); 5] =
             PHASES.map(|(name, keys)| (name, keys.iter().filter_map(|k| get_u64(m, k)).sum()));
         let total: u64 = phases.iter().map(|&(_, v)| v).sum();
         for (name, v) in phases {
             let share = v as f64 / total.max(1) as f64;
             let bar = "#".repeat((share * 32.0).round() as usize);
-            println!("  {name:<12} {:>10}  {:>5.1}%  {bar}", secs(v), share * 100.0);
+            outln!("  {name:<12} {:>10}  {:>5.1}%  {bar}", secs(v), share * 100.0);
         }
-        println!();
-        println!("metrics registry:");
+        outln!();
+        outln!("metrics registry:");
         if let Some(c) = get_obj(m, "counters") {
-            println!(
+            outln!(
                 "  jobs {}  setups {}  runs simulated {}  forks {}  pruned {} (static {} / activation {})",
                 get_u64(c, "jobs").unwrap_or(0),
                 get_u64(c, "setups").unwrap_or(0),
@@ -262,12 +263,12 @@ fn render_top(records: &[Record]) -> usize {
                 .iter()
                 .map(|k| format!("{} {}", k.trim_start_matches("exit_"), get_u64(c, k).unwrap_or(0)))
                 .collect();
-            println!("  exit reasons: {}", view.join("  "));
+            outln!("  exit reasons: {}", view.join("  "));
         }
         if let Some(h) = get_obj(m, "catchup_cycles") {
             let total = get_u64(h, "total").unwrap_or(0);
             if total > 0 {
-                println!("  fork catch-up: {total} forks measured (histogram in stream)");
+                outln!("  fork catch-up: {total} forks measured (histogram in stream)");
             }
         }
     }
@@ -279,7 +280,7 @@ fn render_meta(records: &[Record]) -> usize {
     for m in &metas {
         let tool = get_str(m, "tool").unwrap_or_default();
         let schema = get_u64(m, "schema").unwrap_or(0);
-        println!("trace: tool={tool} schema={schema}");
+        outln!("trace: tool={tool} schema={schema}");
         // Older schemas are a strict subset of the current one (v2 only
         // added record types), so only a *newer* stream merits a warning.
         if schema > SCHEMA_VERSION {
@@ -298,16 +299,16 @@ fn ms(nanos: u64) -> String {
 
 fn render_campaign(lines: &[&str]) -> usize {
     let Some(s) = summarize_campaign(lines) else { return 0 };
-    println!();
-    println!("campaign: {} jobs on {} workers, wall {}", s.jobs, s.workers, ms(s.wall_nanos));
-    println!("  job latency: p50 {}  p95 {}  max {}", ms(s.p50_nanos), ms(s.p95_nanos), ms(s.max_nanos));
+    outln!();
+    outln!("campaign: {} jobs on {} workers, wall {}", s.jobs, s.workers, ms(s.wall_nanos));
+    outln!("  job latency: p50 {}  p95 {}  max {}", ms(s.p50_nanos), ms(s.p95_nanos), ms(s.max_nanos));
     if !s.max_label.is_empty() {
-        println!("  slowest job: {}", s.max_label);
+        outln!("  slowest job: {}", s.max_label);
     }
-    println!("  max queue wait: {}", ms(s.max_queue_wait_nanos));
+    outln!("  max queue wait: {}", ms(s.max_queue_wait_nanos));
     let busy: Vec<String> =
         s.busy.iter().enumerate().map(|(w, b)| format!("w{w} {:.0}%", b * 100.0)).collect();
-    println!("  worker busy: {}", busy.join("  "));
+    outln!("  worker busy: {}", busy.join("  "));
     1
 }
 
@@ -316,8 +317,8 @@ fn render_runs(records: &[Record]) -> usize {
     if runs.is_empty() {
         return 0;
     }
-    println!();
-    println!("{:<28} {:>12} {:>12} {:>8} {:>10}", "run", "cycles", "committed", "ipc", "exit");
+    outln!();
+    outln!("{:<28} {:>12} {:>12} {:>8} {:>10}", "run", "cycles", "committed", "ipc", "exit");
     for r in &runs {
         let label = get_str(r, "label").unwrap_or_default();
         let stats = get_obj(r, "stats").unwrap_or_default();
@@ -327,7 +328,7 @@ fn render_runs(records: &[Record]) -> usize {
         // Additive field: streams from before the early-exit layer
         // simply show "-".
         let exit = get_str(stats, "exit_reason").unwrap_or("-");
-        println!("{label:<28} {cycles:>12} {committed:>12} {ipc:>8.3} {exit:>10}");
+        outln!("{label:<28} {cycles:>12} {committed:>12} {ipc:>8.3} {exit:>10}");
     }
     runs.len()
 }
@@ -340,14 +341,14 @@ fn render_heatmaps(records: &[Record]) -> usize {
         let lead = get_u64s(m, "lead").unwrap_or_default();
         let trail = get_u64s(m, "trail").unwrap_or_default();
         let max = lead.iter().chain(trail.iter()).copied().max().unwrap_or(0).max(1);
-        println!();
-        println!("way utilization: {label}");
-        println!("  {:<12} {:>4} {:>10} {:>10}  lead+trail", "class", "way", "lead", "trail");
+        outln!();
+        outln!("way utilization: {label}");
+        outln!("  {:<12} {:>4} {:>10} {:>10}  lead+trail", "class", "way", "lead", "trail");
         for (w, name) in ways.iter().enumerate() {
             let l = lead.get(w).copied().unwrap_or(0);
             let t = trail.get(w).copied().unwrap_or(0);
             let bar_len = (((l + t) as f64 / (2 * max) as f64) * 40.0).round() as usize;
-            println!(
+            outln!(
                 "  {:<12} {:>4} {:>10} {:>10}  {}",
                 name,
                 w,
@@ -427,15 +428,15 @@ fn render_flight(records: &[Record]) -> usize {
     let start = last_cycle.saturating_sub(TIMELINE_CYCLES.saturating_sub(1));
     let width = (last_cycle - start + 1) as usize;
 
-    println!();
-    println!(
+    outln!();
+    outln!(
         "flight recorder: {} events, {} uops, cycles {start}..{last_cycle}",
         events.len(),
         rows.len()
     );
-    println!("  stages: F fetch  D dispatch  I issue  X complete  C commit  ! detect");
+    outln!("  stages: F fetch  D dispatch  I issue  X complete  C commit  ! detect");
     let header = format!("  {:<6} {:>3} {:>6} {:>6} {:>4} {:>3}", "uid", "ctx", "seq", "pc", "way", "fil");
-    println!("{header}  |cycle {start}");
+    outln!("{header}  |cycle {start}");
     for r in &rows {
         // Skip uops whose every stamp predates the rendered window.
         if r.stamps.iter().all(|&(c, _)| c < start) {
@@ -449,7 +450,7 @@ fn render_flight(records: &[Record]) -> usize {
         }
         let seq = r.seq.map_or("-".to_string(), |s| s.to_string());
         let way = r.way.map_or("-".to_string(), |w| w.to_string());
-        println!(
+        outln!(
             "  {:<6} {:>3} {:>6} {:>6} {:>4} {:>3}  |{}|",
             r.uid,
             r.ctx,
@@ -466,7 +467,7 @@ fn render_flight(records: &[Record]) -> usize {
         }
         let mut lane = vec![' '; width];
         lane[(cycle - start) as usize] = '!';
-        println!(
+        outln!(
             "  {:<6} {:>3} {:>6} {:>6} {:>4} {:>3}  |{}|",
             "detect",
             "-",
@@ -484,8 +485,8 @@ fn render_detections(records: &[Record]) -> usize {
     let dets = of_type(records, "detection");
     for d in &dets {
         let opt = |key: &str| get_u64(d, key).map_or("-".to_string(), |v| v.to_string());
-        println!();
-        println!(
+        outln!();
+        outln!(
             "detection: {} at cycle {} (seq {}, pc 0x{:x})",
             get_str(d, "kind").unwrap_or_default(),
             get_u64(d, "cycle").unwrap_or(0),
@@ -493,7 +494,7 @@ fn render_detections(records: &[Record]) -> usize {
             get_u64(d, "pc").unwrap_or(0)
         );
         let fronts = get_u64s(d, "front_ways").map_or("-".to_string(), |v| format!("{v:?}"));
-        println!(
+        outln!(
             "  back ways: lead {} / trail {}   front ways [lead, trail]: {}",
             opt("lead_back_way"),
             opt("trail_back_way"),

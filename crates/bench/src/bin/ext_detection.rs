@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use blackjack::sim::{Core, RunOutcome};
 use blackjack::telemetry::TraceWriter;
 use blackjack::workloads::build;
-use blackjack::{envcfg, Campaign, ProgressHook, ProgressTick};
+use blackjack::{envcfg, out, outln, Campaign, ProgressHook, ProgressTick};
 use blackjack_bench::detection::{
     armed_plan_kind, benchmarks_from_args, run_detection_observed, DetectionConfig, ObserveCtl,
     MAX_CYCLES,
@@ -69,7 +69,7 @@ fn main() {
     );
     let wall = t0.elapsed();
     let mut writer = writer.map(|w| w.into_inner().expect("trace writer poisoned"));
-    print!("{}", report.text);
+    out!("{}", report.text);
 
     // Any further BJ_FAULT_KINDS entries run their own campaign; the
     // first kind keeps the full observability surface (telemetry,
@@ -81,8 +81,8 @@ fn main() {
             &benchmarks,
             ObserveCtl::default(),
         );
-        println!();
-        print!("{}", extra.text);
+        outln!();
+        out!("{}", extra.text);
     }
 
     if let (Some(w), Some(sched)) = (writer.as_mut(), report.trace.as_ref()) {
@@ -113,7 +113,7 @@ fn main() {
         w.emit_metrics(r);
     }
 
-    println!(
+    outln!(
         "\nExpected shape: BlackJack converts SRT's silent corruptions into\n\
          detections. `benign` counts faults the program never exercised —\n\
          the same reason manufacturing test misses them. A `stuck` run is a\n\

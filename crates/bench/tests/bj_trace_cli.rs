@@ -1,7 +1,8 @@
 //! CLI behavior of `bj-trace`: graceful handling of empty and
 //! truncated traces (exit 0 with a note — an empty trace is not an
-//! error), unreadable input (exit 1), bad usage (exit 2), and the phase
-//! table `top` derives from the `metrics` record.
+//! error), unreadable input (exit 1), bad usage (exit 2), a reader that
+//! closes stdout early (exit 0), and the phase table `top` derives from
+//! the `metrics` record.
 
 use std::process::{Command, Stdio};
 
@@ -59,6 +60,32 @@ fn valid_meta_line_renders() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("tool=test"), "{stdout}");
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_leaves_the_exit_status_alone() {
+    // `bj-trace top t.jsonl | head -12` closes the pipe after a few
+    // lines. Here the read end is closed before bj-trace prints
+    // anything, so every line it writes hits the closed pipe; the render
+    // must still exit 0.
+    let dir = std::env::temp_dir().join("bj-trace-cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("closed-stdout.jsonl");
+    let lines = [
+        "{\"type\":\"campaign\",\"workers\":1,\"wall_nanos\":4000000000,\"jobs\":0}",
+        "{\"type\":\"metrics\",\"counters\":{\"jobs\":0},\"nondet\":[\"setup_nanos\"],\
+         \"setup_nanos\":1000000000}",
+    ];
+    std::fs::write(&path, lines.join("\n")).unwrap();
+    let mut child = bj_trace()
+        .arg("top")
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("bj-trace runs");
+    drop(child.stdout.take());
+    assert_eq!(child.wait().expect("bj-trace exits").code(), Some(0));
 }
 
 #[test]

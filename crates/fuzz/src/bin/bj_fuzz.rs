@@ -37,7 +37,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use blackjack::envcfg;
+use blackjack::{envcfg, outln};
 use blackjack_analysis::SiteAnalysis;
 use blackjack_faults::{FaultKind, FaultSite, HardFault};
 use blackjack_fuzz::diff::MAX_STEPS;
@@ -112,13 +112,13 @@ fn main() {
         diff_runs += 1;
         if let Err(fail) = check_fault_free(&prog) {
             failures += 1;
-            println!("iter {iter}: DIFFERENTIAL FAILURE seed={sub_seed:#x} segments={segments}");
-            println!("  {fail}");
+            outln!("iter {iter}: DIFFERENTIAL FAILURE seed={sub_seed:#x} segments={segments}");
+            outln!("  {fail}");
             let kind = fail.kind;
             let shrunk = minimize(&prog, |p| {
                 check_fault_free(p).err().is_some_and(|e| e.kind == kind)
             });
-            println!(
+            outln!(
                 "  minimized {} -> {} live instructions",
                 live_instructions(&prog),
                 live_instructions(&shrunk)
@@ -131,7 +131,7 @@ fn main() {
                 None,
             );
             match case.save(&out_dir) {
-                Ok(p) => println!("  saved {}", p.display()),
+                Ok(p) => outln!("  saved {}", p.display()),
                 Err(e) => eprintln!("  could not save case: {e}"),
             }
             continue; // fault soundness on a diverging program is noise
@@ -147,7 +147,7 @@ fn main() {
                 // Generated programs always build a CFG; treat anything
                 // else as a generator bug worth failing loudly on.
                 failures += 1;
-                println!("iter {iter}: CFG FAILURE seed={sub_seed:#x}: {e}");
+                outln!("iter {iter}: CFG FAILURE seed={sub_seed:#x}: {e}");
                 continue;
             }
         };
@@ -208,11 +208,11 @@ fn main() {
                     }
                     Err(unsound) => {
                         failures += 1;
-                        println!("iter {iter}: FAULT-SOUNDNESS FAILURE seed={sub_seed:#x}");
-                        println!("  {unsound}");
+                        outln!("iter {iter}: FAULT-SOUNDNESS FAILURE seed={sub_seed:#x}");
+                        outln!("  {unsound}");
                         let shrunk =
                             minimize(&prog, |p| fault_still_unsound(p, fault, kind, arm, ecc, &fu));
-                        println!(
+                        outln!(
                             "  minimized {} -> {} live instructions",
                             live_instructions(&prog),
                             live_instructions(&shrunk)
@@ -228,7 +228,7 @@ fn main() {
                         case.arm = arm;
                         case.ecc = ecc;
                         match case.save(&out_dir) {
-                            Ok(p) => println!("  saved {}", p.display()),
+                            Ok(p) => outln!("  saved {}", p.display()),
                             Err(e) => eprintln!("  could not save case: {e}"),
                         }
                     }
@@ -251,7 +251,7 @@ fn main() {
         }
 
         if !quiet && (iter + 1) % 50 == 0 {
-            println!("... {} iterations, {failures} failures", iter + 1);
+            outln!("... {} iterations, {failures} failures", iter + 1);
         }
     }
 
@@ -269,7 +269,7 @@ fn main() {
             match case.save(&dir) {
                 Ok(p) => {
                     if !quiet {
-                        println!("mined {} (score {score})", p.display());
+                        outln!("mined {} (score {score})", p.display());
                     }
                 }
                 Err(e) => eprintln!("could not save mined case: {e}"),
@@ -286,12 +286,12 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",");
-    println!(
+    outln!(
         "bj-fuzz: seed={seed:#x} iters={iters} kinds={kinds_label} ecc={}",
         if ecc { "on" } else { "off" }
     );
-    println!("  differential: {diff_runs} programs x 4 modes, {failures} failures");
-    println!(
+    outln!("  differential: {diff_runs} programs x 4 modes, {failures} failures");
+    outln!(
         "  faults: {fault_runs} injected; pruned-clean {pruned_clean}; guaranteed \
          [detected {} watchdog {} masked {} escaped {}]; best-effort \
          [detected {} watchdog {} masked {} escaped {}]",
@@ -305,10 +305,10 @@ fn main() {
         best_effort.escaped,
     );
     if failures > 0 {
-        println!("  FAILURES: {failures} (cases under {})", out_dir.display());
+        outln!("  FAILURES: {failures} (cases under {})", out_dir.display());
         exit(1);
     }
-    println!("  all checks passed");
+    outln!("  all checks passed");
 }
 
 /// Minimizer oracle for fault-soundness failures: does `fault` under the

@@ -1,8 +1,9 @@
 //! Bad configuration exits 2: `bj-fuzz` given a malformed flag or knob
 //! stops with status 2 before it generates a program, and its error
-//! names the flag or knob.
+//! names the flag or knob. A reader that closes stdout early leaves the
+//! exit status alone.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use blackjack::envcfg::KNOBS;
 
@@ -35,4 +36,23 @@ fn a_malformed_flag_or_knob_exits_2_before_fuzzing() {
             assert!(!stderr.contains("positive"), "{stderr}");
         }
     }
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_leaves_the_exit_status_alone() {
+    // `bj-fuzz … | head -1` closes the pipe after the first line. Here
+    // the read end is closed before bj-fuzz prints anything, so its
+    // summary hits the closed pipe; the passing run must still exit 0.
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bj-fuzz"));
+    for k in KNOBS {
+        cmd.env_remove(k.name);
+    }
+    let mut child = cmd
+        .args(["--seed", "1", "--iters", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("bj-fuzz runs");
+    drop(child.stdout.take());
+    assert_eq!(child.wait().expect("bj-fuzz exits").code(), Some(0));
 }

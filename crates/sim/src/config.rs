@@ -3,6 +3,8 @@
 use blackjack_isa::FuType;
 use blackjack_mem::MemConfig;
 
+use crate::uop::PhysReg;
+
 /// Which redundancy scheme the core runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
@@ -318,6 +320,9 @@ impl CoreConfig {
             "need at least {} physical registers",
             blackjack_isa::NUM_LOG_REGS + self.width
         );
+        // Register numbers are `PhysReg`s, and the issue queue keeps the
+        // largest one free to mark an absent operand.
+        assert!(self.phys_regs <= PhysReg::MAX as usize, "at most {} physical registers", PhysReg::MAX);
         assert!(self.lsq <= self.active_list, "LSQ cannot exceed the active list");
         assert!(self.issue_queue >= self.width, "issue queue smaller than machine width");
         if self.mode.uses_dtq() {
@@ -420,6 +425,13 @@ mod tests {
     #[should_panic]
     fn invalid_config_panics() {
         let c = CoreConfig { phys_regs: 10, ..Default::default() };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 physical registers")]
+    fn more_registers_than_register_numbers_panics() {
+        let c = CoreConfig { phys_regs: 1 << 16, ..Default::default() };
         c.validate();
     }
 

@@ -24,7 +24,7 @@ use crate::detect::{DetectionEvent, DetectionKind, RunOutcome};
 use crate::stats::ExitReason;
 use crate::dtq::{Dtq, DtqPayload};
 use crate::fu::FuPool;
-use crate::iq::IssueQueue;
+use crate::iq::{IssueQueue, Resident};
 use crate::lsq::Lsq;
 use crate::predictor::{Btb, Gshare, Ras};
 use crate::regfile::{CommitRat, LeadIndexedRat, RegFile};
@@ -33,7 +33,7 @@ use crate::shuffle::{exhaustive_shuffle, no_shuffle, safe_shuffle, ShuffleItem, 
 use crate::srt::{Boq, BoqEntry, Lvq, LvqEntry, WayLog, WayRecord};
 use crate::stats::SimStats;
 use crate::trace::{FlightEvent, FlightKind, TraceState, Tracer};
-use crate::uop::{Stage, Uop, UopId, UopSlab};
+use crate::uop::{PhysReg, Stage, Uop, UopId, UopSlab};
 
 /// Leading/single context index.
 pub const LEADING: usize = 0;
@@ -69,18 +69,16 @@ impl ShuffleItem for DtqPayload {
 /// buffer retains its high-water-mark capacity across cycles.
 #[derive(Clone, Default)]
 struct StepScratch {
-    /// Completions due this cycle.
+    /// Completions due this cycle as (uid, uop), in uid order.
     due: Vec<(u64, UopId)>,
     /// Uops issued this cycle.
     issued: Vec<UopId>,
-    /// Age-ordered issue candidates.
-    candidates: Vec<(UopId, usize)>,
     /// Per-trailing-packet operand readiness (packet id, all ready).
     packet_ready: Vec<(u64, bool)>,
     /// Trailing packets already considered for atomic issue this cycle.
     handled_packets: Vec<u64>,
-    /// Members of the atomic packet under consideration.
-    members: Vec<(UopId, usize)>,
+    /// Issue-queue positions of the atomic packet under consideration.
+    members: Vec<usize>,
     /// Backend ways allocated to the atomic packet under consideration.
     ways: Vec<usize>,
     /// Distinct trailing packets seen this issue cycle.
@@ -161,6 +159,37 @@ impl PacketTotals {
     }
 }
 
+/// An issued uop awaiting completion at cycle `done`.
+#[derive(Clone, Copy)]
+struct InFlight {
+    done: u64,
+    /// The uop's age stamp, so the due list sorts without slab lookups.
+    uid: u64,
+    id: UopId,
+}
+
+/// A split store that came due while its data register `data` (in
+/// context `ctx`) was unwritten. The producer's writeback puts it back
+/// into that cycle's completion pass; a squash purges it.
+#[derive(Clone, Copy)]
+struct ParkedStore {
+    ctx: usize,
+    data: PhysReg,
+    uid: u64,
+    id: UopId,
+}
+
+/// What late value capture at completion decided.
+enum Capture {
+    /// Values captured: the uop completes now.
+    Done,
+    /// A leading load whose overlapping older store has no data yet:
+    /// poll again next cycle.
+    Poll,
+    /// A split store whose data register is unwritten: park on it.
+    Park(PhysReg),
+}
+
 /// Per-context (per-SMT-thread) machine state.
 #[derive(Clone)]
 struct Context {
@@ -227,7 +256,15 @@ pub struct Core {
     ras: Ras,
     plan: FaultPlan,
     stats: SimStats,
-    inflight: Vec<(u64, UopId)>,
+    inflight: Vec<InFlight>,
+    /// Split stores waiting for their data register's writeback.
+    parked: Vec<ParkedStore>,
+    /// True when the last simulated cycle changed no state outside fetch:
+    /// until the next timed event, every stage but fetch would do nothing
+    /// (see [`Core::run`]).
+    idle: bool,
+    /// Cycles [`Core::run`] simulated as quiet (prologue and fetch only).
+    quiet_cycles: u64,
     halted: [bool; 2],
     detection: Option<DetectionEvent>,
     done: bool,
@@ -285,6 +322,9 @@ impl Core {
             plan,
             stats: SimStats::default(),
             inflight: Vec::new(),
+            parked: Vec::new(),
+            idle: false,
+            quiet_cycles: 0,
             halted: [false, false],
             detection: None,
             done: false,
@@ -363,14 +403,29 @@ impl Core {
         &self.stats
     }
 
-    /// One-line description of machine occupancy, for stuck-state triage.
+    /// Cycles [`Core::run`] simulated as quiet: the shared prologue and
+    /// fetch alone, because no other stage could act before the next
+    /// timed event. Kept outside [`SimStats`], so no report depends on
+    /// it.
+    pub fn quiet_cycles(&self) -> u64 {
+        self.quiet_cycles
+    }
+
+    /// One-line description of machine occupancy, for stuck-state triage,
+    /// followed by the oldest residents, in-flight uops and every parked
+    /// store. During a quiet stretch it names the cycle the core waits
+    /// for.
     pub fn debug_state(&self) -> String {
-        let mut out = format!(
-            "cycle={} halted={:?} iq={} inflight={} sb={} lvq={} boq={} dtq={} fetchq_pkts={} live_pkts={}",
-            self.cycle,
+        let mut out = format!("cycle={}", self.cycle);
+        if self.idle {
+            out += &format!(" quiet_until={}", self.next_wake());
+        }
+        out += &format!(
+            " halted={:?} iq={} inflight={} parked={} sb={} lvq={} boq={} dtq={} fetchq_pkts={} live_pkts={}",
             self.halted,
             self.iq.len(),
             self.inflight.len(),
+            self.parked.len(),
             self.sb.len(),
             self.lvq.len(),
             self.boq.len(),
@@ -391,20 +446,24 @@ impl Core {
                 c.committed_mem,
             );
         }
-        for (id, _) in self.iq.iter_aged().take(12) {
-            let u = self.slab.at(id);
+        for r in self.iq.residents().iter().take(12) {
+            let u = self.slab.at(r.id);
             out += &format!(
                 "\n  iq: ctx={} seq={} pc={:#x} {} pkt={:?} filler={} ready={}",
-                u.ctx, u.seq, u.pc, u.inst, u.packet, u.filler, self.operands_ready(id)
+                u.ctx, u.seq, u.pc, u.inst, u.packet, u.filler, self.operands_ready(r.id)
             );
         }
-        for &(done, id) in self.inflight.iter().take(6) {
-            if let Some(u) = self.slab.get(id) {
+        for f in self.inflight.iter().take(6) {
+            if let Some(u) = self.slab.get(f.id) {
                 out += &format!(
-                    "\n  inflight(done={done}): ctx={} seq={} pc={:#x} {} store_val={:?} result={:?}",
-                    u.ctx, u.seq, u.pc, u.inst, u.store_val, u.result
+                    "\n  inflight(done={}): ctx={} seq={} pc={:#x} {} store_val={:?} result={:?}",
+                    f.done, u.ctx, u.seq, u.pc, u.inst, u.store_val, u.result
                 );
             }
+        }
+        for p in &self.parked {
+            let u = self.slab.at(p.id);
+            out += &format!("\n  parked: ctx={} seq={} pc={:#x} {} data=p{}", p.ctx, u.seq, u.pc, u.inst, p.data);
         }
         out
     }
@@ -486,10 +545,24 @@ impl Core {
     /// stepping, so a caller can drive a run in slices. Wall-clock time
     /// spent here accumulates into [`SimStats::wall_nanos`] (and its twin
     /// [`SimStats::agg_wall_nanos`]) for throughput accounting.
+    ///
+    /// The result is exactly that of calling [`Core::step`] once per
+    /// cycle, but cycles in which only the clock can move are cheaper:
+    /// after a step that changed no state outside fetch, every other
+    /// stage stays idle until the earliest in-flight completion,
+    /// unpipelined-unit release or watchdog deadline, so those cycles run
+    /// only the prologue `step` shares and fetch ([`Core::quiet_cycles`]
+    /// counts them).
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let t0 = std::time::Instant::now();
         let mut watchdog_fired = false;
         while !self.done && self.detection.is_none() && self.cycle < max_cycles {
+            if self.idle {
+                self.run_quiet(max_cycles);
+                if self.detection.is_some() {
+                    break;
+                }
+            }
             self.step();
             if self.cycle - self.last_commit_cycle > WATCHDOG_CYCLES {
                 self.stats.deadlocked = true;
@@ -517,11 +590,38 @@ impl Core {
         outcome
     }
 
-    /// Simulates one cycle.
+    /// Simulates one cycle through the full pipeline: the reference
+    /// [`Core::run`]'s quiet cycles must match.
     pub fn step(&mut self) {
         if self.done || self.detection.is_some() {
             return;
         }
+        self.begin_cycle();
+        let committed = self.stats.committed;
+        self.commit();
+        if self.done || self.detection.is_some() {
+            return;
+        }
+        let mut acted = self.stats.committed != committed;
+        acted |= self.complete();
+        if self.detection.is_some() {
+            return;
+        }
+        acted |= self.issue();
+        acted |= self.dispatch();
+        if self.cfg.mode.uses_dtq() {
+            acted |= self.shuffle_stage();
+        }
+        if self.detection.is_some() {
+            return;
+        }
+        acted |= self.fetch_stage();
+        self.idle = !acted;
+    }
+
+    /// The prologue every cycle runs: the clock, the fault plan's clock
+    /// and the tracer's occupancy sample.
+    fn begin_cycle(&mut self) {
         self.cycle += 1;
         // Publish the cycle so every fault hook this step evaluates the
         // plan's temporal model (transient/intermittent presence) against
@@ -538,23 +638,45 @@ impl Core {
             });
             self.tracer.cycle_sample(self.iq.len(), self.dtq.len(), lsq, al, slack);
         }
-        self.commit();
-        if self.done || self.detection.is_some() {
-            return;
-        }
-        self.complete();
-        if self.detection.is_some() {
-            return;
-        }
-        self.issue();
-        self.dispatch();
-        if self.cfg.mode.uses_dtq() {
-            self.shuffle_stage();
-        }
-        if self.detection.is_some() {
-            return;
-        }
+    }
+
+    /// Runs fetch; true if it handed another stage work (a fetched uop, a
+    /// consumed shuffled packet) or detected.
+    fn fetch_stage(&mut self) -> bool {
+        let before = (self.next_uid, self.fetchq_packets.len());
         self.fetch();
+        self.detection.is_some() || before != (self.next_uid, self.fetchq_packets.len())
+    }
+
+    /// The quiet stretch after a step that changed nothing outside fetch.
+    ///
+    /// Commit, completion, select, dispatch and shuffle read only state
+    /// that another stage's action or a timer changes, so until the
+    /// earliest timer fires they would do nothing again: each cycle runs
+    /// the prologue and fetch alone. Fetch still runs for real, since a
+    /// blocked fetch still touches the L1I and an SRT trailing fetch
+    /// waiting on an empty BOQ still consults the frontend fault hook;
+    /// the stretch ends early the cycle it hands another stage work. The
+    /// cycle that ends the stretch runs as a full [`Core::step`].
+    fn run_quiet(&mut self, max_cycles: u64) {
+        let wake = self.next_wake().min(max_cycles);
+        while self.cycle + 1 < wake {
+            self.begin_cycle();
+            self.quiet_cycles += 1;
+            if self.fetch_stage() {
+                self.idle = false;
+                return;
+            }
+        }
+    }
+
+    /// The first cycle after this one at which a timer can hand a stage
+    /// work: an in-flight completion, an unpipelined unit's release, or
+    /// the no-commit watchdog's deadline.
+    fn next_wake(&self) -> u64 {
+        let done = self.inflight.iter().map(|f| f.done).min().unwrap_or(u64::MAX);
+        let release = self.fus.next_release(self.cycle).unwrap_or(u64::MAX);
+        done.min(release).min(self.last_commit_cycle + WATCHDOG_CYCLES + 1)
     }
 
     fn detect(&mut self, kind: DetectionKind, seq: u64, pc: u64) {
@@ -977,36 +1099,51 @@ impl Core {
 
     // --------------------------------------------------------------- complete
 
-    fn complete(&mut self) {
+    /// Completes the uops due this cycle, oldest first; true if any
+    /// completed.
+    fn complete(&mut self) -> bool {
         let cycle = self.cycle;
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
-        self.inflight.retain(|&(done, id)| {
-            if done <= cycle {
-                due.push((done, id));
+        self.inflight.retain(|f| {
+            if f.done <= cycle {
+                due.push((f.uid, f.id));
                 false
             } else {
                 true
             }
         });
         // Oldest first so the eldest mispredicted branch squashes first.
-        due.sort_by_key(|&(_, id)| self.slab.get(id).map(|u| u.uid).unwrap_or(u64::MAX));
+        due.sort_unstable_by_key(|&(uid, _)| uid);
 
-        for &(_, id) in &due {
+        let mut completed = false;
+        let mut next = 0;
+        while next < due.len() {
+            let (uid, id) = due[next];
+            next += 1;
             if !self.slab.contains(id) {
                 continue; // squashed while executing
             }
-            if !self.capture_late_values(id) {
-                // Data not produced yet: poll again next cycle.
-                self.inflight.push((cycle + 1, id));
-                continue;
+            match self.capture_late_values(id) {
+                Capture::Done => {}
+                Capture::Poll => {
+                    self.inflight.push(InFlight { done: cycle + 1, uid, id });
+                    continue;
+                }
+                Capture::Park(data) => {
+                    let ctx = self.slab.at(id).ctx;
+                    self.parked.push(ParkedStore { ctx, data, uid, id });
+                    continue;
+                }
             }
+            completed = true;
             let u = self.slab.at_mut(id);
             u.stage = Stage::Completed;
             let (ctx, dst, result) = (u.ctx, u.dst, u.result);
             let filler = u.filler;
             if let Some(d) = dst {
                 self.ctxs[ctx].regs.write(d, result.unwrap_or(0));
+                self.wake_readers(ctx, d, uid, &mut due, next);
             }
             self.trace_uop(FlightKind::Complete, id);
             if filler {
@@ -1037,6 +1174,28 @@ impl Core {
             }
         }
         self.scratch.due = due;
+        completed
+    }
+
+    /// Writeback of `d` in `ctx` by the uop `uid`: the only event that
+    /// readies a live reader. Clears the issue queue's wait marks on `d`
+    /// and puts every store parked on it back into this completion pass
+    /// at its uid position (`due[next..]` is what remains of the pass; the
+    /// producer is always older than its store).
+    fn wake_readers(&mut self, ctx: usize, d: PhysReg, uid: u64, due: &mut Vec<(u64, UopId)>, next: usize) {
+        self.iq.wake(ctx == TRAILING, d);
+        let mut k = 0;
+        while k < self.parked.len() {
+            let p = self.parked[k];
+            if p.ctx != ctx || p.data != d {
+                k += 1;
+                continue;
+            }
+            debug_assert!(p.uid > uid, "a store's data producer is older than the store");
+            self.parked.remove(k);
+            let at = next + due[next..].partition_point(|&(u, _)| u < p.uid);
+            due.insert(at, (p.uid, p.id));
+        }
     }
 
     // ----------------------------------------------------------------- squash
@@ -1082,6 +1241,8 @@ impl Core {
             self.stats.squashed += 1;
         }
         self.ctxs[ctx].lsq.squash_after(bseq);
+        let slab = &self.slab;
+        self.parked.retain(|p| slab.contains(p.id));
 
         // Fetch-queue instructions (not yet renamed).
         let (slab, stats) = (&mut self.slab, &mut self.stats);
@@ -1104,73 +1265,75 @@ impl Core {
 
     // ------------------------------------------------------------------ issue
 
-    fn issue(&mut self) {
+    /// Select: issues ready residents oldest first; true if any issued.
+    fn issue(&mut self) -> bool {
         self.fus.begin_cycle();
         let mut budget = self.cfg.width;
         let mut issued = std::mem::take(&mut self.scratch.issued);
         issued.clear();
         let mut lead_dtq_needed = 0usize;
+        let uses_dtq = self.cfg.mode.uses_dtq();
+        let atomic = self.cfg.trailing_packet_atomic && uses_dtq;
 
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        candidates.clear();
-        candidates.extend(self.iq.iter_aged());
         // Filler NOPs must move *with* their packet or the backend-way
-        // mapping safe-shuffle computed is destroyed; compute per-packet
-        // operand readiness first.
+        // mapping safe-shuffle computed is destroyed. Atomic issue moves
+        // whole packets; otherwise a filler waits on its packet's operand
+        // readiness, computed before anything issues.
         let mut packet_ready = std::mem::take(&mut self.scratch.packet_ready);
         packet_ready.clear();
-        for &(id, _) in &candidates {
-            let u = self.slab.at(id);
-            if u.ctx == TRAILING && !u.filler {
-                if let Some(p) = u.packet {
-                    let r = self.operands_ready(id);
-                    match packet_ready.iter_mut().find(|e| e.0 == p) {
-                        Some(e) => e.1 &= r,
-                        None => packet_ready.push((p, r)),
+        if !atomic {
+            for r in self.iq.residents() {
+                if r.is_trailing() && !r.is_filler() && r.packet != Resident::NO_PACKET {
+                    let ready = self.resident_ready(r);
+                    match packet_ready.iter_mut().find(|e| e.0 == r.packet) {
+                        Some(e) => e.1 &= ready,
+                        None => packet_ready.push((r.packet, ready)),
                     }
                 }
             }
         }
-        let atomic = self.cfg.trailing_packet_atomic && self.cfg.mode.uses_dtq();
         let mut handled_packets = std::mem::take(&mut self.scratch.handled_packets);
         handled_packets.clear();
         let mut members = std::mem::take(&mut self.scratch.members);
         let mut ways = std::mem::take(&mut self.scratch.ways);
-        for (id, payload_entry) in candidates.iter().copied() {
+        // Issued residents stay in the queue until select ends, so the
+        // positions stay put.
+        for at in 0..self.iq.len() {
             if budget == 0 {
                 break;
             }
-            let u = self.slab.at(id);
-            if u.stage != Stage::InQueue {
+            let r = self.iq.residents()[at];
+            if r.is_issued() {
                 continue; // already issued as part of an atomic packet
             }
-            let (ctx, fu) = (u.ctx, u.fu);
 
-            if atomic && ctx == TRAILING {
+            if atomic && r.is_trailing() {
                 // Whole-packet-or-nothing issue for trailing packets, so
                 // the intra-packet backend mapping computed by safe-shuffle
                 // is realized exactly.
-                let pid = u.packet.expect("trailing DTQ uops belong to a packet");
+                let pid = r.packet;
+                assert_ne!(pid, Resident::NO_PACKET, "trailing DTQ uops belong to a packet");
                 if handled_packets.contains(&pid) {
                     continue;
                 }
                 handled_packets.push(pid);
                 members.clear();
-                members.extend(candidates.iter().copied().filter(|&(cid, _)| {
-                    let c = self.slab.at(cid);
-                    c.ctx == TRAILING && c.packet == Some(pid)
-                }));
+                let residents = self.iq.residents();
+                members.extend(
+                    (0..residents.len())
+                        .filter(|&m| residents[m].is_trailing() && residents[m].packet == pid),
+                );
                 let total = self.trail_packet_total.get(pid).unwrap_or(members.len());
                 if members.len() != total
                     || budget < members.len()
-                    || !members.iter().all(|&(mid, _)| self.operands_ready(mid))
+                    || !members.iter().all(|&m| self.resident_ready(&residents[m]))
                 {
                     continue;
                 }
                 ways.clear();
-                for &(mid, _) in &members {
-                    match self.fus.try_alloc(self.slab.at(mid).fu, self.cycle, &self.cfg.fu_lat)
-                    {
+                for &m in &members {
+                    let fu = self.iq.residents()[m].fu;
+                    match self.fus.try_alloc(fu, self.cycle, &self.cfg.fu_lat) {
                         Some(w) => ways.push(w),
                         None => break,
                     }
@@ -1181,78 +1344,89 @@ impl Core {
                     }
                     continue;
                 }
-                for (&(mid, pe), &way) in members.iter().zip(&ways) {
-                    self.do_issue(mid, way, pe, &mut issued, &mut budget);
+                for (&m, &way) in members.iter().zip(&ways) {
+                    self.do_issue(m, way, &mut issued, &mut budget);
                 }
                 self.trail_packet_total.remove(pid);
                 continue;
             }
 
             // Non-atomic path (leading, SRT trailing, and ablations).
-            {
-                let u = self.slab.at(id);
-                if u.filler {
-                    // A filler NOP is ready when every unissued real member
-                    // of its packet is ready (it then issues in slot order
-                    // with them, preserving the mapping).
-                    let p = u.packet.expect("filler NOPs belong to a packet");
-                    if !packet_ready.iter().find(|e| e.0 == p).map(|e| e.1).unwrap_or(true) {
-                        continue;
-                    }
-                } else if !self.operands_ready(id) {
+            if r.is_filler() {
+                // A filler NOP is ready when every unissued real member
+                // of its packet is ready (it then issues in slot order
+                // with them, preserving the mapping).
+                assert_ne!(r.packet, Resident::NO_PACKET, "filler NOPs belong to a packet");
+                if !packet_ready.iter().find(|e| e.0 == r.packet).map(|e| e.1).unwrap_or(true) {
                     continue;
                 }
+            } else if !self.resident_ready(&r) {
+                continue;
             }
             // Leading issue must reserve a DTQ entry.
-            if ctx == LEADING
-                && self.cfg.mode.uses_dtq()
-                && self.dtq.free_slots() <= lead_dtq_needed
-            {
+            let leading_dtq = !r.is_trailing() && uses_dtq;
+            if leading_dtq && self.dtq.free_slots() <= lead_dtq_needed {
                 continue;
             }
-            let Some(way) = self.fus.try_alloc(fu, self.cycle, &self.cfg.fu_lat) else {
+            let Some(way) = self.fus.try_alloc(r.fu, self.cycle, &self.cfg.fu_lat) else {
                 continue;
             };
-            if ctx == LEADING && self.cfg.mode.uses_dtq() {
+            if leading_dtq {
                 lead_dtq_needed += 1;
             }
-            self.do_issue(id, way, payload_entry, &mut issued, &mut budget);
+            self.do_issue(at, way, &mut issued, &mut budget);
         }
+        self.iq.retire_issued();
         self.classify_issue_cycle(&issued);
         self.allocate_dtq_entries(&issued);
+        let any = !issued.is_empty();
         self.scratch.issued = issued;
-        self.scratch.candidates = candidates;
         self.scratch.packet_ready = packet_ready;
         self.scratch.handled_packets = handled_packets;
         self.scratch.members = members;
         self.scratch.ways = ways;
+        any
     }
 
-    /// Common issue bookkeeping: removes the uop from the queue, executes
-    /// it, and schedules completion.
-    fn do_issue(
-        &mut self,
-        id: UopId,
-        way: usize,
-        payload_entry: usize,
-        issued: &mut Vec<UopId>,
-        budget: &mut usize,
-    ) {
-        self.iq.remove(id);
+    /// Common issue bookkeeping for the resident at issue-queue position
+    /// `at`: marks it issued, executes it, and schedules completion.
+    fn do_issue(&mut self, at: usize, way: usize, issued: &mut Vec<UopId>, budget: &mut usize) {
+        let r = self.iq.residents()[at];
+        self.iq.mark_issued(at);
         *budget -= 1;
-        let latency = self.execute(id, way, payload_entry);
-        self.inflight.push((self.cycle + latency, id));
+        let id = r.id;
+        let latency = self.execute(id, way, r.entry());
+        let uid = self.slab.at(id).uid;
+        self.inflight.push(InFlight { done: self.cycle + latency, uid, id });
         issued.push(id);
-        let u = self.slab.at(id);
-        let (ctx, filler) = (u.ctx, u.filler);
+        let ctx = if r.is_trailing() { TRAILING } else { LEADING };
         self.stats.issued[ctx] += 1;
-        if filler {
+        if r.is_filler() {
             self.stats.filler_issued += 1;
         }
         if self.tracer.is_on() {
             self.tracer.issue_way(ctx, way);
             self.trace_uop(FlightKind::Issue, id);
         }
+    }
+
+    /// Select's readiness test: no gating register operand is unwritten
+    /// (the resident's wait marks), plus the load conditions, which stay
+    /// live because an older store's issue can ready a younger load
+    /// mid-cycle. Debug builds check it against [`Core::operands_ready`].
+    fn resident_ready(&self, r: &Resident) -> bool {
+        let ready = !r.waits_on_registers()
+            && (!r.is_load()
+                || if r.is_trailing() {
+                    // Trailing loads read the LVQ; the entry must have arrived.
+                    self.lvq.lookup(r.load_key).is_some()
+                } else {
+                    // Split-store disambiguation: all older stores must
+                    // have known addresses so overlap is decidable.
+                    self.ctxs[LEADING].lsq.older_stores_addr_known(r.load_key)
+                });
+        debug_assert_eq!(ready, self.operands_ready(r.id), "wait marks disagree: {r:?}");
+        ready
     }
 
     /// Readiness: operands produced plus per-kind structural conditions.
@@ -1308,7 +1482,7 @@ impl Core {
     /// payload-RAM faults, and returns its completion latency.
     ///
     /// Stores are *split*: they issue once their address operand is ready
-    /// and capture their data at completion (polling until the data
+    /// and capture their data at completion (parking until the data
     /// register is produced). Leading loads likewise compose their value at
     /// completion, so forwarding sees final store data.
     fn execute(&mut self, id: UopId, way: usize, payload_entry: usize) -> u64 {
@@ -1448,8 +1622,8 @@ impl Core {
     }
 
     /// Late value capture at completion: split-store data and leading-load
-    /// value composition. Returns false if the uop must keep polling.
-    fn capture_late_values(&mut self, id: UopId) -> bool {
+    /// value composition.
+    fn capture_late_values(&mut self, id: UopId) -> Capture {
         let u = self.slab.at(id);
         let (ctx, seq, inst, way, payload_slot) =
             (u.ctx, u.seq, u.inst, u.back_way.unwrap_or(0), u.payload_slot);
@@ -1458,7 +1632,7 @@ impl Core {
         if inst.is_store() && u.store_val.is_none() && !trailing_dtq_store {
             let Some(p) = srcs[1] else { unreachable!("store without data operand has store_val") };
             if !self.ctxs[ctx].regs.is_ready(p) {
-                return false;
+                return Capture::Park(p);
             }
             let raw = self.ctxs[ctx].regs.read(p);
             let data = store_data(&inst, self.fault_value(ctx, way, payload_slot, store_data(&inst, raw)));
@@ -1466,13 +1640,13 @@ impl Core {
                 self.ctxs[LEADING].lsq.set_data(seq, data);
             }
             self.slab.at_mut(id).store_val = Some(data);
-            return true;
+            return Capture::Done;
         }
         if inst.is_load() && ctx == LEADING && u.result.is_none() {
             let addr = u.eff_addr.expect("issued load has an address");
             let bytes = inst.mem_bytes().expect("memory width");
             let Some(fwd) = self.ctxs[LEADING].lsq.forward_status(seq, addr, bytes) else {
-                return false; // an overlapping older store has no data yet
+                return Capture::Poll; // an overlapping older store has no data yet
             };
             let committed = self.sb.read_through(addr, bytes, &self.mem);
             let mut raw = 0u64;
@@ -1496,9 +1670,8 @@ impl Core {
             let u = self.slab.at_mut(id);
             u.result = Some(value);
             u.ecc = ecc;
-            return true;
         }
-        true
+        Capture::Done
     }
 
     /// Figures 5/6 bookkeeping for one issue cycle.
@@ -1628,7 +1801,9 @@ impl Core {
 
     // --------------------------------------------------------------- dispatch
 
-    fn dispatch(&mut self) {
+    /// Renames and dispatches up to a machine width of fetched uops; true
+    /// if any dispatched.
+    fn dispatch(&mut self) -> bool {
         let mut budget = self.cfg.width;
         let atomic = self.cfg.trailing_packet_atomic && self.cfg.mode.uses_dtq();
         // Trailing first: it is the high-IPC drain.
@@ -1659,6 +1834,7 @@ impl Core {
                 budget -= 1;
             }
         }
+        budget < self.cfg.width
     }
 
     /// Renames and dispatches one uop; false = structural stall.
@@ -1731,6 +1907,14 @@ impl Core {
                     self.tmap.update(lp, t);
                     t
                 });
+                if let Some(t) = dst {
+                    // Freeing goes through the program-order table, so a
+                    // corrupted trailing decode can free a register a
+                    // younger resident still reads (the pair checks flag
+                    // it at commit). Reallocating it makes that reader
+                    // wait again, as the register file's ready bit says.
+                    self.iq.unwake(true, t);
+                }
                 let u = self.slab.at_mut(id);
                 u.srcs = srcs;
                 u.dst = dst;
@@ -1756,9 +1940,23 @@ impl Core {
                 self.ctxs[ctx].lsq.allocate(id, seq, inst.is_store(), inst.mem_bytes().unwrap());
             }
         }
-        let entry = self.iq.insert(id).expect("checked is_full");
-        let _ = entry;
-        self.slab.at_mut(id).stage = Stage::InQueue;
+        let u = self.slab.at_mut(id);
+        u.stage = Stage::InQueue;
+        let u = self.slab.at(id);
+        let regs = &self.ctxs[ctx].regs;
+        // Split store: only the address operand gates issue; the data
+        // operand is captured at completion.
+        let gating = if u.inst.is_store() { [u.srcs[0], None] } else { u.srcs };
+        let mut r = Resident::new(id, u.fu, ctx == TRAILING, u.filler, u.packet)
+            .gated_on(gating, |p| regs.is_ready(p));
+        if u.inst.is_load() {
+            if ctx == LEADING {
+                r = r.load(u.seq);
+            } else if let Some(ls) = u.load_seq {
+                r = r.load(ls);
+            }
+        }
+        self.iq.insert(r).expect("checked is_full");
         self.trace_uop(FlightKind::Dispatch, id);
         true
     }
@@ -1767,7 +1965,11 @@ impl Core {
 
     /// Consumes complete DTQ packets, shuffles them, and refills the
     /// trailing fetch queue. Runs well off the critical path (§4.6).
-    fn shuffle_stage(&mut self) {
+    ///
+    /// True if it took anything from the DTQ (a packet, a harvest, or
+    /// squashed entries it compacted away).
+    fn shuffle_stage(&mut self) -> bool {
+        let (dtq_len, packets) = (self.dtq.len(), self.dtq.packets_popped());
         while self.fetchq_packets.len() < 4 {
             let Some(packet) = self.dtq.pop_packet() else { break };
             self.shuffle_packet(packet);
@@ -1788,6 +1990,7 @@ impl Core {
                 }
             }
         }
+        (dtq_len, packets) != (self.dtq.len(), self.dtq.packets_popped())
     }
 
     fn shuffle_packet(&mut self, packet: Vec<DtqPayload>) {

@@ -68,10 +68,10 @@ impl FuPool {
         self.busy_until[way] = 0;
     }
 
-    /// True if the way can accept work at `cycle` (ignoring this cycle's
-    /// allocations).
-    pub fn is_available(&self, way: usize, cycle: u64) -> bool {
-        self.busy_until[way] <= cycle
+    /// The earliest cycle after `cycle` at which a busy unpipelined unit
+    /// becomes free again, if any is busy past `cycle`.
+    pub fn next_release(&self, cycle: u64) -> Option<u64> {
+        self.busy_until.iter().copied().filter(|&t| t > cycle).min()
     }
 }
 
@@ -140,9 +140,10 @@ mod tests {
         p.begin_cycle();
         let div = p.try_alloc(FuType::IntDiv, 5, &lat).unwrap();
         let alu = p.try_alloc(FuType::IntAlu, 5, &lat).unwrap();
+        assert_eq!(p.next_release(5), Some(5 + lat.int_div));
         p.undo_alloc(div);
         p.undo_alloc(alu);
-        assert!(p.is_available(div, 6), "an undone divide does not hold its unit");
+        assert_eq!(p.next_release(5), None, "an undone divide does not hold its unit");
         assert_eq!(p.try_alloc(FuType::IntDiv, 5, &lat), Some(div), "same way again");
         assert_eq!(p.try_alloc(FuType::IntAlu, 5, &lat), Some(alu));
     }
@@ -153,8 +154,23 @@ mod tests {
         let lat = FuLatencies::default();
         p.begin_cycle();
         let w = p.try_alloc(FuType::FpDiv, 0, &lat).unwrap();
-        assert!(!p.is_available(w, 1));
+        assert_eq!(p.next_release(1), Some(lat.fp_div));
         p.release(w);
-        assert!(p.is_available(w, 1));
+        assert_eq!(p.next_release(1), None);
+    }
+
+    #[test]
+    fn next_release_is_the_earliest_busy_unit_past_the_cycle() {
+        let mut p = pool();
+        let lat = FuLatencies::default();
+        p.begin_cycle();
+        assert_eq!(p.try_alloc(FuType::IntAlu, 0, &lat), Some(0));
+        assert_eq!(p.next_release(0), None, "pipelined units never hold a release");
+        p.try_alloc(FuType::IntDiv, 0, &lat).unwrap();
+        p.begin_cycle();
+        p.try_alloc(FuType::FpDiv, 3, &lat).unwrap();
+        assert_eq!(p.next_release(3), Some(3 + lat.fp_div), "12 < 20 cycles");
+        assert_eq!(p.next_release(3 + lat.fp_div), Some(lat.int_div));
+        assert_eq!(p.next_release(lat.int_div), None, "free from the release cycle on");
     }
 }

@@ -52,7 +52,7 @@ pub use config::{table1, CoreConfig, FuCounts, FuLatencies, Mode, ShuffleAlgo};
 pub use detect::{DetectionEvent, DetectionKind, RunOutcome};
 pub use dtq::{Dtq, DtqPayload};
 pub use fu::FuPool;
-pub use iq::IssueQueue;
+pub use iq::{IssueQueue, Resident};
 pub use lsq::Lsq;
 pub use predictor::{Btb, Gshare, Ras};
 pub use regfile::{CommitRat, LeadIndexedRat, RegFile};

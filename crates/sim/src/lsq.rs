@@ -23,8 +23,9 @@ pub struct LsqEntry {
 /// A program-ordered load/store queue for one context.
 ///
 /// Disambiguation is conservative: a load may issue only when every older
-/// store in the queue has executed (address and data known). Forwarding is
-/// byte-granular across all older stores.
+/// store in the queue has a known address, and composes its value at
+/// completion once every overlapping older store has its data.
+/// Forwarding is byte-granular across all older stores.
 #[derive(Debug, Clone, Default)]
 pub struct Lsq {
     entries: std::collections::VecDeque<LsqEntry>,
@@ -84,15 +85,6 @@ impl Lsq {
             .expect("executing memory op without an LSQ entry");
         e.addr = Some(addr);
         e.data = data;
-    }
-
-    /// True if every store older than `seq` has executed — the conservative
-    /// condition under which the load at `seq` may issue.
-    pub fn older_stores_done(&self, seq: u64) -> bool {
-        self.entries
-            .iter()
-            .take_while(|e| e.seq < seq)
-            .all(|e| !e.is_store || (e.addr.is_some() && e.data.is_some()))
     }
 
     /// True if every store older than `seq` has a *known address* — the
@@ -230,9 +222,9 @@ mod tests {
         let mut q = Lsq::new(4);
         q.allocate(ids[0], 0, true, 8); // store, unexecuted
         q.allocate(ids[1], 1, false, 8); // load
-        assert!(!q.older_stores_done(1));
-        q.execute(0, 100, Some(7));
-        assert!(q.older_stores_done(1));
+        assert!(!q.older_stores_addr_known(1));
+        q.execute(0, 100, None); // split store: address first, data later
+        assert!(q.older_stores_addr_known(1));
     }
 
     #[test]
@@ -241,7 +233,7 @@ mod tests {
         let mut q = Lsq::new(4);
         q.allocate(ids[0], 0, false, 8); // older load, unexecuted
         q.allocate(ids[1], 1, false, 8);
-        assert!(q.older_stores_done(1));
+        assert!(q.older_stores_addr_known(1));
     }
 
     #[test]

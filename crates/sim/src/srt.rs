@@ -61,11 +61,6 @@ impl Boq {
         self.entries.push_back(e);
     }
 
-    /// The next outcome the trailing thread will consume.
-    pub fn peek(&self) -> Option<&BoqEntry> {
-        self.entries.front()
-    }
-
     /// Consumes the next outcome (at trailing fetch of the branch).
     pub fn pop(&mut self) -> Option<BoqEntry> {
         self.entries.pop_front()
@@ -259,7 +254,8 @@ mod tests {
         b.push(BoqEntry { branch_seq: 1, taken: false, next_pc: 12 });
         assert!(b.is_full());
         assert_eq!(b.pop().unwrap().branch_seq, 0);
-        assert_eq!(b.peek().unwrap().branch_seq, 1);
+        assert_eq!(b.pop().unwrap().branch_seq, 1);
+        assert!(b.pop().is_none());
     }
 
     #[test]

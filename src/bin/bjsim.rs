@@ -40,23 +40,8 @@ use std::process::exit;
 use blackjack::faults::{AreaModel, FaultPlan, HardFault};
 use blackjack::isa::asm::assemble_named;
 use blackjack::sim::{replay_commit_log, Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo};
+use blackjack::outln;
 use blackjack::telemetry::TraceWriter;
-
-/// `println!` that stops printing, instead of panicking, once the reader
-/// has closed stdout: a reader that quits early (`bjsim … | grep -q
-/// DETECTED`) has already seen what it wanted, and the run's exit status
-/// must not depend on when it quit.
-macro_rules! outln {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
-            assert!(
-                e.kind() == std::io::ErrorKind::BrokenPipe,
-                "failed printing to stdout: {e}"
-            );
-        }
-    }};
-}
 
 fn usage() -> ! {
     eprintln!("usage: bjsim [--mode M] [--shuffle S] [--slack N] [--fault SITE:WAY[:BIT]] [--max-cycles N] [--oracle] [--quiet] <program.s>");
