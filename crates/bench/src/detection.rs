@@ -25,7 +25,9 @@
 //! is decided, by three mechanisms
 //! ([`blackjack::EarlyExit`]; the stall watchdog's window is the fixed
 //! [`blackjack::earlyexit::STALL_WINDOW`]), for which the reference pass
-//! also records site usage ([`SiteUsage`]). The library keeps the plain
+//! also records site usage ([`SiteUsage`]). The group decides once, per
+//! site, whether its job simulates ([`SiteRun`]), and trims the chain to
+//! the donors of the jobs that do. The library keeps the plain
 //! replay path — `snapshot` and `early_exit` off, every run replayed from
 //! cycle 0 to its natural end — as the reference the equivalence matrix
 //! (`tests/detection_equiv.rs`) and the benchmark's expected verdicts are
@@ -171,6 +173,21 @@ impl DetectionConfig {
     }
 }
 
+/// How a group's injection job for one site runs, decided once when the
+/// group is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteRun {
+    /// Statically proven unexercisable (`prune` on): benign, not
+    /// simulated.
+    PrunedStatic,
+    /// M1: the reference pass never exercises the site at or after its
+    /// arm: benign, not simulated.
+    PrunedActivation,
+    /// Simulated — forked from the group's chain, or replayed from cycle
+    /// 0 — under these early-exit mechanisms (none with early exit off).
+    Simulate(EarlyExit),
+}
+
 /// One (mode, benchmark) group's shared read-only state, built once per
 /// campaign and borrowed by every one of the group's injection jobs.
 pub struct DetectionGroup {
@@ -191,14 +208,14 @@ pub struct DetectionGroup {
     pub fault_free_cycles: u64,
     /// Per-site arming cycles, indexed like [`sites`].
     pub arms: Vec<u64>,
+    /// Per-site run decisions, indexed like [`sites`].
+    pub runs: Vec<SiteRun>,
     /// Periodic ([`SNAPSHOT_INTERVAL`]) snapshots of the fault-free run,
-    /// when the fork path is enabled. Behind a lock only so the group's
-    /// last job can drop it ([`DetectionGroup::release_fork_state`]);
-    /// every other job only reads it.
+    /// trimmed to the donors of the sites that simulate, when the fork
+    /// path is enabled. Behind a lock only so the group's last job can
+    /// drop it ([`DetectionGroup::release_fork_state`]); every other job
+    /// only reads it.
     pub chain: RwLock<Option<SnapshotChain>>,
-    /// Per-site last-exercise cycles from the recording reference pass —
-    /// the early-exit activation schedule (`None` with early exit off).
-    pub site_usage: Option<SiteUsage>,
 }
 
 impl DetectionGroup {
@@ -216,7 +233,8 @@ impl DetectionGroup {
     /// the caller builds it once per benchmark and shares it between the
     /// modes' groups. The fault-free pass doubles as the periodic
     /// snapshot builder on the fork path, and records site usage with
-    /// early exit on.
+    /// early exit on, from which each site's [`SiteRun`] is decided; the
+    /// chain then keeps only the donors of the sites that simulate.
     ///
     /// Setup/snapshot wall time and the chain's build accounting go to
     /// `metrics` (which may be off).
@@ -245,24 +263,27 @@ impl DetectionGroup {
         // Wall time attribution: a reference pass that builds snapshots
         // counts as snapshot time; one that only fixes the arming
         // schedule counts as setup.
-        let mut snap_nanos = 0u64;
-        let (fault_free_cycles, site_usage, chain) = if cfg.snapshot {
-            let ts = Instant::now();
+        let ts = Instant::now();
+        let (done, mut chain) = if cfg.snapshot {
             let (chain, done) = SnapshotChain::build_periodic(
                 ff,
                 SNAPSHOT_INTERVAL,
                 MAX_CYCLES,
                 Some(golden.icount()),
             );
-            snap_nanos += ts.elapsed().as_nanos() as u64;
-            (done.cycle(), done.plan().site_usage().cloned(), Some(chain))
+            (done, Some(chain))
         } else {
             assert!(ff.run(MAX_CYCLES).completed(), "fault-free runs must complete");
-            (ff.cycle(), ff.plan().site_usage().cloned(), None)
+            (ff, None)
         };
-
+        let fault_free_cycles = done.cycle();
         let arms = arming_schedule(fault_free_cycles, sites().len());
-        if let Some(chain) = &chain {
+        let runs = site_runs(cfg, &analysis, done.plan().site_usage(), &arms);
+        let mut snap_nanos = 0u64;
+        if let Some(chain) = &mut chain {
+            let simulated = arms.iter().zip(&runs).filter(|(_, r)| matches!(r, SiteRun::Simulate(_)));
+            chain.retain_donors(simulated.map(|(&arm, _)| arm));
+            snap_nanos = ts.elapsed().as_nanos() as u64;
             let s = chain.stats();
             metrics.add(Counter::SnapshotsTaken, s.taken);
             metrics.add(Counter::SnapshotsRetired, s.retired);
@@ -280,18 +301,18 @@ impl DetectionGroup {
             analysis,
             fault_free_cycles,
             arms,
+            runs,
             chain: RwLock::new(chain),
-            site_usage,
         }
     }
 
     /// One injection run: site `site_idx` of [`sites`], tallied both in
     /// the legacy detect/escape table and the CE/DUE/SDC taxonomy, with
-    /// the early-exit mechanism that decided it (if any). A pruned site
-    /// is tallied benign without simulating; an activation-pruned site
-    /// likewise (M1); otherwise the core forks from the group's chain (or
-    /// replays from cycle 0) and runs under M2 and M3 when early exit is
-    /// on.
+    /// the early-exit mechanism that decided it (if any), as the site's
+    /// [`SiteRun`] says: a pruned site is tallied benign without
+    /// simulating, an activation-pruned site likewise (M1), and otherwise
+    /// the core forks from the group's chain (or replays from cycle 0)
+    /// and runs under M2 and M3 when early exit is on.
     ///
     /// Run accounting — prune attribution, fork count/latency/catch-up
     /// distance, simulate and oracle wall time, exit reason — goes to
@@ -301,31 +322,27 @@ impl DetectionGroup {
         site_idx: usize,
         metrics: &mut Metrics,
     ) -> (DetectionTally, TaxonomyTally, Option<EarlyExitKind>) {
-        let site = sites()[site_idx];
-        if self.cfg.prune && self.analysis.prunable(site) {
-            metrics.inc(Counter::PrunedStatic);
-            return (
-                DetectionTally::pruned_site(),
-                TaxonomyTally::of(Taxonomy::Benign),
-                None,
-            );
-        }
-        let arm = self.arms[site_idx];
-        let early = match &self.site_usage {
-            Some(usage) => match EarlyExit::for_site(usage, site, arm) {
-                Ok(early) => early,
-                Err(kind) => {
-                    metrics.inc(Counter::PrunedActivation);
-                    return (
-                        DetectionTally::of(DetectionOutcome::Benign),
-                        TaxonomyTally::of(Taxonomy::Benign),
-                        Some(kind),
-                    );
-                }
-            },
-            None => EarlyExit::default(),
+        let early = match self.runs[site_idx] {
+            SiteRun::PrunedStatic => {
+                metrics.inc(Counter::PrunedStatic);
+                return (
+                    DetectionTally::pruned_site(),
+                    TaxonomyTally::of(Taxonomy::Benign),
+                    None,
+                );
+            }
+            SiteRun::PrunedActivation => {
+                metrics.inc(Counter::PrunedActivation);
+                return (
+                    DetectionTally::of(DetectionOutcome::Benign),
+                    TaxonomyTally::of(Taxonomy::Benign),
+                    Some(EarlyExitKind::Activation),
+                );
+            }
+            SiteRun::Simulate(early) => early,
         };
-        let plan = armed_plan_kind(site, arm, self.cfg.kind);
+        let arm = self.arms[site_idx];
+        let plan = armed_plan_kind(sites()[site_idx], arm, self.cfg.kind);
         let chain = self.chain.read().expect("chain lock poisoned");
         let forked = chain.is_some();
         let tf = Instant::now();
@@ -356,6 +373,31 @@ impl DetectionGroup {
             kind,
         )
     }
+}
+
+/// Each site's [`SiteRun`] (indexed like [`sites`] and `arms`): static
+/// pruning first, when `cfg.prune` is on, then M1 against the reference
+/// pass's `usage`, when it recorded one.
+fn site_runs(
+    cfg: DetectionConfig,
+    analysis: &SiteAnalysis,
+    usage: Option<&SiteUsage>,
+    arms: &[u64],
+) -> Vec<SiteRun> {
+    sites()
+        .into_iter()
+        .zip(arms)
+        .map(|(site, &arm)| {
+            if cfg.prune && analysis.prunable(site) {
+                return SiteRun::PrunedStatic;
+            }
+            match usage {
+                Some(usage) => EarlyExit::for_site(usage, site, arm)
+                    .map_or(SiteRun::PrunedActivation, SiteRun::Simulate),
+                None => SiteRun::Simulate(EarlyExit::default()),
+            }
+        })
+        .collect()
 }
 
 /// The benchmark's golden reference: a completed fault-free run of the
@@ -524,11 +566,11 @@ pub fn run_detection_observed(
     // The one schedule choice. Several workers first fill every cell in
     // a parallel setup pass, so no worker waits on another's reference
     // pass — at the price of every group's snapshot chain being live at
-    // once (211 MiB peak for 850 jobs over 34 groups on two workers,
-    // the benchmark's `inject-transient`). One worker gains nothing from
-    // that, so each group's first job fills its cell and its last job
-    // frees the chain: one chain live at a time (41 MiB for the same
-    // jobs, `inject-hard`).
+    // once (93 MiB peak for 850 jobs over 34 groups on two workers, the
+    // benchmark's `inject-transient`, with 496 snapshots held). One
+    // worker gains nothing from that, so each group's first job fills
+    // its cell and its last job frees the chain: one chain live at a
+    // time (35 MiB for the same jobs, `inject-hard`).
     if campaign.workers() > 1 {
         campaign.run_observed(
             (0..cells.len())

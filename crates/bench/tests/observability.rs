@@ -225,6 +225,9 @@ fn gzip_counts_match_the_experiments_capture() {
     assert_eq!(got(Counter::Jobs), 50);
     assert_eq!(progress_counts(r), [27, 27, 3, 0, 0, 88], "runs, forks, exits, snapshots");
     assert_eq!(got(Counter::SnapshotsRefilled), 0, "every snapshot is taken fresh");
+    // The chains keep only the donors of the 27 forked arms (25
+    // snapshots: some arms share one); every other snapshot retires.
+    assert_eq!(got(Counter::SnapshotsTaken) - got(Counter::SnapshotsRetired), 25, "donors held");
     // Pruned 23: static 20, activation 3.
     assert_eq!((got(Counter::PrunedStatic), got(Counter::PrunedActivation)), (20, 3));
     // Exit reasons: completed 5, detected 22, nothing else.

@@ -89,6 +89,24 @@ fn every_mode_matches_step_on_a_cold_start_kernel() {
 }
 
 #[test]
+fn loads_parked_on_an_older_store_match_step() {
+    // From cycle 748 on, facerec's leading loads overlap older stores
+    // whose data is not there yet: a load is parked at 11,283 of its
+    // 12,045 Single-mode cycles. Each parks on the oldest such store
+    // until that store captures its data.
+    let prog = build(Benchmark::Facerec, 1);
+    for mode in [Mode::Single, Mode::BlackJack] {
+        let cfg = CoreConfig::with_mode(mode);
+        let mut probe = Core::new(cfg.clone(), &prog, FaultPlan::new());
+        probe.run(748);
+        let dump = probe.debug_state();
+        assert!(dump.contains("parked: ctx=0") && dump.contains("store_seq="), "{mode}: {dump}");
+        let run = assert_matches_step(mode.name(), cfg, &prog, FaultPlan::new(), &[748, 4_000, MAX_CYCLES]);
+        assert!(run.finished(), "{mode}: {}", run.debug_state());
+    }
+}
+
+#[test]
 fn a_watchdog_ended_fuzz_run_matches_step() {
     // `bj-fuzz --seed 0xB1AC` with all fault kinds, iteration 283: its
     // hard frontend fault on way 2 wedges BlackJack mode, and the

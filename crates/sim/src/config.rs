@@ -3,7 +3,7 @@
 use blackjack_isa::FuType;
 use blackjack_mem::MemConfig;
 
-use crate::uop::PhysReg;
+use crate::uop::{PhysReg, Uop};
 
 /// Which redundancy scheme the core runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -336,6 +336,10 @@ impl CoreConfig {
         for t in FuType::ALL {
             assert!(self.fu_counts.of(t) >= 1, "need at least one {t} way");
         }
+        // Uops store frontend (slot) and backend way numbers as bytes,
+        // keeping the largest one free to mark no way.
+        let ways = self.width.max(self.fu_counts.total());
+        assert!(ways <= Uop::NO_WAY as usize, "at most {} ways of either kind", Uop::NO_WAY);
     }
 }
 
@@ -432,6 +436,14 @@ mod tests {
     #[should_panic(expected = "at most 65535 physical registers")]
     fn more_registers_than_register_numbers_panics() {
         let c = CoreConfig { phys_regs: 1 << 16, ..Default::default() };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 ways of either kind")]
+    fn more_backend_ways_than_way_numbers_panics() {
+        let mut c = CoreConfig::default();
+        c.fu_counts.int_alu += 256 - c.fu_counts.total();
         c.validate();
     }
 

@@ -33,7 +33,7 @@ use crate::shuffle::{exhaustive_shuffle, no_shuffle, safe_shuffle, ShuffleItem, 
 use crate::srt::{Boq, BoqEntry, Lvq, LvqEntry, WayLog, WayRecord};
 use crate::stats::SimStats;
 use crate::trace::{FlightEvent, FlightKind, TraceState, Tracer};
-use crate::uop::{PhysReg, Stage, Uop, UopId, UopSlab};
+use crate::uop::{MaybeSeq, PhysReg, Stage, Uop, UopId, UopSlab};
 
 /// Leading/single context index.
 pub const LEADING: usize = 0;
@@ -54,10 +54,10 @@ impl ShuffleItem for DtqPayload {
         self.fu
     }
     fn lead_front_way(&self) -> usize {
-        self.front_way
+        usize::from(self.front_way)
     }
     fn lead_back_way(&self) -> usize {
-        self.back_way
+        usize::from(self.back_way)
     }
 }
 
@@ -168,13 +168,24 @@ struct InFlight {
     id: UopId,
 }
 
-/// A split store that came due while its data register `data` (in
-/// context `ctx`) was unwritten. The producer's writeback puts it back
-/// into that cycle's completion pass; a squash purges it.
+/// The event a parked uop waits for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// Writeback of register `reg` in context `ctx`: a split store's
+    /// data operand.
+    Reg { ctx: usize, reg: PhysReg },
+    /// Data capture of the leading store with sequence number `seq`: the
+    /// oldest older store a leading load overlaps that has no data.
+    Store { seq: u64 },
+}
+
+/// A uop that came due but cannot capture its values until `on`
+/// happens. That event puts it back into the same cycle's completion
+/// pass at its uid position (it always comes from an older uop); a
+/// squash purges it.
 #[derive(Clone, Copy)]
-struct ParkedStore {
-    ctx: usize,
-    data: PhysReg,
+struct Parked {
+    on: Wake,
     uid: u64,
     id: UopId,
 }
@@ -183,11 +194,8 @@ struct ParkedStore {
 enum Capture {
     /// Values captured: the uop completes now.
     Done,
-    /// A leading load whose overlapping older store has no data yet:
-    /// poll again next cycle.
-    Poll,
-    /// A split store whose data register is unwritten: park on it.
-    Park(PhysReg),
+    /// A value the uop needs is not there yet: park until `Wake`.
+    Park(Wake),
 }
 
 /// Per-context (per-SMT-thread) machine state.
@@ -257,8 +265,9 @@ pub struct Core {
     plan: FaultPlan,
     stats: SimStats,
     inflight: Vec<InFlight>,
-    /// Split stores waiting for their data register's writeback.
-    parked: Vec<ParkedStore>,
+    /// Split stores waiting for their data register's writeback, and
+    /// leading loads waiting for an older store's data.
+    parked: Vec<Parked>,
     /// True when the last simulated cycle changed no state outside fetch:
     /// until the next timed event, every stage but fetch would do nothing
     /// (see [`Core::run`]).
@@ -413,8 +422,8 @@ impl Core {
 
     /// One-line description of machine occupancy, for stuck-state triage,
     /// followed by the oldest residents, in-flight uops and every parked
-    /// store. During a quiet stretch it names the cycle the core waits
-    /// for.
+    /// store and load. During a quiet stretch it names the cycle the core
+    /// waits for.
     pub fn debug_state(&self) -> String {
         let mut out = format!("cycle={}", self.cycle);
         if self.idle {
@@ -450,7 +459,7 @@ impl Core {
             let u = self.slab.at(r.id);
             out += &format!(
                 "\n  iq: ctx={} seq={} pc={:#x} {} pkt={:?} filler={} ready={}",
-                u.ctx, u.seq, u.pc, u.inst, u.packet, u.filler, self.operands_ready(r.id)
+                u.ctx, u.seq, u.pc, u.inst, u.packet.get(), u.filler, self.operands_ready(r.id)
             );
         }
         for f in self.inflight.iter().take(6) {
@@ -463,7 +472,11 @@ impl Core {
         }
         for p in &self.parked {
             let u = self.slab.at(p.id);
-            out += &format!("\n  parked: ctx={} seq={} pc={:#x} {} data=p{}", p.ctx, u.seq, u.pc, u.inst, p.data);
+            out += &format!("\n  parked: ctx={} seq={} pc={:#x} {} ", u.ctx, u.seq, u.pc, u.inst);
+            out += &match p.on {
+                Wake::Reg { reg, .. } => format!("data=p{reg}"),
+                Wake::Store { seq } => format!("store_seq={seq}"),
+            };
         }
         out
     }
@@ -528,6 +541,19 @@ impl Core {
     /// both copies evolve identically under subsequent [`Core::step`]s.
     pub fn snapshot(&self) -> CoreSnapshot {
         CoreSnapshot { core: self.clone() }
+    }
+
+    /// [`Core::snapshot`] minus the fault plan, for a donor that is only
+    /// ever [forked](CoreSnapshot::fork): a fork installs its own plan,
+    /// so the copy holds an empty one. A snapshot chain's reference pass
+    /// records site usage in its plan, a record no fork reads; its donors
+    /// leave it behind. A [`CoreSnapshot::restore`] of the copy runs on
+    /// under the empty plan.
+    pub fn snapshot_without_plan(&mut self) -> CoreSnapshot {
+        let plan = std::mem::take(&mut self.plan);
+        let snap = self.snapshot();
+        self.plan = plan;
+        snap
     }
 
     /// Runs until completion, detection, or cycle `max_cycles` (an
@@ -735,18 +761,18 @@ impl Core {
         }
         let u = self.slab.at(id);
         let way = match kind {
-            FlightKind::Fetch | FlightKind::Dispatch => u.front_way,
-            _ => u.back_way.unwrap_or(usize::MAX),
+            FlightKind::Fetch | FlightKind::Dispatch => usize::from(u.front_way),
+            _ => u.back_way.map_or(usize::MAX, usize::from),
         };
         let ev = FlightEvent {
             cycle: self.cycle,
             kind,
             uid: u.uid,
-            ctx: u.ctx,
+            ctx: usize::from(u.ctx),
             seq: u.seq,
             pc: u.pc,
             way,
-            packet: u.packet.unwrap_or(u64::MAX),
+            packet: u.packet.get().unwrap_or(u64::MAX),
             filler: u.filler,
         };
         self.tracer.event(ev);
@@ -827,7 +853,7 @@ impl Core {
         let inst = u.inst;
         let pristine = u.pristine;
         let log_dst = u.log_dst;
-        let (front_way, back_way) = (u.front_way, u.back_way.unwrap_or(usize::MAX));
+        let (front_way, back_way) = (u.front_way, u.back_way.expect("a committed uop has issued"));
         let (dst, old_dst) = (u.dst, u.old_dst);
         let (load_seq, store_seq, mem_seq) = (u.load_seq, u.store_seq, u.mem_seq);
         let (eff_addr, store_val, result) = (u.eff_addr, u.store_val, u.result);
@@ -853,7 +879,7 @@ impl Core {
                 addr: eff_addr.expect("committed store has an address"),
                 bytes: inst.mem_bytes().expect("store width"),
                 data: store_val.expect("committed store has data"),
-                seq: store_seq.expect("store seq"),
+                seq: store_seq.get().expect("store seq"),
             };
             if redundant {
                 // A defective store-buffer entry corrupts the buffered
@@ -870,7 +896,7 @@ impl Core {
             }
         }
         if inst.is_load() && redundant {
-            let load_seq = load_seq.expect("load seq");
+            let load_seq = load_seq.get().expect("load seq");
             self.lvq.push(LvqEntry {
                 load_seq,
                 addr: eff_addr.expect("committed load has an address"),
@@ -907,9 +933,13 @@ impl Core {
                 back_way,
                 fu: inst.fu_type(),
             };
-            self.dtq.record(dtq_index.expect("leading committed without a DTQ entry"), payload);
+            self.dtq.record(dtq_index.get().expect("leading committed without a DTQ entry"), payload);
         } else if redundant {
-            self.waylog.push(WayRecord { seq, front_way, back_way });
+            self.waylog.push(WayRecord {
+                seq,
+                front_way: usize::from(front_way),
+                back_way: usize::from(back_way),
+            });
         }
 
         if matches!(inst, Inst::Halt) {
@@ -962,26 +992,26 @@ impl Core {
         }
         // Way usage of the two copies, recorded with any detection so an
         // online-diagnosis layer can localize the defective unit.
+        let (front_way, back_way) = (usize::from(u.front_way), u.back_way.map(usize::from));
+        let (lead_front, lead_back) = (usize::from(u.lead_front_way), usize::from(u.lead_back_way));
         let ev_lead_back = if uses_dtq {
-            (u.lead_back_way != usize::MAX).then_some(u.lead_back_way)
+            self.lead_back_way(id)
         } else {
             self.waylog.get(seq).map(|r| r.back_way)
         };
-        let ev_trail_back = u.back_way;
         let ev_fronts = if uses_dtq {
-            (u.lead_front_way != usize::MAX).then_some((u.lead_front_way, u.front_way))
+            (u.lead_front_way != Uop::NO_WAY).then_some((lead_front, front_way))
         } else {
-            self.waylog.get(seq).map(|r| (r.front_way, u.front_way))
+            self.waylog.get(seq).map(|r| (r.front_way, front_way))
         };
-        let dw = (ev_lead_back, ev_trail_back, ev_fronts);
+        let dw = (ev_lead_back, back_way, ev_fronts);
+        let back_way = back_way.expect("a committed uop has issued");
         let inst = u.inst;
         let (dst, old_dst) = (u.dst, u.old_dst);
         let srcs = u.srcs;
-        let (load_seq, _store_seq) = (u.load_seq, u.store_seq);
+        let load_seq = u.load_seq;
         let (eff_addr, store_val) = (u.eff_addr, u.store_val);
-        let (front_way, back_way) = (u.front_way, u.back_way.unwrap_or(usize::MAX));
-        let (lead_front, lead_back) = (u.lead_front_way, u.lead_back_way);
-        let lead_next_pc = u.lead_next_pc;
+        let pred_next_pc = u.pred_next_pc;
 
         // Program-order (PC chain) check, §4.4.
         if pc != self.trail_expect_pc {
@@ -989,8 +1019,10 @@ impl Core {
             return false;
         }
 
-        // Branch-outcome verification of borrowed control flow.
-        if uses_dtq && next_pc != lead_next_pc {
+        // Branch-outcome verification of borrowed control flow: a
+        // BlackJack trailing uop's predicted next PC is the leading copy's
+        // committed one.
+        if uses_dtq && next_pc != pred_next_pc {
             self.detect_ways(DetectionKind::BranchOutcomeMismatch, seq, pc, dw.0, dw.1, dw.2);
             return false;
         }
@@ -1066,7 +1098,7 @@ impl Core {
             }
         }
         if inst.is_load() {
-            self.lvq.retire_through(load_seq.expect("load seq"));
+            self.lvq.retire_through(load_seq.get().expect("load seq"));
         }
         if inst.is_mem() {
             if !uses_dtq {
@@ -1124,26 +1156,23 @@ impl Core {
             if !self.slab.contains(id) {
                 continue; // squashed while executing
             }
-            match self.capture_late_values(id) {
-                Capture::Done => {}
-                Capture::Poll => {
-                    self.inflight.push(InFlight { done: cycle + 1, uid, id });
-                    continue;
-                }
-                Capture::Park(data) => {
-                    let ctx = self.slab.at(id).ctx;
-                    self.parked.push(ParkedStore { ctx, data, uid, id });
-                    continue;
-                }
+            if let Capture::Park(on) = self.capture_late_values(id) {
+                self.parked.push(Parked { on, uid, id });
+                continue;
             }
             completed = true;
             let u = self.slab.at_mut(id);
             u.stage = Stage::Completed;
-            let (ctx, dst, result) = (u.ctx, u.dst, u.result);
+            let (ctx, dst, result) = (usize::from(u.ctx), u.dst, u.result);
             let filler = u.filler;
             if let Some(d) = dst {
                 self.ctxs[ctx].regs.write(d, result.unwrap_or(0));
-                self.wake_readers(ctx, d, uid, &mut due, next);
+                self.iq.wake(ctx == TRAILING, d);
+                self.unpark(Wake::Reg { ctx, reg: d }, uid, &mut due, next);
+            }
+            let u = self.slab.at(id);
+            if ctx == LEADING && u.inst.is_store() {
+                self.unpark(Wake::Store { seq: u.seq }, uid, &mut due, next);
             }
             self.trace_uop(FlightKind::Complete, id);
             if filler {
@@ -1177,21 +1206,21 @@ impl Core {
         completed
     }
 
-    /// Writeback of `d` in `ctx` by the uop `uid`: the only event that
-    /// readies a live reader. Clears the issue queue's wait marks on `d`
-    /// and puts every store parked on it back into this completion pass
-    /// at its uid position (`due[next..]` is what remains of the pass; the
-    /// producer is always older than its store).
-    fn wake_readers(&mut self, ctx: usize, d: PhysReg, uid: u64, due: &mut Vec<(u64, UopId)>, next: usize) {
-        self.iq.wake(ctx == TRAILING, d);
+    /// Event `on`, caused by the completion of uop `uid`, puts every uop
+    /// parked on it back into this completion pass at its uid position
+    /// (`due[next..]` is what remains of the pass). Writeback is the only
+    /// event that readies a parked store, and an older store's data
+    /// capture the only one that readies a parked load: every older
+    /// store had executed before the load issued.
+    fn unpark(&mut self, on: Wake, uid: u64, due: &mut Vec<(u64, UopId)>, next: usize) {
         let mut k = 0;
         while k < self.parked.len() {
             let p = self.parked[k];
-            if p.ctx != ctx || p.data != d {
+            if p.on != on {
                 k += 1;
                 continue;
             }
-            debug_assert!(p.uid > uid, "a store's data producer is older than the store");
+            debug_assert!(p.uid > uid, "a parked uop waits on an older one");
             self.parked.remove(k);
             let at = next + due[next..].partition_point(|&(u, _)| u < p.uid);
             due.insert(at, (p.uid, p.id));
@@ -1230,11 +1259,11 @@ impl Core {
             if stage == Stage::Executing {
                 if let Some(w) = way {
                     if crate::config::FuLatencies::unpipelined(fu) {
-                        self.fus.release(w);
+                        self.fus.release(usize::from(w));
                     }
                 }
             }
-            if let Some(idx) = dtq_index {
+            if let Some(idx) = dtq_index.get() {
                 self.dtq.squash(idx);
             }
             self.slab.remove(id);
@@ -1435,7 +1464,7 @@ impl Core {
         if u.stage != Stage::InQueue {
             return false;
         }
-        let regs = &self.ctxs[u.ctx].regs;
+        let regs = &self.ctxs[usize::from(u.ctx)].regs;
         if u.inst.is_store() {
             // Split store: only the address operand gates issue; the data
             // operand is captured at completion.
@@ -1446,7 +1475,7 @@ impl Core {
             return false;
         }
         if u.inst.is_load() {
-            if u.ctx == LEADING {
+            if usize::from(u.ctx) == LEADING {
                 // Split-store disambiguation: all older stores must have
                 // known addresses so overlap is decidable.
                 if !self.ctxs[LEADING].lsq.older_stores_addr_known(u.seq) {
@@ -1454,13 +1483,20 @@ impl Core {
                 }
             } else {
                 // Trailing loads read the LVQ; the entry must have arrived.
-                let Some(ls) = u.load_seq else { return true };
+                let Some(ls) = u.load_seq.get() else { return true };
                 if self.lvq.lookup(ls).is_none() {
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// The backend way of the leading copy a BlackJack trailing uop
+    /// borrowed through the DTQ, if any.
+    fn lead_back_way(&self, id: UopId) -> Option<usize> {
+        let w = self.slab.at(id).lead_back_way;
+        (w != Uop::NO_WAY).then_some(usize::from(w))
     }
 
     /// Applies backend-way and payload-RAM faults to a computed value.
@@ -1487,16 +1523,15 @@ impl Core {
     /// completion, so forwarding sees final store data.
     fn execute(&mut self, id: UopId, way: usize, payload_entry: usize) -> u64 {
         let u = self.slab.at(id);
-        let (ctx, seq, pc, inst) = (u.ctx, u.seq, u.pc, u.inst);
+        let (ctx, seq, pc, inst) = (usize::from(u.ctx), u.seq, u.pc, u.inst);
         let srcs = u.srcs;
         let a = srcs[0].map(|p| self.ctxs[ctx].regs.read(p)).unwrap_or(0);
         let b = srcs[1].map(|p| self.ctxs[ctx].regs.read(p)).unwrap_or(0);
 
         {
             let u = self.slab.at_mut(id);
-            u.back_way = Some(way);
-            u.payload_slot = payload_entry;
-            u.issue_cycle = Some(self.cycle);
+            u.back_way = Some(way as u8);
+            u.payload_slot = payload_entry as u16;
             u.stage = Stage::Executing;
         }
 
@@ -1526,10 +1561,10 @@ impl Core {
                 self.ctxs[LEADING].lsq.execute(seq, addr, None);
                 let probe = self.ctxs[LEADING].lsq.forward_status(seq, addr, bytes);
                 let mem_lat = match &probe {
-                    Some(f) if f[..bytes as usize].iter().all(|b| b.is_some()) => {
+                    Ok(f) if f[..bytes as usize].iter().all(|b| b.is_some()) => {
                         self.cfg.mem.l1d.hit_latency
                     }
-                    None => self.cfg.mem.l1d.hit_latency,
+                    Err(_) => self.cfg.mem.l1d.hit_latency,
                     _ => {
                         // A corrupted L1D tag makes the lookup miss, so the
                         // load pays the L2 path — purely a timing
@@ -1547,12 +1582,10 @@ impl Core {
                 lat = self.cfg.fu_lat.agen + mem_lat;
             } else {
                 // Trailing load: LVQ access with address check.
-                let load_seq = self.slab.at(id).load_seq.expect("trailing load seq");
+                let load_seq = self.slab.at(id).load_seq.get().expect("trailing load seq");
                 let entry = *self.lvq.lookup(load_seq).expect("readiness guaranteed the entry");
                 if entry.addr != addr {
-                    let u = self.slab.at(id);
-                    let lead_back =
-                        (u.lead_back_way != usize::MAX).then_some(u.lead_back_way);
+                    let lead_back = self.lead_back_way(id);
                     self.detect_ways(
                         DetectionKind::LoadAddrMismatch,
                         seq,
@@ -1582,9 +1615,7 @@ impl Core {
                             data
                         }
                         blackjack_faults::EccOutcome::Uncorrectable => {
-                            let u = self.slab.at(id);
-                            let lead_back =
-                                (u.lead_back_way != usize::MAX).then_some(u.lead_back_way);
+                            let lead_back = self.lead_back_way(id);
                             self.detect_ways(
                                 DetectionKind::EccUncorrectable,
                                 seq,
@@ -1625,14 +1656,14 @@ impl Core {
     /// value composition.
     fn capture_late_values(&mut self, id: UopId) -> Capture {
         let u = self.slab.at(id);
-        let (ctx, seq, inst, way, payload_slot) =
-            (u.ctx, u.seq, u.inst, u.back_way.unwrap_or(0), u.payload_slot);
+        let (ctx, seq, inst) = (usize::from(u.ctx), u.seq, u.inst);
+        let (way, payload_slot) = (usize::from(u.back_way.unwrap_or(0)), usize::from(u.payload_slot));
         let srcs = u.srcs;
         let trailing_dtq_store = ctx == TRAILING && self.cfg.mode.uses_dtq();
         if inst.is_store() && u.store_val.is_none() && !trailing_dtq_store {
             let Some(p) = srcs[1] else { unreachable!("store without data operand has store_val") };
             if !self.ctxs[ctx].regs.is_ready(p) {
-                return Capture::Park(p);
+                return Capture::Park(Wake::Reg { ctx, reg: p });
             }
             let raw = self.ctxs[ctx].regs.read(p);
             let data = store_data(&inst, self.fault_value(ctx, way, payload_slot, store_data(&inst, raw)));
@@ -1645,8 +1676,9 @@ impl Core {
         if inst.is_load() && ctx == LEADING && u.result.is_none() {
             let addr = u.eff_addr.expect("issued load has an address");
             let bytes = inst.mem_bytes().expect("memory width");
-            let Some(fwd) = self.ctxs[LEADING].lsq.forward_status(seq, addr, bytes) else {
-                return Capture::Poll; // an overlapping older store has no data yet
+            let fwd = match self.ctxs[LEADING].lsq.forward_status(seq, addr, bytes) {
+                Ok(fwd) => fwd,
+                Err(store) => return Capture::Park(Wake::Store { seq: store }),
             };
             let committed = self.sb.read_through(addr, bytes, &self.mem);
             let mut raw = 0u64;
@@ -1687,22 +1719,22 @@ impl Core {
         let mut violated = false;
         for &id in issued {
             let u = self.slab.at(id);
-            if u.ctx == LEADING {
+            if usize::from(u.ctx) == LEADING {
                 lead_n += 1;
             } else {
                 trail_n += 1;
-                if let Some(p) = u.packet {
+                if let Some(p) = u.packet.get() {
                     if !packets.contains(&p) {
                         packets.push(p);
                     }
                 }
                 if !u.filler {
                     let lead_back = if self.cfg.mode.uses_dtq() {
-                        (u.lead_back_way != usize::MAX).then_some(u.lead_back_way)
+                        self.lead_back_way(id)
                     } else {
                         self.waylog.get(u.seq).map(|r| r.back_way)
                     };
-                    if lead_back == u.back_way {
+                    if lead_back == u.back_way.map(usize::from) {
                         violated = true;
                     }
                 }
@@ -1746,7 +1778,7 @@ impl Core {
         // across-packet-ordering guarantees actually require.
         let mut leading = std::mem::take(&mut self.scratch.leading);
         leading.clear();
-        leading.extend(issued.iter().copied().filter(|&id| self.slab.at(id).ctx == LEADING));
+        leading.extend(issued.iter().copied().filter(|&id| usize::from(self.slab.at(id).ctx) == LEADING));
         let n = leading.len();
         if n == 0 {
             self.scratch.leading = leading;
@@ -1790,8 +1822,8 @@ impl Core {
             let last = i + 1 == n || breaks[i + 1];
             let idx = self.dtq.allocate(last);
             let u = self.slab.at_mut(id);
-            u.dtq_index = Some(idx);
-            u.packet = Some(packet_id);
+            u.dtq_index = MaybeSeq::some(idx);
+            u.packet = MaybeSeq::some(packet_id);
         }
         self.lead_packets = packet_id + 1;
         self.scratch.leading = leading;
@@ -1871,7 +1903,7 @@ impl Core {
                     }
                 } else {
                     // Virtual→physical LSQ window for the DTQ trailing thread.
-                    let m = mem_seq.expect("trailing mem op carries mem_seq");
+                    let m = mem_seq.get().expect("trailing mem op carries mem_seq");
                     if m - self.ctxs[ctx].committed_mem >= self.cfg.lsq as u64 {
                         return false;
                     }
@@ -1947,12 +1979,12 @@ impl Core {
         // Split store: only the address operand gates issue; the data
         // operand is captured at completion.
         let gating = if u.inst.is_store() { [u.srcs[0], None] } else { u.srcs };
-        let mut r = Resident::new(id, u.fu, ctx == TRAILING, u.filler, u.packet)
+        let mut r = Resident::new(id, u.fu, ctx == TRAILING, u.filler, u.packet.get())
             .gated_on(gating, |p| regs.is_ready(p));
         if u.inst.is_load() {
             if ctx == LEADING {
                 r = r.load(u.seq);
-            } else if let Some(ls) = u.load_seq {
+            } else if let Some(ls) = u.load_seq.get() {
                 r = r.load(ls);
             }
         }
@@ -2101,7 +2133,7 @@ impl Core {
             }
 
             let seq = self.ctxs[ctx].counters[0];
-            let mut u = Uop::new(self.next_uid, ctx, seq, pc, raw, inst);
+            let mut u = Uop::new(self.next_uid, ctx, seq, pc, inst);
             u.pristine = word;
             self.next_uid += 1;
 
@@ -2109,20 +2141,20 @@ impl Core {
             let mut c = self.ctxs[ctx].counters;
             c[0] += 1;
             if inst.is_load() {
-                u.load_seq = Some(c[1]);
+                u.load_seq = MaybeSeq::some(c[1]);
                 c[1] += 1;
             }
             if inst.is_store() {
-                u.store_seq = Some(c[2]);
+                u.store_seq = MaybeSeq::some(c[2]);
                 c[2] += 1;
             }
             if inst.is_mem() {
-                u.mem_seq = Some(c[3]);
+                u.mem_seq = MaybeSeq::some(c[3]);
                 c[3] += 1;
             }
             u.cnt_after = c;
             self.ctxs[ctx].counters = c;
-            u.front_way = front_way;
+            u.front_way = front_way as u8;
 
             // Branch prediction / next-pc selection.
             let fall = pc.wrapping_add(4);
@@ -2201,12 +2233,12 @@ impl Core {
             match s {
                 Slot::Hole => {}
                 Slot::Nop(ty) => {
-                    let mut u = Uop::new(self.next_uid, TRAILING, u64::MAX, 0, 0, Inst::Nop);
+                    let mut u = Uop::new(self.next_uid, TRAILING, u64::MAX, 0, Inst::Nop);
                     self.next_uid += 1;
                     u.filler = true;
                     u.fu = ty;
-                    u.front_way = slot;
-                    u.packet = Some(packet_id);
+                    u.front_way = slot as u8;
+                    u.packet = MaybeSeq::some(packet_id);
                     let id = self.slab.insert(u);
                     self.ctxs[TRAILING].frontq.push_back(id);
                     self.trace_uop(FlightKind::Fetch, id);
@@ -2236,15 +2268,14 @@ impl Core {
                         return;
                     }
                     let inst = inst.expect("structural match implies decode");
-                    let mut u = Uop::new(self.next_uid, TRAILING, p.seq, p.pc, raw, inst);
+                    let mut u = Uop::new(self.next_uid, TRAILING, p.seq, p.pc, inst);
                     self.next_uid += 1;
-                    u.front_way = slot;
-                    u.packet = Some(packet_id);
+                    u.front_way = slot as u8;
+                    u.packet = MaybeSeq::some(packet_id);
                     u.lead_srcs = p.lead_srcs;
                     u.lead_dst = p.lead_dst;
                     u.lead_front_way = p.front_way;
                     u.lead_back_way = p.back_way;
-                    u.lead_next_pc = p.next_pc;
                     u.pred_next_pc = p.next_pc;
                     u.load_seq = p.load_seq;
                     u.store_seq = p.store_seq;
@@ -2272,9 +2303,11 @@ impl Core {
 /// and the BTB table only when an update changes an entry. Of the rest,
 /// the copy holds only what is in flight: the uop slab up to its last
 /// live slot ([`UopSlab`]) and each active list's window
-/// ([`ActiveList`]). Over the 1,305 snapshots the benchmark's
-/// `inject-transient` campaign retains at once, a snapshot copies 111
-/// KiB on average, 46 KiB of it uops. Two uses:
+/// ([`ActiveList`]). A snapshot chain's donors also leave the fault plan
+/// behind ([`Core::snapshot_without_plan`]). Over the 496 snapshots the
+/// benchmark's `inject-transient` campaign retains at once, a snapshot
+/// copies 78 KiB on the heap on average, 32 KiB of it uops, besides the
+/// 2,496-byte `Core` itself. Two uses:
 ///
 /// - [`CoreSnapshot::restore`] resumes the *same* run — stepping the
 ///   restored core is bit-identical to stepping the original.

@@ -10,10 +10,12 @@
 
 use blackjack_isa::FuType;
 
-use crate::uop::PhysReg;
+use crate::uop::{MaybeSeq, PhysReg};
 
 /// Everything a committed leading instruction deposits for its trailing
-/// copy.
+/// copy: the paper's instruction word, rename maps, way IDs and virtual
+/// indices. Way numbers are bytes and optional sequence numbers
+/// [`MaybeSeq`] words, so an entry fits 72 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtqPayload {
     /// The undecoded instruction word, pristine (as stored in memory).
@@ -28,20 +30,20 @@ pub struct DtqPayload {
     /// Program-order sequence number — the virtual active-list index.
     pub seq: u64,
     /// Load sequence number (virtual LVQ index), for loads.
-    pub load_seq: Option<u64>,
+    pub load_seq: MaybeSeq,
     /// Store sequence number, for stores.
-    pub store_seq: Option<u64>,
+    pub store_seq: MaybeSeq,
     /// Memory-op sequence number (the virtual LSQ index), for loads and
     /// stores.
-    pub mem_seq: Option<u64>,
+    pub mem_seq: MaybeSeq,
     /// Leading physical source registers (the borrowed rename maps).
     pub lead_srcs: [Option<PhysReg>; 2],
     /// Leading physical destination register.
     pub lead_dst: Option<PhysReg>,
     /// Frontend way the leading copy used.
-    pub front_way: usize,
+    pub front_way: u8,
     /// Backend way the leading copy used.
-    pub back_way: usize,
+    pub back_way: u8,
     /// FU class of the instruction.
     pub fu: FuType,
 }
@@ -246,15 +248,21 @@ mod tests {
             pc: 0x1000 + seq * 4,
             next_pc: 0x1004 + seq * 4,
             seq,
-            load_seq: None,
-            store_seq: None,
-            mem_seq: None,
+            load_seq: MaybeSeq::NONE,
+            store_seq: MaybeSeq::NONE,
+            mem_seq: MaybeSeq::NONE,
             lead_srcs: [None, None],
             lead_dst: None,
             front_way: 0,
             back_way: 0,
             fu: FuType::IntAlu,
         }
+    }
+
+    #[test]
+    fn a_payload_fits_72_bytes() {
+        // Every snapshot copies the DTQ's committed entries.
+        assert!(std::mem::size_of::<DtqPayload>() <= 72, "{}", std::mem::size_of::<DtqPayload>());
     }
 
     #[test]

@@ -259,7 +259,7 @@ mod tests {
 
     fn ids(n: usize) -> (UopSlab, Vec<UopId>) {
         let mut slab = UopSlab::new();
-        let ids = (0..n).map(|i| slab.insert(Uop::new(i as u64, 0, i as u64, 0, 0, Inst::Nop))).collect();
+        let ids = (0..n).map(|i| slab.insert(Uop::new(i as u64, 0, i as u64, 0, Inst::Nop))).collect();
         (slab, ids)
     }
 

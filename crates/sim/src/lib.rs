@@ -60,4 +60,4 @@ pub use rob::ActiveList;
 pub use srt::{Boq, BoqEntry, Lvq, LvqEntry, WayLog, WayRecord};
 pub use stats::{ExitReason, SimStats};
 pub use trace::{FlightEvent, FlightKind, FlightRecorder, Histogram, TraceState, Tracer, WayHeat};
-pub use uop::{PhysReg, Stage, Uop, UopId, UopSlab};
+pub use uop::{MaybeSeq, PhysReg, Stage, Uop, UopId, UopSlab};

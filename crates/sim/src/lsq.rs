@@ -113,10 +113,10 @@ impl Lsq {
         e.data = Some(data);
     }
 
-    /// Like [`Lsq::forward`], but returns `None` if an older store that
-    /// overlaps the load's bytes has not produced its data yet (the load
-    /// must wait).
-    pub fn forward_status(&self, seq: u64, addr: u64, bytes: u64) -> Option<[Option<u8>; 8]> {
+    /// Like [`Lsq::forward`], but fails with the sequence number of the
+    /// oldest older store that overlaps the load's bytes and has not
+    /// produced its data yet: the load waits for that store's data.
+    pub fn forward_status(&self, seq: u64, addr: u64, bytes: u64) -> Result<[Option<u8>; 8], u64> {
         for e in self.entries.iter().take_while(|e| e.seq < seq) {
             if !e.is_store || e.data.is_some() {
                 continue;
@@ -124,10 +124,10 @@ impl Lsq {
             let Some(saddr) = e.addr else { continue };
             let overlap = addr < saddr.wrapping_add(e.bytes) && saddr < addr.wrapping_add(bytes);
             if overlap {
-                return None;
+                return Err(e.seq);
             }
         }
-        Some(self.forward(seq, addr, bytes))
+        Ok(self.forward(seq, addr, bytes))
     }
 
     /// Byte-granular forwarding: returns each of the `bytes` bytes at
@@ -194,7 +194,7 @@ mod tests {
 
     fn mk_ids(n: usize) -> Vec<UopId> {
         let mut slab = UopSlab::new();
-        (0..n).map(|i| slab.insert(Uop::new(i as u64, 0, i as u64, 0, 0, Inst::Nop))).collect()
+        (0..n).map(|i| slab.insert(Uop::new(i as u64, 0, i as u64, 0, Inst::Nop))).collect()
     }
 
     #[test]
@@ -254,6 +254,28 @@ mod tests {
         // A byte outside both stores:
         let f = q.forward(2, 108, 4);
         assert_eq!(f, [None; 8]);
+    }
+
+    #[test]
+    fn a_load_waits_on_its_oldest_overlapping_store_without_data() {
+        let ids = mk_ids(5);
+        let mut q = Lsq::new(8);
+        q.allocate(ids[0], 0, true, 8);
+        q.allocate(ids[1], 1, true, 8);
+        q.allocate(ids[2], 2, true, 4);
+        q.allocate(ids[3], 3, false, 8);
+        q.execute(0, 200, None); // no data, no overlap
+        q.execute(1, 100, None); // overlaps, no data
+        q.execute(2, 104, None); // overlaps, no data
+        assert_eq!(q.forward_status(3, 100, 8), Err(1));
+        q.set_data(2, 0xaabb_ccdd);
+        assert_eq!(q.forward_status(3, 100, 8), Err(1));
+        q.set_data(1, 0x1111_1111_1111_1111);
+        let f = q.forward_status(3, 100, 8).expect("every overlapping store has data");
+        assert_eq!(f[0], Some(0x11));
+        assert_eq!(f[4], Some(0xdd));
+        // Store 0 never overlaps, so its missing data never holds the load.
+        assert_eq!(q.forward_status(3, 100, 8), Ok(q.forward(3, 100, 8)));
     }
 
     #[test]

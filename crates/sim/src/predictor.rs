@@ -67,11 +67,11 @@ impl Gshare {
 /// Direct-mapped branch target buffer for indirect jumps.
 ///
 /// The table sits behind an `Arc`: a clone shares it, and whichever copy
-/// first changes an entry copies the table then. The 1,305 snapshots the
-/// benchmark's `inject-transient` campaign retains at once hold 34
-/// tables, one per chain, where a plain table would copy all 1,024
-/// entries into each: no update after a chain's first retained snapshot
-/// changed an entry.
+/// first changes an entry copies the table then. The snapshots the
+/// benchmark's `inject-transient` campaign retains at once hold one
+/// table per chain, where a plain table would copy all 1,024 entries
+/// into each: no update after a chain's first retained snapshot changed
+/// an entry.
 #[derive(Debug, Clone)]
 pub struct Btb {
     entries: Arc<[Option<(u64, u64)>]>, // (tag pc, target)

@@ -13,9 +13,9 @@ use crate::uop::UopId;
 ///
 /// Only the window is stored: position `i` holds sequence `head_seq + i`,
 /// and the window ends at the youngest allocated entry. A clone copies
-/// just that window: the 1,305 snapshots the benchmark's
-/// `inject-transient` campaign retains at once copy 1.7 MiB of active
-/// lists, where full 512-entry lists would copy 30.6 MiB. The copy's
+/// just that window: the 496 snapshots the benchmark's
+/// `inject-transient` campaign retains at once copy 0.7 MiB of active
+/// lists, where full 512-entry lists would copy 11.6 MiB. The copy's
 /// buffer holds just the window, so a restored core's window grows back
 /// on its first allocations. A squash pops entries off the back.
 #[derive(Debug, Clone)]
@@ -120,7 +120,7 @@ mod tests {
 
     fn mk_ids(n: usize) -> Vec<UopId> {
         let mut slab = UopSlab::new();
-        (0..n).map(|i| slab.insert(Uop::new(i as u64, 0, i as u64, 0, 0, Inst::Nop))).collect()
+        (0..n).map(|i| slab.insert(Uop::new(i as u64, 0, i as u64, 0, Inst::Nop))).collect()
     }
 
     #[test]

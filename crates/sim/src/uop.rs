@@ -25,25 +25,55 @@ pub enum Stage {
     Completed,
 }
 
+/// An optional sequence number in one word: [`MaybeSeq::NONE`] (all
+/// ones) stands for none, so it takes 8 bytes where `Option<u64>` takes
+/// 16. Sequence numbers count up from 0 and never reach it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaybeSeq(u64);
+
+impl MaybeSeq {
+    /// No sequence number.
+    pub const NONE: MaybeSeq = MaybeSeq(u64::MAX);
+
+    /// Sequence number `n`.
+    pub fn some(n: u64) -> MaybeSeq {
+        debug_assert_ne!(n, u64::MAX, "a sequence number reached the sentinel");
+        MaybeSeq(n)
+    }
+
+    /// The sequence number, if any.
+    pub fn get(self) -> Option<u64> {
+        (self.0 != u64::MAX).then_some(self.0)
+    }
+
+    /// True if a sequence number is present.
+    pub fn is_some(self) -> bool {
+        self.0 != u64::MAX
+    }
+}
+
 /// One dynamic instruction (or safe-shuffle filler NOP) in flight.
+///
+/// Every snapshot copies the live uops, and commit rewrites a slot per
+/// instruction, so the record is kept compact: context, way and
+/// payload-slot numbers are bytes, and optional sequence numbers are
+/// [`MaybeSeq`] words.
 #[derive(Debug, Clone)]
 pub struct Uop {
     /// Globally unique, monotonically increasing id (age stamp).
     pub uid: u64,
     /// Context: 0 = leading/single, 1 = trailing.
-    pub ctx: usize,
+    pub ctx: u8,
     /// Per-context program-order sequence number. Filler NOPs use
     /// `u64::MAX` (they never commit).
     pub seq: u64,
     /// Fetch PC.
     pub pc: u64,
-    /// The raw instruction word as seen by this copy (after any frontend
-    /// fault corruption).
-    pub raw: u32,
     /// The pristine instruction word as stored in memory, before any
-    /// frontend corruption. The DTQ carries this copy so a leading
-    /// frontend fault cannot replicate into the trailing thread (each
-    /// copy's corruption is applied at its own fetch way).
+    /// frontend corruption (set at I-cache fetch). The DTQ carries this
+    /// copy so a leading frontend fault cannot replicate into the
+    /// trailing thread (each copy's corruption is applied at its own
+    /// fetch way).
     pub pristine: u32,
     /// The decoded instruction.
     pub inst: Inst,
@@ -68,26 +98,24 @@ pub struct Uop {
     pub lead_srcs: [Option<PhysReg>; 2],
     /// Leading physical destination register borrowed through the DTQ.
     pub lead_dst: Option<PhysReg>,
-    /// Leading copy's frontend way (for diversity accounting).
-    pub lead_front_way: usize,
-    /// Leading copy's backend way.
-    pub lead_back_way: usize,
-    /// Leading copy's committed next-PC (program-order check input).
-    pub lead_next_pc: u64,
+    /// Leading copy's frontend way (for diversity accounting;
+    /// [`Uop::NO_WAY`] outside the DTQ modes).
+    pub lead_front_way: u8,
+    /// Leading copy's backend way ([`Uop::NO_WAY`] outside the DTQ
+    /// modes).
+    pub lead_back_way: u8,
 
     // --- resource usage ---
     /// Frontend way this copy flowed through.
-    pub front_way: usize,
+    pub front_way: u8,
     /// Backend way this copy issued to (set at issue).
-    pub back_way: Option<usize>,
-    /// Cycle this uop issued.
-    pub issue_cycle: Option<u64>,
+    pub back_way: Option<u8>,
     /// Issue-queue payload-RAM entry this uop occupied (for payload-fault
     /// application at late value capture).
-    pub payload_slot: usize,
+    pub payload_slot: u16,
     /// Leading: id of the co-issue packet this uop belongs to.
     /// Trailing: id of the shuffled packet it was fetched in.
-    pub packet: Option<u64>,
+    pub packet: MaybeSeq,
     /// True for safe-shuffle filler NOPs.
     pub filler: bool,
 
@@ -108,22 +136,23 @@ pub struct Uop {
     /// Width-truncated store data (stores).
     pub store_val: Option<u64>,
 
-    // --- branch prediction (leading) ---
-    /// Next PC predicted at fetch.
+    // --- branch prediction ---
+    /// Next PC predicted at fetch. A BlackJack trailing uop's is the
+    /// leading copy's committed next PC, which its commit checks.
     pub pred_next_pc: u64,
     /// Global-history snapshot *before* this branch updated it.
     pub ghist_snapshot: u64,
 
     // --- memory ordering ---
     /// Program-order load number (loads only).
-    pub load_seq: Option<u64>,
+    pub load_seq: MaybeSeq,
     /// Program-order store number (stores only).
-    pub store_seq: Option<u64>,
+    pub store_seq: MaybeSeq,
     /// Program-order memory-op number (loads and stores; the virtual LSQ
     /// index of §4.2.1).
-    pub mem_seq: Option<u64>,
+    pub mem_seq: MaybeSeq,
     /// DTQ entry index allocated at leading issue (BlackJack modes).
-    pub dtq_index: Option<u64>,
+    pub dtq_index: MaybeSeq,
     /// Context counter values (`next_seq`, `next_load_seq`,
     /// `next_store_seq`, `next_mem_seq`) *after* this uop was fetched;
     /// squash recovery restores from the mispredicted branch's snapshot.
@@ -131,16 +160,19 @@ pub struct Uop {
 }
 
 impl Uop {
+    /// `lead_front_way`/`lead_back_way` of a uop that borrowed no leading
+    /// copy's ways.
+    pub const NO_WAY: u8 = u8::MAX;
+
     /// Creates a fresh uop in the `Fetched` stage with empty rename and
     /// execution state.
-    pub fn new(uid: u64, ctx: usize, seq: u64, pc: u64, raw: u32, inst: Inst) -> Uop {
+    pub fn new(uid: u64, ctx: usize, seq: u64, pc: u64, inst: Inst) -> Uop {
         Uop {
             uid,
-            ctx,
+            ctx: ctx as u8,
             seq,
             pc,
-            raw,
-            pristine: raw,
+            pristine: 0,
             inst,
             fu: inst.fu_type(),
             stage: Stage::Fetched,
@@ -150,14 +182,12 @@ impl Uop {
             log_dst: inst.dst(),
             lead_srcs: [None, None],
             lead_dst: None,
-            lead_front_way: usize::MAX,
-            lead_back_way: usize::MAX,
-            lead_next_pc: 0,
+            lead_front_way: Uop::NO_WAY,
+            lead_back_way: Uop::NO_WAY,
             front_way: 0,
             back_way: None,
-            issue_cycle: None,
             payload_slot: 0,
-            packet: None,
+            packet: MaybeSeq::NONE,
             filler: false,
             result: None,
             ecc: 0,
@@ -167,18 +197,12 @@ impl Uop {
             store_val: None,
             pred_next_pc: pc.wrapping_add(4),
             ghist_snapshot: 0,
-            load_seq: None,
-            store_seq: None,
-            mem_seq: None,
-            dtq_index: None,
+            load_seq: MaybeSeq::NONE,
+            store_seq: MaybeSeq::NONE,
+            mem_seq: MaybeSeq::NONE,
+            dtq_index: MaybeSeq::NONE,
             cnt_after: [0; 4],
         }
-    }
-
-    /// True if this uop is an architectural instruction (commits), as
-    /// opposed to a filler NOP.
-    pub fn architectural(&self) -> bool {
-        !self.filler
     }
 }
 
@@ -191,14 +215,14 @@ impl Uop {
 /// uops pack at the bottom of the slab, and a removal that empties the
 /// top slot trims `slots` back to the last live one. A clone therefore
 /// copies only the live prefix, not the high-water mark set by the
-/// fullest moment of the run. Over the 1,305 snapshots the benchmark's
-/// `inject-transient` campaign retains at once, a slab averages 119 live
-/// uops in 131 copied slots against a 418-slot high-water mark; gcc in
-/// BlackJack mode fills 959 slots early, then runs with a few dozen
-/// uops live. `gens` stays whole across a clone: a squash leaves stale ids in the
-/// in-flight list, and a slot past a clone's live prefix keeps its
-/// generation, so such an id never matches the uop the clone later puts
-/// there.
+/// fullest moment of the run. Over the 496 snapshots the benchmark's
+/// `inject-transient` campaign retains at once, a slab averages 126 live
+/// uops in 138 copied slots of 224 bytes (`Option<Uop>`) against a
+/// 454-slot high-water mark; gcc in BlackJack mode fills 959 slots
+/// early, then runs with a few dozen uops live. `gens` stays whole
+/// across a clone: a squash leaves stale ids in the in-flight list, and
+/// a slot past a clone's live prefix keeps its generation, so such an id
+/// never matches the uop the clone later puts there.
 #[derive(Debug, Default, Clone)]
 pub struct UopSlab {
     /// Ends at the last live slot.
@@ -297,13 +321,15 @@ impl UopSlab {
         self.get_mut(id).expect("stale UopId")
     }
 
-    /// Removes and returns the uop, invalidating its handle.
-    pub fn remove(&mut self, id: UopId) -> Option<Uop> {
-        let idx = id.idx as usize;
-        if self.gens.get(idx) != Some(&id.gen) {
-            return None;
+    /// Removes the uop in place, invalidating its handle; false if the
+    /// handle was already dead. The uop is not moved out: commit removes
+    /// one per instruction, and no caller reads it back.
+    pub fn remove(&mut self, id: UopId) -> bool {
+        if !self.contains(id) {
+            return false;
         }
-        let u = self.slots[idx].take()?;
+        let idx = id.idx as usize;
+        self.slots[idx] = None;
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free[idx / 64] |= 1 << (idx % 64);
         self.live -= 1;
@@ -311,7 +337,7 @@ impl UopSlab {
             let keep = self.slots.iter().rposition(Option::is_some).map_or(0, |last| last + 1);
             self.slots.truncate(keep);
         }
-        Some(u)
+        true
     }
 
     /// True if the handle is still live.
@@ -332,9 +358,24 @@ mod tests {
             0,
             uid,
             0x1000,
-            0,
             Inst::Alu { op: AluOp::Add, rd: Reg::new(1), rs1: Reg::new(2), rs2: Reg::new(3) },
         )
+    }
+
+    #[test]
+    fn a_slab_slot_fits_224_bytes() {
+        // Every snapshot copies the live slots; commit rewrites one per
+        // instruction.
+        assert!(std::mem::size_of::<Option<Uop>>() <= 224, "{}", std::mem::size_of::<Option<Uop>>());
+    }
+
+    #[test]
+    fn maybe_seq_round_trips_and_keeps_none_apart() {
+        assert_eq!(MaybeSeq::some(0).get(), Some(0));
+        assert_eq!(MaybeSeq::some(u64::MAX - 1).get(), Some(u64::MAX - 1));
+        assert_eq!(MaybeSeq::NONE.get(), None);
+        assert!(MaybeSeq::some(7).is_some() && !MaybeSeq::NONE.is_some());
+        assert_eq!(std::mem::size_of::<MaybeSeq>(), 8);
     }
 
     #[test]
@@ -345,8 +386,9 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.at(a).uid, 1);
         assert_eq!(s.at(b).uid, 2);
-        assert_eq!(s.remove(a).unwrap().uid, 1);
+        assert!(s.remove(a));
         assert!(s.get(a).is_none());
+        assert_eq!(s.at(b).uid, 2, "removing one uop leaves the other in place");
         assert_eq!(s.len(), 1);
     }
 
@@ -358,7 +400,7 @@ mod tests {
         let b = s.insert(mk(2)); // reuses the slot
         assert!(s.get(a).is_none(), "stale handle stays dead");
         assert_eq!(s.at(b).uid, 2);
-        assert!(s.remove(a).is_none());
+        assert!(!s.remove(a));
         assert_eq!(s.len(), 1);
     }
 
@@ -367,17 +409,16 @@ mod tests {
         let u = mk(7);
         assert_eq!(u.stage, Stage::Fetched);
         assert_eq!(u.fu, FuType::IntAlu);
-        assert!(u.architectural());
         assert_eq!(u.next_pc, 0x1004);
         assert_eq!(u.log_dst, Some(LogReg::new(1)));
     }
 
     #[test]
-    fn double_remove_is_none() {
+    fn double_remove_returns_false() {
         let mut s = UopSlab::new();
         let a = s.insert(mk(1));
-        assert!(s.remove(a).is_some());
-        assert!(s.remove(a).is_none());
+        assert!(s.remove(a));
+        assert!(!s.remove(a));
         assert!(s.is_empty());
     }
 
@@ -407,7 +448,8 @@ mod tests {
 
         fn remove(&mut self, k: usize) {
             let (id, uid) = self.live.swap_remove(k);
-            assert_eq!(self.slab.remove(id).map(|u| u.uid), Some(uid));
+            assert_eq!(self.slab.get(id).map(|u| u.uid), Some(uid));
+            assert!(self.slab.remove(id));
             self.dead.push(id);
         }
 
@@ -449,7 +491,7 @@ mod tests {
                     }
                     2 => {
                         if let Some(&id) = sides[s].dead.last() {
-                            assert!(sides[s].slab.remove(id).is_none(), "{what}: double remove");
+                            assert!(!sides[s].slab.remove(id), "{what}: double remove");
                         }
                     }
                     r if sides[s].live.is_empty() || (r < 13) == grow => {

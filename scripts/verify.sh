@@ -63,6 +63,17 @@ echo "== tier-1: benchmark package tests (release) =="
 # ignored benchmark/target.
 cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== tier-1: benchmark reps against its pinned outputs (one untraced rep each) =="
+# Every benchmark op is checked against benchmark/expected/: the
+# statistics of all 64 figure runs and the verdicts of all 1,700
+# injection jobs. One rep of each of these workloads is the tier-1 check
+# that the simulation still produces them (fuzz's programs are the oracle
+# battery's, run below). The last stdout line is the run's JSON result.
+for workload in figures inject-hard inject-transient; do
+  cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace 0 2>/dev/null | tail -1 | grep -qF '"failed": 0'
+done
+
 echo "== tier-1: observability smoke (BJ_TRACE alone: metrics + progress) =="
 # BJ_TRACE is the only telemetry switch: a traced run must stream at
 # least one well-formed progress record (the guaranteed done:true tick)

@@ -23,6 +23,12 @@
 //! advancing core, so building `k` snapshots costs one fault-free run,
 //! not `k`. It needs no advance knowledge of the arms, so the reference
 //! pass that fixes the arming schedule builds it too.
+//!
+//! **What a chain holds.** Only what a fork reads. Each snapshot leaves
+//! the reference pass's fault plan behind ([`Core::snapshot_without_plan`]),
+//! since a fork installs its own plan, and once the schedule is known,
+//! [`SnapshotChain::retain_donors`] drops every snapshot that is not the
+//! nearest donor of an arm that will fork.
 
 use blackjack_faults::FaultPlan;
 use blackjack_sim::{Core, CoreSnapshot};
@@ -45,9 +51,9 @@ pub fn arming_schedule(fault_free_cycles: u64, sites: usize) -> Vec<u64> {
 /// injection cores.
 pub struct SnapshotChain {
     /// `(cycle, snapshot at cycle)`, ascending by cycle. Boxed: `Core` is
-    /// ~3 KB inline, and the builder's sliding retention compacts this
-    /// vector every snapshot — through a `Box` that's a 16-byte move per
-    /// element instead of a deep memmove.
+    /// 2,496 bytes inline, and the builder's sliding retention compacts
+    /// this vector every snapshot — through a `Box` that's a 16-byte move
+    /// per element instead of a deep memmove.
     snaps: Vec<(u64, Box<CoreSnapshot>)>,
     stats: ChainStats,
 }
@@ -60,8 +66,9 @@ pub struct SnapshotChain {
 pub struct ChainStats {
     /// Snapshots taken.
     pub taken: u64,
-    /// Snapshots retired behind the sliding horizon (or thinned when the
-    /// interval doubled).
+    /// Snapshots retired behind the sliding horizon, thinned when the
+    /// interval doubled, or trimmed as no forking arm's donor
+    /// ([`SnapshotChain::retain_donors`]).
     pub retired: u64,
     /// High-water mark of simultaneously retained snapshots.
     pub peak_retained: u64,
@@ -74,7 +81,8 @@ impl SnapshotChain {
     /// chain and the completed core (whose cycle count is the arming
     /// schedule's denominator, and whose plan — if the caller built it
     /// with `FaultPlan::record_usage` — holds the early-exit activation
-    /// schedule).
+    /// schedule). The snapshots hold no fault plan, so none copies the
+    /// usage record.
     ///
     /// Because arms always land in the late half of the run
     /// ([`arming_schedule`]), snapshots that fall behind the advancing
@@ -115,7 +123,7 @@ impl SnapshotChain {
         let mut interval = interval;
         let mut stats = ChainStats { taken: 1, peak_retained: 1, ..ChainStats::default() };
         let mut snaps: Vec<(u64, Box<CoreSnapshot>)> =
-            vec![(core.cycle(), Box::new(core.snapshot()))];
+            vec![(core.cycle(), Box::new(core.snapshot_without_plan()))];
         while !core.finished() {
             let target = core.cycle() + interval;
             assert!(
@@ -130,7 +138,7 @@ impl SnapshotChain {
                 }
             }
             stats.taken += 1;
-            snaps.push((core.cycle(), Box::new(core.snapshot())));
+            snaps.push((core.cycle(), Box::new(core.snapshot_without_plan())));
             // The run so far is a lower bound on its final length N, and
             // arms are >= N/2, so anything behind cycle/2 - interval can
             // no longer be the nearest donor for any arm.
@@ -166,20 +174,49 @@ impl SnapshotChain {
     /// # Panics
     ///
     /// Panics if `plan.arm_cycle() != arm` or no snapshot exists at or
-    /// before `arm - 1` (retention only ever drops snapshots that no
-    /// *scheduled* arm can need; an out-of-schedule arm can trip this).
+    /// before `arm - 1` (the build only drops snapshots that no
+    /// *scheduled* arm can need, and [`SnapshotChain::retain_donors`]
+    /// those no listed arm needs; any other arm can trip this, or fork
+    /// exactly from an earlier donor with a longer catch-up).
     pub fn fork_catchup(&self, arm: u64, plan: FaultPlan) -> Core {
         assert_eq!(plan.arm_cycle(), arm, "plan must be armed at the requested fork point");
-        let target = arm.saturating_sub(1);
-        let i = self.snaps.partition_point(|(_, s)| s.cycle() <= target);
-        assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
         // The plan goes in before the catch-up: its hooks are inert until
-        // `arm`, and the donor's plan (when the reference pass recorded
-        // site usage, its recorder) is gone before it costs a cycle of
-        // recording.
-        let mut core = self.snaps[i - 1].1.fork(plan);
-        core.run(target);
+        // `arm`.
+        let mut core = self.snaps[self.donor(arm)].1.fork(plan);
+        core.run(arm.saturating_sub(1));
         core
+    }
+
+    /// Keeps only the snapshots [`SnapshotChain::fork_catchup`] picks for
+    /// `arms` — each arm's nearest snapshot at or before `arm - 1` — and
+    /// counts the rest as retired. Every one of `arms` then forks from
+    /// the same donor and catches up the same cycles as before; once a
+    /// campaign knows which arms will fork, the rest of the chain is dead
+    /// weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same condition as `fork_catchup`: an arm with no
+    /// snapshot at or before `arm - 1`.
+    pub fn retain_donors(&mut self, arms: impl IntoIterator<Item = u64>) {
+        let mut keep = vec![false; self.snaps.len()];
+        for arm in arms {
+            keep[self.donor(arm)] = true;
+        }
+        let before = self.snaps.len();
+        let mut keep = keep.into_iter();
+        // `retain` visits every element once, in order.
+        self.snaps.retain(|_| keep.next() == Some(true));
+        self.stats.retired += (before - self.snaps.len()) as u64;
+    }
+
+    /// Index of `arm`'s donor: the nearest snapshot at or before
+    /// `arm - 1`.
+    fn donor(&self, arm: u64) -> usize {
+        let target = arm.saturating_sub(1);
+        let i = self.snaps.partition_point(|&(c, _)| c <= target);
+        assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
+        i - 1
     }
 
     /// The chain's build-time accounting.
@@ -196,10 +233,7 @@ impl SnapshotChain {
     /// Panics under the same condition as `fork_catchup`: no snapshot at
     /// or before `arm - 1`.
     pub fn catchup_cycles(&self, arm: u64) -> u64 {
-        let target = arm.saturating_sub(1);
-        let i = self.snaps.partition_point(|(_, s)| s.cycle() <= target);
-        assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
-        target - self.snaps[i - 1].1.cycle()
+        arm.saturating_sub(1) - self.snaps[self.donor(arm)].0
     }
 
     /// Number of distinct snapshots held.
@@ -314,6 +348,53 @@ mod tests {
             let cold_out = cold.run(10_000_000);
             assert_eq!(forked_out, cold_out, "arm {arm}: outcome must match cold run");
             assert_eq!(forked.cycle(), cold.cycle(), "arm {arm}: cycle count must match");
+        }
+    }
+
+    #[test]
+    fn a_campaign_chain_trimmed_to_forking_arms_keeps_one_plan_free_donor_each() {
+        // Built the campaign's way: the reference pass records site
+        // usage, and the chain is trimmed to the arms that will fork.
+        let prog = build(Benchmark::Gzip, 1);
+        let cfg = CoreConfig::with_mode(Mode::BlackJack);
+        let plan = FaultPlan::new().record_usage(cfg.site_family_sizes());
+        let (mut chain, reference) = SnapshotChain::build_periodic(
+            Core::new(cfg.clone(), &prog, plan),
+            512,
+            10_000_000,
+            None,
+        );
+        assert!(reference.plan().site_usage().is_some(), "the reference pass keeps its record");
+        let arms = arming_schedule(reference.cycle(), 25);
+        // A subset of the schedule forks; the rest stand for pruned sites.
+        let forking: Vec<u64> = arms.iter().copied().step_by(4).collect();
+        let catchup: Vec<u64> = forking.iter().map(|&a| chain.catchup_cycles(a)).collect();
+        let donors: std::collections::BTreeSet<u64> =
+            forking.iter().map(|&a| chain.snaps[chain.donor(a)].0).collect();
+        let (before, retired) = (chain.len(), chain.stats().retired);
+
+        chain.retain_donors(forking.iter().copied());
+        assert_eq!(chain.cycles(), donors.into_iter().collect::<Vec<_>>(), "one snapshot per donor");
+        assert!(chain.len() < before, "trimming dropped nothing");
+        assert_eq!(chain.stats().retired, retired + (before - chain.len()) as u64);
+        for (&arm, &c) in forking.iter().zip(&catchup) {
+            assert_eq!(chain.catchup_cycles(arm), c, "arm {arm}: catch-up changed");
+        }
+        for (c, snap) in &chain.snaps {
+            assert!(snap.restore().plan().site_usage().is_none(), "donor at {c} holds a usage record");
+        }
+
+        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
+        for &arm in &forking {
+            let plan = FaultPlan::single(fault).arm_at(arm);
+            let mut forked = chain.fork_catchup(arm, plan.clone());
+            let forked_out = forked.run(10_000_000);
+            let mut cold = Core::new(cfg.clone(), &prog, plan);
+            let cold_out = cold.run(10_000_000);
+            assert_eq!(forked_out, cold_out, "arm {arm}: outcome must match cold run");
+            assert_eq!(forked.cycle(), cold.cycle(), "arm {arm}: cycle count must match");
+            assert_eq!(forked.stats().committed, cold.stats().committed, "arm {arm}: commits");
+            assert_eq!(forked.mem().first_difference(cold.mem()), None, "arm {arm}: memory");
         }
     }
 
