@@ -18,9 +18,11 @@
 //!
 //! The `top` subcommand (`bj-trace top [trace.jsonl] [--follow]`)
 //! renders the schema-v2 observability records instead: the latest
-//! live-progress tick (progress bar, ETA, per-worker busy, early-exit
-//! attribution, snapshots taken), then from the `metrics` record the
-//! campaign phase-time attribution and the registry headline. With
+//! live-progress tick (progress bar, ETA, per-worker busy, runs cut by
+//! each early-exit mechanism — activation pruning and the convergence
+//! seal — and snapshots taken), then from the `metrics` record the
+//! campaign phase-time attribution and the registry headline, whose exit
+//! reasons are the core's three and the seal's. With
 //! `--follow` it polls the file until the campaign's final tick lands —
 //! a one-file `top` for a running campaign.
 //!
@@ -208,10 +210,9 @@ fn render_top(records: &[Record]) -> usize {
         );
         if let Some(e) = get_obj(p, "early_exits") {
             outln!(
-                "  early exits: activation {}  convergence {}  watchdog {}",
+                "  early exits: activation {}  convergence {}",
                 get_u64(e, "activation").unwrap_or(0),
                 get_u64(e, "convergence").unwrap_or(0),
-                get_u64(e, "watchdog").unwrap_or(0),
             );
         }
         if let Some(s) = get_obj(p, "snapshots") {
@@ -258,7 +259,7 @@ fn render_top(records: &[Record]) -> usize {
                 get_u64(c, "pruned_static").unwrap_or(0),
                 get_u64(c, "pruned_activation").unwrap_or(0),
             );
-            let exits = ["exit_completed", "exit_detected", "exit_cycle_limit", "exit_converged", "exit_stalled"];
+            let exits = ["exit_completed", "exit_detected", "exit_cycle_limit", "exit_converged"];
             let view: Vec<String> = exits
                 .iter()
                 .map(|k| format!("{} {}", k.trim_start_matches("exit_"), get_u64(c, k).unwrap_or(0)))

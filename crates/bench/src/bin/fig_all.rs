@@ -189,16 +189,17 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          Fork-at-injection removes the redundant prefix of every injection\n\
          run; the early-exit layer (DESIGN \u{a7}2.12) removes the redundant\n\
          suffix \u{2014} the cycles a run keeps simulating after its verdict is\n\
-         already decided. Three report-identical mechanisms: *activation\n\
-         pruning* tallies a site Benign with no simulation when the reference\n\
-         run never exercises it at or after arming; the *convergence seal*\n\
-         stops a zero-activation run one cycle past the site's last reference\n\
-         exercise; the *stall watchdog* declares Stuck after 25,000 cycles of\n\
-         no progress instead of burning the full cycle budget (a fixed\n\
-         window: much shorter ones change verdicts, DESIGN \u{a7}2.12). The\n\
-         equivalence matrix asserts byte-identical reports with the layer off\n\
-         (a library-only switch) and on. Measured on the same sweep when the\n\
-         layer landed, both ways interleaved (min-of-5 per leg):\n\n\
+         already decided. Two report-identical mechanisms, both forms of one\n\
+         lockstep invariant (while a fault has zero activations its run is\n\
+         bit-identical to the fault-free run): *activation pruning* tallies a\n\
+         site Benign with no simulation when the reference run never exercises\n\
+         it at or after arming; the *convergence seal* stops a zero-activation\n\
+         run one cycle past the site's last reference exercise. A run that\n\
+         wedges ends on the core's no-commit watchdog, as on the replay path\n\
+         (DESIGN \u{a7}2.12). The equivalence matrix asserts byte-identical\n\
+         reports with the layer off (a library-only switch) and on. Measured\n\
+         on the same sweep when the layer landed, both ways interleaved\n\
+         (min-of-5 per leg):\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
          | full runs (the library's replay path, snapshots on) | 0.83 s |\n\
          | early exit (the harness) | 0.53 s |\n\
@@ -207,11 +208,14 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          builder, which the full-run path has since adopted too.\n\
          Attribution on today's default sweep, pinned by the equivalence\n\
          matrix: of the 132 injections left after static pruning (68 of 200\n\
-         jobs), activation pruning cuts 24 before they start; convergence and\n\
-         watchdog cut 0 \u{2014} the sweep's always-firing stuck-bit faults on\n\
-         exercised sites activate almost immediately. On campaigns with\n\
-         trigger-gated faults (the fuzzer's `ValuePattern` class) the seal and\n\
-         watchdog take over.\n\n",
+         jobs), activation pruning cuts 24 before they start and the seal\n\
+         none \u{2014} the sweep's always-firing stuck-bit faults on exercised\n\
+         sites activate almost immediately. A transient fault is present for\n\
+         one cycle only and mostly leaves its run untouched, so there the seal\n\
+         does the cutting: it ends 71 of the 108 runs the default sweep\n\
+         simulates under `BJ_FAULT_KINDS=transient` (with `BJ_ECC` 0 or 1),\n\
+         and 365 of the 518 runs the benchmark's `inject-transient` workload\n\
+         simulates.\n\n",
     );
 
     s.push_str("## Observability — flight recorder on an injected fault\n\n");
@@ -249,20 +253,20 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          A real capture \u{2014} `BJ_THREADS=1 BJ_TRACE=t.jsonl ext_detection --bench\n\
          gzip`, rendered by `bj-trace top t.jsonl` on a 2-vCPU host:\n\n\
          ```text\n\
-         campaign: finished  [########################] 50/50 jobs  elapsed 0.1s  eta 0.0s  runs 27  early-exits 3\n\
+         campaign: finished  [########################] 50/50 jobs  elapsed 0.2s  eta 0.0s  runs 27  early-exits 3\n\
          \x20 workers: 1  forked runs: 27/27\n\
-         \x20 early exits: activation 3  convergence 0  watchdog 0\n\
+         \x20 early exits: activation 3  convergence 0\n\
          \x20 snapshots: 88 taken\n\
          \x20 worker busy: w0 100%\n\n\
-         phase attribution (cpu time; campaign wall 0.1s):\n\
+         phase attribution (cpu time; campaign wall 0.2s):\n\
          \x20 setup              0.0s    0.2%\n\
-         \x20 snapshot           0.1s   82.5%  ##########################\n\
-         \x20 simulate           0.0s   17.2%  ######\n\
+         \x20 snapshot           0.2s   85.4%  ###########################\n\
+         \x20 simulate           0.0s   14.3%  #####\n\
          \x20 oracle             0.0s    0.0%\n\
-         \x20 reassembly         0.0s    0.0%\n\n\
+         \x20 reassembly         0.0s    0.1%\n\n\
          metrics registry:\n\
          \x20 jobs 50  setups 2  runs simulated 27  forks 27  pruned 23 (static 20 / activation 3)\n\
-         \x20 exit reasons: completed 5  detected 22  cycle_limit 0  converged 0  stalled 0\n\
+         \x20 exit reasons: completed 5  detected 22  cycle_limit 0  converged 0\n\
          \x20 fork catch-up: 27 forks measured (histogram in stream)\n\
          ```\n\n\
          Reading the phase table: the fault-free reference pass that builds\n\

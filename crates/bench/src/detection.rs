@@ -22,10 +22,10 @@
 //! harness path (the default config) the reference pass also builds a
 //! periodic snapshot chain ([`blackjack::SnapshotChain`]) and every
 //! injection job forks from it, and each run stops the moment its verdict
-//! is decided, by three mechanisms
-//! ([`blackjack::EarlyExit`]; the stall watchdog's window is the fixed
-//! [`blackjack::earlyexit::STALL_WINDOW`]), for which the reference pass
-//! also records site usage ([`SiteUsage`]). The group decides once, per
+//! is decided, by activation pruning or the convergence seal
+//! ([`blackjack::EarlyExit`]), for which the reference pass also records
+//! site usage ([`SiteUsage`]); a run that wedges ends on the core's
+//! no-commit watchdog, as on the replay path. The group decides once, per
 //! site, whether its job simulates ([`SiteRun`]), and trims the chain to
 //! the donors of the jobs that do. The library keeps the plain
 //! replay path — `snapshot` and `early_exit` off, every run replayed from
@@ -312,7 +312,7 @@ impl DetectionGroup {
     /// [`SiteRun`] says: a pruned site is tallied benign without
     /// simulating, an activation-pruned site likewise (M1), and otherwise
     /// the core forks from the group's chain (or replays from cycle 0)
-    /// and runs under M2 and M3 when early exit is on.
+    /// and runs under M2 when early exit is on.
     ///
     /// Run accounting — prune attribution, fork count/latency/catch-up
     /// distance, simulate and oracle wall time, exit reason — goes to
@@ -442,8 +442,7 @@ pub fn outcome_of(
         Exit::Ran(RunOutcome::CycleLimit) => (DetectionOutcome::Stuck, None),
         // Benign by construction — the run stopped mid-flight, so no
         // memory compare is possible (or needed).
-        Exit::Early(kind @ EarlyExitKind::Convergence) => (DetectionOutcome::Benign, Some(kind)),
-        Exit::Early(kind) => (DetectionOutcome::Stuck, Some(kind)),
+        Exit::Converged => (DetectionOutcome::Benign, Some(EarlyExitKind::Convergence)),
     }
 }
 

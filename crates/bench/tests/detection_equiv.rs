@@ -63,14 +63,13 @@ const EXTRA_KERNELS: [Benchmark; 13] = [
 
 /// Each cell's (snapshot, early exit, workers), and the counts it must
 /// reach summed over the default sweep: runs cut short by activation
-/// pruning, by the convergence seal and by the stall watchdog, snapshot
-/// forks, and runs simulated. Of the sweep's 200 jobs, 68 are statically
-/// pruned.
-const CELLS: [((bool, bool, usize), [u64; 5]); 4] = [
-    ((true, false, 8), [0, 0, 0, 132, 132]),
-    ((false, true, 1), [24, 0, 0, 0, 108]),
-    ((true, true, 1), [24, 0, 0, 108, 108]),
-    ((true, true, 8), [24, 0, 0, 108, 108]),
+/// pruning and by the convergence seal, snapshot forks, and runs
+/// simulated. Of the sweep's 200 jobs, 68 are statically pruned.
+const CELLS: [((bool, bool, usize), [u64; 4]); 4] = [
+    ((true, false, 8), [0, 0, 132, 132]),
+    ((false, true, 1), [24, 0, 0, 108]),
+    ((true, true, 1), [24, 0, 108, 108]),
+    ((true, true, 8), [24, 0, 108, 108]),
 ];
 
 fn cfg(snapshot: bool, early_exit: bool) -> DetectionConfig {
@@ -102,7 +101,7 @@ fn assert_same(got: &DetectionReport, want: &DetectionReport, which: &str) {
 
 /// Runs every hard-fault cell on `bench` against the kernel's reference
 /// and returns each [`CELLS`] entry's counts, in order.
-fn check_hard_fault_cells(bench: Benchmark) -> [[u64; 5]; CELLS.len()] {
+fn check_hard_fault_cells(bench: Benchmark) -> [[u64; 4]; CELLS.len()] {
     let reference = replay(bench, DetectionConfig::default());
     assert!(reference.early_exits.iter().all(Option::is_none), "{bench}: early exit was off");
     let cell_counts = CELLS.map(|((snapshot, early_exit, workers), _)| {
@@ -114,13 +113,7 @@ fn check_hard_fault_cells(bench: Benchmark) -> [[u64; 5]; CELLS.len()] {
         let forks = count(&got, Counter::SnapshotForks);
         let runs = count(&got, Counter::RunsSimulated);
         assert_eq!(forks, if snapshot { runs } else { 0 }, "{which}: forks");
-        [
-            exits(EarlyExitKind::Activation),
-            exits(EarlyExitKind::Convergence),
-            exits(EarlyExitKind::Watchdog),
-            forks,
-            runs,
-        ]
+        [exits(EarlyExitKind::Activation), exits(EarlyExitKind::Convergence), forks, runs]
     });
 
     // Static pruning off: the simulated sites reach the verdicts the
@@ -159,7 +152,7 @@ fn check_hard_fault_cells(bench: Benchmark) -> [[u64; 5]; CELLS.len()] {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: scripts/verify.sh runs it")]
 fn default_sweep_matches_the_replay_path_with_pinned_counts() {
-    let mut sums = [[0u64; 5]; CELLS.len()];
+    let mut sums = [[0u64; 4]; CELLS.len()];
     for bench in default_benchmarks() {
         for (sum, counts) in sums.iter_mut().zip(check_hard_fault_cells(bench)) {
             for (s, c) in sum.iter_mut().zip(counts) {
@@ -171,7 +164,7 @@ fn default_sweep_matches_the_replay_path_with_pinned_counts() {
         assert_eq!(
             got, *want,
             "default sweep, snapshot={snapshot} early_exit={early_exit} workers={workers}: \
-             [activation, convergence, watchdog, forks, runs simulated]"
+             [activation, convergence, forks, runs simulated]"
         );
     }
 }

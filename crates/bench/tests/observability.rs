@@ -146,19 +146,18 @@ fn progress_hook_ticks_and_finishes_with_done() {
     }
 }
 
-/// The six counters a `progress` record carries, in its field order:
-/// runs, forked runs, early exits (activation, convergence, watchdog),
-/// snapshots taken.
-const PROGRESS_COUNTERS: [Counter; 6] = [
+/// The five counters a `progress` record carries, in its field order:
+/// runs, forked runs, early exits (activation, convergence), snapshots
+/// taken.
+const PROGRESS_COUNTERS: [Counter; 5] = [
     Counter::RunsSimulated,
     Counter::SnapshotForks,
     Counter::PrunedActivation,
     Counter::ExitConverged,
-    Counter::ExitStalled,
     Counter::SnapshotsTaken,
 ];
 
-fn progress_counts(r: &MetricsRegistry) -> [u64; 6] {
+fn progress_counts(r: &MetricsRegistry) -> [u64; 5] {
     PROGRESS_COUNTERS.map(|c| r.get(c))
 }
 
@@ -180,7 +179,7 @@ fn live_ticks_read_the_registry() {
         );
         let ticks = ticks.into_inner().unwrap();
         assert!(ticks.len() > 1, "{which}: {} ticks", ticks.len());
-        let counts: Vec<[u64; 6]> = ticks
+        let counts: Vec<[u64; 5]> = ticks
             .iter()
             .map(|t| progress_counts(t.metrics.as_ref().expect("every tick carries a registry")))
             .collect();
@@ -220,11 +219,12 @@ fn gzip_counts_match_the_experiments_capture() {
     );
     let r = report.metrics.as_ref().expect("metrics were requested");
     let got = |c: Counter| r.get(c);
-    // 50/50 jobs, runs 27, forked 27/27, early exits 3/0/0.
+    // 50/50 jobs, runs 27, forked 27/27, early exits 3/0.
     assert_eq!(report.tallies.len(), 50);
     assert_eq!(got(Counter::Jobs), 50);
-    assert_eq!(progress_counts(r), [27, 27, 3, 0, 0, 88], "runs, forks, exits, snapshots");
+    assert_eq!(progress_counts(r), [27, 27, 3, 0, 88], "runs, forks, exits, snapshots");
     assert_eq!(got(Counter::SnapshotsRefilled), 0, "every snapshot is taken fresh");
+    assert_eq!(got(Counter::ExitStalled), 0, "early exit has no stall exit");
     // The chains keep only the donors of the 27 forked arms (25
     // snapshots: some arms share one); every other snapshot retires.
     assert_eq!(got(Counter::SnapshotsTaken) - got(Counter::SnapshotsRetired), 25, "donors held");
@@ -236,10 +236,9 @@ fn gzip_counts_match_the_experiments_capture() {
         Counter::ExitDetected,
         Counter::ExitCycleLimit,
         Counter::ExitConverged,
-        Counter::ExitStalled,
     ]
     .map(got);
-    assert_eq!(exits, [5, 22, 0, 0, 0]);
+    assert_eq!(exits, [5, 22, 0, 0]);
     assert_eq!(report.early_exits.iter().filter(|e| e.is_some()).count(), 3);
 }
 

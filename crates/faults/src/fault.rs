@@ -379,14 +379,12 @@ impl SiteUsage {
 /// injection run shareable — every plan for the same workload is
 /// identical (empty, effectively) until its arming point.
 ///
-/// The plan also counts its own use: every hook application where a fault
-/// matched the site bumps [`FaultPlan::exercised`], and every application
-/// that actually *changed* the value bumps [`FaultPlan::activations`] and
-/// stamps [`FaultPlan::last_activation`]. While `activations() == 0` the
-/// faulted run is bit-identical to the fault-free run — the invariant the
-/// campaign's early-exit layer builds on. Each simulation owns its plan,
-/// so the counters are plain integers and a clone (a snapshot) carries
-/// them along.
+/// The plan also counts its own effect: every hook application that
+/// actually *changed* the value bumps [`FaultPlan::activations`]. While
+/// `activations() == 0` the faulted run is bit-identical to the
+/// fault-free run — the invariant the campaign's early-exit layer builds
+/// on. Each simulation owns its plan, so the count is a plain integer and
+/// a clone (a snapshot) carries it along.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: Vec<HardFault>,
@@ -396,9 +394,7 @@ pub struct FaultPlan {
     /// [`FaultPlan::observe_cycle`] once per step so the temporal model
     /// can decide whether the faults are present when a hook fires.
     now: u64,
-    exercised: u64,
     activations: u64,
-    last_activation: u64,
     /// The reference-pass recorder ([`FaultPlan::record_usage`]).
     usage: Option<Box<SiteUsage>>,
 }
@@ -483,12 +479,6 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Hook applications (post-arming) where a fault matched the site —
-    /// how often the defective structure was read while defective.
-    pub fn exercised(&self) -> u64 {
-        self.exercised
-    }
-
     /// Hook applications that changed the value passing through. While
     /// this is zero the run is bit-identical to its fault-free twin: the
     /// hooks are the only nondeterminism a plan introduces, and an
@@ -497,21 +487,15 @@ impl FaultPlan {
         self.activations
     }
 
-    /// The cycle of the most recent activation (0 before the first:
-    /// hooks only fire inside a step, and the first step is cycle 1).
-    pub fn last_activation(&self) -> u64 {
-        self.last_activation
-    }
-
     /// The fault hook: passes `v` through `site` on the current cycle.
     ///
     /// Records the consultation when usage recording is on, then — if a
     /// fault is physically present under the temporal model — applies
-    /// every fault at `site`, counting matches and value changes. Before
-    /// arming, and on the cycles a transient or intermittent fault is
-    /// dormant, the structure is healthy: the read neither exercises nor
-    /// activates anything. A plan with no faults and no recorder returns
-    /// `v` after one inlined test.
+    /// every fault at `site`, counting a value change as an activation.
+    /// Before arming, and on the cycles a transient or intermittent fault
+    /// is dormant, the structure is healthy: the read activates nothing.
+    /// A plan with no faults and no recorder returns `v` after one
+    /// inlined test.
     #[inline]
     pub fn apply(&mut self, site: FaultSite, v: u64) -> u64 {
         if self.is_inert() || !self.consult(site) {
@@ -520,12 +504,11 @@ impl FaultPlan {
         let mut out = v;
         for f in &self.faults {
             if f.site == site {
-                self.exercised += 1;
                 out = f.apply(out);
             }
         }
         if out != v {
-            self.activate();
+            self.activations += 1;
         }
         out
     }
@@ -534,8 +517,8 @@ impl FaultPlan {
     /// present right now (tag faults only perturb latency, so the hook is
     /// a predicate rather than a value transform). A forced miss changes
     /// timing, so the run is no longer bit-identical to its fault-free
-    /// twin: it counts as exercised *and* activated, keeping the
-    /// convergence seal conservative.
+    /// twin: it counts as an activation, keeping the convergence seal
+    /// conservative.
     #[inline]
     pub fn cache_tag_miss(&mut self, index: usize) -> bool {
         let site = FaultSite::CacheTag { index };
@@ -544,8 +527,7 @@ impl FaultPlan {
         }
         let hit = self.faults.iter().any(|f| f.site == site);
         if hit {
-            self.exercised += 1;
-            self.activate();
+            self.activations += 1;
         }
         hit
     }
@@ -565,12 +547,6 @@ impl FaultPlan {
             u.note(site, self.now);
         }
         !self.faults.is_empty() && self.kind.active(self.now, self.arm_cycle)
-    }
-
-    #[inline]
-    fn activate(&mut self) {
-        self.activations += 1;
-        self.last_activation = self.now;
     }
 }
 
@@ -640,7 +616,7 @@ mod tests {
         assert_eq!(plan.apply(FaultSite::Backend { way: 0 }, 42), 42);
         assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 42), 42);
         assert!(!plan.cache_tag_miss(0));
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert_eq!(plan.activations(), 0);
         assert!(plan.site_usage().is_none(), "no recorder unless asked for");
     }
 
@@ -660,33 +636,31 @@ mod tests {
         let mut plan = FaultPlan::single(HardFault::stuck_bit(site, 0)).arm_at(10);
         plan.observe_cycle(9);
         assert_eq!(plan.apply(site, 0), 0, "healthy before arming");
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert_eq!(plan.activations(), 0);
         plan.observe_cycle(10);
         assert_eq!(plan.apply(site, 0), 1, "hard fault present from the arming cycle");
-        assert_eq!(plan.last_activation(), 10);
+        assert_eq!(plan.activations(), 1);
     }
 
     #[test]
-    fn counters_distinguish_exercise_from_activation() {
+    fn only_a_changed_value_counts_as_an_activation() {
         // Stuck-at-1 on bit 3: reading a value whose bit 3 is already 1
-        // exercises the fault without activating it.
+        // reads the faulty way without activating the fault.
         let mut plan =
             FaultPlan::single(HardFault::stuck_bit(FaultSite::Backend { way: 1 }, 3));
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
-        assert_eq!(plan.apply(FaultSite::Backend { way: 0 }, 0), 0, "other way: no exercise");
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert_eq!(plan.activations(), 0);
+        assert_eq!(plan.apply(FaultSite::Backend { way: 0 }, 0), 0, "other way");
+        assert_eq!(plan.activations(), 0);
         assert_eq!(plan.apply(FaultSite::Backend { way: 1 }, 8), 8, "bit already stuck level");
-        assert_eq!((plan.exercised(), plan.activations()), (1, 0));
-        plan.observe_cycle(7);
+        assert_eq!(plan.activations(), 0);
         assert_eq!(plan.apply(FaultSite::Backend { way: 1 }, 0), 8, "value changed");
-        assert_eq!((plan.exercised(), plan.activations()), (2, 1));
-        assert_eq!(plan.last_activation(), 7, "the activation is stamped with its cycle");
+        assert_eq!(plan.activations(), 1);
 
         let copy = plan.clone();
-        assert_eq!((copy.exercised(), copy.activations()), (2, 1), "clone keeps counts");
+        assert_eq!(copy.activations(), 1, "clone keeps the count");
         plan.apply(FaultSite::Backend { way: 1 }, 0);
-        assert_eq!((plan.exercised(), plan.activations()), (3, 2));
-        assert_eq!((copy.exercised(), copy.activations()), (2, 1), "copies are independent");
+        assert_eq!(plan.activations(), 2);
+        assert_eq!(copy.activations(), 1, "copies are independent");
     }
 
     #[test]
@@ -698,15 +672,15 @@ mod tests {
             trigger: Trigger::ValuePattern { mask: 0xf, pattern: 0xa },
         });
         plan.add(HardFault::stuck_bit(FaultSite::PayloadRam { entry: 2 }, 0));
-        // Trigger miss: exercised (the defective structure was read) but
-        // the value passed through unchanged.
+        // Trigger miss: the defective structure was read, but the value
+        // passed through unchanged.
         assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 0xb), 0xb);
-        assert_eq!((plan.exercised(), plan.activations()), (1, 0));
+        assert_eq!(plan.activations(), 0);
         assert_eq!(plan.apply(FaultSite::Frontend { way: 0 }, 0xa), 0x8);
-        assert_eq!((plan.exercised(), plan.activations()), (2, 1));
+        assert_eq!(plan.activations(), 1);
         assert_eq!(plan.apply(FaultSite::PayloadRam { entry: 2 }, 0), 1);
         assert_eq!(plan.apply(FaultSite::PayloadRam { entry: 2 }, 1), 1);
-        assert_eq!((plan.exercised(), plan.activations()), (4, 2));
+        assert_eq!(plan.activations(), 2);
     }
 
     #[test]
@@ -776,13 +750,13 @@ mod tests {
             .with_kind(FaultKind::Transient);
         plan.observe_cycle(99);
         assert_eq!(plan.apply(site, 0), 0, "pre-arm: healthy");
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert_eq!(plan.activations(), 0);
         plan.observe_cycle(100);
         assert_eq!(plan.apply(site, 0), 1, "arming cycle: upset");
-        assert_eq!((plan.exercised(), plan.activations()), (1, 1));
+        assert_eq!(plan.activations(), 1);
         plan.observe_cycle(101);
         assert_eq!(plan.apply(site, 0), 0, "one cycle later: healthy again");
-        assert_eq!((plan.exercised(), plan.activations()), (1, 1), "dormant reads count nothing");
+        assert_eq!(plan.activations(), 1, "dormant reads count nothing");
     }
 
     #[test]
@@ -821,9 +795,9 @@ mod tests {
         let mut plan =
             FaultPlan::single(HardFault::stuck_bit(FaultSite::CacheTag { index: 1 }, 0));
         assert!(!plan.cache_tag_miss(0), "other sets healthy");
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert_eq!(plan.activations(), 0);
         assert!(plan.cache_tag_miss(1));
-        assert_eq!((plan.exercised(), plan.activations()), (1, 1));
+        assert_eq!(plan.activations(), 1);
     }
 
     #[test]
@@ -857,7 +831,7 @@ mod tests {
         assert_eq!(usage.last_use(FaultSite::Frontend { way: 0 }), None, "never consulted");
         assert_eq!(usage.last_use(FaultSite::Backend { way: 1 }), None, "other family");
         assert_eq!(usage.last_use(FaultSite::Backend { way: 9 }), None, "past the sizes");
-        assert_eq!((plan.exercised(), plan.activations()), (0, 0));
+        assert_eq!(plan.activations(), 0);
 
         let site = FaultSite::Backend { way: 0 };
         let fault = HardFault::stuck_bit(site, 0);

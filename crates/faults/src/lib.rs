@@ -28,12 +28,10 @@
 
 mod coverage;
 mod detection;
-mod diagnosis;
 pub mod ecc;
 mod fault;
 
 pub use coverage::{AreaModel, CoverageAccum};
 pub use detection::{DetectionOutcome, DetectionTally, Taxonomy, TaxonomyTally};
-pub use diagnosis::DiagnosisTable;
 pub use ecc::EccOutcome;
 pub use fault::{Corruption, FaultKind, FaultPlan, FaultSite, HardFault, SiteUsage, Trigger};

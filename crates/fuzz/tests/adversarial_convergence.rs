@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use blackjack::{EarlyExit, EarlyExitKind, Exit, Metrics};
+use blackjack::{EarlyExit, Exit, Metrics};
 use blackjack_faults::{FaultPlan, FaultSite, HardFault};
 use blackjack_fuzz::{Case, CaseKind};
 use blackjack_isa::asm::assemble_named;
@@ -34,9 +34,9 @@ const MAX_CYCLES: u64 = 1_000_000;
 /// asserted, not assumed).
 const QUIESCE: u64 = 1_200;
 
-/// The early-exit driver with only the convergence seal (M2) armed.
+/// Early exit with the convergence seal (M2) armed at [`QUIESCE`].
 fn seal() -> EarlyExit {
-    EarlyExit { quiesce: Some(QUIESCE), ..EarlyExit::default() }
+    EarlyExit { quiesce: Some(QUIESCE) }
 }
 
 /// Scratch memory above the data segment (same convention as the
@@ -173,7 +173,7 @@ fn quiesce_seals_only_inactive_sites() {
     let mut armed = Core::new(cfg, &case.program, FaultPlan::single(idle));
     assert_eq!(
         seal().run(&mut armed, MAX_CYCLES, &mut Metrics::Off),
-        Exit::Early(EarlyExitKind::Convergence)
+        Exit::Converged
     );
     assert_eq!(armed.cycle(), QUIESCE, "the seal fires exactly at the quiesce point");
     assert!(

@@ -13,6 +13,7 @@
 use blackjack::faults::{Corruption, FaultKind, FaultPlan, FaultSite, HardFault, Trigger};
 use blackjack::sim::{Core, CoreConfig, Mode, RunOutcome};
 use blackjack::workloads::{build, Benchmark};
+use blackjack::{Counter, EarlyExit, Exit, Metrics};
 use blackjack_fuzz::diff::MAX_CYCLES;
 use blackjack_fuzz::gen::{generate, GenConfig};
 use blackjack_isa::Program;
@@ -110,7 +111,8 @@ fn loads_parked_on_an_older_store_match_step() {
 fn a_watchdog_ended_fuzz_run_matches_step() {
     // `bj-fuzz --seed 0xB1AC` with all fault kinds, iteration 283: its
     // hard frontend fault on way 2 wedges BlackJack mode, and the
-    // built-in watchdog ends the run after 200,000 quiet cycles. The
+    // built-in watchdog ends the run after 200,000 quiet cycles — on the
+    // plain path and under the campaign's `EarlyExit::run` alike. The
     // draws below replay bj-fuzz's per-iteration sequence.
     let mut rng = Rng::seed_from_u64(0xB1AC);
     let mut draw = None;
@@ -139,18 +141,39 @@ fn a_watchdog_ended_fuzz_run_matches_step() {
     let prog = generate(sub_seed, GenConfig { segments, call_depth: 2 });
     let mut cfg = CoreConfig::with_mode(Mode::BlackJack);
     cfg.lvq_ecc = true;
-    let plan = FaultPlan::single(HardFault::stuck_bit(FaultSite::Frontend { way }, bit))
-        .with_kind(FaultKind::Hard);
+    let site = FaultSite::Frontend { way };
+    let plan = FaultPlan::single(HardFault::stuck_bit(site, bit)).with_kind(FaultKind::Hard);
     let mut run = assert_matches_step(
         "fuzz iteration 283",
-        cfg,
+        cfg.clone(),
         &prog,
-        plan,
+        plan.clone(),
         &[1_000, 50_000, 150_000, MAX_CYCLES],
     );
     assert!(run.stats().deadlocked, "{}", run.debug_state());
+    let wedged_at = run.cycle();
+    assert_eq!(wedged_at, 201_975);
     assert_eq!(run.run(MAX_CYCLES), RunOutcome::CycleLimit);
     assert!(run.quiet_cycles() > WATCHDOG_CYCLES / 2, "{} quiet cycles", run.quiet_cycles());
+
+    // `EarlyExit::for_site` arms the convergence seal from a fault-free
+    // recording pass; the fault activates long before the seal point, so
+    // `EarlyExit::run` runs on, and the core's watchdog ends the run where
+    // it ends the plain one.
+    let recording = FaultPlan::new().record_usage(cfg.site_family_sizes());
+    let mut reference = Core::new(cfg.clone(), &prog, recording);
+    assert_eq!(reference.run(MAX_CYCLES), RunOutcome::Completed);
+    let usage = reference.plan().site_usage().expect("the reference pass records usage");
+    let early = EarlyExit::for_site(usage, site, plan.arm_cycle())
+        .expect("the fault-free run fetches through way 2");
+    assert_eq!(early.quiesce, Some(1_949));
+    let mut metrics = Metrics::enabled();
+    let mut driven = Core::new(cfg, &prog, plan);
+    assert_eq!(early.run(&mut driven, MAX_CYCLES, &mut metrics), Exit::Ran(RunOutcome::CycleLimit));
+    assert!(driven.stats().deadlocked, "{}", driven.debug_state());
+    assert_eq!(driven.cycle(), wedged_at, "early exit stops on the core's watchdog");
+    let registry = metrics.registry().expect("metrics on");
+    assert_eq!(registry.get(Counter::ExitCycleLimit), 1);
 }
 
 #[test]
@@ -185,7 +208,7 @@ fn a_transient_frontend_fault_under_a_blocked_srt_trailing_fetch_matches_step() 
     assert!(probe.quiet_cycles() - quiet >= 50, "cycles 551..=600 all ran quiet");
     let usage = probe.plan().site_usage().unwrap();
     assert!(usage.last_use(site) >= Some(600), "the blocked fetch consulted way 3");
-    assert_eq!(probe.plan().last_activation(), 600, "the transient struck the blocked fetch");
+    assert_eq!(probe.plan().activations(), 1, "the transient struck the blocked fetch");
 
     assert_matches_step("srt transient", cfg, &prog, plan, &[550, 700, 2_000, MAX_CYCLES]);
 }

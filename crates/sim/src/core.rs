@@ -530,7 +530,8 @@ impl Core {
 
     /// The last cycle on which either context committed an instruction
     /// (0 before the first commit) — the progress mark of the built-in
-    /// no-commit watchdog and of a campaign's stall watchdog.
+    /// no-commit watchdog, which ends every wedged run, campaign runs
+    /// included.
     pub fn last_commit_cycle(&self) -> u64 {
         self.last_commit_cycle
     }
@@ -1032,7 +1033,7 @@ impl Core {
         // rename, so no borrowed dependence information exists to check).
         if uses_dtq {
             let mut logical_srcs = inst.srcs().filter(|r| !r.is_zero());
-            for (i, used) in srcs.iter().enumerate() {
+            for used in &srcs {
                 let Some(used) = used else { continue };
                 let Some(log) = logical_srcs.next() else { continue };
                 let expected = self.commit_rat.lookup(log);
@@ -1040,7 +1041,6 @@ impl Core {
                     self.detect_ways(DetectionKind::DependenceCheckMismatch, seq, pc, dw.0, dw.1, dw.2);
                     return false;
                 }
-                let _ = i;
             }
             if let (Some(d), Some(log)) = (dst, inst.dst()) {
                 let prev = self.commit_rat.commit_dst(log, d);

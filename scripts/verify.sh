@@ -83,7 +83,7 @@ echo "== tier-1: observability smoke (BJ_TRACE alone: metrics + progress) =="
 # that the report does not depend on the worker count, on any host.
 obs_file="$(mktemp /tmp/bj_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$obs_file"' EXIT
-obs_out="$(env -u BJ_METRICS BJ_THREADS=1 BJ_TRACE="$obs_file" \
+obs_out="$(BJ_THREADS=1 BJ_TRACE="$obs_file" \
   cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
 plain_out="$(BJ_THREADS=8 cargo run --release -q --offline -p blackjack-bench \
@@ -95,7 +95,6 @@ grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"done":true'
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"jobs_total":'
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"runs":'
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"nondet":\["elapsed_nanos"'
-# The run's environment has no BJ_METRICS: BJ_TRACE alone records metrics.
 grep -q '"type":"metrics"' "$obs_file"
 top_out="$(cargo run --release -q --offline -p blackjack-bench --bin bj-trace -- top "$obs_file")"
 echo "$top_out" | grep -q "campaign:"

@@ -8,8 +8,8 @@ use blackjack_workloads::{build, Benchmark};
 use crate::campaign::{Campaign, CampaignTrace, ObserveOpts};
 use crate::metrics::Metrics;
 
-/// Default cycle budget per run — far above anything the kernels need.
-const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
+/// Cycle budget per run — far above anything the kernels need.
+const MAX_CYCLES: u64 = 200_000_000;
 
 /// Configures and runs the paper's evaluation.
 ///
@@ -24,7 +24,6 @@ const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 #[derive(Debug, Clone)]
 pub struct Experiment {
     scale: u32,
-    max_cycles: u64,
     base: CoreConfig,
     trace: bool,
     snapshot: bool,
@@ -42,7 +41,6 @@ impl Experiment {
     pub fn new() -> Experiment {
         Experiment {
             scale: 1,
-            max_cycles: DEFAULT_MAX_CYCLES,
             base: CoreConfig::default(),
             trace: false,
             snapshot: true,
@@ -52,12 +50,6 @@ impl Experiment {
     /// Multiplies every benchmark's iteration count.
     pub fn scale(mut self, scale: u32) -> Experiment {
         self.scale = scale;
-        self
-    }
-
-    /// Overrides the base core configuration (mode is set per run).
-    pub fn config(mut self, cfg: CoreConfig) -> Experiment {
-        self.base = cfg;
         self
     }
 
@@ -113,7 +105,7 @@ impl Experiment {
         if self.trace {
             core.enable_trace();
         }
-        let outcome = core.run(self.max_cycles);
+        let outcome = core.run(MAX_CYCLES);
         assert!(
             outcome.completed(),
             "{bench} in {mode} mode did not complete: {outcome:?}\n{}",

@@ -75,7 +75,11 @@ pub enum Counter {
     ExitCycleLimit,
     /// Runs the early-exit driver sealed benign (M2, convergence).
     ExitConverged,
-    /// Runs the early-exit driver declared stuck (M3, stall watchdog).
+    /// Always 0: early exit has no stall watchdog (a wedged run ends on
+    /// the core's no-commit watchdog and counts under
+    /// [`Counter::ExitCycleLimit`]). Kept for readers of the
+    /// `exit_stalled` key, such as the benchmark's
+    /// `detection.early_exit.watchdog` metric.
     ExitStalled,
     /// Sites statically proven benign — no simulation at all.
     PrunedStatic,
@@ -493,8 +497,8 @@ mod tests {
             assert!(!seen.contains(&c), "{reason:?} shares a counter");
             seen.push(c);
         }
-        // The early-exit driver's own exits never alias a core reason.
-        assert!(!seen.contains(&Counter::ExitConverged) && !seen.contains(&Counter::ExitStalled));
+        // Early exit's own exit reason never aliases a core reason.
+        assert!(!seen.contains(&Counter::ExitConverged));
     }
 
     #[test]

@@ -195,18 +195,13 @@ impl TraceWriter {
     pub fn emit_progress(&mut self, t: &ProgressTick) {
         let empty = MetricsRegistry::new();
         let r = t.metrics.as_ref().unwrap_or(&empty);
-        let (a, c, w) = (
-            r.get(Counter::PrunedActivation),
-            r.get(Counter::ExitConverged),
-            r.get(Counter::ExitStalled),
-        );
+        let (a, c) = (r.get(Counter::PrunedActivation), r.get(Counter::ExitConverged));
         let eta = t.eta.map_or("null".to_string(), |d| d.as_nanos().to_string());
         let busy: Vec<String> = t.busy.iter().map(|d| d.as_nanos().to_string()).collect();
         self.line(&format!(
             "{{\"type\":\"progress\",\"jobs_done\":{},\"jobs_total\":{},\"workers\":{},\
              \"done\":{},\"runs\":{},\"forked_runs\":{},\
-             \"early_exits\":{{\"activation\":{a},\"convergence\":{c},\"watchdog\":{w},\
-             \"total\":{}}},\
+             \"early_exits\":{{\"activation\":{a},\"convergence\":{c},\"total\":{}}},\
              \"snapshots\":{{\"taken\":{}}},\
              \"nondet\":[\"elapsed_nanos\",\"eta_nanos\",\"busy_nanos\"],\
              \"elapsed_nanos\":{},\"eta_nanos\":{eta},\"busy_nanos\":[{}]}}",
@@ -216,7 +211,7 @@ impl TraceWriter {
             t.done,
             r.get(Counter::RunsSimulated),
             r.get(Counter::SnapshotForks),
-            a + c + w,
+            a + c,
             r.get(Counter::SnapshotsTaken),
             t.elapsed.as_nanos(),
             busy.join(","),
@@ -686,7 +681,7 @@ mod tests {
         r.add(Counter::RunsSimulated, 2);
         r.inc(Counter::SnapshotForks);
         r.inc(Counter::PrunedActivation);
-        r.inc(Counter::ExitStalled);
+        r.inc(Counter::ExitConverged);
         r.add(Counter::SnapshotsTaken, 3);
         w.emit_progress(&ProgressTick {
             jobs_done: 2,
@@ -716,7 +711,7 @@ mod tests {
         assert_eq!(get_bool(&rec, "done"), Some(false));
         let exits = get_obj(&rec, "early_exits").unwrap();
         assert_eq!(get_u64(exits, "activation"), Some(1));
-        assert_eq!(get_u64(exits, "watchdog"), Some(1));
+        assert_eq!(get_u64(exits, "convergence"), Some(1));
         assert_eq!(get_u64(exits, "total"), Some(2));
         let snaps = get_obj(&rec, "snapshots").unwrap();
         assert_eq!(get_u64(snaps, "taken"), Some(3));
