@@ -329,78 +329,6 @@ impl Cfg {
         seen
     }
 
-    /// Immediate dominators, one per block: `idom[b]` is the unique block
-    /// through which every path from the entry to `b` must pass (and
-    /// `idom[0] == 0`). Unreachable blocks get `usize::MAX`.
-    ///
-    /// Cooper–Harvey–Kennedy iterative algorithm over a reverse postorder.
-    pub fn dominators(&self) -> Vec<usize> {
-        const UNDEF: usize = usize::MAX;
-        let n = self.blocks.len();
-        let rpo = self.reverse_postorder();
-        let mut order_of = vec![UNDEF; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            order_of[b] = i;
-        }
-        let mut idom = vec![UNDEF; n];
-        idom[0] = 0;
-
-        let intersect = |idom: &[usize], order_of: &[usize], mut a: usize, mut b: usize| {
-            while a != b {
-                while order_of[a] > order_of[b] {
-                    a = idom[a];
-                }
-                while order_of[b] > order_of[a] {
-                    b = idom[b];
-                }
-            }
-            a
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom = UNDEF;
-                for &p in &self.blocks[b].preds {
-                    if idom[p] == UNDEF {
-                        continue;
-                    }
-                    new_idom = if new_idom == UNDEF {
-                        p
-                    } else {
-                        intersect(&idom, &order_of, new_idom, p)
-                    };
-                }
-                if new_idom != UNDEF && idom[b] != new_idom {
-                    idom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        idom
-    }
-
-    /// True if block `a` dominates block `b` (every path from entry to
-    /// `b` passes through `a`). Unreachable blocks dominate nothing and
-    /// are dominated by nothing.
-    pub fn dominates(&self, a: usize, b: usize) -> bool {
-        let idom = self.dominators();
-        if idom[b] == usize::MAX {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == 0 {
-                return false;
-            }
-            cur = idom[cur];
-        }
-    }
-
     /// Per-block flag: some path from this block reaches a `halt` (or an
     /// indirect jump, which is conservatively assumed able to reach one).
     pub fn can_reach_halt(&self) -> Vec<bool> {
@@ -423,34 +351,6 @@ impl Cfg {
             }
         }
         can
-    }
-
-    /// Blocks in reverse postorder of a depth-first walk from the entry
-    /// (unreachable blocks excluded).
-    pub fn reverse_postorder(&self) -> Vec<usize> {
-        let n = self.blocks.len();
-        let mut post = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        // Iterative DFS with an explicit phase marker.
-        let mut stack = vec![(0usize, false)];
-        while let Some((b, expanded)) = stack.pop() {
-            if expanded {
-                post.push(b);
-                continue;
-            }
-            if seen[b] {
-                continue;
-            }
-            seen[b] = true;
-            stack.push((b, true));
-            for &s in self.blocks[b].succs.iter().rev() {
-                if !seen[s] {
-                    stack.push((s, false));
-                }
-            }
-        }
-        post.reverse();
-        post
     }
 }
 
@@ -498,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn dominators_of_diamond() {
+    fn diamond_joins_both_arms() {
         // entry branches to then/else, both jump to join.
         let c = cfg(
             ".text
@@ -513,14 +413,7 @@ mod tests {
             ",
         );
         assert_eq!(c.blocks().len(), 4);
-        let idom = c.dominators();
-        assert_eq!(idom[0], 0);
-        assert_eq!(idom[1], 0, "then-arm dominated by entry");
-        assert_eq!(idom[2], 0, "else-arm dominated by entry");
-        assert_eq!(idom[3], 0, "join dominated by entry, not by either arm");
-        assert!(c.dominates(0, 3));
-        assert!(!c.dominates(1, 3));
-        assert!(c.dominates(3, 3));
+        assert_eq!(c.blocks()[3].preds, vec![1, 2], "join entered from both arms");
     }
 
     #[test]
@@ -535,7 +428,6 @@ mod tests {
         );
         let r = c.reachable();
         assert_eq!(r, vec![true, false, true]);
-        assert_eq!(c.dominators()[1], usize::MAX);
     }
 
     #[test]

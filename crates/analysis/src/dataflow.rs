@@ -1,12 +1,11 @@
 //! Classic dataflow analyses over a [`Cfg`]: register liveness (backward
-//! may), definite assignment (forward must), and reaching definitions
-//! (forward may).
+//! may) and definite assignment (forward must).
 //!
 //! The unified BJ-ISA register space has exactly 64 logical registers
 //! (32 integer + 32 FP), so a register set is a single `u64` bitmask and
 //! every transfer function is a handful of bitwise ops.
 
-use blackjack_isa::{Inst, LogReg, NUM_LOG_REGS};
+use blackjack_isa::{Inst, LogReg};
 
 use crate::cfg::{Cfg, Terminator};
 
@@ -245,127 +244,6 @@ impl DefiniteAssign {
     }
 }
 
-/// Reaching definitions: which instruction-level definitions can reach
-/// each block entry.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    /// The defining instructions: `defs[d] = (inst index, register)`.
-    pub defs: Vec<(usize, LogReg)>,
-    /// Bitset per block over `defs` indices: definitions reaching entry.
-    pub reach_in: Vec<DefBits>,
-}
-
-/// A growable bitset over definition indices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DefBits(Vec<u64>);
-
-impl DefBits {
-    fn new(n: usize) -> DefBits {
-        DefBits(vec![0; n.div_ceil(64)])
-    }
-
-    /// Membership test.
-    pub fn contains(&self, d: usize) -> bool {
-        self.0[d / 64] >> (d % 64) & 1 == 1
-    }
-
-    fn insert(&mut self, d: usize) {
-        self.0[d / 64] |= 1 << (d % 64);
-    }
-
-    fn remove(&mut self, d: usize) {
-        self.0[d / 64] &= !(1 << (d % 64));
-    }
-
-    fn union_with(&mut self, other: &DefBits) -> bool {
-        let mut changed = false;
-        for (w, &o) in self.0.iter_mut().zip(&other.0) {
-            let new = *w | o;
-            if new != *w {
-                *w = new;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Number of definitions in the set.
-    pub fn len(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-}
-
-impl ReachingDefs {
-    /// Forward may-analysis over instruction-level definitions.
-    pub fn compute(cfg: &Cfg) -> ReachingDefs {
-        // Enumerate definitions.
-        let mut defs: Vec<(usize, LogReg)> = Vec::new();
-        let mut defs_of_reg: Vec<Vec<usize>> = vec![Vec::new(); NUM_LOG_REGS];
-        for (i, inst) in cfg.insts().iter().enumerate() {
-            if let Some(d) = inst.dst() {
-                defs_of_reg[d.index() as usize].push(defs.len());
-                defs.push((i, d));
-            }
-        }
-        let nd = defs.len();
-        let nb = cfg.blocks().len();
-
-        // Per-block gen/kill over definition indices.
-        let mut gen = vec![DefBits::new(nd); nb];
-        let mut kill = vec![DefBits::new(nd); nb];
-        for (b, blk) in cfg.blocks().iter().enumerate() {
-            for i in blk.start..blk.end {
-                if let Some(d) = cfg.insts()[i].dst() {
-                    for &other in &defs_of_reg[d.index() as usize] {
-                        gen[b].remove(other);
-                        kill[b].insert(other);
-                    }
-                    let this = defs_of_reg[d.index() as usize]
-                        .iter()
-                        .copied()
-                        .find(|&dd| defs[dd].0 == i)
-                        .expect("definition enumerated above");
-                    gen[b].insert(this);
-                    kill[b].remove(this);
-                }
-            }
-        }
-
-        let mut reach_in = vec![DefBits::new(nd); nb];
-        let mut reach_out = gen.clone();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 0..nb {
-                let mut inn = DefBits::new(nd);
-                for &p in &cfg.blocks()[b].preds {
-                    inn.union_with(&reach_out[p]);
-                }
-                if inn != reach_in[b] {
-                    reach_in[b] = inn;
-                    changed = true;
-                }
-                // out = gen ∪ (in − kill)
-                let mut out = reach_in[b].clone();
-                for (w, &k) in out.0.iter_mut().zip(&kill[b].0) {
-                    *w &= !k;
-                }
-                out.union_with(&gen[b]);
-                if out != reach_out[b] {
-                    reach_out[b] = out;
-                    changed = true;
-                }
-            }
-        }
-        ReachingDefs { defs, reach_in }
-    }
-}
-
 /// Instruction-level dead definitions: `(instruction index, register)`
 /// pairs where the written value can never be read afterwards. Memory
 /// stores are not definitions (their effect is always observable), and
@@ -481,30 +359,6 @@ mod tests {
         let regs: Vec<LogReg> = reads.iter().map(|&(_, r)| r).collect();
         assert!(regs.contains(&LogReg::new(32)), "f0 is unified reg 32");
         assert!(regs.contains(&LogReg::new(34)), "f2 is unified reg 34");
-    }
-
-    #[test]
-    fn reaching_defs_count() {
-        let c = cfg(
-            ".text
-                li   x1, 1
-                beqz x1, other
-                addi x2, x0, 1
-                j    join
-            other:
-                addi x2, x0, 2
-            join:
-                sd   x2, 0(x2)
-                halt
-            ",
-        );
-        let rd = ReachingDefs::compute(&c);
-        // Both defs of x2 reach the join block.
-        let join = c.block_of(c.insts().len() - 2);
-        let reaching_x2: Vec<usize> = (0..rd.defs.len())
-            .filter(|&d| rd.defs[d].1 == x(2) && rd.reach_in[join].contains(d))
-            .collect();
-        assert_eq!(reaching_x2.len(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! executes programs *dynamically*. This crate is the static
 //! counterpart: it decodes an assembled [`blackjack_isa::Program`] back
 //! into instructions, builds a control-flow graph, runs classic
-//! dataflow analyses over it, and exposes three consumers:
+//! dataflow analyses over it, and exposes these consumers:
 //!
 //! * [`lint`] — program sanity checks (unreachable code, reads of
 //!   never-written registers, dead definitions, unbounded loops,
@@ -17,15 +17,17 @@
 //!   when every function passes — resolution of `jalr` returns into
 //!   real CFG edges plus summary-based interprocedural dataflow, so
 //!   the lints stay precise across call boundaries.
-//! * [`reach`] — static fault-site reachability: which backend ways a
-//!   program can possibly exercise, so injection campaigns can prove
-//!   the remaining sites benign without simulating them.
+//! * [`reach`] — static fault-site pruning: which backend ways a
+//!   program can possibly exercise, judged by the FU mix of every
+//!   decoded text word (no reachability or interprocedural pass), so
+//!   injection campaigns can prove the remaining sites benign without
+//!   simulating them.
 //! * [`shuffle_check`] — a verifier that drives the real safe-shuffle
 //!   implementation over every possible leading placement and proves
 //!   the spatial-diversity property the paper's detection argument
 //!   rests on.
 //!
-//! The `bj-lint` binary in `blackjack-bench` runs all three over the
+//! The `bj-lint` binary in `blackjack-bench` runs them all over the
 //! workload suite and emits a machine-readable report.
 
 #![warn(missing_docs)]
@@ -41,7 +43,7 @@ pub mod shuffle_check;
 
 pub use callgraph::{CallGraph, CallSite, CgIssue, Function};
 pub use cfg::{BasicBlock, Cfg, CfgError, Terminator};
-pub use dataflow::{dead_defs, DefiniteAssign, Liveness, ReachingDefs, RegSet};
+pub use dataflow::{dead_defs, DefiniteAssign, Liveness, RegSet};
 pub use interproc::{FnSummary, Interproc, Resolution};
 pub use lint::{lint_interproc, lint_program, Lint, LintReport};
 pub use radiscipline::{prove_function, RaProof, RaReject};

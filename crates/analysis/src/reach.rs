@@ -1,4 +1,4 @@
-//! Static fault-site reachability: which backend ways can a program
+//! Static fault-site pruning: which backend ways can a program
 //! possibly exercise?
 //!
 //! A hard fault on a backend way only manifests when a uop *computes on
@@ -27,10 +27,9 @@
 //! faulted-run fetch fault is itself a detection, not an execution.
 //! So the universe of executable uops is still exactly the set of
 //! decoded text words, independent of how precisely the CFG resolves
-//! `jalr` targets. Pruning therefore deliberately does **not** depend
-//! on [`crate::interproc`] return resolution; only the diagnostic
-//! `reachable_mix` uses it, so that code after a call site counts as
-//! reachable when the callee provably returns.
+//! `jalr` targets. The analysis therefore builds the [`Cfg`] only to
+//! decode and validate the text (its [`CfgError`] is the analysis's
+//! error) and runs no reachability or interprocedural pass.
 //!
 //! Frontend and payload-RAM sites are never pruned: every instruction
 //! flows through them regardless of class.
@@ -39,8 +38,7 @@ use blackjack_faults::FaultSite;
 use blackjack_isa::{FuType, Program};
 use blackjack_sim::FuCounts;
 
-use crate::cfg::CfgError;
-use crate::interproc::Interproc;
+use crate::cfg::{Cfg, CfgError};
 
 /// Instruction counts per FU class (indexed by [`FuType::index`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,7 +64,7 @@ impl FuMix {
     }
 }
 
-/// Static reachability analysis of one program against one backend
+/// Static fault-site analysis of one program against one backend
 /// configuration.
 #[derive(Debug, Clone)]
 pub struct SiteAnalysis {
@@ -75,11 +73,6 @@ pub struct SiteAnalysis {
     /// Mix over **every** decoded text word — the sound pruning basis
     /// (covers wrong-path and fault-redirected execution).
     pub static_mix: FuMix,
-    /// Mix over statically-reachable blocks only (call-aware: when the
-    /// interprocedural analysis resolves returns, blocks after call
-    /// sites count as reachable) — reported for diagnostics, never
-    /// used to prune.
-    pub reachable_mix: FuMix,
     fu: FuCounts,
 }
 
@@ -88,27 +81,17 @@ impl SiteAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`CfgError`] if the program cannot be decoded into a CFG.
+    /// Returns the [`CfgError`] of [`Cfg::build`] if the program cannot
+    /// be decoded into a CFG.
     pub fn analyze(prog: &Program, fu: &FuCounts) -> Result<SiteAnalysis, CfgError> {
-        let ip = Interproc::analyze(prog)?;
-        let cfg = ip.cfg();
+        let cfg = Cfg::build(prog)?;
         let mut static_mix = FuMix::default();
         for inst in cfg.insts() {
             static_mix.counts[inst.fu_type().index()] += 1;
         }
-        let mut reachable_mix = FuMix::default();
-        let reachable = ip.reachable();
-        for (b, blk) in cfg.blocks().iter().enumerate() {
-            if reachable[b] {
-                for i in blk.start..blk.end {
-                    reachable_mix.counts[cfg.insts()[i].fu_type().index()] += 1;
-                }
-            }
-        }
         Ok(SiteAnalysis {
             program: prog.name.clone(),
             static_mix,
-            reachable_mix,
             fu: *fu,
         })
     }
@@ -280,7 +263,6 @@ mod tests {
             ",
         );
         assert!(a.static_mix.exercises(FuType::FpMul));
-        assert!(!a.reachable_mix.exercises(FuType::FpMul));
         assert!(!a.prunable(FaultSite::Backend {
             way: FuCounts::default().global_way(FuType::FpMul, 0)
         }));
@@ -357,8 +339,8 @@ mod tests {
     #[test]
     fn call_bearing_program_counts_helper_and_continuation() {
         // The fmul lives in a called helper; the mul sits *after* the
-        // call site, reachable only through the resolved return edge.
-        // Both must appear in the pruning basis AND the diagnostic mix.
+        // call site, which the CFG reaches only through a resolved
+        // return edge. Both must appear in the pruning basis.
         let a = analyze(
             ".text
                 li   x5, 3
@@ -374,7 +356,6 @@ mod tests {
         );
         for t in [FuType::FpMul, FuType::IntMul] {
             assert!(a.static_mix.exercises(t), "{t} missing from static mix");
-            assert!(a.reachable_mix.exercises(t), "{t} missing from reachable mix");
         }
         assert!(!a.prunable(FaultSite::Backend {
             way: FuCounts::default().global_way(FuType::FpMul, 0)
@@ -422,7 +403,29 @@ mod tests {
     fn mix_totals_match() {
         let a = analyze(".text\n nop\n mul x1, x2, x2\n halt\n");
         assert_eq!(a.static_mix.total(), 3);
-        assert_eq!(a.reachable_mix.total(), 3);
         assert_eq!(a.static_mix.of(FuType::IntMul), 1);
+    }
+
+    #[test]
+    fn an_unanalyzable_program_fails_with_the_cfg_error() {
+        // `bj-fuzz` and the benchmark count every injection of a program
+        // that cannot be analyzed as failed, so the analysis must refuse
+        // exactly the programs `Cfg::build` refuses, with its error.
+        use blackjack_isa::{Inst, ProgramBuilder, Reg, TEXT_BASE};
+        let empty = ProgramBuilder::new("empty").build();
+        let mut b = ProgramBuilder::new("undecodable");
+        b.push_raw(0xffff_ffff);
+        let undecodable = b.build();
+        let mut b = ProgramBuilder::new("wild");
+        b.push(Inst::Jal { rd: Reg::ZERO, offset: -(TEXT_BASE as i32) }).unwrap();
+        let wild = b.build();
+        let errs = [&empty, &undecodable, &wild].map(|prog| {
+            let err = SiteAnalysis::analyze(prog, &FuCounts::default()).unwrap_err();
+            assert_eq!(err, Cfg::build(prog).unwrap_err(), "{}", prog.name);
+            err
+        });
+        assert_eq!(errs[0], CfgError::Empty);
+        assert!(matches!(errs[1], CfgError::Decode { word: 0xffff_ffff, .. }), "{:?}", errs[1]);
+        assert!(matches!(errs[2], CfgError::WildTarget { target: 0, .. }), "{:?}", errs[2]);
     }
 }

@@ -97,16 +97,10 @@ pub fn sites() -> Vec<FaultSite> {
     sites
 }
 
-/// The campaign's standard hard fault for `site`, armed at cycle `arm`:
-/// a bit flip in the immediate field for frontend sites (so the
-/// corrupted word still decodes) and in a low value bit for everything
-/// else.
-pub fn armed_plan(site: FaultSite, arm: u64) -> FaultPlan {
-    armed_plan_kind(site, arm, FaultKind::Hard)
-}
-
-/// [`armed_plan`] with the temporal model threaded in: the same flipped
-/// bit, present permanently, for one cycle, or in duty-cycled bursts.
+/// The campaign's standard fault for `site`, armed at cycle `arm`: a bit
+/// flip in the immediate field for frontend sites (so the corrupted word
+/// still decodes) and in a low value bit for everything else, present
+/// permanently, for one cycle, or in duty-cycled bursts as `kind` says.
 pub fn armed_plan_kind(site: FaultSite, arm: u64, kind: FaultKind) -> FaultPlan {
     let bit = match site {
         FaultSite::Frontend { .. } => 1, // immediate-field bit

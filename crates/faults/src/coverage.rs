@@ -21,33 +21,6 @@ impl Default for AreaModel {
     }
 }
 
-impl AreaModel {
-    /// Creates a model from a frontend fraction; backend gets the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= frontend_frac <= 1.0`.
-    pub fn with_frontend_frac(frontend_frac: f64) -> AreaModel {
-        assert!(
-            (0.0..=1.0).contains(&frontend_frac),
-            "frontend fraction {frontend_frac} out of [0,1]"
-        );
-        AreaModel { frontend_frac, backend_frac: 1.0 - frontend_frac }
-    }
-
-    /// Area-weighted coverage of one instruction pair.
-    pub fn pair_coverage(&self, front_diverse: bool, back_diverse: bool) -> f64 {
-        let mut c = 0.0;
-        if front_diverse {
-            c += self.frontend_frac;
-        }
-        if back_diverse {
-            c += self.backend_frac;
-        }
-        c
-    }
-}
-
 /// Accumulates spatial-diversity observations over all committed
 /// leading/trailing instruction pairs of a run.
 ///
@@ -115,15 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_coverage_weights() {
-        let a = AreaModel::default();
-        assert_eq!(a.pair_coverage(false, false), 0.0);
-        assert_eq!(a.pair_coverage(true, false), 0.34);
-        assert_eq!(a.pair_coverage(false, true), 0.66);
-        assert_eq!(a.pair_coverage(true, true), 1.0);
-    }
-
-    #[test]
     fn empty_accumulator_reports_zero() {
         let c = CoverageAccum::new();
         assert_eq!(c.frontend_coverage(), 0.0);
@@ -155,17 +119,5 @@ mod tests {
         }
         let total = c.total_coverage(&AreaModel::default());
         assert!((total - 0.3432).abs() < 1e-9);
-    }
-
-    #[test]
-    fn custom_split() {
-        let a = AreaModel::with_frontend_frac(0.5);
-        assert_eq!(a.backend_frac, 0.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_split_panics() {
-        let _ = AreaModel::with_frontend_frac(1.5);
     }
 }

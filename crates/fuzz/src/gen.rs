@@ -79,9 +79,9 @@ pub struct GenConfig {
     /// `main`; helpers draw their own smaller counts.
     pub segments: usize,
     /// Function-nesting levels: `1` = `main` only (no calls), `2` adds
-    /// a helper, `3` a helper-of-helper. Clamped to
-    /// `1..=`[`MAX_CALL_DEPTH`]. Every non-leaf level is guaranteed at
-    /// least one call site.
+    /// a helper, `3` a helper-of-helper. Clamped to `1..=3`, the deepest
+    /// chain the generator supports. Every non-leaf level is guaranteed
+    /// at least one call site.
     pub call_depth: usize,
 }
 

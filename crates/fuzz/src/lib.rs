@@ -19,7 +19,7 @@
 //!   [`blackjack_analysis::SiteAnalysis`] guarantees detection must be
 //!   detected or provably masked (memory identical to golden).
 //!
-//! Failures are shrunk by [`minimize`] (delta debugging with NOP
+//! Failures are shrunk by [`minimize()`] (delta debugging with NOP
 //! replacement, so PCs and branch offsets stay valid) and persisted as
 //! replayable [`corpus`] cases under `tests/corpus/`.
 

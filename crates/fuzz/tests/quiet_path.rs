@@ -153,7 +153,11 @@ fn a_watchdog_ended_fuzz_run_matches_step() {
     assert!(run.stats().deadlocked, "{}", run.debug_state());
     let wedged_at = run.cycle();
     assert_eq!(wedged_at, 201_975);
+    // A watchdog-stopped core returns its outcome again without stepping.
+    let wedged = state(&run);
     assert_eq!(run.run(MAX_CYCLES), RunOutcome::CycleLimit);
+    assert_eq!(run.cycle(), wedged_at, "a second run stepped the wedged core");
+    assert!(state(&run) == wedged, "a second run changed the wedged core's state");
     assert!(run.quiet_cycles() > WATCHDOG_CYCLES / 2, "{} quiet cycles", run.quiet_cycles());
 
     // `EarlyExit::for_site` arms the convergence seal from a fault-free

@@ -217,17 +217,6 @@ impl Interp {
         f64::from_bits(self.fregs[n])
     }
 
-    /// Writes integer register `x<n>` (writes to `x0` are ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= 32`.
-    pub fn set_reg(&mut self, n: usize, v: u64) {
-        if n != 0 {
-            self.xregs[n] = v;
-        }
-    }
-
     /// The memory image.
     pub fn mem(&self) -> &PagedMem {
         &self.mem
@@ -524,20 +513,10 @@ mod tests {
 
     #[test]
     fn bad_fetch_reported() {
-        let prog = assemble(".text\n jalr x0, 0(x0)\n halt\n").unwrap();
+        // A misaligned PC cannot be fetched.
+        let prog = assemble(".text\n li x1, 2\n jalr x0, 1(x1)\n halt\n").unwrap();
         let mut it = Interp::new(&prog);
-        // Jump to address 0: memory reads zero which decodes as opcode 0 (add),
-        // so execution continues until... opcode 0 is valid. Instead jump to a
-        // misaligned address to provoke BadFetch.
-        it.set_reg(1, 2);
-        let prog2 = assemble(".text\n li x1, 2\n jalr x0, 1(x1)\n halt\n").unwrap();
-        let mut it2 = Interp::new(&prog2);
-        // (2 + 1) & !3 = 0 -> aligned; craft misalignment directly:
-        let _ = it; // first interp unused beyond setup
-        it2.run(10).ok();
-        // Directly verify the error path via a hand-built state:
-        let mut it3 = Interp::new(&prog2);
-        it3.pc = 2;
-        assert!(matches!(it3.step(), Err(InterpError::BadFetch { pc: 2 })));
+        it.pc = 2;
+        assert!(matches!(it.step(), Err(InterpError::BadFetch { pc: 2 })));
     }
 }

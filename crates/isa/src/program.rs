@@ -227,18 +227,6 @@ impl ProgramBuilder {
         self.push_data(&v.to_le_bytes())
     }
 
-    /// Appends an `f64` to the data segment, returning its address.
-    pub fn push_data_f64(&mut self, v: f64) -> u64 {
-        self.push_data(&v.to_le_bytes())
-    }
-
-    /// Reserves `n` zero bytes in the data segment, returning their address.
-    pub fn reserve_data(&mut self, n: usize) -> u64 {
-        let addr = self.data_base + self.data.len() as u64;
-        self.data.resize(self.data.len() + n, 0);
-        addr
-    }
-
     /// Finalizes the program; entry is the first instruction.
     pub fn build(self) -> Program {
         Program {
@@ -275,8 +263,8 @@ mod tests {
     fn data_addresses() {
         let mut b = ProgramBuilder::new("t");
         let a0 = b.push_data_u64(7);
-        let a1 = b.push_data_f64(1.5);
-        let a2 = b.reserve_data(16);
+        let a1 = b.push_data(&1.5f64.to_le_bytes());
+        let a2 = b.push_data(&[0; 16]);
         assert_eq!(a0, DATA_BASE);
         assert_eq!(a1, DATA_BASE + 8);
         assert_eq!(a2, DATA_BASE + 16);

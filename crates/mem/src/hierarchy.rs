@@ -113,19 +113,9 @@ impl MemSystem {
         }
     }
 
-    /// True if `addr` currently hits in the L1D (no state change).
-    pub fn probe_l1d(&self, addr: u64) -> bool {
-        self.l1d.probe(addr)
-    }
-
     /// Set index `addr` maps to in the L1D (fault-site keying).
     pub fn l1d_set(&self, addr: u64) -> usize {
         self.l1d.set_of(addr)
-    }
-
-    /// Number of L1D sets (fault-universe sizing).
-    pub fn l1d_sets(&self) -> usize {
-        self.l1d.sets()
     }
 
     /// L1I statistics.
@@ -174,7 +164,6 @@ mod tests {
         for i in 1..=4u64 {
             m.access_data(i * 16 * 1024, false);
         }
-        assert!(!m.probe_l1d(0));
         // L1 miss, L2 hit: 2 + 12.
         assert_eq!(m.access_data(0, false), 14);
     }
@@ -224,7 +213,6 @@ mod tests {
         let cfg = MemConfig::default();
         let m = MemSystem::new(&cfg);
         // 64KB / 4-way / 64B lines = 256 sets; set = (addr >> 6) & 255.
-        assert_eq!(m.l1d_sets(), 256);
         assert_eq!(m.l1d_set(0), 0);
         assert_eq!(m.l1d_set(64), 1);
         assert_eq!(m.l1d_set(256 * 64), 0);

@@ -99,14 +99,6 @@ impl StoreBuffer {
         self.entries.push_back(rec);
     }
 
-    /// Releases the oldest store directly to memory without checking
-    /// (single-thread mode, or draining after detection).
-    pub fn release_unchecked(&mut self, mem: &mut PagedMem) -> Option<StoreRecord> {
-        let rec = self.entries.pop_front()?;
-        mem.write_sized(rec.addr, rec.bytes, rec.data);
-        Some(rec)
-    }
-
     /// Checks a trailing store against the buffer head (stores commit in
     /// program order in both threads, so the head is the partner).
     ///
@@ -216,16 +208,6 @@ mod tests {
         let mut sb = StoreBuffer::new(1);
         sb.push(rec(0, 8, 0, 0));
         sb.push(rec(8, 8, 0, 1));
-    }
-
-    #[test]
-    fn release_unchecked_drains() {
-        let mut sb = StoreBuffer::new(2);
-        let mut mem = PagedMem::new();
-        sb.push(rec(16, 4, 0xaabbccdd, 0));
-        assert!(sb.release_unchecked(&mut mem).is_some());
-        assert_eq!(mem.read_u32(16), 0xaabbccdd);
-        assert!(sb.release_unchecked(&mut mem).is_none());
     }
 
     #[test]

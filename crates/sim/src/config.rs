@@ -257,9 +257,10 @@ pub struct CoreConfig {
     /// load path and syndrome-decoded at the trailing read port. Closes
     /// the known LVQ escape (a load value corrupted *before* capture is
     /// shared by both threads) — single-bit upsets are corrected (CE),
-    /// multi-bit ones raise [`DetectionKind::EccUncorrectable`]
-    /// (crate::DetectionKind). Off by default to preserve the paper's
-    /// unprotected baseline; `BJ_ECC=1` turns it on in the harnesses.
+    /// multi-bit ones raise
+    /// [`DetectionKind::EccUncorrectable`](crate::DetectionKind::EccUncorrectable).
+    /// Off by default to preserve the paper's unprotected baseline;
+    /// `BJ_ECC=1` turns it on in the harnesses.
     pub lvq_ecc: bool,
 }
 

@@ -568,10 +568,11 @@ impl Core {
     ///   built-in watchdog found no commit for 200,000 cycles (which also
     ///   sets [`SimStats::deadlocked`]).
     ///
-    /// A core that already finished returns its outcome again without
-    /// stepping, so a caller can drive a run in slices. Wall-clock time
-    /// spent here accumulates into [`SimStats::wall_nanos`] (and its twin
-    /// [`SimStats::agg_wall_nanos`]) for throughput accounting.
+    /// A core that already finished, or that the watchdog stopped,
+    /// returns its outcome again without stepping, so a caller can drive
+    /// a run in slices. Wall-clock time spent here accumulates into
+    /// [`SimStats::wall_nanos`] (and its twin [`SimStats::agg_wall_nanos`])
+    /// for throughput accounting.
     ///
     /// The result is exactly that of calling [`Core::step`] once per
     /// cycle, but cycles in which only the clock can move are cheaper:
@@ -582,8 +583,11 @@ impl Core {
     /// counts them).
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let t0 = std::time::Instant::now();
-        let mut watchdog_fired = false;
-        while !self.done && self.detection.is_none() && self.cycle < max_cycles {
+        while !self.done
+            && self.detection.is_none()
+            && !self.stats.deadlocked
+            && self.cycle < max_cycles
+        {
             if self.idle {
                 self.run_quiet(max_cycles);
                 if self.detection.is_some() {
@@ -593,14 +597,12 @@ impl Core {
             self.step();
             if self.cycle - self.last_commit_cycle > WATCHDOG_CYCLES {
                 self.stats.deadlocked = true;
-                watchdog_fired = true;
-                break;
             }
         }
         let elapsed = t0.elapsed().as_nanos() as u64;
         self.stats.wall_nanos += elapsed;
         self.stats.agg_wall_nanos += elapsed;
-        let outcome = if watchdog_fired {
+        let outcome = if self.stats.deadlocked {
             RunOutcome::CycleLimit
         } else if let Some(e) = self.detection {
             RunOutcome::Detected(e)
@@ -1115,7 +1117,6 @@ impl Core {
         };
         if let Some((lf, lb)) = lead_ways {
             self.stats.coverage.record_pair(front_way != lf, back_way != lb);
-            self.stats.back_div_by_fu[inst.fu_type().index()][(back_way != lb) as usize] += 1;
         }
 
         self.trail_expect_pc = next_pc;
@@ -1743,17 +1744,11 @@ impl Core {
         if lead_n == 0 || trail_n == 0 {
             self.stats.single_ctx_issue_cycles += 1;
         }
-        if lead_n > 0 && trail_n > 0 {
-            self.stats.lt_coissue_cycles += 1;
-            if violated {
-                self.stats.lt_interference_cycles += 1;
-            }
+        if violated && lead_n > 0 && trail_n > 0 {
+            self.stats.lt_interference_cycles += 1;
         }
-        if packets.len() > 1 {
-            self.stats.tt_coissue_cycles += 1;
-            if violated {
-                self.stats.tt_interference_cycles += 1;
-            }
+        if violated && packets.len() > 1 {
+            self.stats.tt_interference_cycles += 1;
         }
         self.scratch.packets = packets;
     }

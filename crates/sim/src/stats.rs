@@ -67,10 +67,6 @@ pub struct SimStats {
     pub issue_cycles: u64,
     /// Issue cycles whose instructions all came from one context (Fig. 6).
     pub single_ctx_issue_cycles: u64,
-    /// Issue cycles where leading and trailing instructions co-issued.
-    pub lt_coissue_cycles: u64,
-    /// Issue cycles where two or more trailing packets co-issued.
-    pub tt_coissue_cycles: u64,
     /// Leading-trailing co-issue cycles that *violated* spatial diversity
     /// (Fig. 5, black bars).
     pub lt_interference_cycles: u64,
@@ -81,9 +77,6 @@ pub struct SimStats {
     // --- coverage (Figure 4) ---
     /// Spatial-diversity observations over committed pairs.
     pub coverage: CoverageAccum,
-    /// Backend-diversity outcome per FU class: `[class][0]` = pairs that
-    /// shared a way, `[class][1]` = pairs on different ways.
-    pub back_div_by_fu: [[u64; 2]; 7],
 
     // --- safe-shuffle ---
     /// Input packets split by the shuffle.

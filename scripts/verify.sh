@@ -11,6 +11,11 @@ cargo build --release --offline
 echo "== tier-1: clippy (deny warnings) =="
 cargo clippy -q --workspace --offline --all-targets -- -D warnings
 
+echo "== tier-1: rustdoc (deny warnings) =="
+# Every intra-doc link must resolve: a deletion that leaves a doc link
+# dangling fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "== tier-1: test suite =="
 cargo test -q --workspace --offline
 

@@ -265,11 +265,6 @@ impl MetricsRegistry {
         self.add(Counter::ForkCatchupCycles, cycles);
     }
 
-    /// The catch-up histogram (deterministic).
-    pub fn catchup_histogram(&self) -> &Histogram {
-        &self.catchup_cycles
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self == &MetricsRegistry::default()
@@ -457,7 +452,7 @@ mod tests {
         assert_eq!(ab, ba, "merge must be commutative");
         assert_eq!(ab.get(Counter::Jobs), 11);
         assert_eq!(ab.gauge(Gauge::Workers), 8, "gauges merge by max");
-        assert_eq!(ab.catchup_histogram().total(), 2);
+        assert_eq!(ab.catchup_cycles.total(), 2);
 
         let mut with_identity = a.clone();
         with_identity.merge(&MetricsRegistry::new());
