@@ -11,8 +11,8 @@
 //! `BJ_THREADS`. The sweep runs at workload scale 1 whatever `BJ_SCALE`
 //! says.
 //!
-//! `--bench <name>` restricts the sweep to one benchmark (used by the
-//! `verify.sh` observability smoke). `BJ_FAULT_KINDS` (comma list: `hard`, `transient`,
+//! `--bench <name>` restricts the sweep to one benchmark (used by
+//! EXPERIMENTS.md's `bj-trace top` capture). `BJ_FAULT_KINDS` (comma list: `hard`, `transient`,
 //! `intermittent[:PERIOD:ON]`) runs one campaign per temporal fault
 //! model — the default is the byte-stable hard-fault sweep alone.
 //! `BJ_ECC=1` turns on the LVQ SEC-DED layer in every run; each report

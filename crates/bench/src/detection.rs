@@ -34,18 +34,23 @@
 //! computed on. All four path combinations compute the same arming
 //! schedule and the same verdicts, so their reports match byte for byte.
 //!
-//! **Schedule.** On every path the injection jobs are one
-//! [`Campaign::run_observed`] fan-out. Each job takes its group from a
-//! per-group cell, filled by a parallel setup pass when the campaign has
-//! several workers and by the group's first job when it has one; the
-//! group's last job to finish frees its snapshot chain. Observation —
-//! timings, metrics, progress — never changes the schedule. An observed
-//! campaign counts into one [`MetricsRegistry`]: the setup pass and the
-//! injection fan-out merge each job's counts into it as the job retires,
-//! and every progress tick reads a copy of it.
+//! **Schedule.** On every path the campaign is one
+//! [`Campaign::run_groups`] call with one group per (mode, benchmark):
+//! the group's setup is its reference pass ([`DetectionGroup::build`]),
+//! and its jobs are its injection runs. The engine builds a group only
+//! when no built group has a job left, and drops the group, snapshot
+//! chain included, with its last job: at most twice as many chains as
+//! workers are live at once, and one worker runs the groups depth-first,
+//! one chain at a time. What outlives a group is built once per
+//! benchmark before the fan-out ([`BenchInputs`]: the program, the golden
+//! run and the site analysis), and each job returns its arming cycle
+//! with its verdict, so the report reads nothing from a group after its
+//! last job. Observation — timings, metrics, progress — never changes the
+//! schedule. An observed campaign counts into one [`MetricsRegistry`]:
+//! each setup and job merges its counts into it as it retires, and every
+//! progress tick reads a copy of it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use blackjack::faults::{
@@ -57,7 +62,7 @@ use blackjack::sim::{Core, CoreConfig, FuCounts, Mode, RunOutcome};
 use blackjack::workloads::{build, Benchmark};
 use blackjack::{
     arming_schedule, Campaign, CampaignTrace, Counter, EarlyExit, EarlyExitKind, Exit, Gauge,
-    Metrics, MetricsRegistry, ObserveOpts, ProgressHook, SnapshotChain,
+    Group, Metrics, MetricsRegistry, ObserveOpts, ProgressHook, SnapshotChain,
 };
 use blackjack_analysis::SiteAnalysis;
 
@@ -182,68 +187,67 @@ pub enum SiteRun {
     Simulate(EarlyExit),
 }
 
-/// One (mode, benchmark) group's shared read-only state, built once per
-/// campaign and borrowed by every one of the group's injection jobs.
+/// One benchmark's campaign inputs, built once before the fan-out and
+/// shared by both modes' groups: none of them depends on the mode, and
+/// the report still reads the analysis after every group has dropped.
+pub struct BenchInputs {
+    /// The benchmark program.
+    pub prog: Program,
+    /// The completed golden (fault-free, functional) reference run.
+    pub golden: Interp,
+    /// Static instruction-mix analysis, for pruning.
+    pub analysis: SiteAnalysis,
+}
+
+impl BenchInputs {
+    /// Builds `bench` at scale 1, runs its golden run ([`golden_run`])
+    /// and analyzes it.
+    pub fn build(bench: Benchmark) -> BenchInputs {
+        let prog = build(bench, 1);
+        let golden = golden_run(&prog);
+        let analysis = SiteAnalysis::analyze(&prog, &FuCounts::default())
+            .expect("workload programs are analyzable");
+        BenchInputs { prog, golden, analysis }
+    }
+}
+
+/// One (mode, benchmark) group's shared read-only state: the value of
+/// the group's setup in the campaign, built once and borrowed by every
+/// one of the group's injection jobs. The campaign drops it, snapshot
+/// chain included, with the group's last job.
 pub struct DetectionGroup {
     /// The campaign switches the group was built under.
     pub cfg: DetectionConfig,
     /// The mode every job in the group runs in.
     pub mode: Mode,
-    /// The benchmark program.
-    pub prog: Program,
-    /// The completed golden (fault-free, functional) reference run.
-    /// Shared: the interpreter is mode-independent, so both modes'
-    /// groups for a benchmark hold the same run.
-    pub golden: Arc<Interp>,
-    /// Static instruction-mix analysis, for pruning.
-    pub analysis: SiteAnalysis,
-    /// Cycles of the fault-free run in this mode — the arming-schedule
-    /// denominator.
-    pub fault_free_cycles: u64,
+    /// The benchmark's inputs, shared with the other mode's group.
+    pub inputs: Arc<BenchInputs>,
     /// Per-site arming cycles, indexed like [`sites`].
     pub arms: Vec<u64>,
     /// Per-site run decisions, indexed like [`sites`].
     pub runs: Vec<SiteRun>,
     /// Periodic ([`SNAPSHOT_INTERVAL`]) snapshots of the fault-free run,
     /// trimmed to the donors of the sites that simulate, when the fork
-    /// path is enabled. Behind a lock only so the group's last job can
-    /// drop it ([`DetectionGroup::release_fork_state`]); every other job
-    /// only reads it.
-    pub chain: RwLock<Option<SnapshotChain>>,
+    /// path is enabled.
+    pub chain: Option<SnapshotChain>,
 }
 
 impl DetectionGroup {
-    /// Drops the snapshot chain once every job in the group has run. The
-    /// report only reads the light fields (analysis, arms, cycle count),
-    /// and freeing the chain lets the next group's snapshots reuse the
-    /// warm memory.
-    pub fn release_fork_state(&self) {
-        *self.chain.write().expect("chain lock poisoned") = None;
-    }
-
-    /// Builds the group: program + analysis, then the fault-free pass
-    /// that fixes the arming schedule. `golden` is the benchmark's
-    /// completed functional run ([`golden_run`]) — mode-independent, so
-    /// the caller builds it once per benchmark and shares it between the
-    /// modes' groups. The fault-free pass doubles as the periodic
-    /// snapshot builder on the fork path, and records site usage with
-    /// early exit on, from which each site's [`SiteRun`] is decided; the
-    /// chain then keeps only the donors of the sites that simulate.
+    /// Builds the group: the fault-free pass that fixes the arming
+    /// schedule. The fault-free pass doubles as the periodic snapshot
+    /// builder on the fork path, and records site usage with early exit
+    /// on, from which each site's [`SiteRun`] is decided; the chain then
+    /// keeps only the donors of the sites that simulate.
     ///
     /// Setup/snapshot wall time and the chain's build accounting go to
     /// `metrics` (which may be off).
     pub fn build(
         mode: Mode,
-        bench: Benchmark,
         cfg: DetectionConfig,
-        golden: Arc<Interp>,
+        inputs: Arc<BenchInputs>,
         metrics: &mut Metrics,
     ) -> DetectionGroup {
         let t0 = Instant::now();
-        let prog = build(bench, 1);
-        let analysis = SiteAnalysis::analyze(&prog, &FuCounts::default())
-            .expect("workload programs are analyzable");
-
         // Every path runs the fault-free pass: the arming schedule is
         // derived from its cycle count, and identical arms are what make
         // all the paths' reports byte-identical.
@@ -253,7 +257,7 @@ impl DetectionGroup {
         } else {
             FaultPlan::new()
         };
-        let mut ff = Core::new(core_cfg, &prog, plan);
+        let mut ff = Core::new(core_cfg, &inputs.prog, plan);
         // Wall time attribution: a reference pass that builds snapshots
         // counts as snapshot time; one that only fixes the arming
         // schedule counts as setup.
@@ -263,16 +267,15 @@ impl DetectionGroup {
                 ff,
                 SNAPSHOT_INTERVAL,
                 MAX_CYCLES,
-                Some(golden.icount()),
+                Some(inputs.golden.icount()),
             );
             (done, Some(chain))
         } else {
             assert!(ff.run(MAX_CYCLES).completed(), "fault-free runs must complete");
             (ff, None)
         };
-        let fault_free_cycles = done.cycle();
-        let arms = arming_schedule(fault_free_cycles, sites().len());
-        let runs = site_runs(cfg, &analysis, done.plan().site_usage(), &arms);
+        let arms = arming_schedule(done.cycle(), sites().len());
+        let runs = site_runs(cfg, &inputs.analysis, done.plan().site_usage(), &arms);
         let mut snap_nanos = 0u64;
         if let Some(chain) = &mut chain {
             let simulated = arms.iter().zip(&runs).filter(|(_, r)| matches!(r, SiteRun::Simulate(_)));
@@ -287,17 +290,7 @@ impl DetectionGroup {
         metrics.add(Counter::SnapshotBuildNanos, snap_nanos);
         metrics
             .add(Counter::SetupNanos, (t0.elapsed().as_nanos() as u64).saturating_sub(snap_nanos));
-        DetectionGroup {
-            cfg,
-            mode,
-            prog,
-            golden,
-            analysis,
-            fault_free_cycles,
-            arms,
-            runs,
-            chain: RwLock::new(chain),
-        }
+        DetectionGroup { cfg, mode, inputs, arms, runs, chain }
     }
 
     /// One injection run: site `site_idx` of [`sites`], tallied both in
@@ -337,10 +330,8 @@ impl DetectionGroup {
         };
         let arm = self.arms[site_idx];
         let plan = armed_plan_kind(sites()[site_idx], arm, self.cfg.kind);
-        let chain = self.chain.read().expect("chain lock poisoned");
-        let forked = chain.is_some();
         let tf = Instant::now();
-        let mut core = match chain.as_ref() {
+        let mut core = match &self.chain {
             // The periodic chain rarely paused exactly at arm - 1; catch
             // up the few fault-free cycles in between.
             Some(chain) => {
@@ -349,14 +340,13 @@ impl DetectionGroup {
                 }
                 chain.fork_catchup(arm, plan)
             }
-            None => Core::new(self.cfg.core_config(self.mode), &self.prog, plan),
+            None => Core::new(self.cfg.core_config(self.mode), &self.inputs.prog, plan),
         };
-        drop(chain);
-        if forked {
+        if self.chain.is_some() {
             metrics.inc(Counter::SnapshotForks);
             metrics.add(Counter::SnapshotForkNanos, tf.elapsed().as_nanos() as u64);
         }
-        let (outcome, kind) = outcome_of(&mut core, &early, &self.golden, metrics);
+        let (outcome, kind) = outcome_of(&mut core, &early, &self.inputs.golden, metrics);
         // Zero activations imply zero corrections, so the early-exit
         // paths (which never see a correction by construction) agree
         // with the natural-end runs on the CE/benign split.
@@ -475,8 +465,9 @@ pub struct DetectionReport {
     /// Byte-identical for any worker count and every execution path.
     pub text: String,
     /// Per-job scheduling telemetry, when requested. Its `wall` spans the
-    /// whole campaign call — golden runs, setup pass and injection fan-out
-    /// — while the job timings are the fan-out's own.
+    /// whole campaign call — the benchmarks' inputs, then the group
+    /// setups and injection jobs — while the job timings are the
+    /// injection jobs' own.
     pub trace: Option<CampaignTrace>,
     /// The campaign's metrics registry, when requested
     /// ([`ObserveCtl::metrics`]). Its deterministic prefix is
@@ -494,9 +485,9 @@ pub struct ObserveCtl<'a> {
     pub traced: bool,
     /// Record the metrics registry ([`DetectionReport::metrics`]).
     pub metrics: bool,
-    /// Live-progress hook for the injection fan-out (the campaign's long
-    /// phase). With `metrics` on, each tick carries the registry as it
-    /// stands, setup pass included.
+    /// Live-progress hook for the campaign's fan-out of group setups and
+    /// injection jobs. With `metrics` on, each tick carries the registry
+    /// as it stands, the setups retired so far included.
     pub progress: Option<&'a ProgressHook<'a>>,
 }
 
@@ -523,9 +514,9 @@ pub fn run_detection(
 /// [`run_detection`] with the full observability surface: scheduling
 /// telemetry, the metrics registry, and live progress streaming, each
 /// opt-in through `ctl`. Observation never changes the schedule: the
-/// injection jobs are one [`Campaign::run_observed`] fan-out on every
-/// path. The registry counts injection jobs as `jobs` and group setups
-/// as `setups`, whichever pass ran them.
+/// campaign is one [`Campaign::run_groups`] call on every path. The
+/// registry counts injection jobs as `jobs` and group setups as
+/// `setups`.
 pub fn run_detection_observed(
     campaign: &Campaign,
     cfg: DetectionConfig,
@@ -538,79 +529,43 @@ pub fn run_detection_observed(
     let ns = all_sites.len();
     let registry = ctl.metrics.then(|| Mutex::new(MetricsRegistry::new()));
 
-    // One golden run per benchmark, shared by both modes' groups (the
-    // functional interpreter knows nothing of pipeline mode).
-    let goldens: Vec<Arc<Interp>> =
-        benchmarks.iter().map(|&b| Arc::new(golden_run(&build(b, 1)))).collect();
-
-    // One cell per (mode, benchmark) group — group index
-    // g = mode_idx * nb + bench_idx, matching job order — holding the
-    // group once built and a countdown of its unfinished jobs.
-    let cells: Vec<(OnceLock<DetectionGroup>, AtomicUsize)> =
-        (0..MODES.len() * nb).map(|_| (OnceLock::new(), AtomicUsize::new(ns))).collect();
-    let cells_ref = &cells;
-    let group = |g: usize, m: &mut Metrics| {
-        cells_ref[g].0.get_or_init(|| {
-            let golden = Arc::clone(&goldens[g % nb]);
-            DetectionGroup::build(MODES[g / nb], benchmarks[g % nb], cfg, golden, m)
-        })
-    };
-
-    // The one schedule choice. Several workers first fill every cell in
-    // a parallel setup pass, so no worker waits on another's reference
-    // pass — at the price of every group's snapshot chain being live at
-    // once (93 MiB peak for 850 jobs over 34 groups on two workers, the
-    // benchmark's `inject-transient`, with 496 snapshots held). One
-    // worker gains nothing from that, so each group's first job fills
-    // its cell and its last job frees the chain: one chain live at a
-    // time (35 MiB for the same jobs, `inject-hard`).
-    if campaign.workers() > 1 {
-        campaign.run_observed(
-            (0..cells.len())
-                .map(|g| {
-                    move |m: &mut Metrics| {
-                        group(g, m);
-                    }
-                })
-                .collect(),
-            ObserveOpts { metrics: registry.as_ref(), ..ObserveOpts::default() },
-        );
-    }
-
-    let jobs: Vec<_> = (0..cells.len() * ns)
-        .map(|i| {
-            move |m: &mut Metrics| {
-                let g = i / ns;
-                let grp = group(g, m);
-                m.inc(Counter::Jobs);
-                let (tally, tax, early) = grp.injection_tally(i % ns, m);
-                // Release: this job is done with the chain. Acquire: the
-                // job that counts the group down to zero sees every other
-                // job done with it before dropping it.
-                if cells_ref[g].1.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    grp.release_fork_state();
+    let inputs: Vec<Arc<BenchInputs>> =
+        benchmarks.iter().map(|&b| Arc::new(BenchInputs::build(b))).collect();
+    // One group per (mode, benchmark), in job order: group index
+    // g = mode_idx * nb + bench_idx.
+    let groups: Vec<_> = MODES
+        .iter()
+        .flat_map(|&mode| {
+            inputs.iter().map(move |inputs| {
+                let inputs = Arc::clone(inputs);
+                Group {
+                    setup: move |m: &mut Metrics| DetectionGroup::build(mode, cfg, inputs, m),
+                    jobs: (0..ns)
+                        .map(|site| {
+                            move |grp: &DetectionGroup, m: &mut Metrics| {
+                                m.inc(Counter::Jobs);
+                                (grp.arms[site], grp.injection_tally(site, m))
+                            }
+                        })
+                        .collect(),
                 }
-                (grp.mode, tally, tax, early)
-            }
+            })
         })
         .collect();
-    let obs = campaign.run_observed(
-        jobs,
+    let obs = campaign.run_groups(
+        groups,
         ObserveOpts { timings: ctl.traced, metrics: registry.as_ref(), progress: ctl.progress },
     );
-    let groups: Vec<DetectionGroup> = cells
-        .into_iter()
-        .map(|(cell, _)| cell.into_inner().expect("every group ran its jobs"))
-        .collect();
 
     let t_reassembly = Instant::now();
     let results = &obs.results;
+    let mode_of = |i: usize| MODES[i / (nb * ns)];
     let tallies: Vec<(Mode, DetectionTally)> =
-        results.iter().map(|&(m, t, _, _)| (m, t)).collect();
+        results.iter().enumerate().map(|(i, &(_, (t, _, _)))| (mode_of(i), t)).collect();
     let taxonomies: Vec<(Mode, TaxonomyTally)> =
-        results.iter().map(|&(m, _, x, _)| (m, x)).collect();
+        results.iter().enumerate().map(|(i, &(_, (_, x, _)))| (mode_of(i), x)).collect();
     let early_exits: Vec<Option<EarlyExitKind>> =
-        results.iter().map(|&(_, _, _, e)| e).collect();
+        results.iter().map(|&(_, (_, _, e))| e).collect();
 
     let labels: Vec<String> = MODES
         .iter()
@@ -621,19 +576,18 @@ pub fn run_detection_observed(
             })
         })
         .collect();
-    let meta: Vec<JobMeta> = (0..MODES.len() * nb * ns)
-        .map(|i| {
-            let g = i / ns;
-            JobMeta {
-                mode: MODES[g / nb],
-                bench: benchmarks[g % nb],
-                site: all_sites[i % ns],
-                arm: groups[g].arms[i % ns],
-            }
+    let meta: Vec<JobMeta> = results
+        .iter()
+        .enumerate()
+        .map(|(i, &(arm, _))| JobMeta {
+            mode: mode_of(i),
+            bench: benchmarks[i / ns % nb],
+            site: all_sites[i % ns],
+            arm,
         })
         .collect();
 
-    let text = report_text(cfg, benchmarks, &groups[..nb], &tallies, &taxonomies);
+    let text = report_text(cfg, &inputs, &tallies, &taxonomies);
     let metrics = registry.map(|r| {
         let mut r = r.into_inner().expect("metrics registry poisoned");
         // Config facts enter once the jobs are done: what the jobs
@@ -646,15 +600,14 @@ pub fn run_detection_observed(
     DetectionReport { tallies, taxonomies, early_exits, labels, meta, text, trace, metrics }
 }
 
-/// Renders the deterministic report. `bench_groups` must be the per-
-/// benchmark groups of one mode (the analysis and pruning facts are
-/// mode-independent), in benchmark order. Worker counts and wall-clock
-/// are deliberately absent — the report is byte-identical for any
-/// `BJ_THREADS` and every `snapshot` / `early_exit` path.
+/// Renders the deterministic report. `inputs` are the benchmarks', in
+/// benchmark order (the analysis and pruning facts are mode-independent).
+/// Worker counts and wall-clock are deliberately absent — the report is
+/// byte-identical for any `BJ_THREADS` and every `snapshot` /
+/// `early_exit` path.
 fn report_text(
     cfg: DetectionConfig,
-    benchmarks: &[Benchmark],
-    bench_groups: &[DetectionGroup],
+    inputs: &[Arc<BenchInputs>],
     tallies: &[(Mode, DetectionTally)],
     taxonomies: &[(Mode, TaxonomyTally)],
 ) -> String {
@@ -674,7 +627,7 @@ fn report_text(
         "(one wear-out bit flip per run, arming in the late half of the \
          fault-free run;\n {} sites x {} benchmarks per mode)\n\n",
         n_sites,
-        benchmarks.len(),
+        inputs.len(),
     ));
     let per_mode: Vec<(Mode, DetectionTally)> = MODES
         .iter()
@@ -726,19 +679,19 @@ fn report_text(
 
     if prune {
         let per_mode: u32 =
-            bench_groups.iter().map(|g| g.analysis.prunable_backend_ways().len() as u32).sum();
+            inputs.iter().map(|b| b.analysis.prunable_backend_ways().len() as u32).sum();
         s.push_str(&format!(
             "\npruned_sites: {} of {} runs per mode statically proven benign\n",
             per_mode,
-            benchmarks.len() * n_sites,
+            inputs.len() * n_sites,
         ));
-        for g in bench_groups {
+        for b in inputs {
             let dead: Vec<String> =
-                g.analysis.dead_classes().iter().map(|t| format!("{t} x{}", counts.of(*t))).collect();
+                b.analysis.dead_classes().iter().map(|t| format!("{t} x{}", counts.of(*t))).collect();
             s.push_str(&format!(
                 "  {:8} {:2} ways pruned  [{}]\n",
-                g.analysis.program,
-                g.analysis.prunable_backend_ways().len(),
+                b.analysis.program,
+                b.analysis.prunable_backend_ways().len(),
                 dead.join(", ")
             ));
         }
@@ -749,7 +702,7 @@ fn report_text(
 }
 
 /// Parses harness arguments: `--bench <name>` restricts the sweep to one
-/// benchmark (the `verify.sh` observability smoke uses this). Any kernel
+/// benchmark (EXPERIMENTS.md's `bj-trace top` capture uses this). Any kernel
 /// [`Benchmark::from_name`] knows is accepted — including the
 /// call-bearing kernels outside the default sweep. Unknown
 /// arguments or benchmarks exit with status 2.

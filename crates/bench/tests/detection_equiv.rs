@@ -14,7 +14,11 @@
 //!   per-job pruned marker may differ;
 //! * transient and intermittent faults with ECC on, on gzip and equake:
 //!   8 workers against 1, plus a replay cross-check of the transient
-//!   campaign.
+//!   campaign;
+//! * the whole default sweep in one campaign (8 groups) on 2 and 3
+//!   workers against 1, registry included. One kernel is 2 groups, which
+//!   any worker count builds before its jobs run; 8 groups on fewer
+//!   workers build some groups while other groups' jobs run.
 //!
 //! The kernels are the default sweep (gzip, fma3d, vortex, apsi) and
 //! every other kernel the benchmark's `inject-*` workloads inject into,
@@ -74,6 +78,14 @@ const CELLS: [((bool, bool, usize), [u64; 4]); 4] = [
 
 fn cfg(snapshot: bool, early_exit: bool) -> DetectionConfig {
     DetectionConfig { snapshot, early_exit, ..DetectionConfig::default() }
+}
+
+/// The registry's deterministic prefix, with the one config fact that
+/// legitimately differs — the workers gauge, recorded post-merge —
+/// normalized away.
+fn registry_prefix(report: &DetectionReport, workers: usize) -> String {
+    let json = report.metrics.as_ref().expect("the cell ran with metrics on").deterministic_json();
+    json.replace(&format!("\"workers\":{workers}"), "\"workers\":N")
 }
 
 /// The plain replay path on one worker, metrics off.
@@ -191,5 +203,22 @@ fn transient_and_intermittent_reports_match_across_workers_and_the_replay_path()
                 assert_same(&replay(bench, cfg), &one, &format!("{which} replay"));
             }
         }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: scripts/verify.sh runs it")]
+fn interleaved_groups_match_one_worker() {
+    let benches = default_benchmarks();
+    let ctl = ObserveCtl { metrics: true, ..ObserveCtl::default() };
+    let at = |workers| {
+        run_detection_observed(&Campaign::with_workers(workers), cfg(true, true), &benches, ctl)
+    };
+    let one = at(1);
+    for workers in [2, 3] {
+        let which = format!("default sweep, {workers} workers");
+        let got = at(workers);
+        assert_same(&got, &one, &which);
+        assert_eq!(registry_prefix(&got, workers), registry_prefix(&one, 1), "{which}: registry");
     }
 }

@@ -65,8 +65,7 @@ fn detection_metrics_deterministic_prefix_is_worker_count_invariant() {
             ObserveCtl { metrics: true, ..Default::default() },
         );
         let registry = r.metrics.expect("metrics were requested");
-        // Only injection jobs are engine jobs; group setups count apart,
-        // whichever schedule the worker count picked.
+        // Only injection jobs are engine jobs; group setups count apart.
         let groups = MODES.len() * benches.len();
         let which = format!("{workers} workers");
         assert_eq!(registry.get(Counter::Jobs), (groups * sites().len()) as u64, "{which}");
@@ -199,9 +198,9 @@ fn live_ticks_read_the_registry() {
         assert!(registry.get(Counter::SnapshotsTaken) > 0, "{which}: the chains were counted");
         finals.push(det(&registry));
     }
-    // Setup work counts on any number of workers: one worker builds each
-    // group inside its first job, eight build them all in the setup pass
-    // before the fan-out, and both tally the same.
+    // Setup work counts on any number of workers: each group's setup
+    // merges into the registry as it retires, whichever worker built it
+    // and whatever ran beside it, and both tally the same.
     assert_eq!(finals[0], finals[1], "1 vs 8 workers");
 }
 
@@ -243,9 +242,9 @@ fn gzip_counts_match_the_experiments_capture() {
 }
 
 /// The campaign wall the `campaign` record and `bj-trace top` show spans
-/// the whole call, not only the injection fan-out: on eight workers the
-/// staged setup pass builds gzip's two groups in parallel before the
-/// fan-out starts, so the wall is at least half their summed setup and
+/// the whole call, group setups included, not only the injection jobs:
+/// on eight workers gzip's two groups build in parallel, each before its
+/// jobs run, so the wall is at least half their summed setup and
 /// chain-building time.
 #[test]
 fn campaign_wall_covers_the_setup_pass() {

@@ -444,7 +444,7 @@ impl FaultPlan {
     /// them panics. So recording never reallocates, and every copy of
     /// the plan (one per snapshot of the reference pass) has the same
     /// shape: copies of varying sizes would fragment the heap, and a
-    /// staged campaign's peak memory, differently from run to run.
+    /// campaign's peak memory, differently from run to run.
     pub fn record_usage(mut self, family_sizes: [usize; 8]) -> FaultPlan {
         self.usage = Some(Box::new(SiteUsage { last: family_sizes.map(|n| vec![0; n]) }));
         self

@@ -43,7 +43,9 @@ use blackjack_faults::{FaultKind, FaultSite, HardFault};
 use blackjack_fuzz::diff::MAX_STEPS;
 use blackjack_fuzz::gen::{generate, GenConfig};
 use blackjack_fuzz::minimize::{live_instructions, minimize};
-use blackjack_fuzz::oracle::{check_fault_universe, classify_sites_ecc, FaultVerdict, SiteClass};
+use blackjack_fuzz::oracle::{
+    check_fault_universe, classify_sites_ecc, FaultVerdict, SiteClass, Soundness,
+};
 use blackjack_fuzz::{check_fault_free, Case, CaseKind};
 use blackjack_isa::{Interp, Program};
 use blackjack_rng::Rng;
@@ -54,11 +56,53 @@ fn usage() -> ! {
     exit(2);
 }
 
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Tally {
     detected: u64,
     watchdog: u64,
     masked: u64,
     escaped: u64,
+}
+
+/// The injection sample's verdict counts.
+#[derive(Debug, Default)]
+struct Tallies {
+    /// Pruned sites that stayed masked, as their class promises.
+    pruned_clean: u64,
+    guaranteed: Tally,
+    best_effort: Tally,
+    /// Injections whose verdict broke their site's contract.
+    unsound: u64,
+}
+
+impl Tallies {
+    /// Counts one injection on a site of static class `class`: its
+    /// verdict, or for a soundness failure the class and verdict the
+    /// failure carries, so a guaranteed-site escape counts as `escaped`.
+    /// A pruned site that deviated counts only as unsound.
+    fn count(&mut self, class: SiteClass, result: &Result<FaultVerdict, Soundness>) {
+        let (class, verdict) = match result {
+            Ok(verdict) => (class, *verdict),
+            Err(unsound) => {
+                self.unsound += 1;
+                (unsound.class, unsound.verdict)
+            }
+        };
+        let tally = match class {
+            SiteClass::Pruned => {
+                self.pruned_clean += u64::from(verdict == FaultVerdict::Masked);
+                return;
+            }
+            SiteClass::Guaranteed => &mut self.guaranteed,
+            SiteClass::BestEffort => &mut self.best_effort,
+        };
+        match verdict {
+            FaultVerdict::Detected => tally.detected += 1,
+            FaultVerdict::Watchdog => tally.watchdog += 1,
+            FaultVerdict::Masked => tally.masked += 1,
+            FaultVerdict::Escaped => tally.escaped += 1,
+        }
+    }
 }
 
 fn main() {
@@ -95,12 +139,12 @@ fn main() {
 
     let mut rng = Rng::seed_from_u64(seed);
     let fu = FuCounts::default();
+    // Differential and CFG failures; fault-soundness failures count in
+    // `tallies.unsound`.
     let mut failures: u64 = 0;
     let mut diff_runs: u64 = 0;
     let mut fault_runs: u64 = 0;
-    let mut pruned_clean: u64 = 0;
-    let mut guaranteed = Tally { detected: 0, watchdog: 0, masked: 0, escaped: 0 };
-    let mut best_effort = Tally { detected: 0, watchdog: 0, masked: 0, escaped: 0 };
+    let mut tallies = Tallies::default();
     // (score, iteration, seed, segments) of the most interesting cases.
     let mut interesting: Vec<(u64, u64, u64, usize)> = Vec::new();
 
@@ -188,49 +232,32 @@ fn main() {
                     _ => rng.random_range(0u64..600),
                 };
                 fault_runs += 1;
-                match check_fault_universe(&prog, &analysis, fault, kind, arm, ecc, golden.mem())
-                {
-                    Ok(verdict) => {
-                        let tally = match classify_sites_ecc(&analysis, site, ecc) {
-                            SiteClass::Pruned => {
-                                pruned_clean += 1;
-                                continue;
-                            }
-                            SiteClass::Guaranteed => &mut guaranteed,
-                            SiteClass::BestEffort => &mut best_effort,
-                        };
-                        match verdict {
-                            FaultVerdict::Detected => tally.detected += 1,
-                            FaultVerdict::Watchdog => tally.watchdog += 1,
-                            FaultVerdict::Masked => tally.masked += 1,
-                            FaultVerdict::Escaped => tally.escaped += 1,
-                        }
-                    }
-                    Err(unsound) => {
-                        failures += 1;
-                        outln!("iter {iter}: FAULT-SOUNDNESS FAILURE seed={sub_seed:#x}");
-                        outln!("  {unsound}");
-                        let shrunk =
-                            minimize(&prog, |p| fault_still_unsound(p, fault, kind, arm, ecc, &fu));
-                        outln!(
-                            "  minimized {} -> {} live instructions",
-                            live_instructions(&prog),
-                            live_instructions(&shrunk)
-                        );
-                        let mut case = Case::new(
-                            format!("fault-{sub_seed:#x}-{bit}"),
-                            CaseKind::Failure,
-                            Some(sub_seed),
-                            shrunk,
-                            Some(fault),
-                        );
-                        case.temporal = kind;
-                        case.arm = arm;
-                        case.ecc = ecc;
-                        match case.save(&out_dir) {
-                            Ok(p) => outln!("  saved {}", p.display()),
-                            Err(e) => eprintln!("  could not save case: {e}"),
-                        }
+                let result =
+                    check_fault_universe(&prog, &analysis, fault, kind, arm, ecc, golden.mem());
+                tallies.count(classify_sites_ecc(&analysis, site, ecc), &result);
+                if let Err(unsound) = result {
+                    outln!("iter {iter}: FAULT-SOUNDNESS FAILURE seed={sub_seed:#x}");
+                    outln!("  {unsound}");
+                    let shrunk =
+                        minimize(&prog, |p| fault_still_unsound(p, fault, kind, arm, ecc, &fu));
+                    outln!(
+                        "  minimized {} -> {} live instructions",
+                        live_instructions(&prog),
+                        live_instructions(&shrunk)
+                    );
+                    let mut case = Case::new(
+                        format!("fault-{sub_seed:#x}-{bit}"),
+                        CaseKind::Failure,
+                        Some(sub_seed),
+                        shrunk,
+                        Some(fault),
+                    );
+                    case.temporal = kind;
+                    case.arm = arm;
+                    case.ecc = ecc;
+                    match case.save(&out_dir) {
+                        Ok(p) => outln!("  saved {}", p.display()),
+                        Err(e) => eprintln!("  could not save case: {e}"),
                     }
                 }
             }
@@ -251,7 +278,7 @@ fn main() {
         }
 
         if !quiet && (iter + 1) % 50 == 0 {
-            outln!("... {} iterations, {failures} failures", iter + 1);
+            outln!("... {} iterations, {} failures", iter + 1, failures + tallies.unsound);
         }
     }
 
@@ -291,6 +318,7 @@ fn main() {
         if ecc { "on" } else { "off" }
     );
     outln!("  differential: {diff_runs} programs x 4 modes, {failures} failures");
+    let Tallies { pruned_clean, guaranteed, best_effort, unsound } = tallies;
     outln!(
         "  faults: {fault_runs} injected; pruned-clean {pruned_clean}; guaranteed \
          [detected {} watchdog {} masked {} escaped {}]; best-effort \
@@ -304,8 +332,12 @@ fn main() {
         best_effort.masked,
         best_effort.escaped,
     );
-    if failures > 0 {
-        outln!("  FAILURES: {failures} (cases under {})", out_dir.display());
+    if failures + unsound > 0 {
+        outln!(
+            "  FAILURES: {} ({unsound} fault-soundness; cases under {})",
+            failures + unsound,
+            out_dir.display()
+        );
         exit(1);
     }
     outln!("  all checks passed");
@@ -330,4 +362,39 @@ fn fault_still_unsound(
         return false;
     };
     check_fault_universe(p, &analysis, fault, kind, arm, ecc, it.mem()).is_err()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unsound(class: SiteClass, verdict: FaultVerdict) -> Result<FaultVerdict, Soundness> {
+        Err(Soundness {
+            fault: HardFault::stuck_bit(FaultSite::Backend { way: 12 }, 37),
+            class,
+            verdict,
+            detail: "synthetic".into(),
+        })
+    }
+
+    #[test]
+    fn a_soundness_failure_counts_under_its_class_and_verdict() {
+        let mut t = Tallies::default();
+        t.count(SiteClass::Guaranteed, &Ok(FaultVerdict::Detected));
+        t.count(SiteClass::BestEffort, &Ok(FaultVerdict::Escaped));
+        t.count(SiteClass::Pruned, &Ok(FaultVerdict::Masked));
+        assert_eq!(t.unsound, 0);
+        // A guaranteed-site escape is an escape, and a failure.
+        t.count(SiteClass::Guaranteed, &unsound(SiteClass::Guaranteed, FaultVerdict::Escaped));
+        assert_eq!(t.guaranteed, Tally { detected: 1, watchdog: 0, masked: 0, escaped: 1 });
+        assert_eq!(t.best_effort, Tally { detected: 0, watchdog: 0, masked: 0, escaped: 1 });
+        assert_eq!(t.unsound, 1);
+        // A wedge past the cycle budget keeps the watchdog verdict it
+        // carries; a pruned site that deviated is not clean.
+        t.count(SiteClass::BestEffort, &unsound(SiteClass::BestEffort, FaultVerdict::Watchdog));
+        t.count(SiteClass::Pruned, &unsound(SiteClass::Pruned, FaultVerdict::Detected));
+        assert_eq!(t.best_effort.watchdog, 1);
+        assert_eq!(t.pruned_clean, 1);
+        assert_eq!(t.unsound, 3);
+    }
 }

@@ -85,14 +85,16 @@ echo "== tier-1: observability smoke (BJ_TRACE alone: metrics + progress) =="
 # and the metrics record, render through bj-trace top — and leave stdout
 # byte-identical to the unobserved run. The worker counts are pinned and
 # differ, so the one diff checks both that observation is invisible and
-# that the report does not depend on the worker count, on any host.
+# that the report does not depend on the worker count, on any host. Both
+# sides run the full default sweep: its 8 groups on 3 workers build some
+# groups while other groups' jobs run.
 obs_file="$(mktemp /tmp/bj_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$obs_file"' EXIT
 obs_out="$(BJ_THREADS=1 BJ_TRACE="$obs_file" \
   cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
-plain_out="$(BJ_THREADS=8 cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
+  --bin ext_detection 2>/dev/null)"
+plain_out="$(BJ_THREADS=3 cargo run --release -q --offline -p blackjack-bench \
+  --bin ext_detection 2>/dev/null)"
 [ -n "$obs_out" ]
 diff <(printf '%s' "$plain_out") <(printf '%s' "$obs_out")
 # The final progress tick is guaranteed and carries the full shape.

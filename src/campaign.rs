@@ -2,12 +2,17 @@
 //!
 //! The paper's evaluation is embarrassingly parallel — 16 benchmarks × 4
 //! modes for the figures, plus hundreds of independent single-fault
-//! injection runs for the detection sweep. This module flattens every
-//! unit of simulation work into a single job list executed by a
-//! work-stealing worker pool: workers race on one atomic job index and
-//! each claims the next unstarted job, so imbalanced job lengths (a
-//! BlackJack run costs ~3× a Single run) self-level without any static
-//! partitioning.
+//! injection runs for the detection sweep. This module runs that work as
+//! groups on a worker pool ([`Campaign::run_groups`]): each group is a
+//! setup step, whose value the group's jobs share (a detection group's
+//! fault-free reference pass and snapshot chain), plus the group's jobs;
+//! a flat job list is one group with a unit setup. Workers claim one
+//! job or setup at a time from one schedule, so imbalanced job lengths
+//! (a BlackJack run costs ~3× a Single run) self-level without any
+//! static partitioning. A worker builds a group only when no built group
+//! has a job left, and a group's value drops with its last job, so at
+//! most twice as many group values as workers are ever live, however
+//! many groups the campaign has.
 //!
 //! **Determinism:** results are written into a slot per job and
 //! reassembled in job order, so campaign output is bit-identical
@@ -26,21 +31,36 @@
 //! assert_eq!(squares[7], 49);
 //! ```
 
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
+use std::vec;
 
 use crate::metrics::{Metrics, MetricsRegistry};
 
-/// A worker pool executing a flat list of independent jobs.
+/// A worker pool executing grouped work: a flat list of independent
+/// jobs, or groups of jobs that share a setup step's value.
 ///
 /// Construct with [`Campaign::from_env_or_exit`] (honours `BJ_THREADS`) or
 /// [`Campaign::with_workers`]; run job lists with [`Campaign::run`], or
-/// with [`Campaign::run_observed`] for timings, metrics and progress.
+/// with [`Campaign::run_observed`] for timings, metrics and progress, and
+/// grouped work with [`Campaign::run_groups`].
 #[derive(Debug, Clone)]
 pub struct Campaign {
     workers: usize,
+}
+
+/// One group of [`Campaign::run_groups`]'s work: a setup step, whose
+/// value every one of the group's jobs borrows, and the jobs.
+pub struct Group<S, J> {
+    /// Builds the value the group's jobs share. It runs once, before any
+    /// of the group's jobs, and its value drops once they have all run.
+    pub setup: S,
+    /// The group's jobs, in job order.
+    pub jobs: Vec<J>,
 }
 
 impl Campaign {
@@ -79,7 +99,7 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// Propagates the first job panic after all workers have drained.
+    /// Re-raises the first job panic once every worker has stopped.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -89,53 +109,117 @@ impl Campaign {
         self.run_observed(jobs, ObserveOpts::default()).results
     }
 
-    /// The campaign engine: [`Campaign::run`]'s determinism contract
-    /// plus, each opt-in:
-    ///
-    /// * **timings** — per-job scheduling records ([`CampaignTrace`]):
-    ///   which worker ran each job, how long it waited in the queue (from
-    ///   campaign start to the moment a worker *claims* it — with
-    ///   work-stealing there is no per-job enqueue time), and how long it
-    ///   ran. Only the timing values vary run to run.
-    /// * **metrics** — a caller-owned [`MetricsRegistry`]. Each job
-    ///   records into `&mut Metrics` (a worker-local handle, or
-    ///   [`Metrics::Off`] without a registry), and when the job retires
-    ///   its worker merges the job's counts into the registry. Jobs record
-    ///   events, never config facts like the worker count, and the merge
-    ///   algebra commutes, so the totals are byte-identical for any worker
-    ///   count. Several fan-outs may share one registry.
-    /// * **progress** — a wall-clock-cadence [`ProgressHook`] called from
-    ///   whichever worker crosses the deadline at a job boundary, plus
-    ///   one final call (with [`ProgressTick::done`]) when the last job
-    ///   retires. Each tick carries a copy of the registry as it stands;
-    ///   ticks are taken and emitted under the registry's lock, so their
-    ///   counts never go backwards. Only timing fields of a tick vary run
-    ///   to run.
+    /// [`Campaign::run_groups`] on one group with a unit setup: a flat job
+    /// list, with the observations `opts` asks for.
     ///
     /// # Panics
     ///
-    /// Propagates the first job panic after all workers have drained.
+    /// Re-raises the first job panic once every worker has stopped.
     pub fn run_observed<T, F>(&self, jobs: Vec<F>, opts: ObserveOpts) -> Observed<T>
     where
         T: Send,
         F: FnOnce(&mut Metrics) -> T + Send,
     {
-        let n = jobs.len();
+        let jobs = jobs.into_iter().map(|j| move |_: &(), m: &mut Metrics| j(m)).collect();
+        self.run_groups(vec![Group { setup: |_: &mut Metrics| (), jobs }], opts)
+    }
+
+    /// The campaign engine. Runs every group's setup and jobs, and
+    /// returns the job results **in job order** — the groups in order,
+    /// each group's jobs in order — whichever worker ran which job.
+    ///
+    /// **Schedule.** Each worker claims, under one lock, the first of:
+    ///
+    /// 1. the next unclaimed job of the oldest built group that has one;
+    /// 2. the setup of the next unbuilt group, in group order;
+    /// 3. nothing, if no group is left unbuilt: it waits until another
+    ///    worker's build finishes, or stops when none is building.
+    ///
+    /// Every job holds a handle on its group's value, and the schedule
+    /// hands its own to the group's last job, so the value drops when the
+    /// last of the group's jobs retires. On one worker the order is
+    /// depth-first: build a group, run its jobs, drop its value, build
+    /// the next.
+    ///
+    /// **Bound.** At most `2 × workers` group values are live at once,
+    /// counting each from its setup's claim to its drop. A live group is
+    /// being built, open (built, with a job unclaimed), or draining
+    /// (every job claimed, one still running). A worker builds or runs
+    /// one thing at a time, and drops a job's handle before it claims
+    /// again, so at most `workers` groups are being built or draining.
+    /// At most `workers` are open: of the groups open now, take the one
+    /// whose setup was claimed last, at time `s`. No group was open at
+    /// `s` (rule 1 comes first), and an open group stays open until its
+    /// last job is claimed, so every other group open now opened after
+    /// `s`, yet its setup was claimed before `s`: all their builds were
+    /// running at `s`, on a worker each.
+    ///
+    /// **Observation**, each opt-in through `opts`:
+    ///
+    /// * **timings** — per-job scheduling records ([`CampaignTrace`]):
+    ///   which worker ran each job, how long it waited in the queue (from
+    ///   campaign start to the moment a worker *claims* it — with
+    ///   work-stealing there is no per-job enqueue time), and how long it
+    ///   ran. Setups are not jobs and get no record. Only the timing
+    ///   values vary run to run.
+    /// * **metrics** — a caller-owned [`MetricsRegistry`]. Each setup and
+    ///   job records into `&mut Metrics` (a worker-local handle, or
+    ///   [`Metrics::Off`] without a registry), and when it retires its
+    ///   worker merges its counts into the registry. Setups and jobs
+    ///   record events, never config facts like the worker count, and the
+    ///   merge algebra commutes, so the totals are byte-identical for any
+    ///   worker count. Several campaigns may share one registry.
+    /// * **progress** — a wall-clock-cadence [`ProgressHook`] called from
+    ///   whichever worker crosses the deadline as a setup or job retires,
+    ///   plus one final call (with [`ProgressTick::done`]) when the
+    ///   campaign ends. Each tick carries a copy of the registry as it
+    ///   stands; ticks are taken and emitted under the registry's lock,
+    ///   so their counts never go backwards. Only timing fields of a tick
+    ///   vary run to run.
+    ///
+    /// # Panics
+    ///
+    /// A panicking setup or job stops every worker from claiming more
+    /// work (a waiting worker wakes up and stops); the first panic is
+    /// re-raised once every worker has stopped.
+    pub fn run_groups<V, T, S, J>(&self, groups: Vec<Group<S, J>>, opts: ObserveOpts) -> Observed<T>
+    where
+        V: Send + Sync,
+        T: Send,
+        S: FnOnce(&mut Metrics) -> V + Send,
+        J: FnOnce(&V, &mut Metrics) -> T + Send,
+    {
+        let n_groups = groups.len();
+        let mut n = 0;
+        let unbuilt: Vec<(usize, Group<S, J>)> = groups
+            .into_iter()
+            .map(|g| {
+                let first = n;
+                n += g.jobs.len();
+                (first, g)
+            })
+            .collect();
+        let schedule = Schedule {
+            state: Mutex::new(State {
+                unbuilt: unbuilt.into_iter(),
+                open: VecDeque::new(),
+                building: 0,
+                failed: false,
+            }),
+            built: Condvar::new(),
+        };
         let t0 = Instant::now();
         let done = AtomicUsize::new(0);
         let busy: Vec<AtomicU64> = (0..self.workers).map(|_| AtomicU64::new(0)).collect();
         // Next progress deadline, nanos since t0. Workers race on it with
         // CAS so each cadence interval emits exactly one tick.
         let deadline = AtomicU64::new(opts.progress.map_or(u64::MAX, |h| h.every_nanos()));
-        let slots: Vec<Mutex<Option<F>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let results: Vec<Mutex<Option<(T, JobTiming)>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
         // One progress tick of the campaign as it stands. The registry is
-        // read and the tick emitted under the registry's lock — jobs merge
-        // under it too — so successive ticks never show a count going
-        // backwards.
+        // read and the tick emitted under the registry's lock — setups
+        // and jobs merge under it too — so successive ticks never show a
+        // count going backwards.
         let tick = |hook: &ProgressHook, elapsed: Duration, finished: bool| {
             let registry = opts.metrics.map(lock);
             let jobs_done = done.load(Ordering::Relaxed);
@@ -159,52 +243,69 @@ impl Campaign {
             });
         };
 
-        // One worker's claim–run–record loop. The shared index is the
-        // work-stealing heart: a worker that finishes early immediately
-        // claims the next unstarted job.
+        // One worker's claim–run–record loop.
         let work = |worker: usize| {
             let mut metrics = Metrics::when(opts.metrics.is_some());
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let queue_wait = t0.elapsed();
-                let job = slots[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("each job claimed exactly once");
-                let jt0 = Instant::now();
-                let out = job(&mut metrics);
-                let run = jt0.elapsed();
-                if let (Some(registry), Metrics::On(counts)) = (opts.metrics, &mut metrics) {
+            // A setup or job retired after `ran`: merge its counts, bill
+            // the worker, and tick if the cadence deadline has passed.
+            let retire = |metrics: &mut Metrics, ran: Duration| {
+                if let (Some(registry), Metrics::On(counts)) = (opts.metrics, metrics) {
                     lock(registry).merge(counts);
                     **counts = MetricsRegistry::new();
                 }
-                busy[worker].fetch_add(run.as_nanos() as u64, Ordering::Relaxed);
-                done.fetch_add(1, Ordering::Relaxed);
-                let timing = JobTiming { job: i, worker, queue_wait, run };
-                *results[i].lock().expect("result slot poisoned") = Some((out, timing));
+                busy[worker].fetch_add(ran.as_nanos() as u64, Ordering::Relaxed);
                 if let Some(hook) = opts.progress {
                     let elapsed = t0.elapsed();
                     if hook.claim(elapsed, &deadline) {
                         tick(hook, elapsed, false);
                     }
                 }
+            };
+            loop {
+                match schedule.claim() {
+                    Claim::Job { index, job, shared } => {
+                        let queue_wait = t0.elapsed();
+                        let jt0 = Instant::now();
+                        let out = job(&shared, &mut metrics);
+                        let run = jt0.elapsed();
+                        // Before the next claim: the group's last job
+                        // drops the group's value here.
+                        drop(shared);
+                        done.fetch_add(1, Ordering::Relaxed);
+                        let timing = JobTiming { job: index, worker, queue_wait, run };
+                        *results[index].lock().expect("result slot poisoned") = Some((out, timing));
+                        retire(&mut metrics, run);
+                    }
+                    Claim::Setup { first, group } => {
+                        let st0 = Instant::now();
+                        let value = (group.setup)(&mut metrics);
+                        let ran = st0.elapsed();
+                        schedule.open(first, value, group.jobs);
+                        retire(&mut metrics, ran);
+                    }
+                    Claim::Done => break,
+                }
             }
         };
-        let workers = self.workers.min(n);
+        // A worker that panics stops the others before re-raising, so
+        // none waits on a build that will never finish.
+        let guarded = |worker: usize| {
+            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| work(worker))) {
+                schedule.fail();
+                panic::resume_unwind(p);
+            }
+        };
+        let workers = self.workers.min(n.max(n_groups));
         if workers <= 1 {
             // Inline on "worker 0": no thread overhead, and exact
             // sequential semantics for debugging.
-            work(0);
+            guarded(0);
         } else {
-            let work = &work;
+            let guarded = &guarded;
             thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || guarded(w))).collect();
                 for h in handles {
-                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    h.join().unwrap_or_else(|p| panic::resume_unwind(p));
                 }
             });
         }
@@ -228,22 +329,118 @@ impl Campaign {
     }
 }
 
-fn lock(registry: &Mutex<MetricsRegistry>) -> std::sync::MutexGuard<'_, MetricsRegistry> {
+fn lock(registry: &Mutex<MetricsRegistry>) -> MutexGuard<'_, MetricsRegistry> {
     registry.lock().expect("metrics registry poisoned")
 }
 
-/// What [`Campaign::run_observed`] should observe.
+/// [`Campaign::run_groups`]'s claim state, behind one lock.
+struct Schedule<S, J, V> {
+    state: Mutex<State<S, J, V>>,
+    /// Signalled when a group's build finishes or a worker panics.
+    built: Condvar,
+}
+
+struct State<S, J, V> {
+    /// Groups whose setup no worker has claimed yet, in group order, each
+    /// with its first job's index.
+    unbuilt: vec::IntoIter<(usize, Group<S, J>)>,
+    /// Built groups with an unclaimed job, oldest first.
+    open: VecDeque<Open<J, V>>,
+    /// Setups claimed and still running.
+    building: usize,
+    /// A worker panicked: nothing more is claimed.
+    failed: bool,
+}
+
+/// A built group with an unclaimed job.
+struct Open<J, V> {
+    /// The schedule's handle on the group's value.
+    shared: Arc<V>,
+    /// The next unclaimed job's index in the campaign's job list.
+    next: usize,
+    /// The unclaimed jobs; never empty.
+    jobs: vec::IntoIter<J>,
+}
+
+enum Claim<S, J, V> {
+    Job { index: usize, job: J, shared: Arc<V> },
+    Setup { first: usize, group: Group<S, J> },
+    Done,
+}
+
+impl<S, J, V> Schedule<S, J, V> {
+    fn state(&self) -> MutexGuard<'_, State<S, J, V>> {
+        self.state.lock().expect("campaign schedule poisoned")
+    }
+
+    /// The next unit of work by [`Campaign::run_groups`]'s rule, waiting
+    /// while only other workers' builds are left.
+    fn claim(&self) -> Claim<S, J, V> {
+        let mut st = self.state();
+        loop {
+            if st.failed {
+                return Claim::Done;
+            }
+            if let Some(open) = st.open.front_mut() {
+                let index = open.next;
+                open.next += 1;
+                let job = open.jobs.next().expect("an open group has an unclaimed job");
+                let shared = if open.jobs.as_slice().is_empty() {
+                    st.open.pop_front().expect("the group is open").shared
+                } else {
+                    Arc::clone(&open.shared)
+                };
+                return Claim::Job { index, job, shared };
+            }
+            if let Some((first, group)) = st.unbuilt.next() {
+                st.building += 1;
+                return Claim::Setup { first, group };
+            }
+            if st.building == 0 {
+                return Claim::Done;
+            }
+            st = self.built.wait(st).expect("campaign schedule poisoned");
+        }
+    }
+
+    /// Opens a built group whose jobs start at index `first`. A group
+    /// without jobs drops its value at once.
+    fn open(&self, first: usize, value: V, jobs: Vec<J>) {
+        let open = if jobs.is_empty() {
+            drop(value);
+            None
+        } else {
+            Some(Open { shared: Arc::new(value), next: first, jobs: jobs.into_iter() })
+        };
+        let mut st = self.state();
+        st.building -= 1;
+        st.open.extend(open);
+        drop(st);
+        self.built.notify_all();
+    }
+
+    /// Stops every worker from claiming more work. Called while a panic
+    /// unwinds, so a poisoned lock is taken as it stands: the flag is
+    /// all it sets.
+    fn fail(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).failed = true;
+        self.built.notify_all();
+    }
+}
+
+/// What [`Campaign::run_groups`] should observe.
 #[derive(Clone, Copy, Default)]
 pub struct ObserveOpts<'a> {
     /// Collect per-job scheduling timings ([`Observed::trace`]).
     pub timings: bool,
-    /// Merge every job's counts into this registry as the job retires.
+    /// Merge every setup's and job's counts into this registry as it
+    /// retires.
     pub metrics: Option<&'a Mutex<MetricsRegistry>>,
     /// Emit live progress ticks on this hook's cadence.
     pub progress: Option<&'a ProgressHook<'a>>,
 }
 
-/// [`Campaign::run_observed`]'s bundle: results in job order, plus the
+/// [`Campaign::run_groups`]'s bundle: results in job order, plus the
 /// requested observations.
 pub struct Observed<T> {
     /// Job results, in job order (same contract as [`Campaign::run`]).
@@ -253,7 +450,7 @@ pub struct Observed<T> {
 }
 
 /// A live-progress callback with a wall-clock cadence, for
-/// [`Campaign::run_observed`]. The callback runs on whichever worker
+/// [`Campaign::run_groups`]. The callback runs on whichever worker
 /// crosses the deadline, so it must be cheap and `Sync` (a harness
 /// writing ticks with
 /// [`TraceWriter::emit_progress`](crate::telemetry::TraceWriter::emit_progress)
@@ -311,18 +508,20 @@ pub struct ProgressTick {
     /// Naive remaining-time estimate — `elapsed × remaining / done` —
     /// `None` before the first job retires.
     pub eta: Option<Duration>,
-    /// Cumulative job-execution time, one slot per configured worker.
+    /// Cumulative time running jobs and group setups, one slot per
+    /// configured worker.
     pub busy: Vec<Duration>,
     /// A copy of the campaign's registry as it stood at this tick, when
     /// the campaign has one ([`ObserveOpts::metrics`]).
     pub metrics: Option<MetricsRegistry>,
 }
 
-/// One job's scheduling record from [`Campaign::run_observed`] (with
+/// One job's scheduling record from [`Campaign::run_groups`] (with
 /// [`ObserveOpts::timings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobTiming {
-    /// Job index in the submitted list.
+    /// Job index in the campaign's job list: every group's jobs, in
+    /// group order.
     pub job: usize,
     /// Worker that executed it.
     pub worker: usize,
@@ -436,5 +635,157 @@ mod tests {
         assert!(out.is_empty());
         assert!(trace.timings.is_empty());
         assert_eq!(trace.workers, 2);
+    }
+
+    /// Runs one group per entry of `sizes`: the setup's value is the
+    /// group index, and job `k` of group `g` returns `(g, k)`.
+    fn run_sized(workers: usize, sizes: &[usize], opts: ObserveOpts) -> Observed<(usize, usize)> {
+        let groups: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(g, &size)| Group {
+                setup: move |_: &mut Metrics| g,
+                jobs: (0..size).map(|k| move |&v: &usize, _: &mut Metrics| (v, k)).collect(),
+            })
+            .collect();
+        Campaign::with_workers(workers).run_groups(groups, opts)
+    }
+
+    #[test]
+    fn grouped_results_in_job_order_any_worker_count() {
+        let sizes = [3, 0, 17, 1, 40, 5, 0, 9];
+        let expect: Vec<(usize, usize)> =
+            sizes.iter().enumerate().flat_map(|(g, &n)| (0..n).map(move |k| (g, k))).collect();
+        for workers in [1, 2, 8, 32] {
+            let timed = ObserveOpts { timings: true, ..ObserveOpts::default() };
+            let obs = run_sized(workers, &sizes, timed);
+            assert_eq!(obs.results, expect, "{workers} workers");
+            let trace = obs.trace.expect("timings were requested");
+            assert_eq!(trace.timings.len(), expect.len(), "{workers} workers: one record per job");
+            assert!(trace.timings.iter().enumerate().all(|(i, t)| t.job == i));
+            let none = run_sized(workers, &[], ObserveOpts::default());
+            assert!(none.results.is_empty(), "{workers} workers: an empty group list");
+        }
+    }
+
+    /// A group value that counts itself live from its setup to its drop.
+    struct Live<'a> {
+        live: &'a AtomicUsize,
+        group: usize,
+    }
+
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn live_group_values_stay_within_twice_the_workers() {
+        // Uneven groups of uneven jobs, so builds and drains interleave.
+        let sizes: Vec<usize> = (0..40).map(|g| [1, 6, 0, 13, 3][g % 5]).collect();
+        let spin = |rounds: usize| {
+            let mut acc = 0u64;
+            for k in 0..rounds as u64 * 2_000 {
+                acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(k));
+            }
+            acc
+        };
+        for workers in [1, 2, 3, 8] {
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let groups: Vec<_> = sizes
+                .iter()
+                .enumerate()
+                .map(|(g, &size)| {
+                    let (live, peak) = (&live, &peak);
+                    Group {
+                        setup: move |_: &mut Metrics| {
+                            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now, Ordering::SeqCst);
+                            spin(g % 7);
+                            Live { live, group: g }
+                        },
+                        jobs: (0..size)
+                            .map(|k| {
+                                move |v: &Live<'_>, _: &mut Metrics| {
+                                    spin((v.group + k) % 5);
+                                    (v.group, k)
+                                }
+                            })
+                            .collect(),
+                    }
+                })
+                .collect();
+            let got = Campaign::with_workers(workers).run_groups(groups, ObserveOpts::default());
+            let expect: Vec<(usize, usize)> =
+                sizes.iter().enumerate().flat_map(|(g, &n)| (0..n).map(move |k| (g, k))).collect();
+            assert_eq!(got.results, expect, "{workers} workers");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "{workers} workers: every value dropped");
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= 2 * workers, "{workers} workers: {peak} group values live at once");
+            if workers == 1 {
+                assert_eq!(peak, 1, "one worker runs depth-first");
+            }
+        }
+    }
+
+    /// The panic message `run` re-raised.
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(p) => *p.downcast::<String>().expect("a string panic payload"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_setup_or_job_re_raises_and_leaves_no_worker_waiting() {
+        for workers in [2, 8] {
+            // A job panic, through the flat `run`.
+            let jobs: Vec<_> = (0..50)
+                .map(|i| {
+                    move || {
+                        assert!(i != 17, "job 17 failed");
+                        i
+                    }
+                })
+                .collect();
+            let err = panic::catch_unwind(|| Campaign::with_workers(workers).run(jobs))
+                .expect_err("the job panic re-raises");
+            assert_eq!(message(err), "job 17 failed", "{workers} workers");
+
+            // A setup panic while every other worker waits on its build:
+            // group 0's setup, claimed first, fails only once the other
+            // groups' single jobs have all run, after which nothing is
+            // left to claim but that build.
+            let (ran, finished) = std::sync::mpsc::channel::<()>();
+            let finished = Mutex::new(finished);
+            let others = workers - 1;
+            let groups: Vec<_> = (0..workers)
+                .map(|g| {
+                    let (ran, finished) = (ran.clone(), &finished);
+                    Group {
+                        setup: move |_: &mut Metrics| {
+                            if g == 0 {
+                                let finished = finished.lock().expect("one receiver");
+                                for _ in 0..others {
+                                    finished.recv().expect("every other job reports");
+                                }
+                                panic!("setup 0 failed");
+                            }
+                        },
+                        jobs: vec![move |_: &(), _: &mut Metrics| {
+                            ran.send(()).expect("the setup listens");
+                        }],
+                    }
+                })
+                .collect();
+            drop(ran);
+            let err = panic::catch_unwind(AssertUnwindSafe(|| {
+                Campaign::with_workers(workers).run_groups(groups, ObserveOpts::default()).results
+            }))
+            .expect_err("the setup panic re-raises");
+            assert_eq!(message(err), "setup 0 failed", "{workers} workers");
+        }
     }
 }

@@ -20,7 +20,7 @@ pub mod snapshot;
 pub mod telemetry;
 
 pub use campaign::{
-    Campaign, CampaignTrace, JobTiming, Observed, ObserveOpts, ProgressHook, ProgressTick,
+    Campaign, CampaignTrace, Group, JobTiming, Observed, ObserveOpts, ProgressHook, ProgressTick,
 };
 pub use earlyexit::{EarlyExit, EarlyExitKind, Exit};
 pub use envcfg::EnvError;

@@ -86,7 +86,7 @@ pub enum Counter {
     /// Sites activation-pruned by the reference usage schedule — benign
     /// with no simulation (early-exit mechanism 1).
     PrunedActivation,
-    /// Wall nanos in group setup (reference passes, analysis), excluding
+    /// Wall nanos in group setups (reference passes), excluding
     /// snapshot-chain building.
     SetupNanos,
     /// Wall nanos building snapshot chains.
