@@ -194,10 +194,12 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          bit-identical to the fault-free run): *activation pruning* tallies a\n\
          site Benign with no simulation when the reference run never exercises\n\
          it at or after arming; the *convergence seal* stops a zero-activation\n\
-         run one cycle past the site's last reference exercise. A run that\n\
-         wedges ends on the core's no-commit watchdog, as on the replay path\n\
-         (DESIGN \u{a7}2.12). The equivalence matrix asserts byte-identical\n\
-         reports with the layer off (a library-only switch) and on. Measured\n\
+         run once no remaining cycle exercises the site while the fault is\n\
+         present: one cycle past the site's last reference exercise or, for a\n\
+         transient, one cycle past its upset. A run that wedges ends on the\n\
+         core's no-commit watchdog, as on the replay path (DESIGN \u{a7}2.12).\n\
+         The equivalence matrix asserts byte-identical reports with the\n\
+         layer off (a library-only switch) and on. Measured\n\
          on the same sweep when the layer landed, both ways interleaved\n\
          (min-of-5 per leg):\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
@@ -215,7 +217,7 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          does the cutting: it ends 71 of the 108 runs the default sweep\n\
          simulates under `BJ_FAULT_KINDS=transient` (with `BJ_ECC` 0 or 1),\n\
          and 365 of the 518 runs the benchmark's `inject-transient` workload\n\
-         simulates.\n\n",
+         simulates, each on the cycle after its upset.\n\n",
     );
 
     s.push_str("## Observability — flight recorder on an injected fault\n\n");

@@ -361,7 +361,8 @@ impl DetectionGroup {
 
 /// Each site's [`SiteRun`] (indexed like [`sites`] and `arms`): static
 /// pruning first, when `cfg.prune` is on, then M1 against the reference
-/// pass's `usage`, when it recorded one.
+/// pass's `usage`, when it recorded one, and otherwise the M2 seal for
+/// the campaign's fault kind.
 fn site_runs(
     cfg: DetectionConfig,
     analysis: &SiteAnalysis,
@@ -376,7 +377,7 @@ fn site_runs(
                 return SiteRun::PrunedStatic;
             }
             match usage {
-                Some(usage) => EarlyExit::for_site(usage, site, arm)
+                Some(usage) => EarlyExit::for_site(usage, site, arm, cfg.kind)
                     .map_or(SiteRun::PrunedActivation, SiteRun::Simulate),
                 None => SiteRun::Simulate(EarlyExit::default()),
             }

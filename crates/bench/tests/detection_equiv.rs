@@ -14,7 +14,7 @@
 //!   per-job pruned marker may differ;
 //! * transient and intermittent faults with ECC on, on gzip and equake:
 //!   8 workers against 1, plus a replay cross-check of the transient
-//!   campaign;
+//!   campaign, whose counts [`TRANSIENT_COUNTS`] pins;
 //! * the whole default sweep in one campaign (8 groups) on 2 and 3
 //!   workers against 1, registry included. One kernel is 2 groups, which
 //!   any worker count builds before its jobs run; 8 groups on fewer
@@ -33,7 +33,8 @@
 //! also checks that observing a campaign leaves its report alone) and
 //! the matrix pins counts only a working one produces: every simulated
 //! run of a snapshot cell is a fork, and early exit cuts exactly the
-//! runs listed in [`CELLS`] on the default sweep.
+//! runs listed in [`CELLS`] on the default sweep and in
+//! [`TRANSIENT_COUNTS`] on the transient campaigns.
 //!
 //! The harness has no switch for any of these paths, so the matrix is the
 //! only check of the replay path. It takes about a minute in release and
@@ -76,6 +77,13 @@ const CELLS: [((bool, bool, usize), [u64; 4]); 4] = [
     ((true, true, 8), [24, 0, 108, 108]),
 ];
 
+/// The transient campaigns' counts per kernel (ECC on, every
+/// acceleration, 8 workers), in [`CELLS`]' order: runs cut short by
+/// activation pruning and by the convergence seal, snapshot forks, and
+/// runs simulated.
+const TRANSIENT_COUNTS: [(Benchmark, [u64; 4]); 2] =
+    [(Benchmark::Gzip, [3, 12, 27, 27]), (Benchmark::Equake, [5, 34, 37, 37])];
+
 fn cfg(snapshot: bool, early_exit: bool) -> DetectionConfig {
     DetectionConfig { snapshot, early_exit, ..DetectionConfig::default() }
 }
@@ -104,6 +112,17 @@ fn count(report: &DetectionReport, c: Counter) -> u64 {
     report.metrics.as_ref().expect("the cell ran with metrics on").get(c)
 }
 
+/// A cell's [activation, convergence, forks, runs simulated] counts.
+fn exit_counts(report: &DetectionReport) -> [u64; 4] {
+    let exits = |k| report.early_exits.iter().filter(|e| **e == Some(k)).count() as u64;
+    [
+        exits(EarlyExitKind::Activation),
+        exits(EarlyExitKind::Convergence),
+        count(report, Counter::SnapshotForks),
+        count(report, Counter::RunsSimulated),
+    ]
+}
+
 fn assert_same(got: &DetectionReport, want: &DetectionReport, which: &str) {
     assert_eq!(got.text, want.text, "{which}: report text");
     assert_eq!(got.tallies, want.tallies, "{which}: tallies");
@@ -121,11 +140,10 @@ fn check_hard_fault_cells(bench: Benchmark) -> [[u64; 4]; CELLS.len()] {
             format!("{bench} snapshot={snapshot} early_exit={early_exit} workers={workers}");
         let got = observed(bench, cfg(snapshot, early_exit), workers);
         assert_same(&got, &reference, &which);
-        let exits = |k| got.early_exits.iter().filter(|e| **e == Some(k)).count() as u64;
-        let forks = count(&got, Counter::SnapshotForks);
-        let runs = count(&got, Counter::RunsSimulated);
+        let counts = exit_counts(&got);
+        let [_, _, forks, runs] = counts;
         assert_eq!(forks, if snapshot { runs } else { 0 }, "{which}: forks");
-        [exits(EarlyExitKind::Activation), exits(EarlyExitKind::Convergence), forks, runs]
+        counts
     });
 
     // Static pruning off: the simulated sites reach the verdicts the
@@ -198,9 +216,16 @@ fn transient_and_intermittent_reports_match_across_workers_and_the_replay_path()
             let which = format!("{kind} {bench}");
             let one = run_detection(&Campaign::with_workers(1), cfg, &[bench], false);
             assert!(one.text.contains("taxonomy (ECC on):"), "{which}: taxonomy");
-            assert_same(&observed(bench, cfg, 8), &one, &format!("{which} workers=8"));
+            let eight = observed(bench, cfg, 8);
+            assert_same(&eight, &one, &format!("{which} workers=8"));
             if kind == FaultKind::Transient {
                 assert_same(&replay(bench, cfg), &one, &format!("{which} replay"));
+                let (_, want) = TRANSIENT_COUNTS.iter().find(|(b, _)| *b == bench).unwrap();
+                assert_eq!(
+                    exit_counts(&eight),
+                    *want,
+                    "{which}: [activation, convergence, forks, runs simulated]"
+                );
             }
         }
     }

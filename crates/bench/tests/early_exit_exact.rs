@@ -4,9 +4,12 @@
 //! convergence seal (M2) after every single step.
 //!
 //! Every injection of one kernel's campaign sites, in both campaign modes,
-//! runs both ways. The per-step reference below is written out here on
-//! purpose, from the core's public counters only. Transient faults mostly
-//! miss their site and so converge.
+//! runs both ways, sealed where the campaign seals it
+//! (`EarlyExit::for_site` with the campaign's fault kind), one test per
+//! kind. The per-step reference below is written out here on purpose,
+//! from the core's public counters only. Each test also pins the cycle
+//! its kind seals on: a transient the cycle after its upset, the other
+//! kinds the cycle after the site's last fault-free exercise.
 
 use blackjack::faults::{FaultKind, FaultPlan};
 use blackjack::sim::{Core, RunOutcome};
@@ -32,39 +35,83 @@ fn per_step(core: &mut Core, early: &EarlyExit) -> Exit {
     }
 }
 
-#[test]
-fn checkpointed_exits_match_per_step_checks() {
+/// How the runs of one kind ended: converged, ran to their end, and
+/// converged under a seal [`EarlyExit::for_site`] armed.
+struct Tally {
+    converged: usize,
+    ran: usize,
+    sealed: usize,
+}
+
+/// Runs every gzip campaign site of `kind` in both modes through the
+/// driver and through [`per_step`], and checks each sealed run's cycle.
+fn check_kind(kind: FaultKind) -> Tally {
     let prog = build(Benchmark::Gzip, 1);
-    let mut tally = [0usize; 2];
-    for kind in [FaultKind::Hard, FaultKind::Transient] {
-        let cfg = DetectionConfig { kind, ..DetectionConfig::default() };
-        for mode in MODES {
-            let core_cfg = cfg.core_config(mode);
-            let plan = FaultPlan::new().record_usage(core_cfg.site_family_sizes());
-            let reference = Core::new(core_cfg, &prog, plan);
-            let (chain, done) = SnapshotChain::build_periodic(reference, 512, MAX_CYCLES, None);
-            let usage = done.plan().site_usage().expect("reference pass records usage");
-            let all = sites();
-            for (&site, arm) in all.iter().zip(arming_schedule(done.cycle(), all.len())) {
-                // Every site runs both ways, M1-prunable ones included:
-                // their seal point lies at or before the arm.
-                let early = EarlyExit { quiesce: usage.last_use(site).map(|l| l + 1) };
-                let plan = || armed_plan_kind(site, arm, kind);
-                let mut driven = chain.fork_catchup(arm, plan());
-                let mut stepped = chain.fork_catchup(arm, plan());
-                let got = early.run(&mut driven, MAX_CYCLES, &mut Metrics::Off);
-                let want = per_step(&mut stepped, &early);
-                let which = format!("{kind} {mode} {} armed at {arm}", site.label());
-                assert_eq!(got, want, "{which}: outcome");
-                assert_eq!(driven.cycle(), stepped.cycle(), "{which}: exit cycle");
-                match got {
-                    Exit::Converged => tally[0] += 1,
-                    Exit::Ran(_) => tally[1] += 1,
-                }
+    let cfg = DetectionConfig { kind, ..DetectionConfig::default() };
+    let mut tally = Tally { converged: 0, ran: 0, sealed: 0 };
+    for mode in MODES {
+        let core_cfg = cfg.core_config(mode);
+        let plan = FaultPlan::new().record_usage(core_cfg.site_family_sizes());
+        let reference = Core::new(core_cfg, &prog, plan);
+        let (chain, done) = SnapshotChain::build_periodic(reference, 512, MAX_CYCLES, None);
+        let usage = done.plan().site_usage().expect("reference pass records usage");
+        let all = sites();
+        for (&site, arm) in all.iter().zip(arming_schedule(done.cycle(), all.len())) {
+            // Every site runs both ways. An M1-prunable one is sealed one
+            // cycle past its last exercise, which lies at or before the
+            // arm, so the driver seals it on the first cycle after the
+            // fork.
+            let last_use = usage.last_use(site);
+            let sealed = EarlyExit::for_site(usage, site, arm, kind).ok();
+            let early = sealed.unwrap_or(EarlyExit { quiesce: last_use.map(|l| l + 1) });
+            let plan = || armed_plan_kind(site, arm, kind);
+            let mut driven = chain.fork_catchup(arm, plan());
+            let mut stepped = chain.fork_catchup(arm, plan());
+            let got = early.run(&mut driven, MAX_CYCLES, &mut Metrics::Off);
+            let want = per_step(&mut stepped, &early);
+            let which = format!("{kind} {mode} {} armed at {arm}", site.label());
+            assert_eq!(got, want, "{which}: outcome");
+            assert_eq!(driven.cycle(), stepped.cycle(), "{which}: exit cycle");
+            match got {
+                Exit::Converged => tally.converged += 1,
+                Exit::Ran(_) => tally.ran += 1,
+            }
+            if got == Exit::Converged && sealed.is_some() {
+                let seal = match kind {
+                    FaultKind::Transient => arm + 1,
+                    _ => last_use.expect("a sealed site is exercised") + 1,
+                };
+                assert_eq!(driven.cycle(), seal, "{which}: seal cycle");
+                tally.sealed += 1;
             }
         }
     }
-    let [converged, ran] = tally;
-    assert!(converged > 0, "no convergence exit in the sample: {tally:?}");
-    assert!(ran > 0, "no run reached its natural end in the sample: {tally:?}");
+    assert!(tally.ran > 0, "{kind}: no run reached its natural end in the sample");
+    tally
+}
+
+#[test]
+fn hard_exits_match_per_step_checks() {
+    // The campaign's hard fault flips its bit on every pass, so an
+    // exercised site activates and no seal from `for_site` fires; the
+    // M1-prunable sites converge.
+    let tally = check_kind(FaultKind::Hard);
+    assert!(tally.converged > 0, "no convergence exit in the sample");
+}
+
+#[test]
+fn transient_exits_match_per_step_checks_and_seal_after_the_upset() {
+    // A transient mostly misses its site and so converges, on the cycle
+    // after its upset.
+    let tally = check_kind(FaultKind::Transient);
+    assert!(tally.sealed > 0, "no transient was sealed after its upset");
+}
+
+#[test]
+fn intermittent_exits_match_per_step_checks_and_seal_after_the_last_use() {
+    // A 64:8 fault is present one cycle in eight, so some sites are
+    // exercised only while it is dormant: those runs converge on the cycle
+    // after the site's last exercise.
+    let tally = check_kind(FaultKind::Intermittent { period: 64, on: 8 });
+    assert!(tally.sealed > 0, "no intermittent fault was sealed after its site's last use");
 }

@@ -192,6 +192,17 @@ impl FaultKind {
         }
     }
 
+    /// The last cycle a fault of this kind armed at `arm` is physically
+    /// present, or `None` if it recurs without end: `Some(arm)` for a
+    /// transient, `None` for hard and intermittent faults. No hook can
+    /// activate the plan after it.
+    pub fn last_active(self, arm: u64) -> Option<u64> {
+        match self {
+            FaultKind::Transient => Some(arm),
+            FaultKind::Hard | FaultKind::Intermittent { .. } => None,
+        }
+    }
+
     /// Short lower-case name used in reports and env parsing.
     pub fn name(self) -> &'static str {
         match self {
@@ -740,6 +751,25 @@ mod tests {
         assert!(!i.active(12, 10) && !i.active(14, 10));
         assert!(i.active(15, 10) && i.active(16, 10));
         assert!(!i.active(17, 10));
+    }
+
+    #[test]
+    fn last_active_bounds_every_active_cycle() {
+        assert_eq!(FaultKind::Hard.last_active(10), None);
+        assert_eq!(FaultKind::Transient.last_active(10), Some(10));
+        let i = FaultKind::Intermittent { period: 64, on: 8 };
+        assert_eq!(i.last_active(10), None);
+        // A kind with a last active cycle is active there and on no later
+        // cycle; one without is active again arbitrarily late.
+        for kind in [FaultKind::Hard, FaultKind::Transient, i] {
+            match kind.last_active(10) {
+                Some(last) => {
+                    assert!(kind.active(last, 10), "{kind}");
+                    assert!((last + 1..last + 200).all(|c| !kind.active(c, 10)), "{kind}");
+                }
+                None => assert!(kind.active(10 + 64 * 1_000, 10), "{kind}"),
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! exercise schedule no longer bounds its future. A "quiet means
 //! converged" heuristic would seal Benign here and miss the detection.
 //! The implemented seal requires `activations == 0`, so it must ride
-//! the run to its true verdict.
+//! the run to its true verdict. The same holds for a transient upset
+//! that lands on phase 1's product: its seal is armed on the cycle after
+//! the upset, where the run already looks converged.
 //!
 //! The program is checked in as `tests/corpus/adversarial-convergence.
 //! bjcase` (regenerate with `BJ_BLESS=1 cargo test -p blackjack-fuzz
@@ -21,7 +23,7 @@
 use std::path::PathBuf;
 
 use blackjack::{EarlyExit, Exit, Metrics};
-use blackjack_faults::{FaultPlan, FaultSite, HardFault};
+use blackjack_faults::{FaultKind, FaultPlan, FaultSite, HardFault};
 use blackjack_fuzz::{Case, CaseKind};
 use blackjack_isa::asm::assemble_named;
 use blackjack_isa::FuType;
@@ -180,4 +182,47 @@ fn quiesce_seals_only_inactive_sites() {
         armed.cycle() < full.cycle(),
         "the seal must actually save cycles over the full run"
     );
+}
+
+#[test]
+fn a_transient_upset_that_lands_is_never_sealed() {
+    // The single-cycle form of the case: an upset on the multiplier way
+    // armed on the cycle that way carries phase 1's product. It
+    // activates once, on a value that dies, so from the next cycle on
+    // the run looks converged, and that is where the campaign arms a
+    // transient's seal. The nonzero count must refuse it.
+    let case = adversarial_case();
+    let cfg = CoreConfig::with_mode(Mode::BlackJack);
+    let fault = case.fault.expect("case carries a fault");
+
+    // Phase 1's product passes the faulty way on the cycle the hard
+    // fault first activates.
+    let mut probe = Core::new(cfg.clone(), &case.program, FaultPlan::single(fault));
+    while probe.plan().activations() == 0 {
+        assert_eq!(probe.run(probe.cycle() + 1), RunOutcome::CycleLimit, "no activation");
+    }
+    let arm = probe.cycle();
+    assert!(arm < QUIESCE, "the upset lands in phase 1, at cycle {arm}");
+    let upset = || FaultPlan::single(fault).arm_at(arm).with_kind(FaultKind::Transient);
+
+    let mut plain = Core::new(cfg.clone(), &case.program, upset());
+    let plain_out = plain.run(MAX_CYCLES);
+    assert_eq!(plain.plan().activations(), 1, "the upset lands exactly once");
+
+    // The campaign's seal, from a fault-free recording pass: phase 3
+    // exercises the way again, so M1 does not decide the run, and the
+    // transient's seal falls on the cycle after its upset.
+    let recording = FaultPlan::new().record_usage(cfg.site_family_sizes());
+    let mut reference = Core::new(cfg.clone(), &case.program, recording);
+    assert_eq!(reference.run(MAX_CYCLES), RunOutcome::Completed);
+    let usage = reference.plan().site_usage().expect("the reference pass records usage");
+    let early = EarlyExit::for_site(usage, fault.site, arm, FaultKind::Transient)
+        .expect("phase 3 exercises the multiplier way after the upset");
+    assert_eq!(early.quiesce, Some(arm + 1));
+
+    let mut driven = Core::new(cfg, &case.program, upset());
+    let driven_out = early.run(&mut driven, MAX_CYCLES, &mut Metrics::Off);
+    assert_eq!(driven_out, Exit::Ran(plain_out), "a landed upset must not seal");
+    assert_eq!(driven.cycle(), plain.cycle());
+    assert!(driven.cycle() > arm + 1, "the run ends past the seal point");
 }

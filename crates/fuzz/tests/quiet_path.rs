@@ -168,7 +168,7 @@ fn a_watchdog_ended_fuzz_run_matches_step() {
     let mut reference = Core::new(cfg.clone(), &prog, recording);
     assert_eq!(reference.run(MAX_CYCLES), RunOutcome::Completed);
     let usage = reference.plan().site_usage().expect("the reference pass records usage");
-    let early = EarlyExit::for_site(usage, site, plan.arm_cycle())
+    let early = EarlyExit::for_site(usage, site, plan.arm_cycle(), plan.kind())
         .expect("the fault-free run fetches through way 2");
     assert_eq!(early.quiesce, Some(1_949));
     let mut metrics = Metrics::enabled();

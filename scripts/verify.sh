@@ -97,6 +97,14 @@ plain_out="$(BJ_THREADS=3 cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection 2>/dev/null)"
 [ -n "$obs_out" ]
 diff <(printf '%s' "$plain_out") <(printf '%s' "$obs_out")
+# The same diff on the transient path with ECC on, where most runs end on
+# the convergence seal the cycle after their upset.
+transient_one="$(BJ_THREADS=1 BJ_FAULT_KINDS=transient BJ_ECC=1 \
+  cargo run --release -q --offline -p blackjack-bench --bin ext_detection 2>/dev/null)"
+transient_three="$(BJ_THREADS=3 BJ_FAULT_KINDS=transient BJ_ECC=1 \
+  cargo run --release -q --offline -p blackjack-bench --bin ext_detection 2>/dev/null)"
+echo "$transient_one" | grep -q "taxonomy (ECC on):"
+diff <(printf '%s' "$transient_three") <(printf '%s' "$transient_one")
 # The final progress tick is guaranteed and carries the full shape.
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"done":true'
 grep '"type":"progress"' "$obs_file" | tail -1 | grep -q '"jobs_total":'

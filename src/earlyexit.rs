@@ -12,11 +12,15 @@
 //!   schedule never touches the site at or after the arming cycle, the
 //!   fault can never activate: the verdict is benign and nothing is
 //!   simulated.
-//! * **M2, convergence seal.** Past the site's last fault-free exercise
-//!   with zero activations, the run has been bit-identical to the
-//!   fault-free run so far, so its future is the fault-free future — in
-//!   which the site is never exercised again. The benign verdict (clean
-//!   completion, golden memory) is sealed.
+//! * **M2, convergence seal.** Once no remaining cycle exercises the site
+//!   while the fault is present, a run with zero activations can never
+//!   activate, and its benign verdict (clean completion, golden memory)
+//!   is sealed. Two bounds give that point, and the seal takes the
+//!   earlier. Past the site's last fault-free exercise, the run has been
+//!   bit-identical to the fault-free run so far, so its future is the
+//!   fault-free future, in which the site is never exercised again. Past
+//!   the fault's last present cycle ([`FaultKind::last_active`]: a
+//!   transient's arming cycle), no hook can change a value at all.
 //!
 //! A run that wedges ends on the core's own no-commit watchdog, as it
 //! does on the replay path, so every early exit is exact by proof alone.
@@ -29,7 +33,7 @@
 //! it still is, and otherwise runs on to the budget. A run ends on
 //! exactly the cycle a check after every single step would end it.
 
-use blackjack_faults::{FaultSite, SiteUsage};
+use blackjack_faults::{FaultKind, FaultSite, SiteUsage};
 use blackjack_sim::{Core, RunOutcome};
 
 use crate::metrics::{Counter, Metrics};
@@ -63,14 +67,16 @@ pub enum Exit {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EarlyExit {
     /// M2: seal the run benign at this cycle if it still has zero
-    /// activations. Sound only at or past the site's last exercise in the
-    /// fault-free run.
+    /// activations. Sound only past every cycle in which the fault-free
+    /// run exercises the site while the fault is present.
     pub quiesce: Option<u64>,
 }
 
 impl EarlyExit {
-    /// Arms M2 one cycle past the site's last fault-free exercise for a
-    /// fault on `site` armed at `arm`, given the reference pass's `usage`.
+    /// Arms M2 for a fault of `kind` on `site` armed at `arm`, given the
+    /// reference pass's `usage`: one cycle past the site's last
+    /// fault-free exercise or the fault's last present cycle, whichever
+    /// comes first.
     ///
     /// # Errors
     ///
@@ -80,9 +86,13 @@ impl EarlyExit {
         usage: &SiteUsage,
         site: FaultSite,
         arm: u64,
+        kind: FaultKind,
     ) -> Result<EarlyExit, EarlyExitKind> {
         match usage.last_use(site) {
-            Some(last) if last >= arm => Ok(EarlyExit { quiesce: Some(last + 1) }),
+            Some(last) if last >= arm => {
+                let last = kind.last_active(arm).map_or(last, |present| present.min(last));
+                Ok(EarlyExit { quiesce: Some(last + 1) })
+            }
             _ => Err(EarlyExitKind::Activation),
         }
     }
@@ -136,20 +146,46 @@ mod tests {
         format!("{s:?}")
     }
 
+    /// The campaign's three temporal models.
+    const KINDS: [FaultKind; 3] =
+        [FaultKind::Hard, FaultKind::Transient, FaultKind::Intermittent { period: 64, on: 8 }];
+
+    /// A reference pass's usage record in which backend way 1 was last
+    /// exercised on cycle `last`.
+    fn usage_with_last_use(last: u64) -> SiteUsage {
+        let mut reference =
+            FaultPlan::new().record_usage(CoreConfig::default().site_family_sizes());
+        reference.observe_cycle(last);
+        reference.apply(FaultSite::Backend { way: 1 }, 0);
+        reference.site_usage().expect("recording").clone()
+    }
+
     #[test]
     fn activation_pruning_needs_an_exercise_at_or_after_the_arm() {
+        let usage = usage_with_last_use(100);
         let used = FaultSite::Backend { way: 1 };
-        let sizes = CoreConfig::default().site_family_sizes();
-        let mut reference = FaultPlan::new().record_usage(sizes);
-        reference.observe_cycle(100);
-        reference.apply(used, 0);
-        let usage = reference.site_usage().expect("recording");
-
-        let armed = EarlyExit::for_site(usage, used, 100);
-        assert_eq!(armed, Ok(EarlyExit { quiesce: Some(101) }));
-        assert_eq!(EarlyExit::for_site(usage, used, 101), Err(EarlyExitKind::Activation));
         let idle = FaultSite::Backend { way: 2 };
-        assert_eq!(EarlyExit::for_site(usage, idle, 1), Err(EarlyExitKind::Activation));
+        for kind in KINDS {
+            let armed = EarlyExit::for_site(&usage, used, 100, kind);
+            assert_eq!(armed, Ok(EarlyExit { quiesce: Some(101) }), "{kind}");
+            let late = EarlyExit::for_site(&usage, used, 101, kind);
+            assert_eq!(late, Err(EarlyExitKind::Activation), "{kind}");
+            assert_eq!(EarlyExit::for_site(&usage, idle, 1, kind), Err(EarlyExitKind::Activation));
+        }
+    }
+
+    #[test]
+    fn the_seal_follows_the_earlier_of_last_use_and_last_presence() {
+        // Way 1 is last exercised on cycle 900; every fault arms at 100.
+        let usage = usage_with_last_use(900);
+        let site = FaultSite::Backend { way: 1 };
+        let seal = |kind| EarlyExit::for_site(&usage, site, 100, kind).map(|e| e.quiesce);
+        // Hard and intermittent faults recur, so only the site's last
+        // exercise bounds them.
+        assert_eq!(seal(FaultKind::Hard), Ok(Some(901)));
+        assert_eq!(seal(FaultKind::Intermittent { period: 64, on: 8 }), Ok(Some(901)));
+        // A transient is present on its arming cycle alone.
+        assert_eq!(seal(FaultKind::Transient), Ok(Some(101)));
     }
 
     #[test]
