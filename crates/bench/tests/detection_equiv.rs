@@ -22,11 +22,11 @@
 //!
 //! The kernels are the default sweep (gzip, fma3d, vortex, apsi) and
 //! every other kernel the benchmark's `inject-*` workloads inject into,
-//! among them three that stress the fork path: equake touches 1,192
-//! memory pages and many L2 sets, gcc's uop slab is cut deepest by a
-//! snapshot, and perlbmk and parser call and return. Art is left out:
-//! its `srt/art/backend:0` replay runs to the 100M-cycle budget (about
-//! 70 s in release).
+//! among them three that stress the fork path: equake's image spans
+//! 3,001 memory blocks in 1,192 4 KiB regions and it touches many L2
+//! sets, gcc's uop slab is cut deepest by a snapshot, and perlbmk and
+//! parser call and return. Art is left out: its `srt/art/backend:0`
+//! replay runs to the 100M-cycle budget (about 70 s in release).
 //!
 //! Equal reports cannot tell a working optimisation from a silently
 //! disabled one, so the cells run with the metrics registry on (which

@@ -51,7 +51,7 @@ pub use inst::{
     AluOp, BranchCond, CmpOp, CvtOp, DivOp, FpAluOp, FpDivOp, FuType, Inst, MemWidth, MulOp,
 };
 pub use interp::{initial_int_regs, ExecEvent, Interp, InterpError, InterpStats, StepOutcome};
-pub use mem::PagedMem;
+pub use mem::{PagedMem, MEM_BLOCK_BYTES, MEM_PAGE_BYTES};
 pub use program::{Program, ProgramBuilder, DATA_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{FReg, LogReg, Reg};
 

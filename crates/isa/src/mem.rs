@@ -2,27 +2,70 @@
 //! timing simulator's data state.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-const PAGE_SHIFT: u64 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+/// Bytes per copy-on-write block: the grain at which a [`PagedMem`]
+/// allocates, shares and copies memory.
+pub const MEM_BLOCK_BYTES: usize = 256;
 
-type Page = [u8; PAGE_SIZE];
+/// Bytes per page: the grain of a [`PagedMem`]'s page map, whose entries
+/// each hold the handles of [`MEM_PAGE_BYTES`] / [`MEM_BLOCK_BYTES`]
+/// blocks.
+pub const MEM_PAGE_BYTES: usize = 16 * 1024;
 
-/// What every untouched page reads as.
-static ZERO_PAGE: Page = [0; PAGE_SIZE];
+const BLOCK_SHIFT: u32 = MEM_BLOCK_BYTES.trailing_zeros();
+const BLOCK_MASK: u64 = (MEM_BLOCK_BYTES as u64) - 1;
+const PAGE_SHIFT: u32 = MEM_PAGE_BYTES.trailing_zeros();
+const PAGE_BLOCKS: usize = MEM_PAGE_BYTES / MEM_BLOCK_BYTES;
+
+type Block = [u8; MEM_BLOCK_BYTES];
+
+/// One page's block handles; an absent block reads as zeros.
+type Page = [Option<Arc<Block>>; PAGE_BLOCKS];
+
+/// What every unwritten block reads as.
+static ZERO_BLOCK: Block = [0; MEM_BLOCK_BYTES];
+
+/// The slot of `addr`'s block within its page.
+fn slot(addr: u64) -> usize {
+    (addr >> BLOCK_SHIFT) as usize % PAGE_BLOCKS
+}
+
+/// Hashes a page number with one multiply. Page numbers are dense and
+/// never adversarial, so SipHash's flooding resistance buys nothing, and
+/// every fetch and load hashes one. The rotation moves the product's
+/// well-mixed high half into the low bits the table indexes with.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the page map hashes only u64 page numbers")
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
 
 /// A sparse, paged, byte-addressable 64-bit memory.
 ///
-/// Pages are allocated on first write and initialized to zero, so any
-/// address is readable. Multi-byte accesses are little-endian and may cross
-/// page boundaries.
+/// Memory is allocated in blocks of [`MEM_BLOCK_BYTES`] on first write and
+/// initialized to zero, so any address is readable. Multi-byte accesses
+/// are little-endian and may cross block and page boundaries, and wrap
+/// past `u64::MAX` to address 0.
 ///
-/// Pages are shared copy-on-write: a clone shares every page with its
-/// source, and either side copies a page only when it first writes it. A
-/// snapshot of a core's memory therefore costs one reference count per
-/// page, and later snapshots copy only the pages written in between.
+/// Blocks are shared copy-on-write, and so is each page's table of block
+/// handles: a clone shares every page with its source, and either side
+/// copies a page's handles and the written block only when it first
+/// writes the block. A snapshot of a core's memory therefore costs one
+/// reference count per page, and a store after it copies one block, not
+/// the whole page.
 ///
 /// # Example
 ///
@@ -40,7 +83,7 @@ static ZERO_PAGE: Page = [0; PAGE_SIZE];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PagedMem {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
 
 impl PagedMem {
@@ -49,39 +92,50 @@ impl PagedMem {
         PagedMem::default()
     }
 
-    /// Number of distinct pages touched so far.
+    /// Number of distinct blocks ([`MEM_BLOCK_BYTES`] each) written so
+    /// far: what the image holds, at the grain it allocates. Reads
+    /// allocate nothing.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.pages.values().map(|page| page.iter().flatten().count()).sum()
     }
 
-    /// The page holding `addr`, or the zero page if it was never written.
-    fn page(&self, addr: u64) -> &Page {
-        self.pages.get(&(addr >> PAGE_SHIFT)).map_or(&ZERO_PAGE, |p| p)
+    /// The block holding `addr`, or the zero block if it was never
+    /// written.
+    fn block(&self, addr: u64) -> &Block {
+        self.pages
+            .get(&(addr >> PAGE_SHIFT))
+            .and_then(|page| page[slot(addr)].as_deref())
+            .unwrap_or(&ZERO_BLOCK)
     }
 
-    /// The page holding `addr`, allocated on first write and unshared
-    /// (copied) if a clone still holds it.
-    fn page_mut(&mut self, addr: u64) -> &mut Page {
-        Arc::make_mut(self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Arc::new(ZERO_PAGE)))
+    /// The block holding `addr`, allocated on first write. A page or
+    /// block a clone still holds is unshared (copied) first.
+    fn block_mut(&mut self, addr: u64) -> &mut Block {
+        let page = self
+            .pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Arc::new([const { None }; PAGE_BLOCKS]));
+        Arc::make_mut(Arc::make_mut(page)[slot(addr)].get_or_insert_with(|| Arc::new(ZERO_BLOCK)))
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        self.page(addr)[(addr & PAGE_MASK) as usize]
+        self.block(addr)[(addr & BLOCK_MASK) as usize]
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = val;
+        self.block_mut(addr)[(addr & BLOCK_MASK) as usize] = val;
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
     pub fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        let off = (addr & PAGE_MASK) as usize;
+        let off = (addr & BLOCK_MASK) as usize;
         let mut out = [0u8; N];
-        match self.page(addr).get(off..off + N) {
+        match self.block(addr).get(off..off + N) {
             Some(bytes) => out.copy_from_slice(bytes),
-            // Straddles a page boundary, or wraps past `u64::MAX` to page 0.
+            // Straddles a block boundary, or wraps past `u64::MAX` to
+            // address 0.
             None => {
                 for (i, b) in out.iter_mut().enumerate() {
                     *b = self.read_u8(addr.wrapping_add(i as u64));
@@ -91,12 +145,12 @@ impl PagedMem {
         out
     }
 
-    /// Writes bytes starting at `addr`, one page-sized chunk at a time.
+    /// Writes bytes starting at `addr`, one block at a time.
     pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
         while !bytes.is_empty() {
-            let off = (addr & PAGE_MASK) as usize;
-            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - off));
-            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
+            let off = (addr & BLOCK_MASK) as usize;
+            let (chunk, rest) = bytes.split_at(bytes.len().min(MEM_BLOCK_BYTES - off));
+            self.block_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
             addr = addr.wrapping_add(chunk.len() as u64);
             bytes = rest;
         }
@@ -151,22 +205,34 @@ impl PagedMem {
     }
 
     /// The SDC oracle: the lowest address at which the two memories
-    /// differ, or `None` if they hold the same bytes everywhere. A page
-    /// written on one side only compares against zeros, so touching a page
-    /// without changing its contents is no difference.
+    /// differ, or `None` if they hold the same bytes everywhere. A block
+    /// written on one side only compares against zeros, so writing a
+    /// block without changing its contents is no difference. Pages and
+    /// blocks both sides share are skipped without reading them.
     pub fn first_difference(&self, other: &PagedMem) -> Option<u64> {
         let mut pages: Vec<u64> = self.pages.keys().chain(other.pages.keys()).copied().collect();
         pages.sort_unstable();
         pages.dedup();
         pages.into_iter().find_map(|p| {
-            let base = p << PAGE_SHIFT;
-            let (a, b) = (self.page(base), other.page(base));
-            // Whole pages first; bytes only inside a page that differs.
-            if a == b {
+            let (a, b) = (self.pages.get(&p), other.pages.get(&p));
+            if matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b)) {
                 return None;
             }
-            let off = a.iter().zip(b).position(|(x, y)| x != y)?;
-            Some(base + off as u64)
+            (0..PAGE_BLOCKS).find_map(|i| {
+                let (x, y) = (a.and_then(|pg| pg[i].as_ref()), b.and_then(|pg| pg[i].as_ref()));
+                match (x, y) {
+                    (None, None) => return None,
+                    (Some(x), Some(y)) if Arc::ptr_eq(x, y) => return None,
+                    _ => {}
+                }
+                let (x, y) = (x.map_or(&ZERO_BLOCK, |x| x), y.map_or(&ZERO_BLOCK, |y| y));
+                // Whole blocks first; bytes only inside a block that differs.
+                if x == y {
+                    return None;
+                }
+                let off = x.iter().zip(y).position(|(u, v)| u != v)?;
+                Some((p << PAGE_SHIFT) + (i << BLOCK_SHIFT) as u64 + off as u64)
+            })
         })
     }
 }
@@ -203,12 +269,42 @@ mod tests {
     }
 
     #[test]
-    fn cross_page_access() {
+    fn cross_block_and_page_access() {
         let mut m = PagedMem::new();
-        let addr = (1 << PAGE_SHIFT) - 4; // straddles pages 0 and 1
+        // Straddles blocks 0 and 1 of page 0.
+        let addr = MEM_BLOCK_BYTES as u64 - 4;
         m.write_u64(addr, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
-        assert_eq!(m.page_count(), 2);
+        assert_eq!(m.page_count(), 2, "two blocks");
+        // Straddles the last block of page 0 and the first of page 1.
+        let addr = MEM_PAGE_BYTES as u64 - 2;
+        m.write_u32(addr, 0xaabb_ccdd);
+        assert_eq!(m.read_u32(addr), 0xaabb_ccdd);
+        assert_eq!(m.read_u8(MEM_PAGE_BYTES as u64), 0xbb);
+        assert_eq!(m.page_count(), 4);
+        // Wraps past `u64::MAX` to address 0.
+        m.write_u64(u64::MAX - 3, u64::MAX);
+        assert_eq!(m.read_u64(u64::MAX - 3), u64::MAX);
+        assert_eq!(m.read_u32(0), 0xffff_ffff);
+        assert_eq!(m.page_count(), 5);
+    }
+
+    #[test]
+    fn a_write_after_a_clone_copies_one_block() {
+        let mut a = PagedMem::new();
+        for i in 0..PAGE_BLOCKS as u64 {
+            a.write_u64(i * MEM_BLOCK_BYTES as u64, i + 1);
+        }
+        let b = a.clone();
+        let page = |m: &PagedMem| Arc::clone(&m.pages[&0]);
+        assert!(Arc::ptr_eq(&page(&a), &page(&b)), "a clone shares the page");
+        a.write_u8(3 * MEM_BLOCK_BYTES as u64 + 1, 0xff);
+        let (pa, pb) = (page(&a), page(&b));
+        assert!(!Arc::ptr_eq(&pa, &pb), "the writer holds its own handles");
+        let shared = |i: usize| Arc::ptr_eq(pa[i].as_ref().unwrap(), pb[i].as_ref().unwrap());
+        assert_eq!((0..PAGE_BLOCKS).filter(|&i| !shared(i)).collect::<Vec<_>>(), [3]);
+        assert_eq!(b.read_u64(3 * MEM_BLOCK_BYTES as u64), 4, "the clone keeps its view");
+        assert_eq!(a.first_difference(&b), Some(3 * MEM_BLOCK_BYTES as u64 + 1));
     }
 
     #[test]
@@ -232,5 +328,10 @@ mod tests {
         assert_eq!(a.first_difference(&b), None);
         b.write_u8(6000, 2);
         assert_eq!(a.first_difference(&b), Some(6000));
+        // A zero written on one side only is no difference.
+        a.write_u64(0x9_0000, 0);
+        assert_eq!(b.first_difference(&a), Some(6000));
+        b.write_u8(5999, 3);
+        assert_eq!(b.first_difference(&a), Some(5999));
     }
 }

@@ -60,8 +60,8 @@ impl CacheStats {
 }
 
 /// One cache line, packed to 16 bytes: the first access to a chunk
-/// after a clone copies all of its lines (2 KiB for Table 1's 8-way L2,
-/// 1 KiB for its 4-way L1s), so line size is the unsharing cost. `meta`
+/// after a clone copies all of its lines (512 B for Table 1's 8-way L2,
+/// 256 B for its 4-way L1s), so line size is the unsharing cost. `meta`
 /// holds the LRU stamp (higher = more recently used) in its upper 62
 /// bits and valid/dirty in the low two.
 #[derive(Debug, Clone, Copy)]
@@ -100,9 +100,17 @@ impl Line {
     }
 }
 
-/// Sets per copy-on-write chunk of lines. A cache with no more sets than
-/// this is one chunk.
-const CHUNK_SETS: usize = 16;
+/// Sets per copy-on-write chunk of a [`Cache`]'s lines: the grain at
+/// which an access after a clone copies lines. A cache with no more sets
+/// than this is one chunk.
+pub const CHUNK_SETS: usize = 4;
+
+/// Chunks per handle group: a clone copies one handle per group.
+const GROUP_CHUNKS: usize = 4;
+
+/// A group's chunk handles; `None` is a chunk never accessed, every line
+/// invalid.
+type Group = [Option<Arc<[Line]>>; GROUP_CHUNKS];
 
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,18 +126,22 @@ pub struct Access {
 /// The model tracks tags and replacement state only; see the crate docs for
 /// why data is held externally.
 ///
-/// Lines are shared copy-on-write in chunks of 16 sets: a clone shares
-/// every chunk with its source, and either side copies a chunk on its
-/// first [`Cache::access`] to it ([`Cache::probe`] copies nothing).
+/// Lines are shared copy-on-write in chunks of [`CHUNK_SETS`] sets, and
+/// the chunks' handles in groups of four: a clone shares every group
+/// with its source, and either side copies a group's handles and then
+/// the chunk on its first [`Cache::access`] to the chunk
+/// ([`Cache::probe`] copies nothing).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// The lines, `assoc` per set row-major, in chunks of `CHUNK_SETS`
-    /// sets. Snapshot-heavy campaigns clone the hierarchy thousands of
-    /// times, so a clone copies only these handles: 4.6 KB for the
-    /// Table 1 hierarchy. A new cache's slots all hold one shared empty
-    /// chunk, so a cold core allocates only the chunks it touches.
-    chunks: Vec<Arc<[Line]>>,
+    /// The lines, `assoc` per set row-major, in chunks of [`CHUNK_SETS`]
+    /// sets whose handles sit in groups of `GROUP_CHUNKS`; `None` is a
+    /// group never accessed. Snapshot-heavy campaigns clone the
+    /// hierarchy thousands of times, so a clone copies only the group
+    /// handles (2.3 KB for the Table 1 hierarchy) and counts a reference
+    /// only for the groups accessed. A new cache holds no group, so a
+    /// cold core allocates only the groups and chunks it touches.
+    groups: Vec<Option<Arc<Group>>>,
     set_shift: u32,
     set_mask: u64,
     stamp: u64,
@@ -145,9 +157,8 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.num_sets();
         let chunk_sets = sets.min(CHUNK_SETS);
-        let empty: Arc<[Line]> = vec![Line::EMPTY; chunk_sets * cfg.assoc].into();
         Cache {
-            chunks: vec![empty; sets / chunk_sets],
+            groups: vec![None; (sets / chunk_sets).div_ceil(GROUP_CHUNKS)],
             set_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
             stamp: 0,
@@ -156,9 +167,11 @@ impl Cache {
         }
     }
 
-    /// Chunk index and the offset of `set`'s first line within it.
-    fn locate(&self, set: usize) -> (usize, usize) {
-        (set / CHUNK_SETS, set % CHUNK_SETS * self.cfg.assoc)
+    /// Group index, chunk slot within the group, and the offset of
+    /// `set`'s first line within the chunk.
+    fn locate(&self, set: usize) -> (usize, usize, usize) {
+        let chunk = set / CHUNK_SETS;
+        (chunk / GROUP_CHUNKS, chunk % GROUP_CHUNKS, set % CHUNK_SETS * self.cfg.assoc)
     }
 
     /// The configured geometry.
@@ -191,8 +204,11 @@ impl Cache {
     /// True if the line containing `addr` is resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.split(addr);
-        let (chunk, at) = self.locate(set);
-        self.chunks[chunk][at..at + self.cfg.assoc].iter().any(|l| l.valid() && l.tag == tag)
+        let (group, slot, at) = self.locate(set);
+        let Some(lines) = self.groups[group].as_ref().and_then(|g| g[slot].as_ref()) else {
+            return false;
+        };
+        lines[at..at + self.cfg.assoc].iter().any(|l| l.valid() && l.tag == tag)
     }
 
     /// Performs an access, updating tags, LRU, and statistics.
@@ -203,10 +219,15 @@ impl Cache {
         self.stamp += 1;
         self.stats.accesses += 1;
         let (set, tag) = self.split(addr);
-        let (chunk, at) = self.locate(set);
+        let (group, slot, at) = self.locate(set);
         let assoc = self.cfg.assoc;
-        // Every access writes LRU state, so a hit unshares the chunk too.
-        let lines = &mut Arc::make_mut(&mut self.chunks[chunk])[at..at + assoc];
+        let chunk_lines = self.sets().min(CHUNK_SETS) * assoc;
+        // Every access writes LRU state, so a hit unshares the group and
+        // the chunk too.
+        let group = Arc::make_mut(self.groups[group].get_or_insert_with(Default::default));
+        let lines =
+            group[slot].get_or_insert_with(|| (0..chunk_lines).map(|_| Line::EMPTY).collect());
+        let lines = &mut Arc::make_mut(lines)[at..at + assoc];
 
         if let Some(l) = lines.iter_mut().find(|l| l.valid() && l.tag == tag) {
             l.touch(self.stamp, write);
@@ -328,7 +349,7 @@ mod tests {
         assert_eq!(c.stats().miss_rate(), 0.5);
     }
 
-    /// Table 1's L2 geometry: 4,096 sets of 8 ways, so 256 chunks.
+    /// Table 1's L2 geometry: 4,096 sets of 8 ways.
     fn l2() -> Cache {
         Cache::new(CacheConfig {
             size_bytes: 2 * 1024 * 1024,
@@ -338,25 +359,53 @@ mod tests {
         })
     }
 
-    /// Where each chunk's lines live: equal pointers are a shared chunk.
+    /// Where each group's handles live: equal pointers are a shared
+    /// group, null a group never accessed.
+    fn group_ptrs(c: &Cache) -> Vec<*const Group> {
+        c.groups.iter().map(|g| g.as_ref().map_or(std::ptr::null(), Arc::as_ptr)).collect()
+    }
+
+    /// Where each chunk's lines live, group by group: equal pointers are
+    /// a shared chunk, null a chunk never accessed.
     fn chunk_ptrs(c: &Cache) -> Vec<*const Line> {
-        c.chunks.iter().map(|ch| Arc::as_ptr(ch).cast::<Line>()).collect()
+        let empty: Group = Default::default();
+        let chunks = |g: &Option<Arc<Group>>| g.as_deref().unwrap_or(&empty).clone();
+        let ptr = |ch: Option<Arc<[Line]>>| ch.map_or(std::ptr::null(), |ch| ch.as_ptr());
+        c.groups.iter().flat_map(chunks).map(ptr).collect()
     }
 
     #[test]
-    fn a_new_cache_shares_one_empty_chunk() {
+    fn a_new_cache_allocates_only_the_chunks_it_accesses() {
         // No more sets than one chunk: a single chunk of every line.
-        assert_eq!(small().chunks.len(), 1);
-        assert_eq!(small().chunks[0].len(), 4 * 2);
+        for sets in [CHUNK_SETS / 2, CHUNK_SETS] {
+            let cfg = CacheConfig {
+                size_bytes: (sets * 2 * 16) as u64,
+                assoc: 2,
+                line_bytes: 16,
+                hit_latency: 1,
+            };
+            let mut c = Cache::new(cfg);
+            assert_eq!(c.groups.len(), 1, "{sets} sets");
+            c.access(16 * (sets as u64 - 1), false);
+            let chunk = c.groups[0].as_ref().and_then(|g| g[0].as_ref());
+            assert_eq!(chunk.map(|ch| ch.len()), Some(sets * 2), "{sets} sets");
+            assert_eq!(chunk_ptrs(&c).iter().filter(|p| !p.is_null()).count(), 1, "{sets} sets");
+        }
         let mut c = l2();
-        assert_eq!(c.chunks.len(), 4096 / CHUNK_SETS);
-        assert_eq!(c.chunks[0].len(), CHUNK_SETS * 8);
-        assert!(c.chunks.iter().all(|ch| Arc::ptr_eq(ch, &c.chunks[0])));
-        assert_eq!(Arc::strong_count(&c.chunks[0]), 256);
-        // Set 17 lives in chunk 1; only that slot gets a chunk of its own.
-        c.access(17 * 64, false);
-        assert_eq!(Arc::strong_count(&c.chunks[1]), 1);
-        assert_eq!(Arc::strong_count(&c.chunks[0]), 255);
+        assert_eq!(c.groups.len() * GROUP_CHUNKS, 4096 / CHUNK_SETS);
+        assert!(c.groups.iter().all(Option::is_none), "a new cache holds no chunk");
+        assert!(!c.probe(0));
+        assert!(c.groups.iter().all(Option::is_none), "probe allocates nothing");
+        // Set CHUNK_SETS + 1 lives in chunk 1, of group 0; only that slot
+        // gets a chunk, of its own.
+        c.access((CHUNK_SETS as u64 + 1) * 64, false);
+        let ptrs = chunk_ptrs(&c);
+        let held: Vec<usize> = (0..ptrs.len()).filter(|&i| !ptrs[i].is_null()).collect();
+        assert_eq!(held, [1]);
+        let group = c.groups[0].as_ref().unwrap();
+        let chunk = group[1].as_ref().unwrap();
+        assert_eq!(chunk.len(), CHUNK_SETS * 8);
+        assert_eq!((Arc::strong_count(group), Arc::strong_count(chunk)), (1, 1));
     }
 
     #[test]
@@ -367,24 +416,37 @@ mod tests {
             a.access(set * 64, false);
         }
         let mut b = a.clone();
-        let shared = chunk_ptrs(&a);
-        assert_eq!(chunk_ptrs(&b), shared, "a clone shares every chunk");
-        assert!(a.chunks.iter().all(|ch| Arc::strong_count(ch) == 2));
+        let (shared_groups, shared) = (group_ptrs(&a), chunk_ptrs(&a));
+        assert!(shared.iter().all(|p| !p.is_null()), "every chunk accessed");
+        assert_eq!(group_ptrs(&b), shared_groups, "a clone shares every group");
+        assert_eq!(chunk_ptrs(&b), shared, "and so every chunk");
+        assert!(a.groups.iter().flatten().all(|g| Arc::strong_count(g) == 2));
 
         assert!(b.probe(0) && !b.probe(1 << 30));
         assert_eq!(chunk_ptrs(&b), shared, "probe copies nothing");
 
-        // Set 37 lives in chunk 2: a hit on it copies that chunk, on b only.
-        assert!(b.access(37 * 64, false).hit);
-        let b_ptrs = chunk_ptrs(&b);
-        assert_eq!(chunk_ptrs(&a), shared, "the other side keeps every chunk");
-        let copied: Vec<usize> = (0..shared.len()).filter(|&i| b_ptrs[i] != shared[i]).collect();
-        assert_eq!(copied, [2]);
-        assert_eq!(Arc::strong_count(&a.chunks[2]), 1);
+        // Chunk 2 runs from set 2 * CHUNK_SETS to set 3 * CHUNK_SETS - 1: a
+        // hit on its first set copies its group's handles and that chunk,
+        // on b only.
+        let (first, last) = (2 * CHUNK_SETS as u64, 3 * CHUNK_SETS as u64 - 1);
+        assert!(b.access(first * 64, false).hit);
+        let (b_groups, b_ptrs) = (group_ptrs(&b), chunk_ptrs(&b));
+        assert_eq!(group_ptrs(&a), shared_groups, "the other side keeps every group");
+        assert_eq!(chunk_ptrs(&a), shared, "and every chunk");
+        let copied = |new: &[*const Line], old: &[*const Line]| -> Vec<usize> {
+            (0..old.len()).filter(|&i| new[i] != old[i]).collect()
+        };
+        assert_eq!(copied(&b_ptrs, &shared), [2]);
+        let groups: Vec<usize> =
+            (0..shared_groups.len()).filter(|&i| b_groups[i] != shared_groups[i]).collect();
+        assert_eq!(groups, [2 / GROUP_CHUNKS]);
+        let a_chunk = a.groups[2 / GROUP_CHUNKS].as_ref().unwrap()[2 % GROUP_CHUNKS].as_ref();
+        assert_eq!(Arc::strong_count(a_chunk.unwrap()), 1);
 
-        // Another set of the same chunk: already b's own, nothing copied.
-        b.access(38 * 64 + (1 << 30), true);
+        // Its last set: already b's own, nothing copied.
+        b.access(last * 64 + (1 << 30), true);
         assert_eq!(chunk_ptrs(&b), b_ptrs);
-        assert!(!a.probe(38 * 64 + (1 << 30)), "b's fill stays on b");
+        assert_eq!(group_ptrs(&b), b_groups);
+        assert!(!a.probe(last * 64 + (1 << 30)), "b's fill stays on b");
     }
 }

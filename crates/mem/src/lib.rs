@@ -27,6 +27,6 @@ mod cache;
 mod hierarchy;
 mod store_buffer;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats, CHUNK_SETS};
 pub use hierarchy::{MemConfig, MemSystem};
 pub use store_buffer::{StoreBuffer, StoreCheck, StoreRecord};

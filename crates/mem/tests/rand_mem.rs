@@ -1,10 +1,10 @@
 //! Randomized property tests: the memory models against simple reference
 //! models, driven by the workspace PRNG.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use blackjack_isa::PagedMem;
-use blackjack_mem::{Cache, CacheConfig, CacheStats, StoreBuffer, StoreRecord};
+use blackjack_isa::{PagedMem, MEM_BLOCK_BYTES, MEM_PAGE_BYTES};
+use blackjack_mem::{Cache, CacheConfig, CacheStats, StoreBuffer, StoreRecord, CHUNK_SETS};
 use blackjack_rng::Rng;
 
 /// Random byte/word/dword writes against a byte-map model.
@@ -16,24 +16,41 @@ enum MemOp {
     R(u64, u8), // address, size log2 in {0,2,3}
 }
 
-/// Page boundaries the accesses cluster around. Anchor 0 puts them
-/// within 16 bytes of `u64::MAX`, where an access wraps to page 0.
-const ANCHORS: [u64; 4] = [0, 0x10_0000, 0x10_1000, 0x7fff_f000];
+/// Where a page starts whose every block edge the accesses cluster
+/// around.
+const EDGE_PAGE: u64 = 0x10_0000;
 
-fn mem_op(rng: &mut Rng) -> MemOp {
-    // Cluster addresses so reads observe writes and multi-byte accesses
-    // straddle pages.
-    let anchor = ANCHORS[rng.random_range(0..ANCHORS.len())];
+/// The addresses the accesses cluster around: 0, where an access within
+/// 16 bytes below wraps past `u64::MAX` to address 0; every block edge of
+/// one page, both of its page edges included; and a page edge far away.
+fn anchors() -> Vec<u64> {
+    let block = MEM_BLOCK_BYTES as u64;
+    let blocks = (MEM_PAGE_BYTES / MEM_BLOCK_BYTES) as u64;
+    let edges = (0..=blocks).map(|i| EDGE_PAGE + i * block);
+    [0].into_iter().chain(edges).chain([0x8000_0000 - MEM_PAGE_BYTES as u64]).collect()
+}
+
+/// A write near `anchor`. Every fourth stores zeros: a written block
+/// holding only zeros must compare equal to an absent one.
+fn mem_write(rng: &mut Rng, anchor: u64) -> MemOp {
     let addr = anchor.wrapping_add(rng.random_range(0u64..32)).wrapping_sub(16);
-    // Every fourth write stores zeros: a written page holding only zeros
-    // must compare equal to an absent one.
     let v = if rng.random_range(0..4u32) == 0 { 0 } else { rng.next_u64() };
-    match rng.random_range(0..4u32) {
+    match rng.random_range(0..3u32) {
         0 => MemOp::W8(addr, v as u8),
         1 => MemOp::W32(addr, v as u32),
-        2 => MemOp::W64(addr, v),
-        _ => MemOp::R(addr, [0u8, 2, 3][rng.random_range(0..3usize)]),
+        _ => MemOp::W64(addr, v),
     }
+}
+
+/// A write (three times in four) or read near one of `anchors`: clustered
+/// so reads observe writes and multi-byte accesses straddle edges.
+fn mem_op(rng: &mut Rng, anchors: &[u64]) -> MemOp {
+    let anchor = anchors[rng.random_range(0..anchors.len())];
+    if rng.random_range(0..4u32) == 0 {
+        let addr = anchor.wrapping_add(rng.random_range(0u64..32)).wrapping_sub(16);
+        return MemOp::R(addr, [0u8, 2, 3][rng.random_range(0..3usize)]);
+    }
+    mem_write(rng, anchor)
 }
 
 /// A memory under test and its byte-map model (absent bytes read zero).
@@ -76,30 +93,52 @@ fn model_difference(a: &HashMap<u64, u8>, b: &HashMap<u64, u8>) -> Option<u64> {
     a.keys().chain(b.keys()).copied().filter(|&k| model_byte(a, k) != model_byte(b, k)).min()
 }
 
-/// Random accesses, a clone taken mid-sequence with both sides written
-/// afterwards, and `first_difference` between the sides and against an
-/// empty memory, all against byte maps.
+/// The distinct blocks a byte map has written.
+fn model_blocks(model: &HashMap<u64, u8>) -> usize {
+    let blocks: HashSet<u64> = model.keys().map(|a| a / MEM_BLOCK_BYTES as u64).collect();
+    blocks.len()
+}
+
+/// Random accesses with a clone chain: a clone taken mid-sequence and a
+/// clone of that clone taken later, all three sides written afterwards.
+/// Every side's bytes and written blocks, and `first_difference` between
+/// every pair of sides and against an empty memory, match byte maps.
+/// Sequence `k` clusters around anchor `k` and three drawn at random,
+/// so the sequences cover every anchor.
 #[test]
 fn paged_mem_matches_byte_map() {
     let mut rng = Rng::seed_from_u64(0x11E1);
+    let all = anchors();
     let empty: Side = (PagedMem::new(), HashMap::new());
-    for _ in 0..100 {
+    for seq in 0..2 * all.len() {
+        let mut near = vec![all[seq % all.len()]];
+        near.extend((0..3).map(|_| all[rng.random_range(0..all.len())]));
         let n_ops = rng.random_range(1..200usize);
-        let clone_at = rng.random_range(0..n_ops);
+        let first_clone = rng.random_range(0..n_ops);
+        let second_clone = rng.random_range(first_clone..n_ops);
         let mut sides: Vec<Side> = vec![empty.clone()];
         for k in 0..n_ops {
-            if k == clone_at {
+            if k == first_clone {
                 sides.push(sides[0].clone());
             }
+            if k == second_clone {
+                sides.push(sides[1].clone());
+            }
             let side = rng.random_range(0..sides.len());
-            apply(mem_op(&mut rng), &mut sides[side]);
+            apply(mem_op(&mut rng, &near), &mut sides[side]);
+        }
+        for side in &mut sides {
+            let anchor = near[rng.random_range(0..near.len())];
+            apply(mem_write(&mut rng, anchor), side);
         }
         for (mem, model) in &sides {
             for (&a, &b) in model {
                 assert_eq!(mem.read_u8(a), b, "byte at {a:#x}");
             }
+            assert_eq!(mem.page_count(), model_blocks(model), "blocks written");
         }
-        for (x, y) in [(&sides[0], &sides[1]), (&sides[0], &empty), (&sides[1], &empty)] {
+        let pairs = [(0, 1), (0, 2), (1, 2)].map(|(i, j)| (&sides[i], &sides[j]));
+        for (x, y) in pairs.into_iter().chain(sides.iter().map(|side| (side, &empty))) {
             let want = model_difference(&x.1, &y.1);
             assert_eq!(x.0.first_difference(&y.0), want);
             assert_eq!(y.0.first_difference(&x.0), want);
@@ -202,7 +241,8 @@ fn cache_op(rng: &mut Rng, hot: u64, (cache, model): &mut CacheSide) {
 #[test]
 fn cache_matches_lru_model() {
     let mut rng = Rng::seed_from_u64(0xCAC4E);
-    for sets in [8u64, 16, 256] {
+    let chunk = CHUNK_SETS as u64;
+    for sets in [chunk / 2, chunk, 64 * chunk] {
         let cfg =
             CacheConfig { size_bytes: sets * 4 * 32, assoc: 4, line_bytes: 32, hit_latency: 1 };
         let fresh =

@@ -2291,18 +2291,20 @@ impl Core {
 ///
 /// The snapshot owns a copy of the entire simulation state, so it
 /// outlives the core it came from and can mint any number of independent
-/// continuations. Cache lines, memory pages and the BTB table are shared
-/// copy-on-write ([`blackjack_mem::Cache`], [`PagedMem`], [`Btb`]): the
-/// snapshot, its donor and every continuation copy a 16-set cache chunk
-/// only when they first access it, a page only when they first write it,
-/// and the BTB table only when an update changes an entry. Of the rest,
-/// the copy holds only what is in flight: the uop slab up to its last
-/// live slot ([`UopSlab`]) and each active list's window
-/// ([`ActiveList`]). A snapshot chain's donors also leave the fault plan
-/// behind ([`Core::snapshot_without_plan`]). Over the 496 snapshots the
-/// benchmark's `inject-transient` campaign retains at once, a snapshot
-/// copies 78 KiB on the heap on average, 32 KiB of it uops, besides the
-/// 2,496-byte `Core` itself. Two uses:
+/// continuations. Cache lines, the memory image and the BTB table are
+/// shared copy-on-write ([`blackjack_mem::Cache`], [`PagedMem`],
+/// [`Btb`]): the snapshot, its donor and every continuation copy a 4-set
+/// cache chunk (and its group's four chunk handles) only when they first
+/// access it, a 256-byte memory block (and its page's block handles) only
+/// when they first write it, and the BTB table only when an update
+/// changes an entry. Of the rest, the copy holds only what is in flight:
+/// the uop slab up to its last live slot ([`UopSlab`]) and each active
+/// list's window ([`ActiveList`]). A snapshot chain's donors also leave
+/// the fault plan behind ([`Core::snapshot_without_plan`]). On equake,
+/// each donor of the BlackJack chain holds about 77 KiB of its own,
+/// the 2,496-byte `Core` included, besides its page map and cache
+/// handle table; the chain's 21 donors keep 4.2 MiB of block, page-table
+/// and chunk versions between them (DESIGN §2.11). Two uses:
 ///
 /// - [`CoreSnapshot::restore`] resumes the *same* run — stepping the
 ///   restored core is bit-identical to stepping the original.

@@ -73,6 +73,9 @@ pub struct Dtq {
     entries: std::collections::VecDeque<DtqEntry>,
     /// Allocation index of the current front entry.
     front_index: u64,
+    /// Resident entries in the `Committed` state: what
+    /// [`Dtq::pop_committed_starved`] can harvest.
+    committed: usize,
     capacity: usize,
     /// Statistics: packets consumed.
     packets_popped: u64,
@@ -89,6 +92,7 @@ impl Dtq {
         Dtq {
             entries: std::collections::VecDeque::with_capacity(capacity),
             front_index: 0,
+            committed: 0,
             capacity,
             packets_popped: 0,
         }
@@ -143,6 +147,7 @@ impl Dtq {
         let e = self.slot_mut(index);
         assert_eq!(e.state, EntryState::Pending, "DTQ entry recorded twice");
         e.state = EntryState::Committed(payload);
+        self.committed += 1;
     }
 
     /// Tombstones a squashed instruction's entry.
@@ -173,13 +178,16 @@ impl Dtq {
     /// them as single-instruction packets.
     pub fn pop_committed_starved(&mut self, max: usize) -> Option<Vec<DtqPayload>> {
         let mut out = Vec::new();
+        // The walk stops once nothing committed is left to harvest, so a
+        // queue with no committed entry is not walked at all.
         for e in self.entries.iter_mut() {
-            if out.len() >= max {
+            if out.len() >= max || self.committed == 0 {
                 break;
             }
             if let EntryState::Committed(p) = e.state {
                 out.push(p);
                 e.state = EntryState::Consumed;
+                self.committed -= 1;
             }
         }
         // Compact the fully-consumed front so the window advances.
@@ -226,6 +234,7 @@ impl Dtq {
                 self.front_index += 1;
                 if let EntryState::Committed(p) = e.state {
                     out.push(p);
+                    self.committed -= 1;
                 }
                 // Squashed and Consumed entries are tombstones.
             }
@@ -344,6 +353,35 @@ mod tests {
         let mut d = Dtq::new(1);
         d.allocate(false);
         d.allocate(false);
+    }
+
+    #[test]
+    fn starved_harvest_takes_committed_entries_around_pending_ones() {
+        let mut d = Dtq::new(8);
+        let a = d.allocate(true);
+        let b = d.allocate(true);
+        let c = d.allocate(true);
+        let e = d.allocate(true);
+        let f = d.allocate(true);
+        assert!(d.pop_committed_starved(4).is_none(), "nothing committed");
+        assert_eq!(d.len(), 5, "nothing to compact in front of a pending entry");
+        d.squash(a);
+        assert!(d.pop_committed_starved(4).is_none(), "still nothing committed");
+        assert_eq!(d.len(), 4, "the squashed front compacts all the same");
+        d.record(c, payload(2));
+        d.record(e, payload(3));
+        d.squash(b);
+        let got = d.pop_committed_starved(1).unwrap();
+        assert_eq!(got.iter().map(|p| p.seq).collect::<Vec<_>>(), [2]);
+        // The squashed front and the consumed entry behind it compact.
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.pop_committed_starved(4).unwrap()[0].seq, 3);
+        assert!(d.pop_committed_starved(4).is_none(), "the pending entry stays");
+        assert_eq!(d.len(), 1);
+        d.record(f, payload(4));
+        assert_eq!(d.pop_packet().unwrap()[0].seq, 4);
+        assert!(d.is_empty());
+        assert_eq!(d.packets_popped(), 3);
     }
 
     #[test]

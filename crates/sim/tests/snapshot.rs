@@ -240,11 +240,12 @@ fn fork_replaces_the_donor_plan() {
 
 #[test]
 fn forks_of_a_many_page_image_stay_isolated() {
-    // Forks share the snapshot's memory pages until they write them, and
-    // its cache chunks until they access them. A program that rewrites 96
-    // pages on every pass makes each fork write through pages and L2
-    // chunks the snapshot still holds; one fork's corrupted stores and
-    // addresses must not reach the snapshot or a later fork of it.
+    // Forks share the snapshot's memory blocks until they write them, and
+    // its cache chunks until they access them. A program that rewrites two
+    // words, in two blocks, of each of 96 4 KiB regions on every pass
+    // makes each fork write through blocks, pages and L2 chunks the
+    // snapshot still holds; one fork's corrupted stores and addresses must
+    // not reach the snapshot or a later fork of it.
     const PAGES: u64 = 96;
     const BASE: u64 = 0x40_0000;
     let prog = assemble(&format!(
@@ -278,10 +279,11 @@ fn forks_of_a_many_page_image_stay_isolated() {
         let mut prefix = Core::new(cfg.clone(), &prog, FaultPlan::new());
         prefix.run(cold.cycle() / 2);
         let snap = prefix.snapshot();
-        assert!(prefix.mem().page_count() as u64 >= PAGES, "{mode}: image at the snapshot");
+        // `page_count` counts blocks: both of every region's.
+        assert!(prefix.mem().page_count() as u64 >= 2 * PAGES, "{mode}: image at the snapshot");
         let rewritten =
             (0..PAGES).filter(|&p| pass_stamp(&prefix, p) != pass_stamp(&cold, p)).count();
-        assert!(rewritten >= 64, "{mode}: only {rewritten} pages written after the snapshot");
+        assert!(rewritten >= 64, "{mode}: only {rewritten} regions written after the snapshot");
 
         // A stuck bit on every cache port corrupts store data (and
         // addresses) on their way to memory.

@@ -62,9 +62,11 @@ impl Experiment {
     /// Enables per-run tracing: each [`ModeResult`] carries the run's
     /// occupancy histograms, heatmap, and flight dump. Off by default.
     /// Untraced, the Single and SRT hot loops allocate only to unshare a
-    /// copy-on-write cache chunk, page or BTB table (once each after
-    /// construction or a clone), to create a page the program writes for
-    /// the first time, and to grow a buffer to the run's high-water mark.
+    /// copy-on-write cache chunk, memory block or BTB table, with the
+    /// handles above a chunk or block (once each after a clone), to
+    /// create a cache chunk on its first access and a block the program
+    /// writes for the first time, with its group or page, and to grow a
+    /// buffer to the run's high-water mark.
     /// The BlackJack modes also allocate per trailing packet:
     /// `Dtq::pop_packet` returns a `Vec`, and `safe_shuffle` builds its
     /// slot and outcome vectors (DESIGN §2.11).
