@@ -294,7 +294,7 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          Fault injections are judged against the static site classification from\n\
          `blackjack-analysis`.\n\n\
          The acceptance runs \u{2014} `bj-fuzz --seed 0xB1AC --iters 200`, byte-identical\n\
-         across invocations, ~3 s release each:\n\n\
+         across invocations, about 0.7 s and 1.1 s in release on a 2-vCPU host:\n\n\
          ```text\n\
          bj-fuzz: seed=0xb1ac iters=200 kinds=hard ecc=off\n\
          \x20 differential: 200 programs x 4 modes, 0 failures\n\

@@ -21,7 +21,21 @@
 //! A watchdog-triggered cycle-limit on a faulty run counts as detection:
 //! the fault wedged the pipeline and the deadlock detector flagged it,
 //! which is containment, not silence.
+//!
+//! **Transients end one cycle past their upset.** Every fault run goes
+//! through the campaign's driver, [`EarlyExit`], sealed by
+//! [`EarlyExit::for_kind`]. A transient is present on its arming cycle
+//! alone, so a transient run that has not activated once that cycle is
+//! simulated never activates: the rest of it is the fault-free ECC-on run,
+//! which ends exactly as the fault-free ECC-off run does, completed with
+//! golden memory. The driver stops it there, and the oracle reads the
+//! verdict that run would reach: masked, and benign in the taxonomy (zero
+//! activations mean no ECC correction). This rests on one precondition:
+//! the program passes [`crate::diff::check_fault_free`], as every program
+//! `bj-fuzz` samples does before it is injected into. Hard and
+//! intermittent faults recur, so their runs go to the end.
 
+use blackjack::{EarlyExit, Exit, Metrics};
 use blackjack_analysis::SiteAnalysis;
 use blackjack_faults::{FaultKind, FaultPlan, FaultSite, HardFault, Taxonomy};
 use blackjack_isa::{Interp, PagedMem, Program};
@@ -119,6 +133,10 @@ pub fn check_fault(
 /// ([`classify_sites_ecc`]) — with ECC on, an escape on a promoted site
 /// (payload RAM, `MemPort` way, cache data) is a soundness failure.
 ///
+/// A transient that has not activated by the cycle after its upset is
+/// masked without simulating further (the module doc has the argument);
+/// `prog` must pass [`crate::diff::check_fault_free`].
+///
 /// # Errors
 ///
 /// Returns [`Soundness`] exactly as [`check_fault`] does.
@@ -132,14 +150,14 @@ pub fn check_fault_universe(
     golden_mem: &PagedMem,
 ) -> Result<FaultVerdict, Soundness> {
     let class = classify_sites_ecc(analysis, fault.site, ecc);
-    let mut cfg = CoreConfig::with_mode(Mode::BlackJack);
-    cfg.lvq_ecc = ecc;
-    let mut core = Core::new(cfg, prog, FaultPlan::single(fault).arm_at(arm).with_kind(kind));
-    let outcome = core.run(MAX_CYCLES);
+    let plan = FaultPlan::single(fault).arm_at(arm).with_kind(kind);
+    let (exit, core) = run_blackjack(prog, plan, ecc);
     let stats = core.stats();
-    let verdict = match outcome {
-        RunOutcome::Detected(_) => FaultVerdict::Detected,
-        RunOutcome::CycleLimit => {
+    let verdict = match exit {
+        // Sealed with zero activations: the rest is the fault-free run.
+        Exit::Converged => FaultVerdict::Masked,
+        Exit::Ran(RunOutcome::Detected(_)) => FaultVerdict::Detected,
+        Exit::Ran(RunOutcome::CycleLimit) => {
             if stats.deadlocked {
                 FaultVerdict::Watchdog
             } else {
@@ -153,7 +171,7 @@ pub fn check_fault_universe(
                 });
             }
         }
-        RunOutcome::Completed => {
+        Exit::Ran(RunOutcome::Completed) => {
             if core.mem().first_difference(golden_mem).is_none() {
                 FaultVerdict::Masked
             } else {
@@ -210,18 +228,22 @@ pub fn golden_memory(prog: &Program) -> PagedMem {
 /// verdict the corpus taxonomy goldens pin down. Any detection
 /// (pair-check, ECC double-bit flag, watchdog) is a DUE; a clean
 /// completion is a CE exactly when an ECC correction fired.
+///
+/// A transient plan that has not activated by the cycle after its upset
+/// is benign without simulating further, as in
+/// [`check_fault_universe`]; `prog` must pass
+/// [`crate::diff::check_fault_free`].
 pub fn run_taxonomy(
     prog: &Program,
     plan: FaultPlan,
     ecc: bool,
     golden_mem: &PagedMem,
 ) -> Taxonomy {
-    let mut cfg = CoreConfig::with_mode(Mode::BlackJack);
-    cfg.lvq_ecc = ecc;
-    let mut core = Core::new(cfg, prog, plan);
-    match core.run(MAX_CYCLES) {
-        RunOutcome::Detected(_) | RunOutcome::CycleLimit => Taxonomy::Due,
-        RunOutcome::Completed => {
+    let (exit, core) = run_blackjack(prog, plan, ecc);
+    match exit {
+        Exit::Converged => Taxonomy::Benign,
+        Exit::Ran(RunOutcome::Detected(_) | RunOutcome::CycleLimit) => Taxonomy::Due,
+        Exit::Ran(RunOutcome::Completed) => {
             if core.mem().first_difference(golden_mem).is_some() {
                 Taxonomy::Sdc
             } else if core.stats().ecc_corrected > 0 {
@@ -231,6 +253,17 @@ pub fn run_taxonomy(
             }
         }
     }
+}
+
+/// Runs `prog` in BlackJack mode under `plan` to its end, or to the
+/// [`EarlyExit::for_kind`] seal of the plan's kind and arm.
+fn run_blackjack(prog: &Program, plan: FaultPlan, ecc: bool) -> (Exit, Core) {
+    let mut cfg = CoreConfig::with_mode(Mode::BlackJack);
+    cfg.lvq_ecc = ecc;
+    let seal = EarlyExit::for_kind(plan.kind(), plan.arm_cycle());
+    let mut core = Core::new(cfg, prog, plan);
+    let exit = seal.run(&mut core, MAX_CYCLES, &mut Metrics::Off);
+    (exit, core)
 }
 
 #[cfg(test)]

@@ -326,6 +326,14 @@ impl CoreConfig {
         assert!(self.phys_regs <= PhysReg::MAX as usize, "at most {} physical registers", PhysReg::MAX);
         assert!(self.lsq <= self.active_list, "LSQ cannot exceed the active list");
         assert!(self.issue_queue >= self.width, "issue queue smaller than machine width");
+        if self.mode.is_redundant() {
+            assert!(
+                self.issue_queue > self.width,
+                "a redundant mode needs an issue queue larger than the machine width: \
+                 dispatch keeps one width of entries free as the trailing thread's \
+                 reserve, so the leading thread dispatches only while more are free"
+            );
+        }
         if self.mode.uses_dtq() {
             assert!(
                 self.dtq >= self.active_list + self.width,
@@ -446,6 +454,36 @@ mod tests {
         let mut c = CoreConfig::default();
         c.fu_counts.int_alu += 256 - c.fu_counts.total();
         c.validate();
+    }
+
+    /// The narrowest issue queue `validate` accepts is the machine width,
+    /// or one more in a redundant mode.
+    fn issue_queue_of_width(mode: Mode) -> CoreConfig {
+        let c = CoreConfig::with_mode(mode);
+        CoreConfig { issue_queue: c.width, ..c }
+    }
+
+    #[test]
+    fn a_single_thread_issue_queue_may_equal_the_width() {
+        issue_queue_of_width(Mode::Single).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing thread's reserve")]
+    fn an_srt_issue_queue_of_the_width_panics() {
+        issue_queue_of_width(Mode::Srt).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing thread's reserve")]
+    fn a_blackjack_ns_issue_queue_of_the_width_panics() {
+        issue_queue_of_width(Mode::BlackJackNoShuffle).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing thread's reserve")]
+    fn a_blackjack_issue_queue_of_the_width_panics() {
+        issue_queue_of_width(Mode::BlackJack).validate();
     }
 
     #[test]

@@ -2395,9 +2395,11 @@ mod tests {
     #[test]
     fn boundary_queue_config_runs_blackjack() {
         // The tightest *workable* config for width 4: at
-        // issue_queue == width a whole trailing packet can never hold
-        // the shared issue queue alone (atomic packet issue livelocks),
-        // so width + 1 is the boundary. The live-packet bound is then
+        // issue_queue == width the leading thread never dispatches,
+        // because dispatch keeps one width of entries free as the
+        // trailing thread's reserve, so width + 1 is the boundary in
+        // every redundant mode, SRT included (`CoreConfig::validate`
+        // rejects the narrower queue). The live-packet bound is then
         // fetch_queue + issue_queue = 9, the smallest that completes,
         // which exercises the PacketTotals invariant hardest.
         let mut cfg = CoreConfig::with_mode(Mode::BlackJack);

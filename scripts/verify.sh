@@ -62,6 +62,16 @@ echo "== tier-1: equivalence matrix (release) =="
 # so this is its only check. The debug test suite above skips it.
 cargo test --release -q --offline -p blackjack-bench --test detection_equiv
 
+echo "== tier-1: fuzz oracle transient seal and ECC invisibility (release) =="
+# The fuzz oracle ends a transient run one cycle past its upset when it
+# has not activated. The oracle battery's seal test gives over 1,500
+# transients, over 900 of which activate, the verdict and taxonomy of
+# the same plan driven to its end; ecc_fault_free checks the
+# seal's premise, that a fault-free run reads the same with the LVQ ECC
+# layer on as off (4 modes, 18 kernels, 300 generated programs). The
+# debug test suite above skips both.
+cargo test --release -q --offline -p blackjack-fuzz --test oracle_battery --test ecc_fault_free
+
 echo "== tier-1: benchmark package tests (release) =="
 # The benchmark builds against the library's campaign API; a change that
 # breaks its build or its own checks fails here. It builds into the
@@ -129,8 +139,10 @@ echo "== tier-1: fault-universe oracle battery (bj-fuzz, all kinds, ECC on, 300 
 # — every load-value site is guaranteed, so zero escapes anywhere. The
 # 300 programs include the four whose faults wedge the core until the
 # 200,000-cycle watchdog ends the run (the longest quiet stretches the
-# simulator skips through), and the pinned verdict counts catch any
-# change in what those runs, or any other, simulate.
+# simulator skips through). Transient runs that have not activated end
+# one cycle past their upset; the pinned verdict counts still catch any
+# change of verdict, whether in what a run simulates or in where it is
+# sealed.
 battery="$(BJ_FAULT_KINDS=hard,transient,intermittent BJ_ECC=1 \
   cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
   --seed 0xB1AC --iters 300 --quiet)"

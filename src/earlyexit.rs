@@ -15,12 +15,15 @@
 //! * **M2, convergence seal.** Once no remaining cycle exercises the site
 //!   while the fault is present, a run with zero activations can never
 //!   activate, and its benign verdict (clean completion, golden memory)
-//!   is sealed. Two bounds give that point, and the seal takes the
-//!   earlier. Past the site's last fault-free exercise, the run has been
-//!   bit-identical to the fault-free run so far, so its future is the
-//!   fault-free future, in which the site is never exercised again. Past
-//!   the fault's last present cycle ([`FaultKind::last_active`]: a
-//!   transient's arming cycle), no hook can change a value at all.
+//!   is sealed. Two bounds give that point. Past the fault's last present
+//!   cycle ([`FaultKind::last_active`]: a transient's arming cycle), no
+//!   hook can change a value at all; [`EarlyExit::for_kind`] seals there
+//!   and needs nothing but the fault's kind and arm, so the fuzz oracle,
+//!   which runs no reference pass, uses it too. Past the site's last
+//!   fault-free exercise, the run has been bit-identical to the
+//!   fault-free run so far, so its future is the fault-free future, in
+//!   which the site is never exercised again; [`EarlyExit::for_site`]
+//!   tightens the first bound by this one.
 //!
 //! A run that wedges ends on the core's own no-commit watchdog, as it
 //! does on the replay path, so every early exit is exact by proof alone.
@@ -62,7 +65,9 @@ pub enum Exit {
     Converged,
 }
 
-/// The early-exit mechanism armed for one run. The default arms none,
+/// The early-exit mechanism armed for one run: [`EarlyExit::for_site`]
+/// for a campaign run, which has its group's reference pass, and
+/// [`EarlyExit::for_kind`] for a run without one. The default arms none,
 /// and [`EarlyExit::run`] is then a single `Core::run`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EarlyExit {
@@ -73,10 +78,17 @@ pub struct EarlyExit {
 }
 
 impl EarlyExit {
+    /// Arms M2 for a fault of `kind` armed at `arm` from the fault alone:
+    /// one cycle past its last present cycle. That is `arm + 1` for a
+    /// transient, and nothing for hard and intermittent faults, which
+    /// recur. No reference pass is needed, so any run can use it.
+    pub fn for_kind(kind: FaultKind, arm: u64) -> EarlyExit {
+        EarlyExit { quiesce: kind.last_active(arm).map(|last| last + 1) }
+    }
+
     /// Arms M2 for a fault of `kind` on `site` armed at `arm`, given the
-    /// reference pass's `usage`: one cycle past the site's last
-    /// fault-free exercise or the fault's last present cycle, whichever
-    /// comes first.
+    /// reference pass's `usage`: the [`EarlyExit::for_kind`] seal,
+    /// tightened to one cycle past the site's last fault-free exercise.
     ///
     /// # Errors
     ///
@@ -90,8 +102,8 @@ impl EarlyExit {
     ) -> Result<EarlyExit, EarlyExitKind> {
         match usage.last_use(site) {
             Some(last) if last >= arm => {
-                let last = kind.last_active(arm).map_or(last, |present| present.min(last));
-                Ok(EarlyExit { quiesce: Some(last + 1) })
+                let present = EarlyExit::for_kind(kind, arm).quiesce;
+                Ok(EarlyExit { quiesce: Some(present.map_or(last + 1, |q| q.min(last + 1))) })
             }
             _ => Err(EarlyExitKind::Activation),
         }
@@ -172,6 +184,16 @@ mod tests {
             assert_eq!(late, Err(EarlyExitKind::Activation), "{kind}");
             assert_eq!(EarlyExit::for_site(&usage, idle, 1, kind), Err(EarlyExitKind::Activation));
         }
+    }
+
+    #[test]
+    fn the_reference_free_seal_falls_one_cycle_past_the_last_present_cycle() {
+        assert_eq!(EarlyExit::for_kind(FaultKind::Transient, 100).quiesce, Some(101));
+        assert_eq!(EarlyExit::for_kind(FaultKind::Transient, 0).quiesce, Some(1));
+        // Recurring faults have no last present cycle, so nothing seals.
+        assert_eq!(EarlyExit::for_kind(FaultKind::Hard, 100), EarlyExit::default());
+        let intermittent = FaultKind::Intermittent { period: 64, on: 8 };
+        assert_eq!(EarlyExit::for_kind(intermittent, 100), EarlyExit::default());
     }
 
     #[test]

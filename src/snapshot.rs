@@ -31,7 +31,7 @@
 //! nearest donor of an arm that will fork.
 
 use blackjack_faults::FaultPlan;
-use blackjack_sim::{Core, CoreSnapshot};
+use blackjack_sim::{Core, CoreSnapshot, RunOutcome};
 
 /// Arming cycles for `sites` injection runs over a workload whose
 /// fault-free run lasts `fault_free_cycles` cycles: evenly spaced across
@@ -108,10 +108,11 @@ impl SnapshotChain {
     /// # Panics
     ///
     /// Panics if `interval` is zero, the core does not complete within
-    /// `max_cycles` (reference passes must be fault-free and halting),
-    /// or the completed pass commits a different instruction count than
-    /// `expected_insts` claims (a wrong bound could have skipped a
-    /// needed donor, so it fails loudly here instead).
+    /// `max_cycles` (reference passes must be fault-free and halting, so
+    /// a pass that stops on a detection or the no-commit watchdog fails
+    /// here too), or the completed pass commits a different instruction
+    /// count than `expected_insts` claims (a wrong bound could have
+    /// skipped a needed donor, so it fails loudly here instead).
     pub fn build_periodic(
         mut core: Core,
         interval: u64,
@@ -126,9 +127,18 @@ impl SnapshotChain {
             vec![(core.cycle(), Box::new(core.snapshot_without_plan()))];
         while !core.finished() {
             let target = core.cycle() + interval;
+            let out = core.run(target.min(max_cycles));
+            // Short of completion, only a pause on the interval's budget
+            // may go on: a pass stopped by a detection or the watchdog
+            // would never step again.
+            let paused = out == RunOutcome::CycleLimit
+                && !core.stats().deadlocked
+                && core.cycle() < max_cycles;
             assert!(
-                core.run(target.min(max_cycles)).completed() || core.cycle() < max_cycles,
-                "reference pass must complete within {max_cycles} cycles"
+                out.completed() || paused,
+                "reference pass must complete within {max_cycles} cycles, \
+                 but stopped with {out:?} at cycle {}",
+                core.cycle()
             );
             if let Some(insts) = expected_insts {
                 let remaining = insts.saturating_sub(core.stats().committed[0]);
@@ -404,5 +414,33 @@ mod tests {
         let prog = build(Benchmark::Gzip, 1);
         let core = Core::new(CoreConfig::with_mode(Mode::Srt), &prog, FaultPlan::new());
         let _ = SnapshotChain::build_periodic(core, 1024, 10_000_000, Some(7));
+    }
+
+    /// A BlackJack gzip core whose hard backend fault, armed at cycle 1,
+    /// is detected at cycle 836: a reference pass that stops early.
+    fn detecting_pass() -> Core {
+        let prog = build(Benchmark::Gzip, 1);
+        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 5);
+        let plan = FaultPlan::single(fault).arm_at(1);
+        Core::new(CoreConfig::with_mode(Mode::BlackJack), &prog, plan)
+    }
+
+    #[test]
+    #[should_panic(expected = "but stopped with Detected")]
+    fn a_pass_that_detects_fails_loudly_with_an_instruction_hint() {
+        // The campaign's call: the hint would skip every pause, forever.
+        let prog = build(Benchmark::Gzip, 1);
+        let mut golden = blackjack_isa::Interp::new(&prog);
+        golden.run(50_000_000).expect("golden run completes");
+        let hint = Some(golden.icount());
+        let _ = SnapshotChain::build_periodic(detecting_pass(), 512, 10_000_000, hint);
+    }
+
+    #[test]
+    #[should_panic(expected = "but stopped with Detected")]
+    fn a_pass_that_detects_fails_loudly_without_a_hint() {
+        // Without the hint every pause would snapshot until the doubled
+        // interval wrapped to zero.
+        let _ = SnapshotChain::build_periodic(detecting_pass(), 512, 10_000_000, None);
     }
 }
